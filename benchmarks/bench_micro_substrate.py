@@ -108,25 +108,25 @@ def _noop():
     pass
 
 
-def _hold_model(benchmark, make_queue, n_pending):
+def _hold_model(benchmark, n_pending):
     """Brown's hold model: pop the earliest, re-insert over the horizon.
 
     The queue is pre-filled with ``n_pending`` events uniform over a
     horizon, then each operation pops the earliest event and pushes a
     replacement at ``popped.time + increment`` with increments drawn
     from the same fill distribution — steady state at constant
-    occupancy, the standard priority-queue benchmark.  The calendar
-    queue's claim is made here: at large ``n_pending`` its O(1) bucket
-    append beats the tuple heap's O(log n) sift.
+    occupancy, the standard priority-queue benchmark.
     """
     import random
+
+    from repro.sim.engine import EventQueue
 
     horizon = n_pending * 1e-3
     ops = 1000
 
     def setup():
         rng = random.Random(42)
-        queue = make_queue()
+        queue = EventQueue()
         queue.push_many(
             [(rng.random() * horizon, _noop, "") for _ in range(n_pending)]
         )
@@ -147,27 +147,11 @@ def _hold_model(benchmark, make_queue, n_pending):
 
 
 def test_event_queue_hold_heap_10k_pending(benchmark):
-    from repro.sim.engine import EventQueue
-
-    _hold_model(benchmark, EventQueue, 10_000)
-
-
-def test_event_queue_hold_calendar_10k_pending(benchmark):
-    from repro.sim.engine_calendar import CalendarQueue
-
-    _hold_model(benchmark, CalendarQueue, 10_000)
+    _hold_model(benchmark, 10_000)
 
 
 def test_event_queue_hold_heap_200k_pending(benchmark):
-    from repro.sim.engine import EventQueue
-
-    _hold_model(benchmark, EventQueue, 200_000)
-
-
-def test_event_queue_hold_calendar_200k_pending(benchmark):
-    from repro.sim.engine_calendar import CalendarQueue
-
-    _hold_model(benchmark, CalendarQueue, 200_000)
+    _hold_model(benchmark, 200_000)
 
 
 def test_small_scenario_end_to_end(benchmark):

@@ -11,24 +11,26 @@ benchmark measures exactly that on two shapes:
   inspector consumes wire bytes for every mirrored frame and the
   template's pre-packed frames pay off end to end.
 
-Each shape is timed with the fast path on (the shipped default) and off
-(the ``pooling=False`` / ``burst_coalescing=False`` escape hatch).  All
+Each shape is timed on the fast path (the shipped default) and on the
+reference twins (``reference=True``: no pool, per-arrival scheduling,
+plus the reference event loop and linear-scan flow tables).  All
 cases report ``packets_per_second`` — every frame serialized onto any
 link counts once — via ``extra_info``, and the committed slim baseline
 gates the fast-path medians like the other M1 benchmarks.
 
-The on/off delta understates the PR that introduced the fast path:
-several of its optimizations (vectorized RFC 1071 checksums, memoized
-address codecs, dict-copy packet cloning) are unconditional, so the
-escape hatch also benefits from them.  ``_PREPR_BASELINE`` therefore
-records the medians of the *pre-PR* tree measured on the same machine,
-interleaved run-for-run with the post-PR tree in the same session; the
-ON cases publish their speedup against it in ``extra_info`` so the
-committed baseline carries the honest before/after number.
+The fast/reference delta understates the PR that introduced the fast
+path: several of its optimizations (vectorized RFC 1071 checksums,
+memoized address codecs, dict-copy packet cloning) are unconditional,
+so the reference run also benefits from them.  ``_PREPR_BASELINE``
+therefore records the medians of the *pre-PR* tree measured on the same
+machine, interleaved run-for-run with the post-PR tree in the same
+session; the fast-path cases publish their speedup against it in
+``extra_info`` so the committed baseline carries the honest before/after
+number.
 
-A non-benchmark companion test asserts each on/off pair produces
-byte-identical fingerprints — the speedup must never buy a different
-simulation.
+A non-benchmark companion test asserts each fast/reference pair
+produces byte-identical fingerprints — the speedup must never buy a
+different simulation.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ _PREPR_BASELINE = {
 }
 
 
-def _syn_flood_config(pooling: bool, burst: bool) -> ScenarioConfig:
+def _syn_flood_config(reference: bool = False) -> ScenarioConfig:
     """E5-style SYN flood: 4-switch linear chain, two 5000-pps attackers."""
     return ScenarioConfig(
         topology="linear",
@@ -59,12 +61,11 @@ def _syn_flood_config(pooling: bool, burst: bool) -> ScenarioConfig:
         duration_s=2.5,
         defense="spi",
         seed=5,
-        pooling=pooling,
-        burst_coalescing=burst,
+        reference=reference,
     )
 
 
-def _udp_flood_config(pooling: bool, burst: bool) -> ScenarioConfig:
+def _udp_flood_config(reference: bool = False) -> ScenarioConfig:
     """UDP volumetric flood under SPI: every mirrored frame is re-parsed."""
     return ScenarioConfig(
         topology="linear",
@@ -76,8 +77,7 @@ def _udp_flood_config(pooling: bool, burst: bool) -> ScenarioConfig:
         defense="spi",
         detector="udp-rate",
         seed=7,
-        pooling=pooling,
-        burst_coalescing=burst,
+        reference=reference,
     )
 
 
@@ -109,27 +109,27 @@ def _run_throughput(benchmark, config: ScenarioConfig, shape: str | None) -> Non
 
 def test_scenario_throughput_synflood(benchmark):
     """SYN flood, fast path on (the shipped default)."""
-    _run_throughput(benchmark, _syn_flood_config(True, True), "synflood")
+    _run_throughput(benchmark, _syn_flood_config(), "synflood")
 
 
-def test_scenario_throughput_synflood_fastpath_off(benchmark):
-    """SYN flood with the pooling/bursting escape hatch engaged."""
-    _run_throughput(benchmark, _syn_flood_config(False, False), None)
+def test_scenario_throughput_synflood_reference(benchmark):
+    """SYN flood on the reference twins."""
+    _run_throughput(benchmark, _syn_flood_config(reference=True), None)
 
 
 def test_scenario_throughput_udpflood(benchmark):
     """UDP flood under SPI, fast path on (the shipped default)."""
-    _run_throughput(benchmark, _udp_flood_config(True, True), "udpflood")
+    _run_throughput(benchmark, _udp_flood_config(), "udpflood")
 
 
-def test_scenario_throughput_udpflood_fastpath_off(benchmark):
-    """UDP flood with the pooling/bursting escape hatch engaged."""
-    _run_throughput(benchmark, _udp_flood_config(False, False), None)
+def test_scenario_throughput_udpflood_reference(benchmark):
+    """UDP flood under SPI on the reference twins."""
+    _run_throughput(benchmark, _udp_flood_config(reference=True), None)
 
 
 def test_fastpath_fingerprint_identical():
     """The timed variants above simulate byte-identical traffic."""
     for make in (_syn_flood_config, _udp_flood_config):
-        fast = fingerprint_json(run_scenario(make(True, True)))
-        slow = fingerprint_json(run_scenario(make(False, False)))
+        fast = fingerprint_json(run_scenario(make()))
+        slow = fingerprint_json(run_scenario(make(reference=True)))
         assert fast == slow, f"fast path changed the simulation for {make.__name__}"

@@ -37,9 +37,7 @@ BASELINE_CASES = (
     "test_event_loop_throughput_10k_events",
     "test_event_loop_schedule_many_batched",
     "test_event_queue_hold_heap_10k_pending",
-    "test_event_queue_hold_calendar_10k_pending",
     "test_event_queue_hold_heap_200k_pending",
-    "test_event_queue_hold_calendar_200k_pending",
     "test_small_scenario_end_to_end",
     "test_scenario_throughput_synflood",
     "test_scenario_throughput_udpflood",

@@ -6,7 +6,7 @@ Subcommands::
     python -m repro run --topology dumbbell --defense spi --rate 400
     python -m repro experiment e1 [--quick] [--markdown] [--workers N] [--cache]
     python -m repro cache info|clear
-    python -m repro check [--seeds 25] [--parallel-oracle] [--scheduler-oracle]
+    python -m repro check [--seeds 25] [--workers 2]
     python -m repro serve [--port 8089]       # long-running control-plane service
     python -m repro ctl status|launch|retune|block|drain ...   # talk to it
 
@@ -17,10 +17,10 @@ service summary; ``experiment`` regenerates one of the evaluation tables
 serving previously simulated points from the content-addressed result
 cache (:mod:`repro.harness.cache`; ``cache info``/``cache clear`` manage
 the store); ``check`` runs the differential fuzzer from
-:mod:`repro.harness.fuzzer`, asserting that every seeded scenario
-produces byte-identical metrics on the optimized and reference
-implementations — and, with ``--scheduler-oracle``, on the
-calendar-queue engine — with runtime invariant checking enabled.
+:mod:`repro.harness.fuzzer`: every seeded scenario is re-run through
+every entry of its ``VARIANTS`` table (reference twins, sharded, served,
+pooled, scalar kernels, sketch bounds) with runtime invariant checking
+enabled, and each must reproduce the default run byte for byte.
 ``run`` and ``experiment`` both accept ``--check-invariants`` to enable
 the :mod:`repro.sim.invariants` sweeps during normal runs.
 
@@ -30,9 +30,7 @@ blocked/whitelisted and drained over a local HTTP/JSON API while they
 simulate in bounded slices.  ``ctl`` is the thin client: ``status``
 (``--json`` for the stable machine schema), ``launch``, ``retune``,
 ``block``/``unblock``, ``whitelist``/``unwhitelist``, ``drain``,
-``result``, ``delete`` and ``shutdown``.  ``check --serve-oracle``
-asserts that an unmutated hosted session fingerprints byte-identically
-to the batch path.
+``result``, ``delete`` and ``shutdown``.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from typing import Sequence
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.scenario import (
     DEFENSES,
-    ENGINES,
     TOPOLOGIES,
     ScenarioConfig,
     run_scenario,
@@ -104,23 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="partition the topology across N worker processes "
                           "(repro.sim.sharded); fingerprints are identical "
                           "at any shard count")
-    run.add_argument("--engine", default="optimized", choices=ENGINES,
-                     help="event scheduler: tuple heap (optimized), calendar "
-                          "queue, or the reference loop (results identical)")
+    run.add_argument("--reference", action="store_true",
+                     help="run every reference twin instead of the fast "
+                          "paths: reference event loop, linear-scan flow "
+                          "tables, no packet pool, one event per generated "
+                          "packet (results identical)")
     run.add_argument("--check-invariants", action="store_true",
                      help="run periodic runtime invariant sweeps; violations "
                           "abort the run with a counterexample trace")
-    run.add_argument("--no-pooling", action="store_true",
-                     help="disable the packet shell pool (allocation fast "
-                          "path escape hatch; results are identical)")
-    run.add_argument("--no-burst-coalescing", action="store_true",
-                     help="schedule every generated packet as its own event "
-                          "instead of coalesced bursts (results identical)")
-    run.add_argument("--transport", default="auto",
-                     choices=("auto", "pickle", "shm"),
-                     help="result transport for sharded runs: packed "
-                          "columnar boundary batches ('shm'/'auto') or "
-                          "legacy per-record pickle")
     run.add_argument("--monitor-backend", default="exact",
                      choices=("exact", "sketch"),
                      help="monitor feature backend: exact per-address dicts "
@@ -150,12 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "result cache (previously simulated points "
                                  "are served from disk; any src/ change "
                                  "invalidates)")
-    experiment.add_argument("--transport", default="auto",
-                            choices=("auto", "pickle", "shm"),
-                            help="worker-result transport for the process "
-                                 "pool: shared-memory segments ('shm'/'auto') "
-                                 "or the pickle pipe; prints transport "
-                                 "telemetry after the table")
     experiment.add_argument("--cache-dir", metavar="DIR", default=None,
                             help="cache location (default: $REPRO_CACHE_DIR "
                                  "or ./.repro-cache)")
@@ -248,44 +230,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="differential fuzzer: optimized vs reference implementations",
+        help="differential fuzzer: every variant of every seed vs the default run",
     )
     check.add_argument("--seeds", type=int, default=25, metavar="N",
                        help="number of fuzz seeds to run (default: 25)")
     check.add_argument("--base-seed", type=int, default=0, metavar="S",
                        help="first seed of the range (default: 0)")
-    check.add_argument("--parallel-oracle", action="store_true",
-                       help="additionally recompute every optimized run "
-                            "through the process-pool harness and compare")
     check.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="worker count for the parallel oracle (default: 2)")
-    check.add_argument("--fastpath-oracle", action="store_true",
-                       help="additionally run every seed with packet pooling "
-                            "and burst coalescing disabled, on both engines, "
-                            "and require byte-identical fingerprints")
-    check.add_argument("--scheduler-oracle", action="store_true",
-                       help="additionally run every seed on the calendar-queue "
-                            "engine and require heap x calendar x reference "
-                            "fingerprints to be byte-identical")
-    check.add_argument("--serve-oracle", action="store_true",
-                       help="additionally host every seed in a control-plane "
-                            "session stepped in bounded slices and require a "
-                            "fingerprint byte-identical to the batch path")
-    check.add_argument("--sketch-oracle", action="store_true",
-                       help="additionally shadow every seed's monitors with "
-                            "the sketch feature backend, assert estimator "
-                            "error bounds per window, and re-run the scenario "
-                            "in sketch mode under invariant sweeps")
-    check.add_argument("--transport-oracle", action="store_true",
-                       help="additionally recompute every seed's fingerprint "
-                            "through the pool and sharded result transports "
-                            "(pickle vs shared-memory) and require "
-                            "byte-identical results")
-    check.add_argument("--kernel-oracle", action="store_true",
-                       help="additionally replay every kernel-accelerated "
-                            "path (sketch folds, feature folds, transport "
-                            "pack) under both the numpy and scalar twins "
-                            "and require byte-identical state")
+                       help="worker count for the pooled variant (default: 2)")
     check.add_argument("--json", action="store_true",
                        help="machine-readable per-seed report")
     return parser
@@ -318,11 +270,9 @@ def _command_run(args: argparse.Namespace) -> int:
             with_attack=not args.no_attack,
             syn_cookies=args.syn_cookies,
             link_loss_probability=args.link_loss,
-            engine=args.engine,
+            reference=args.reference,
             shards=args.shards,
             check_invariants=args.check_invariants,
-            pooling=not args.no_pooling,
-            burst_coalescing=not args.no_burst_coalescing,
             workload=WorkloadConfig(
                 attack_rate_pps=args.rate, attack_start_s=args.attack_start
             ),
@@ -340,10 +290,6 @@ def _command_run(args: argparse.Namespace) -> int:
         save_config(config, args.save)
         print(f"wrote {args.save}")
         return 0
-    if args.transport != "auto":
-        from repro.harness.transport import set_default_transport
-
-        set_default_transport(args.transport)
     result = run_scenario(config)
     timeline = result.timeline()
     attack_start = config.workload.attack_start_s
@@ -378,8 +324,7 @@ def _command_run(args: argparse.Namespace) -> int:
     print(table.to_text())
     if transport_stats:
         print(
-            f"boundary transport: {transport_stats['transport']}, "
-            f"{transport_stats['epochs']} epochs, "
+            f"boundary transport: {transport_stats['epochs']} epochs, "
             f"{transport_stats['boundary_records']} records; "
             f"to workers {transport_stats['batch_records_to_workers']} recs / "
             f"{transport_stats['batch_bytes_to_workers']} B, "
@@ -394,10 +339,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
         from repro.harness.scenario import force_check_invariants
 
         force_check_invariants()
-    if args.transport != "auto":
-        from repro.harness.transport import set_default_transport
-
-        set_default_transport(args.transport)
     cache = None
     if args.cache:
         from repro.harness.cache import SweepCache, set_default_cache
@@ -427,7 +368,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
     from repro.harness.parallel import pool_transport_stats
 
     stats = pool_transport_stats()
-    if args.transport != "auto" or stats.shm_results or stats.pickle_results:
+    if stats.shm_results or stats.pickle_results:
         print(stats.describe())
     return 0
 
@@ -455,66 +396,33 @@ def _command_cache(args: argparse.Namespace) -> int:
 
 
 def _command_check(args: argparse.Namespace) -> int:
-    from repro.harness.fuzzer import describe_outcome, run_fuzz_suite
+    from repro.harness.fuzzer import VARIANTS, describe_outcome, run_fuzz_suite
 
-    report = run_fuzz_suite(
+    outcomes = run_fuzz_suite(
         n_seeds=args.seeds,
         base_seed=args.base_seed,
-        parallel_oracle=args.parallel_oracle,
         workers=args.workers,
-        fastpath_oracle=args.fastpath_oracle,
-        scheduler_oracle=args.scheduler_oracle,
-        serve_oracle=args.serve_oracle,
-        sketch_oracle=args.sketch_oracle,
-        transport_oracle=args.transport_oracle,
-        kernel_oracle=args.kernel_oracle,
         progress=None if args.json else lambda o: print(describe_outcome(o)),
     )
-    failed = [o for o in report.outcomes if not o.matched]
+    failed = [o for o in outcomes if not o.matched]
     if args.json:
         print(json.dumps({
             "seeds": args.seeds,
             "base_seed": args.base_seed,
+            "variants": [name for name, _check in VARIANTS],
             "failures": [
                 {"seed": o.seed, "detail": o.detail} for o in failed
             ],
-            "parallel_oracle": report.parallel_matched,
-            "serve_oracle": report.serve_matched,
-            "sketch_oracle": report.sketch_matched,
-            "transport_oracle": report.transport_matched,
-            "kernel_oracle": report.kernel_matched,
-            "passed": report.passed,
+            "passed": not failed,
         }, indent=2))
     else:
-        verdict = "PASS" if report.passed else "FAIL"
-        oracle = (
-            "" if report.parallel_matched is None
-            else f", parallel oracle {'ok' if report.parallel_matched else 'MISMATCH'}"
-        )
-        if report.serve_matched is not None:
-            oracle += (
-                f", serve oracle {'ok' if report.serve_matched else 'MISMATCH'}"
-            )
-        if report.sketch_matched is not None:
-            oracle += (
-                f", sketch oracle "
-                f"{'ok' if report.sketch_matched else 'OUT OF BOUNDS'}"
-            )
-        if report.transport_matched is not None:
-            oracle += (
-                f", transport oracle "
-                f"{'ok' if report.transport_matched else 'MISMATCH'}"
-            )
-        if report.kernel_matched is not None:
-            oracle += (
-                f", kernel oracle "
-                f"{'ok' if report.kernel_matched else 'MISMATCH'}"
-            )
+        verdict = "FAIL" if failed else "PASS"
         print(
-            f"{verdict}: {len(report.outcomes) - len(failed)}/"
-            f"{len(report.outcomes)} seeds byte-identical{oracle}"
+            f"{verdict}: {len(outcomes) - len(failed)}/"
+            f"{len(outcomes)} seeds byte-identical across "
+            f"{len(VARIANTS)} variants"
         )
-    return 0 if report.passed else 1
+    return 1 if failed else 0
 
 
 def _command_serve(args: argparse.Namespace) -> int:

@@ -4,12 +4,12 @@ Sweep grids re-simulate identical ``(config, seed)`` points across
 experiments — E1's base grid reappears in the E5/E7 ablations, and
 regenerating a table after a docs-only change re-runs every scenario
 from scratch.  Scenarios are fully deterministic given their config
-(the differential oracle holds engines, worker counts and fast-path
-knobs to byte-identical results), so an extracted reducer output is a
+(``repro check`` holds the reference twins, worker counts and shard
+counts to byte-identical results), so an extracted reducer output is a
 pure function of three things, which together form the cache key:
 
 * the **canonical serialized config** (:func:`canonical_config_json` —
-  includes the seed, engine and every knob);
+  includes the seed and every knob);
 * a **hash of the ``repro`` package tree** (every ``.py`` file's path
   and content), so *any* source change invalidates the whole cache —
   stale physics can never be served after an optimization PR;

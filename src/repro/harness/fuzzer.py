@@ -1,24 +1,21 @@
-"""Deterministic scenario fuzzer and differential oracle.
+"""Deterministic scenario fuzzer and the one differential check.
 
-The optimized fast paths (microflow cache, tuple-heap event loop,
-process-pool fan-out, packet pooling, burst-coalesced traffic
-generation) must be *strategy-invisible*: running the same seeded
-scenario on the reference event loop, with the cache disabled, with the
-allocation fast path off, or across a different worker count has to
-yield byte-identical metrics.  This module generates
+Every fast path and every way of hosting a run must be *invisible* in
+the metrics: the same seeded scenario on the reference twins, split
+across shards, stepped inside a service session, shipped through the
+process pool or folded by the scalar kernels has to fingerprint byte for
+byte like the plain default run.  This module generates
 randomized-but-seeded scenarios (topology, workload, attack mix,
 defense) and asserts exactly that:
 
 * ``generate_scenario(seed)`` — a deterministic scenario drawn from a
   seeded RNG, with invariant checking enabled;
-* ``run_differential(seed)`` — the scenario run twice, optimized vs
-  reference (:mod:`repro.sim.engine_reference` + linear-scan-only flow
-  tables), compared as canonical JSON; with ``fastpath_oracle`` it runs
-  four times, additionally flipping pooling + burst coalescing off on
-  both engines; with ``scheduler_oracle`` it also runs on the
-  calendar-queue engine (:mod:`repro.sim.engine_calendar`);
-* ``run_fuzz_suite(...)`` — the CI entry point behind ``repro check``,
-  optionally adding the serial-vs-parallel harness oracle.
+* :data:`VARIANTS` — the table of ``(name, check)`` pairs; a check
+  re-runs one scenario its own way and returns a complaint, or ``None``
+  when it agrees with the default run;
+* ``run_fuzz_suite(...)`` — the entry point behind ``repro check``: one
+  loop that runs every variant of every seed and names the ones that
+  diverged.
 
 The fingerprint intentionally covers every counter the metrics layer
 reads (detections, service quality, switch/link/stack/DPI counters,
@@ -51,20 +48,12 @@ from repro.workload.profiles import WorkloadConfig
 
 __all__ = [
     "generate_scenario",
-    "reference_variant",
-    "calendar_variant",
-    "sharded_variant",
-    "fastpath_variant",
     "fingerprint",
     "fingerprint_json",
-    "run_differential",
-    "run_serve_differential",
-    "run_sketch_differential",
-    "run_transport_differential",
-    "run_kernel_differential",
+    "VARIANTS",
     "run_fuzz_suite",
+    "describe_outcome",
     "DifferentialOutcome",
-    "FuzzSuiteReport",
 ]
 
 #: Seed-space offset so fuzz seeds do not collide with experiment seeds.
@@ -75,12 +64,10 @@ def generate_scenario(seed: int) -> ScenarioConfig:
     """One deterministic randomized scenario; same seed, same scenario."""
     rng = random.Random(seed + _SEED_SALT)
     topology = rng.choice(("single", "dumbbell", "star", "linear"))
-    if topology == "single":
+    if topology in ("single", "dumbbell"):
         params: dict[str, Any] = {
             "n_clients": rng.randint(2, 4), "n_attackers": rng.randint(1, 2)
         }
-    elif topology == "dumbbell":
-        params = {"n_clients": rng.randint(2, 4), "n_attackers": rng.randint(1, 2)}
     elif topology == "star":
         params = {
             "n_arms": rng.randint(2, 3),
@@ -126,37 +113,7 @@ def generate_scenario(seed: int) -> ScenarioConfig:
         syn_cookies=rng.random() < 0.25,
         flash_crowd=flash_crowd,
         check_invariants=True,
-        # Drawn last so these knobs never shift the draws above (existing
-        # seeds keep their scenario shapes).  Mixing settings here gives
-        # the plain differential sweep fast-path coverage for free; the
-        # dedicated fastpath oracle below flips them explicitly.
-        pooling=rng.random() < 0.75,
-        burst_coalescing=rng.random() < 0.75,
     )
-
-
-def reference_variant(config: ScenarioConfig) -> ScenarioConfig:
-    """The same scenario forced down every reference implementation."""
-    return replace(config, engine="reference", microflow_cache=False)
-
-
-def calendar_variant(config: ScenarioConfig) -> ScenarioConfig:
-    """The same scenario on the calendar-queue scheduler."""
-    return replace(config, engine="calendar")
-
-
-def sharded_variant(config: ScenarioConfig, shards: int) -> ScenarioConfig:
-    """The same scenario partitioned across ``shards`` engines.
-
-    Forced onto the calendar scheduler so the scheduler oracle holds one
-    fingerprint across heap × calendar × reference × sharded-at-any-N.
-    """
-    return replace(config, engine="calendar", shards=shards)
-
-
-def fastpath_variant(config: ScenarioConfig) -> ScenarioConfig:
-    """The same scenario with the allocation fast path fully disabled."""
-    return replace(config, pooling=False, burst_coalescing=False)
 
 
 def fingerprint(result: ScenarioResult) -> dict[str, Any]:
@@ -216,7 +173,7 @@ def fingerprint_json(result: ScenarioResult) -> str:
     return json.dumps(fingerprint(result), sort_keys=True)
 
 
-# Module-level so the parallel oracle can pickle it by reference.
+# Module-level so the pooled variant can pickle it by reference.
 def _fingerprint_worker(config_data: dict[str, Any]) -> str:
     from repro.harness.serialize import config_from_dict
 
@@ -225,153 +182,228 @@ def _fingerprint_worker(config_data: dict[str, Any]) -> str:
 
 @dataclass(frozen=True)
 class DifferentialOutcome:
-    """Result of one seed's optimized-vs-reference comparison."""
+    """One seed's verdict: the variants that ran and what the failing ones said."""
 
     seed: int
     config: ScenarioConfig
-    matched: bool
-    detail: str = ""
-    optimized: str = ""
-    reference: str = ""
-
-
-@dataclass(frozen=True)
-class FuzzSuiteReport:
-    """Aggregate of a fuzz run (what ``repro check`` prints)."""
-
-    outcomes: tuple[DifferentialOutcome, ...]
-    parallel_matched: Optional[bool] = None
-    serve_matched: Optional[bool] = None
-    sketch_matched: Optional[bool] = None
-    transport_matched: Optional[bool] = None
-    kernel_matched: Optional[bool] = None
+    variants: tuple[str, ...] = ()
+    #: ``(variant, complaint)`` for every variant that disagreed with the
+    #: default run; ``"default"`` when the default run itself failed.
+    complaints: tuple[tuple[str, str], ...] = ()
 
     @property
-    def passed(self) -> bool:
-        """True when every oracle agreed and no invariant fired."""
-        return (
-            all(o.matched for o in self.outcomes)
-            and self.parallel_matched is not False
-            and self.serve_matched is not False
-            and self.sketch_matched is not False
-            and self.transport_matched is not False
-            and self.kernel_matched is not False
-        )
+    def matched(self) -> bool:
+        return not self.complaints
+
+    @property
+    def detail(self) -> str:
+        return "; ".join(f"{name}: {text}" for name, text in self.complaints)
 
 
-def _diff_summary(a: str, b: str) -> str:
-    """First divergent top-level key between two fingerprint JSONs."""
-    da, db = json.loads(a), json.loads(b)
+def _divergence(baseline: str, other: str) -> str | None:
+    """First divergent top-level key between two fingerprint JSONs, if any."""
+    if other == baseline:
+        return None
+    da, db = json.loads(baseline), json.loads(other)
     for key in sorted(set(da) | set(db)):
         if da.get(key) != db.get(key):
             return f"first divergence at {key!r}: {da.get(key)!r} != {db.get(key)!r}"
     return "fingerprints differ only in formatting"
 
 
-def run_differential(
-    seed: int,
-    fastpath_oracle: bool = False,
-    scheduler_oracle: bool = False,
-) -> DifferentialOutcome:
-    """Run one generated scenario on both engines and compare.
-
-    With ``fastpath_oracle`` the scenario additionally runs with packet
-    pooling and burst coalescing forced off — on both engines — and all
-    four fingerprints must be byte-identical.  With ``scheduler_oracle``
-    it also runs on the calendar-queue engine **and** through the
-    sharded coordinator at 1, 2 and 4 shards (inline workers, full
-    epoch/batch protocol), holding every scheduling strategy to one
-    fingerprint.
-    """
-    config = generate_scenario(seed)
-    variants: list[tuple[str, ScenarioConfig]] = [
-        ("reference", reference_variant(config)),
-    ]
-    if scheduler_oracle:
-        variants.append(("calendar", calendar_variant(config)))
-        for shards in (1, 2, 4):
-            variants.append(
-                (f"sharded-{shards}", sharded_variant(config, shards))
-            )
-    if fastpath_oracle:
-        slow = fastpath_variant(config)
-        variants.append(("fastpath-off", slow))
-        variants.append(("reference+fastpath-off", reference_variant(slow)))
-
-    def _run_variant(name: str, variant: ScenarioConfig) -> str:
-        if name.startswith("sharded"):
-            from repro.sim.sharded.coordinator import run_sharded_scenario
-
-            return fingerprint_json(run_sharded_scenario(variant, inline=True))
-        return fingerprint_json(run_scenario(variant))
-
-    try:
-        optimized = fingerprint_json(run_scenario(config))
-        others = [
-            (name, _run_variant(name, variant)) for name, variant in variants
-        ]
-    except InvariantViolation as violation:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=False,
-            detail=f"invariant violation: {violation}",
-        )
-    reference = others[0][1]
-    for name, fp in others:
-        if fp != optimized:
-            return DifferentialOutcome(
-                seed=seed, config=config, matched=False,
-                detail=f"{name} diverged: {_diff_summary(optimized, fp)}",
-                optimized=optimized, reference=fp,
-            )
-    return DifferentialOutcome(
-        seed=seed, config=config, matched=True,
-        optimized=optimized, reference=reference,
-    )
+def _sketch_mode(config: ScenarioConfig, **knobs: Any) -> ScenarioConfig:
+    """The same scenario with every monitor on the sketch feature backend."""
+    monitor = replace(config.spi.monitor, backend="sketch", **knobs)
+    return replace(config, spi=replace(config.spi, monitor=monitor))
 
 
-def run_serve_differential(seed: int, optimized: str = "") -> DifferentialOutcome:
-    """One seed's batch-vs-served comparison (``--serve-oracle``).
+def _check_reference(
+    config: ScenarioConfig, seed: int, baseline: str, workers: int
+) -> str | None:
+    """Every reference twin at once: reference loop, linear-scan flow
+    tables, no packet pool, per-arrival scheduling."""
+    twin = run_scenario(replace(config, reference=True))
+    return _divergence(baseline, fingerprint_json(twin))
 
-    The scenario is hosted in a control-plane :class:`Session` and
-    stepped in bounded slices — slice length and event budget drawn from
-    the seed, so different seeds exercise different slicings — and the
-    finished session's fingerprint must be byte-identical to the batch
-    ``run_scenario`` fingerprint.  Pass a precomputed batch fingerprint
-    via ``optimized`` to skip re-running the batch path.
-    """
+
+def _check_sharded(shards: int) -> Callable[..., str | None]:
+    def check(
+        config: ScenarioConfig, seed: int, baseline: str, workers: int
+    ) -> str | None:
+        """The full epoch/batch protocol on inline workers."""
+        from repro.sim.sharded.coordinator import run_sharded_scenario
+
+        merged = run_sharded_scenario(replace(config, shards=shards), inline=True)
+        return _divergence(baseline, fingerprint_json(merged))
+
+    return check
+
+
+def _check_served(
+    config: ScenarioConfig, seed: int, baseline: str, workers: int
+) -> str | None:
+    """Hosted in a control-plane session and stepped in bounded slices;
+    slice length and event budget come from the seed, so different seeds
+    exercise different slicings."""
     from repro.service.session import Session
 
-    config = generate_scenario(seed)
     slicing = random.Random(seed + _SEED_SALT * 7)
-    try:
-        if not optimized:
-            optimized = fingerprint_json(run_scenario(config))
-        session = Session(
-            f"serve-{seed}",
-            config,
-            slice_s=slicing.choice((0.1, 0.25, 0.5)),
-            slice_events=slicing.choice((500, 5_000, 50_000)),
-        )
-        session.run_to_completion()
-        served = session.fingerprint()
-    except InvariantViolation as violation:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=False,
-            detail=f"invariant violation: {violation}",
-        )
-    if served != optimized:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=False,
-            detail=f"served diverged: {_diff_summary(optimized, served)}",
-            optimized=optimized, reference=served,
-        )
-    return DifferentialOutcome(
-        seed=seed, config=config, matched=True,
-        optimized=optimized, reference=served,
+    session = Session(
+        f"serve-{seed}",
+        config,
+        slice_s=slicing.choice((0.1, 0.25, 0.5)),
+        slice_events=slicing.choice((500, 5_000, 50_000)),
     )
+    session.run_to_completion()
+    return _divergence(baseline, session.fingerprint())
 
 
-#: Absolute tolerance for the sketch oracle's entropy comparison.  The
+def _check_pooled(
+    config: ScenarioConfig, seed: int, baseline: str, workers: int
+) -> str | None:
+    """Through the spawn pool, the config shipped as plain data and the
+    result returned over whichever plane the host has (two identical
+    tasks, so the fan-out path actually engages)."""
+    from repro.harness.parallel import run_tasks
+    from repro.harness.serialize import config_to_dict
+
+    task = {"config_data": config_to_dict(config)}
+    for pooled in run_tasks(_fingerprint_worker, [task, task], workers=workers):
+        complaint = _divergence(baseline, pooled)
+        if complaint is not None:
+            return complaint
+    return None
+
+
+def _kernel_state_probe(seed: int) -> dict[str, Any]:
+    """Drive sketches, feature folds, and the packer under the *active*
+    kernel backend; returns every byte of resulting state for comparison.
+
+    The streams are adversarial by construction: window sizes straddle
+    ``kernels.MIN_BATCH`` (so the numpy run mixes twins at the cutover),
+    key distributions cover all-unique / all-repeat / interleaved /
+    unicode, and the packed payloads carry NaN/±inf floats, int64 edge
+    values, and typed arrays.
+    """
+    from array import array
+
+    from repro import kernels
+    from repro.harness import transport
+    from repro.monitor.features import FeatureExtractor
+    from repro.sim.sharded.codec import encode_batch
+
+    rng = random.Random(seed + _SEED_SALT * 13)
+    width = rng.choice((64, 256, 1024))
+    depth = rng.choice((3, 4))
+    exact = FeatureExtractor(backend="exact")
+    sketch = FeatureExtractor(
+        backend="sketch",
+        sketch_width=width,
+        sketch_depth=depth,
+        sketch_topk=rng.choice((4, 8)),
+        hll_precision=rng.choice((8, 10)),
+        sketch_seed=seed + 0xBEEF,
+        sketch_hash_cache=rng.choice((0, 16, 256)),
+    )
+    features: list[Any] = []
+    key_pools = (
+        [f"10.0.{i}.{i % 7}" for i in range(4000)],  # mostly first-touch
+        ["192.168.1.1", "192.168.1.2"],  # all-repeat
+        [f"πρξ-{i % 50}·☃" for i in range(100)],  # unicode, interleaved
+    )
+    for _ in range(6):
+        n = rng.choice((0, 3, kernels.MIN_BATCH - 1, kernels.MIN_BATCH, 700))
+        pool = rng.choice(key_pools)
+        for fx in (exact, sketch):
+            # Feed the columnar batch directly: the probe targets the
+            # close_window fold layer; observe() is covered by the
+            # end-to-end scenario comparison in _check_scalar_kernels.
+            for _ in range(n):
+                fx._b_flags.append(rng.choice((-1, 2, 18, 16, 4, 20, 1, 17)))
+                fx._b_src.append(rng.choice(pool))
+                fx._b_dst.append(rng.choice(pool[:10]))
+            fx.packets_observed += n
+            features.append(fx.close_window(rng.random() * 10))
+    backend = sketch.backend
+    sketch_state = {
+        "rows": [
+            bytes(row.tobytes())
+            for hh in (backend.syn_dsts, backend.udp_dsts, backend.sources.hitters)
+            for row in hh.cms._rows
+        ],
+        "candidates": [
+            dict(hh._candidates)
+            for hh in (backend.syn_dsts, backend.udp_dsts, backend.sources.hitters)
+        ],
+        "registers": bytes(backend.sources.hll._registers),
+        "totals": (
+            backend.syn_dsts.total,
+            backend.udp_dsts.total,
+            backend.sources.total,
+            backend.sources.hll.total,
+        ),
+    }
+    payloads = [
+        [rng.random() for _ in range(500)],
+        [rng.randrange(-(2**62), 2**62) for _ in range(500)] + [2**63 - 1],
+        [float("nan"), float("inf"), float("-inf"), -0.0] * 40,
+        {"series": array("d", [rng.random() for _ in range(300)]),
+         "ids": array("q", [-1, 0, 2**62]), "mask": array("Q", [0, 2**63])},
+        [(rng.random(), str(rng.randrange(50)), rng.randrange(100))
+         for _ in range(200)],
+        [rng.choice(key_pools[2]) for _ in range(300)],
+        [1, 2.0, "mixed", None, (3, [4.5])],
+    ]
+    packed = [transport.pack(p) for p in payloads]
+    boundary = [
+        (rng.random() * 10, rng.random() * 10, 0, i, i, 0, (i, 1, b"\x00" * 14))
+        for i in range(80)
+    ]
+    packed.append(encode_batch(boundary))
+    return {
+        "features": features,
+        "exact_accounting": exact.accounting(),
+        "sketch_accounting": sketch.accounting(),
+        "sketch_state": sketch_state,
+        "packed": packed,
+    }
+
+
+def _check_scalar_kernels(
+    config: ScenarioConfig, seed: int, baseline: str, workers: int
+) -> str | None:
+    """Everything :mod:`repro.kernels` accelerates, replayed on the
+    scalar twins: sketch counter rows, heavy-hitter candidates, HLL
+    registers, folded features and packed buffers (the state probe),
+    and the whole scenario in exact and sketch monitor modes.  With
+    numpy unavailable there is only one twin, which agrees with itself.
+    """
+    from repro import kernels
+
+    if not kernels.NUMPY_AVAILABLE:
+        return None
+    sketch_config = _sketch_mode(config)
+    sketch_baseline = fingerprint_json(run_scenario(sketch_config))
+    probe = _kernel_state_probe(seed)
+    previous = kernels.active_backend()
+    try:
+        kernels.set_backend("scalar")
+        scalar_probe = _kernel_state_probe(seed)
+        exact = fingerprint_json(run_scenario(config))
+        sketch = fingerprint_json(run_scenario(sketch_config))
+    finally:
+        kernels.set_backend(previous)
+    for part, state in probe.items():
+        if scalar_probe[part] != state:
+            return f"kernel twins diverged in state probe part {part!r}"
+    complaint = _divergence(baseline, exact)
+    if complaint is not None:
+        return f"exact mode: {complaint}"
+    complaint = _divergence(sketch_baseline, sketch)
+    return None if complaint is None else f"sketch mode: {complaint}"
+
+
+#: Absolute tolerance for the sketch-bounds entropy comparison.  The
 #: heavy-hitter + uniform-tail estimator tracks the exact normalized
 #: entropy well inside this on every fuzz stream; see EXPERIMENTS M6 for
 #: measured errors.
@@ -484,14 +516,16 @@ def _check_window_pair(
     return None
 
 
-def run_sketch_differential(seed: int) -> DifferentialOutcome:
-    """One seed's exact-vs-sketch estimator comparison (``--sketch-oracle``).
+def _check_sketch_bounds(
+    config: ScenarioConfig, seed: int, baseline: str, workers: int
+) -> str | None:
+    """Estimator error bounds, window by window.
 
-    The generated scenario runs once with every monitor's extractor
-    shadow-paired: the exact backend drives detection (so the run is the
-    plain exact run) while a sketch extractor — geometry drawn from the
-    seed — consumes the identical observe stream.  Every closed window
-    must satisfy the estimators' error bounds: count-min estimates never
+    The scenario runs once with every monitor's extractor shadow-paired:
+    the exact backend drives detection (so the run is the plain exact
+    run) while a sketch extractor — geometry drawn from the seed —
+    consumes the identical observe stream.  Every closed window must
+    satisfy the estimators' error bounds: count-min estimates never
     undercount and overcount by at most ``e/width`` of the window's adds,
     HyperLogLog distinct counts stay within ``6 * 1.04/sqrt(m)``, and the
     entropy estimate stays within ``0.15`` absolute.  The same scenario
@@ -500,420 +534,100 @@ def run_sketch_differential(seed: int) -> DifferentialOutcome:
     """
     from repro.monitor.features import FeatureExtractor
 
-    config = generate_scenario(seed)
     geometry = random.Random(seed + _SEED_SALT * 11)
     width = geometry.choice((512, 1024, 2048))
     depth = geometry.choice((3, 4, 5))
     precision = geometry.choice((10, 12))
-    topk = geometry.choice((4, 8))
     sketch_knobs = {
         "sketch_width": width,
         "sketch_depth": depth,
-        "sketch_topk": topk,
+        "sketch_topk": geometry.choice((4, 8)),
         "hll_precision": precision,
         "sketch_seed": seed + 0xFEED,
     }
-    try:
-        built = build_scenario(config)
-        pairs: list[_ShadowPairExtractor] = []
-        monitors = []
-        if built.spi is not None:
-            monitors.extend(built.spi.monitors.values())
-        if built.monitor_only is not None:
-            monitors.extend(built.monitor_only.monitors.values())
-        for monitor in monitors:
-            shadow = FeatureExtractor(
-                monitor.config.sampling_probability,
-                backend="sketch",
-                **sketch_knobs,
-            )
-            pair = _ShadowPairExtractor(monitor.extractor, shadow)
-            monitor.extractor = pair
-            pairs.append(pair)
-        built.net.run(until=config.duration_s)
-        finish_scenario(built)
-    except InvariantViolation as violation:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=False,
-            detail=f"invariant violation: {violation}",
+    built = build_scenario(config)
+    pairs: list[_ShadowPairExtractor] = []
+    monitors = []
+    if built.spi is not None:
+        monitors.extend(built.spi.monitors.values())
+    if built.monitor_only is not None:
+        monitors.extend(built.monitor_only.monitors.values())
+    for monitor in monitors:
+        shadow = FeatureExtractor(
+            monitor.config.sampling_probability,
+            backend="sketch",
+            **sketch_knobs,
         )
-    checked = 0
+        pair = _ShadowPairExtractor(monitor.extractor, shadow)
+        monitor.extractor = pair
+        pairs.append(pair)
+    built.net.run(until=config.duration_s)
+    finish_scenario(built)
     for pair in pairs:
         for exact, sketch, raw_syn, raw_udp in pair.windows:
             complaint = _check_window_pair(
                 exact, sketch, raw_syn, raw_udp, width, 1 << precision
             )
-            checked += 1
             if complaint is not None:
-                return DifferentialOutcome(
-                    seed=seed, config=config, matched=False,
-                    detail=(
-                        f"width={width} depth={depth} p={precision}: {complaint}"
-                    ),
-                )
-    sketch_config = replace(
-        config,
-        spi=replace(
-            config.spi,
-            monitor=replace(config.spi.monitor, backend="sketch", **sketch_knobs),
-        ),
-    )
-    try:
-        run_scenario(sketch_config)
-    except InvariantViolation as violation:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=False,
-            detail=f"sketch-mode invariant violation: {violation}",
-        )
-    return DifferentialOutcome(
-        seed=seed, config=config, matched=True,
-        detail=f"{checked} windows within bounds",
-    )
+                return f"width={width} depth={depth} p={precision}: {complaint}"
+    run_scenario(_sketch_mode(config, **sketch_knobs))
+    return None
 
 
-def run_transport_differential(
-    seed: int, optimized: str = "", workers: int = 2
-) -> DifferentialOutcome:
-    """One seed's transport-invariance check (``--transport-oracle``).
-
-    The generated scenario's fingerprint is recomputed through every
-    result-transport path and must match the in-process baseline byte
-    for byte:
-
-    * the process pool at ``workers`` processes under ``"pickle"`` and
-      ``"shm"`` (two identical tasks, so the fan-out path actually
-      engages — results cross the shared-memory plane under ``"shm"``);
-    * the sharded coordinator (inline workers, full epoch protocol) at
-      1, 2 and 4 shards under both transports, exercising the columnar
-      boundary-batch codec against the legacy per-record pickle path.
-
-    Pass a precomputed batch fingerprint via ``optimized`` to skip
-    re-running the baseline.
-    """
-    from repro.harness.parallel import run_tasks
-    from repro.harness.serialize import config_to_dict
-    from repro.sim.sharded.coordinator import run_sharded_scenario
-
-    config = generate_scenario(seed)
-    try:
-        if not optimized:
-            optimized = fingerprint_json(run_scenario(config))
-        config_data = config_to_dict(config)
-        for transport in ("pickle", "shm"):
-            pooled = run_tasks(
-                _fingerprint_worker,
-                [{"config_data": config_data}] * 2,
-                workers=workers,
-                transport=transport,
-            )
-            for fp in pooled:
-                if fp != optimized:
-                    return DifferentialOutcome(
-                        seed=seed, config=config, matched=False,
-                        detail=(
-                            f"pool transport {transport!r} diverged: "
-                            f"{_diff_summary(optimized, fp)}"
-                        ),
-                        optimized=optimized, reference=fp,
-                    )
-        for shards in (1, 2, 4):
-            for transport in ("pickle", "shm"):
-                fp = fingerprint_json(
-                    run_sharded_scenario(
-                        sharded_variant(config, shards),
-                        inline=True,
-                        transport=transport,
-                    )
-                )
-                if fp != optimized:
-                    return DifferentialOutcome(
-                        seed=seed, config=config, matched=False,
-                        detail=(
-                            f"sharded-{shards} transport {transport!r} "
-                            f"diverged: {_diff_summary(optimized, fp)}"
-                        ),
-                        optimized=optimized, reference=fp,
-                    )
-    except InvariantViolation as violation:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=False,
-            detail=f"invariant violation: {violation}",
-        )
-    return DifferentialOutcome(
-        seed=seed, config=config, matched=True,
-        optimized=optimized, reference=optimized,
-    )
-
-
-def _kernel_state_probe(seed: int) -> dict[str, Any]:
-    """Drive sketches, feature folds, and the packer under the *active*
-    kernel backend; returns every byte of resulting state for comparison.
-
-    The streams are adversarial by construction: window sizes straddle
-    ``kernels.MIN_BATCH`` (so the numpy run mixes twins at the cutover),
-    key distributions cover all-unique / all-repeat / interleaved /
-    unicode, and the packed payloads carry NaN/±inf floats, int64 edge
-    values, and typed arrays.
-    """
-    from array import array
-
-    from repro import kernels
-    from repro.harness import transport
-    from repro.monitor.features import FeatureExtractor
-    from repro.sim.sharded.codec import encode_batch
-
-    rng = random.Random(seed + _SEED_SALT * 13)
-    width = rng.choice((64, 256, 1024))
-    depth = rng.choice((3, 4))
-    exact = FeatureExtractor(backend="exact")
-    sketch = FeatureExtractor(
-        backend="sketch",
-        sketch_width=width,
-        sketch_depth=depth,
-        sketch_topk=rng.choice((4, 8)),
-        hll_precision=rng.choice((8, 10)),
-        sketch_seed=seed + 0xBEEF,
-        sketch_hash_cache=rng.choice((0, 16, 256)),
-    )
-    features: list[Any] = []
-    key_pools = (
-        [f"10.0.{i}.{i % 7}" for i in range(4000)],  # mostly first-touch
-        ["192.168.1.1", "192.168.1.2"],  # all-repeat
-        [f"πρξ-{i % 50}·☃" for i in range(100)],  # unicode, interleaved
-    )
-    for _ in range(6):
-        n = rng.choice((0, 3, kernels.MIN_BATCH - 1, kernels.MIN_BATCH, 700))
-        pool = rng.choice(key_pools)
-        for fx in (exact, sketch):
-            # Feed the columnar batch directly: the oracle targets the
-            # close_window fold layer; observe() is covered by the
-            # end-to-end scenario comparison in run_kernel_differential.
-            for _ in range(n):
-                fx._b_flags.append(rng.choice((-1, 2, 18, 16, 4, 20, 1, 17)))
-                fx._b_src.append(rng.choice(pool))
-                fx._b_dst.append(rng.choice(pool[:10]))
-            fx.packets_observed += n
-            features.append(fx.close_window(rng.random() * 10))
-    backend = sketch.backend
-    sketch_state = {
-        "rows": [
-            bytes(row.tobytes())
-            for hh in (backend.syn_dsts, backend.udp_dsts, backend.sources.hitters)
-            for row in hh.cms._rows
-        ],
-        "candidates": [
-            dict(hh._candidates)
-            for hh in (backend.syn_dsts, backend.udp_dsts, backend.sources.hitters)
-        ],
-        "registers": bytes(backend.sources.hll._registers),
-        "totals": (
-            backend.syn_dsts.total,
-            backend.udp_dsts.total,
-            backend.sources.total,
-            backend.sources.hll.total,
-        ),
-    }
-    payloads = [
-        [rng.random() for _ in range(500)],
-        [rng.randrange(-(2**62), 2**62) for _ in range(500)] + [2**63 - 1],
-        [float("nan"), float("inf"), float("-inf"), -0.0] * 40,
-        {"series": array("d", [rng.random() for _ in range(300)]),
-         "ids": array("q", [-1, 0, 2**62]), "mask": array("Q", [0, 2**63])},
-        [(rng.random(), str(rng.randrange(50)), rng.randrange(100))
-         for _ in range(200)],
-        [rng.choice(key_pools[2]) for _ in range(300)],
-        [1, 2.0, "mixed", None, (3, [4.5])],
-    ]
-    packed = [transport.pack(p) for p in payloads]
-    boundary = [
-        (rng.random() * 10, rng.random() * 10, 0, i, i, 0, (i, 1, b"\x00" * 14))
-        for i in range(80)
-    ]
-    packed.append(encode_batch(boundary))
-    return {
-        "features": features,
-        "exact_accounting": exact.accounting(),
-        "sketch_accounting": sketch.accounting(),
-        "sketch_state": sketch_state,
-        "packed": packed,
-    }
-
-
-def run_kernel_differential(seed: int) -> DifferentialOutcome:
-    """One seed's vectorized-vs-scalar twin comparison (``--kernel-oracle``).
-
-    Everything :mod:`repro.kernels` accelerates is replayed under both
-    backends and must come out byte-identical: sketch counter rows,
-    heavy-hitter candidates, HLL registers, folded feature records and
-    accounting (via the synthetic state probe), packed transport/batch
-    buffers, and — end to end — the full scenario fingerprint in both
-    exact and sketch monitor modes.  When numpy is unavailable the seed
-    passes trivially (there is only one twin to run).
-    """
-    from repro import kernels
-
-    config = generate_scenario(seed)
-    if not kernels.NUMPY_AVAILABLE:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=True,
-            detail="numpy unavailable; scalar twin only",
-        )
-    sketch_config = replace(
-        config,
-        spi=replace(
-            config.spi, monitor=replace(config.spi.monitor, backend="sketch")
-        ),
-    )
-    previous = kernels.active_backend()
-    try:
-        kernels.set_backend("scalar")
-        probe_scalar = _kernel_state_probe(seed)
-        fp_scalar = fingerprint_json(run_scenario(config))
-        sk_scalar = fingerprint_json(run_scenario(sketch_config))
-        kernels.set_backend("numpy")
-        probe_numpy = _kernel_state_probe(seed)
-        fp_numpy = fingerprint_json(run_scenario(config))
-        sk_numpy = fingerprint_json(run_scenario(sketch_config))
-    except InvariantViolation as violation:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=False,
-            detail=f"invariant violation: {violation}",
-        )
-    finally:
-        kernels.set_backend(previous)
-    for part in ("features", "exact_accounting", "sketch_accounting",
-                 "sketch_state", "packed"):
-        if probe_scalar[part] != probe_numpy[part]:
-            return DifferentialOutcome(
-                seed=seed, config=config, matched=False,
-                detail=f"kernel twins diverged in state probe part {part!r}",
-            )
-    if fp_numpy != fp_scalar:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=False,
-            detail=f"exact-mode diverged: {_diff_summary(fp_scalar, fp_numpy)}",
-            optimized=fp_numpy, reference=fp_scalar,
-        )
-    if sk_numpy != sk_scalar:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=False,
-            detail=f"sketch-mode diverged: {_diff_summary(sk_scalar, sk_numpy)}",
-            optimized=sk_numpy, reference=sk_scalar,
-        )
-    return DifferentialOutcome(
-        seed=seed, config=config, matched=True,
-        optimized=fp_numpy, reference=fp_scalar,
-    )
+#: Every way a scenario is re-run against its default fingerprint, as
+#: ``(name, check(config, seed, baseline, workers) -> complaint | None)``:
+#: ``baseline`` is the default run's fingerprint JSON, ``seed`` salts
+#: whatever the variant draws for itself, ``workers`` sizes a process pool.
+VARIANTS: tuple[tuple[str, Callable[..., str | None]], ...] = (
+    ("reference", _check_reference),
+    ("sharded-1", _check_sharded(1)),
+    ("sharded-2", _check_sharded(2)),
+    ("sharded-4", _check_sharded(4)),
+    ("served", _check_served),
+    ("pooled", _check_pooled),
+    ("scalar-kernels", _check_scalar_kernels),
+    ("sketch-bounds", _check_sketch_bounds),
+)
 
 
 def run_fuzz_suite(
     n_seeds: int = 25,
     base_seed: int = 0,
-    parallel_oracle: bool = False,
     workers: int = 2,
-    fastpath_oracle: bool = False,
-    scheduler_oracle: bool = False,
-    serve_oracle: bool = False,
-    sketch_oracle: bool = False,
-    transport_oracle: bool = False,
-    kernel_oracle: bool = False,
     progress: Optional[Callable[[DifferentialOutcome], None]] = None,
-) -> FuzzSuiteReport:
-    """The full differential sweep: ``n_seeds`` scenarios, two engines each.
+) -> list[DifferentialOutcome]:
+    """Every variant in :data:`VARIANTS` on each of ``n_seeds`` scenarios.
 
-    With ``parallel_oracle`` the optimized fingerprints are additionally
-    recomputed through the spawn-pool harness (``workers`` processes,
-    configs shipped via :mod:`repro.harness.serialize`) and must match
-    the in-process results byte for byte.  With ``fastpath_oracle`` each
-    seed also runs with pooling + burst coalescing off on both engines
-    (four runs per seed).  With ``scheduler_oracle`` each seed also runs
-    on the calendar-queue engine (heap × calendar × reference identity).
-    With ``serve_oracle`` each seed is re-run hosted in a control-plane
-    session, stepped in seed-dependent bounded slices, and must
-    fingerprint byte-identically to the batch path.  With
-    ``sketch_oracle`` each seed runs the exact-vs-sketch estimator
-    comparison of :func:`run_sketch_differential` plus a full sketch-mode
-    run under invariant sweeps.  With ``transport_oracle`` each seed's
-    fingerprint is recomputed through the pool and sharded result
-    transports (``"pickle"`` vs ``"shm"``) per
-    :func:`run_transport_differential` and must stay byte-identical.
-    With ``kernel_oracle`` each seed replays every kernel-accelerated
-    path under both the numpy and scalar twins per
-    :func:`run_kernel_differential`, and all state must be
-    byte-identical.
+    A seed's default run is the baseline; each variant re-runs the
+    scenario its own way and must reproduce the baseline fingerprint
+    byte for byte (the ``sketch-bounds`` variant checks estimator error
+    bounds instead).  A variant that disagrees, or trips an invariant,
+    is recorded by name; the other variants of that seed still run.
+    ``workers`` sizes the ``pooled`` variant's process pool.
     """
-    seeds = range(base_seed, base_seed + n_seeds)
     outcomes: list[DifferentialOutcome] = []
-    for seed in seeds:
-        outcome = run_differential(
-            seed,
-            fastpath_oracle=fastpath_oracle,
-            scheduler_oracle=scheduler_oracle,
-        )
+    for seed in range(base_seed, base_seed + n_seeds):
+        config = generate_scenario(seed)
+        ran: list[str] = []
+        complaints: list[tuple[str, str]] = []
+        try:
+            baseline = fingerprint_json(run_scenario(config))
+        except InvariantViolation as violation:
+            complaints.append(("default", f"invariant violation: {violation}"))
+        else:
+            for name, check in VARIANTS:
+                try:
+                    complaint = check(config, seed, baseline, workers)
+                except InvariantViolation as violation:
+                    complaint = f"invariant violation: {violation}"
+                ran.append(name)
+                if complaint is not None:
+                    complaints.append((name, complaint))
+        outcome = DifferentialOutcome(seed, config, tuple(ran), tuple(complaints))
         outcomes.append(outcome)
         if progress is not None:
             progress(outcome)
-    parallel_matched: Optional[bool] = None
-    if parallel_oracle and outcomes:
-        from repro.harness.parallel import run_tasks
-        from repro.harness.serialize import config_to_dict
-
-        tasks = [
-            {"config_data": config_to_dict(outcome.config)} for outcome in outcomes
-        ]
-        pooled = run_tasks(_fingerprint_worker, tasks, workers=workers)
-        parallel_matched = all(
-            outcome.optimized == "" or outcome.optimized == fp
-            for outcome, fp in zip(outcomes, pooled)
-        )
-    serve_matched: Optional[bool] = None
-    if serve_oracle and outcomes:
-        serve_matched = True
-        for outcome in outcomes:
-            served = run_serve_differential(
-                outcome.seed, optimized=outcome.optimized
-            )
-            if not served.matched:
-                serve_matched = False
-                if progress is not None:
-                    progress(served)
-    sketch_matched: Optional[bool] = None
-    if sketch_oracle:
-        sketch_matched = True
-        for seed in seeds:
-            sketched = run_sketch_differential(seed)
-            if not sketched.matched:
-                sketch_matched = False
-                if progress is not None:
-                    progress(sketched)
-    transport_matched: Optional[bool] = None
-    if transport_oracle and outcomes:
-        transport_matched = True
-        for outcome in outcomes:
-            shipped = run_transport_differential(
-                outcome.seed, optimized=outcome.optimized, workers=workers
-            )
-            if not shipped.matched:
-                transport_matched = False
-                if progress is not None:
-                    progress(shipped)
-    kernel_matched: Optional[bool] = None
-    if kernel_oracle:
-        kernel_matched = True
-        for seed in seeds:
-            kerneled = run_kernel_differential(seed)
-            if not kerneled.matched:
-                kernel_matched = False
-                if progress is not None:
-                    progress(kerneled)
-    return FuzzSuiteReport(
-        outcomes=tuple(outcomes),
-        parallel_matched=parallel_matched,
-        serve_matched=serve_matched,
-        sketch_matched=sketch_matched,
-        transport_matched=transport_matched,
-        kernel_matched=kernel_matched,
-    )
+    return outcomes
 
 
 def describe_outcome(outcome: DifferentialOutcome) -> str:
@@ -924,10 +638,12 @@ def describe_outcome(outcome: DifferentialOutcome) -> str:
         f" kind={config.workload.attack_kind}"
         f" rate={config.workload.attack_rate_pps:g}"
         f" loss={config.link_loss_probability:g}"
-        f" engine-pair seed={outcome.seed}"
+        f" seed={outcome.seed}"
     )
-    status = "ok " if outcome.matched else "FAIL"
-    line = f"{status} {shape}"
-    if not outcome.matched and outcome.detail:
-        line += f"\n     {outcome.detail}"
+    if outcome.matched:
+        return f"ok   {shape} [{' '.join(outcome.variants)}]"
+    failed = " ".join(name for name, _complaint in outcome.complaints)
+    line = f"FAIL {shape} diverged: {failed}"
+    for name, complaint in outcome.complaints:
+        line += f"\n     {name}: {complaint}"
     return line

@@ -237,7 +237,6 @@ def run_tasks(
     workers: Optional[int] = None,
     timeout_s: Optional[float] = None,
     retries: int = 1,
-    transport: str = "auto",
 ) -> list[Any]:
     """Run ``fn(**task)`` for every task, returning results in task order.
 
@@ -249,18 +248,17 @@ def run_tasks(
     error with a usable traceback.  A broken pool (a worker died) disables
     parallelism for the remaining tasks instead of failing the sweep.
 
-    ``transport`` selects how results travel back: ``"pickle"`` (the
-    executor's channel), ``"shm"`` (packed into shared-memory segments,
-    see :mod:`repro.harness.transport`), or ``"auto"`` (the process-wide
-    default).  Results are identical either way; the serial path bypasses
-    transport entirely.
+    Results travel back packed into shared-memory segments (see
+    :mod:`repro.harness.transport`) where the host has them and over
+    the executor's pickle channel otherwise; they are identical either
+    way, and the serial path bypasses transport entirely.
     """
     workers = resolve_workers(workers)
     if workers <= 1 or len(tasks) <= 1:
         return [fn(**task) for task in tasks]
 
-    mode = _transport.resolve_transport(transport)
-    use_shm = mode == "shm" and _transport.SHM_AVAILABLE
+    mode = _transport.resolve_transport()
+    use_shm = mode == "shm"
     _transport_stats.transport = mode
 
     def submit(pool: ProcessPoolExecutor, task: dict[str, Any]) -> Any:
@@ -323,7 +321,6 @@ def _run_configs(
     workers: Optional[int],
     timeout_s: Optional[float],
     retries: int,
-    transport: str = "auto",
 ) -> list[Any]:
     """Simulate + reduce each config, serially or through the pool."""
     if resolve_workers(workers) <= 1 or len(configs) <= 1:
@@ -338,7 +335,6 @@ def _run_configs(
         workers=workers,
         timeout_s=timeout_s,
         retries=retries,
-        transport=transport,
     )
 
 
@@ -351,7 +347,6 @@ def run_scenarios(
     timeout_s: Optional[float] = None,
     retries: int = 1,
     cache: Optional["SweepCache"] = None,
-    transport: str = "auto",
 ) -> list[Any]:
     """Run one scenario per override point, fanned out across workers.
 
@@ -371,9 +366,6 @@ def run_scenarios(
             ``repro experiment --cache`` (``None`` → no caching).  Only
             extracted values are cacheable: with ``extract=None`` the
             points are counted as skipped.
-        transport: how extracted values travel back from workers —
-            ``"pickle"``, ``"shm"``, or ``"auto"`` (see
-            :func:`run_tasks`); value-identical either way.
 
     Returns:
         One value per point, in point order, regardless of worker count
@@ -396,7 +388,7 @@ def run_scenarios(
             cache.stats.skipped += len(configs)
         return [run_scenario(config) for config in configs]
     if cache is None:
-        return _run_configs(configs, extract, workers, timeout_s, retries, transport)
+        return _run_configs(configs, extract, workers, timeout_s, retries)
 
     keys = [cache.key(config, extract) for config in configs]
     results: list[Any] = [None] * len(configs)
@@ -409,8 +401,7 @@ def run_scenarios(
             pending.append(index)
     if pending:
         fresh = _run_configs(
-            [configs[i] for i in pending], extract, workers, timeout_s, retries,
-            transport,
+            [configs[i] for i in pending], extract, workers, timeout_s, retries
         )
         # Stored parent-side: spawn workers never touch the cache files.
         for index, value in zip(pending, fresh):

@@ -13,7 +13,7 @@ bounded slices while the batch path stays a single call:
   invariant sweep once the clock has reached the configured duration;
 * ``run_scenario`` is build + one uninterrupted ``net.run`` + finish —
   byte-identical to a served session that received no runtime
-  mutations (asserted by ``repro check --serve-oracle``).
+  mutations (asserted by the ``served`` variant of ``repro check``).
 
 ``ScenarioResult`` carries uniform accessors for the quantities every
 experiment reports: detection times, benign service quality per phase,
@@ -52,8 +52,6 @@ TOPOLOGIES = {
 }
 
 DEFENSES = ("spi", "monitor-only", "always-on", "sampled", "flow-stats", "none")
-
-ENGINES = ("optimized", "calendar", "reference")
 
 # Process-wide override set by ``repro experiment --check-invariants``:
 # experiment runners build their own configs, so the flag is applied to
@@ -125,19 +123,16 @@ class ScenarioConfig:
     # during the run plus a final sweep; violations raise.
     check_invariants: bool = False
     invariant_period_s: float = 0.5
-    # Execution-strategy knobs the differential oracle flips: the event
-    # loop implementation, the flow-table microflow cache, and the
-    # allocation fast path (packet pooling + burst-coalesced traffic
-    # generation).  None may change any metric; repro check verifies
-    # exactly that.
-    engine: str = "optimized"
-    microflow_cache: bool = True
-    pooling: bool = True
-    burst_coalescing: bool = True
+    # Run every reference twin at once instead of the fast paths: the
+    # pre-overhaul event loop, linear-scan flow tables, no packet pool,
+    # one scheduled event per generated arrival.  It may not change any
+    # metric; repro check verifies exactly that.
+    reference: bool = False
     # Multi-process domain decomposition (repro.sim.sharded): 1 runs the
     # classic single-process path, N > 1 partitions the topology across
     # N engines synchronized by conservative lookahead.  Fingerprints
-    # are byte-identical either way (the sharded oracle asserts it).
+    # are byte-identical either way (the ``sharded-N`` variants of
+    # ``repro check`` assert it).
     shards: int = 1
 
     def __post_init__(self) -> None:
@@ -149,8 +144,6 @@ class ScenarioConfig:
             raise ValueError(f"unknown defense {self.defense!r}; choose from {DEFENSES}")
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
         if self.invariant_period_s <= 0:
             raise ValueError("invariant period must be positive")
         if self.shards < 1:
@@ -312,15 +305,7 @@ def build_scenario(config: ScenarioConfig) -> ScenarioResult:
     """
     config = effective_config(config)
     build = TOPOLOGIES[config.topology]
-    extra: dict[str, Any] = {}
-    if config.engine != "optimized":
-        extra["engine"] = config.engine
-    if not config.microflow_cache:
-        extra["microflow_enabled"] = False
-    if not config.pooling:
-        extra["pooling"] = False
-    if not config.burst_coalescing:
-        extra["burst_coalescing"] = False
+    extra: dict[str, Any] = {"reference": config.reference}
     if config.link_loss_probability > 0:
         from repro.topology.builder import LinkSpec
 
@@ -413,7 +398,7 @@ def build_scenario(config: ScenarioConfig) -> ScenarioResult:
                 duration_s=config.flash_crowd.duration_s,
                 connections_per_second=config.flash_crowd.connections_per_second,
             ),
-            burst=config.burst_coalescing,
+            burst=not config.reference,
         )
 
     if config.probe:

@@ -45,17 +45,39 @@ def canonical_config_json(config: Any) -> str:
     return json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
 
 
-def _build(cls: type, data: dict[str, Any]) -> Any:
+#: Top-level keys of configs saved before the strategy knobs collapsed
+#: into ``reference``, with the only value each is still accepted at
+#: (every config ``save_config`` wrote carries all four at these).
+_RETIRED_DEFAULTS = {
+    "engine": "optimized",
+    "microflow_cache": True,
+    "pooling": True,
+    "burst_coalescing": True,
+}
+
+
+def _build(cls: type, data: dict[str, Any], path: str = "") -> Any:
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs: dict[str, Any] = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        kwargs[f.name] = _coerce(f.type, value, f)
+    for name, value in data.items():
+        if name in fields:
+            kwargs[name] = _coerce(fields[name], value, f"{path}{name}.")
+        elif cls is ScenarioConfig and name in _RETIRED_DEFAULTS:
+            if value != _RETIRED_DEFAULTS[name]:
+                raise ValueError(
+                    f"config key {name!r} was retired and {value!r} is not the "
+                    "default it is still accepted at; set 'reference': true to "
+                    "run the reference twins"
+                )
+        else:
+            raise ValueError(
+                f"unknown config key {path + name!r}: {cls.__name__} has no "
+                f"field {name!r} (valid fields: {', '.join(sorted(fields))})"
+            )
     return cls(**kwargs)
 
 
-def _coerce(annotation: Any, value: Any, f: dataclasses.Field) -> Any:
+def _coerce(f: dataclasses.Field, value: Any, path: str) -> Any:
     if value == "inf":
         return float("inf")
     # Nested dataclasses are recognized from the default factory/value.
@@ -65,20 +87,25 @@ def _coerce(annotation: Any, value: Any, f: dataclasses.Field) -> Any:
     elif f.default is not dataclasses.MISSING:
         default = f.default
     if dataclasses.is_dataclass(default) and isinstance(value, dict):
-        return _build(type(default), value)
+        return _build(type(default), value, path)
     if isinstance(default, enum.Enum) and isinstance(value, str):
         return type(default)(value)
-    if isinstance(value, list) and "tuple" in str(annotation):
+    if isinstance(value, list) and "tuple" in str(f.type):
         return tuple(value)
     if isinstance(default, tuple) and isinstance(value, list):
         return tuple(value)
     if isinstance(value, dict) and f.name == "flash_crowd":
-        return _build(FlashCrowdSpec, value)
+        return _build(FlashCrowdSpec, value, path)
     return value
 
 
 def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
-    """Rebuild a :class:`ScenarioConfig` from :func:`config_to_dict` output."""
+    """Rebuild a :class:`ScenarioConfig` from :func:`config_to_dict` output.
+
+    Omitted keys keep their defaults; a key that names no field, at any
+    nesting level, raises ``ValueError`` with its dotted path and the
+    fields that exist (a typo must not load as the defaults).
+    """
     return _build(ScenarioConfig, data)
 
 

@@ -23,23 +23,19 @@ the coordinator can tear down the remaining siblings (the same
 terminate → join → kill escalation :func:`repro.harness.parallel
 .shutdown_pool` applies to abandoned sweep workers).
 
-Both workers take a ``transport`` mode (see
-:mod:`repro.harness.transport`): with ``"shm"`` (the resolved default)
-each epoch's boundary batches cross the pipe as one packed columnar
-buffer per ``(src, dest)`` pair via
-:func:`repro.sim.sharded.codec.encode_batch` instead of per-record
-pickle; ``"pickle"`` keeps the legacy per-record path.  Decoding is
-type-sniffed (a packed batch is ``bytes``), so both ends always agree.
-Each worker handle tallies batch bytes/records in both directions for
-the coordinator's transport telemetry.
+Each epoch's boundary batches cross the pipe as one packed columnar
+buffer per ``(src, dest)`` pair
+(:func:`repro.sim.sharded.codec.encode_batch`).  Each worker handle
+tallies batch bytes/records in both directions for the coordinator's
+transport telemetry.
 
 ``InlineShardWorker`` is the in-process stand-in with the identical
 protocol — requests and replies are still round-tripped through the
 same batch codec (and pickle for the non-batch residue) so transport
 assumptions (no live object sharing) hold even without a process
 boundary, and inline test runs exercise the real encoding.  The
-differential oracle uses it to run the full epoch protocol at
-test-suite speed.
+``sharded-N`` variants of ``repro check`` use it to run the full epoch
+protocol at test-suite speed.
 """
 
 from __future__ import annotations
@@ -95,17 +91,13 @@ def _pack_request(request: tuple) -> tuple[tuple, int, int]:
 
 
 def _unpack_request(request: tuple) -> tuple:
-    """Decode packed batches in an epoch request (type-sniffed, lossless)."""
+    """Decode the packed batches of an epoch request."""
     if request[0] != "epoch":
         return request
     from repro.sim.sharded.codec import decode_batch
 
     _tag, batches, limit = request
-    unpacked = [
-        (src, decode_batch(recs) if isinstance(recs, (bytes, bytearray)) else recs)
-        for src, recs in batches
-    ]
-    return ("epoch", unpacked, limit)
+    return ("epoch", [(src, decode_batch(blob)) for src, blob in batches], limit)
 
 
 def _pack_reply(tag: str, result: Any) -> Any:
@@ -119,7 +111,11 @@ def _pack_reply(tag: str, result: Any) -> Any:
 
 
 def _unpack_reply(value: Any) -> tuple[Any, int, int]:
-    """Decode a packed outbox; returns (reply, records, bytes)."""
+    """Decode a packed outbox; returns (reply, records, bytes).
+
+    Only epoch/stop_workload replies carry one (``(next_time, blob)``);
+    reconfig and finish replies pass through.
+    """
     if (
         type(value) is tuple
         and len(value) == 2
@@ -158,9 +154,7 @@ def _dispatch(runtime, request: tuple) -> Any:
     raise ValueError(f"unknown shard request {tag!r}")
 
 
-def _shard_worker_main(
-    shard: int, config_data: dict, conn, transport: str = "pickle"
-) -> None:
+def _shard_worker_main(shard: int, config_data: dict, conn) -> None:
     """Spawn entrypoint: build the replica, then serve the pipe."""
     try:
         from repro.harness.serialize import config_from_dict
@@ -172,9 +166,7 @@ def _shard_worker_main(
             request = _unpack_request(conn.recv())
             if request[0] == "close":
                 return
-            result = _dispatch(runtime, request)
-            if transport == "shm":
-                result = _pack_reply(request[0], result)
+            result = _pack_reply(request[0], _dispatch(runtime, request))
             conn.send(("ok", result))
     except (EOFError, KeyboardInterrupt):
         return
@@ -197,11 +189,9 @@ class ShardWorker:
         shard: int,
         config_data: dict,
         timeout_s: float = DEFAULT_TIMEOUT_S,
-        transport: str = "pickle",
     ) -> None:
         self.shard = shard
         self.timeout_s = timeout_s
-        self.transport = transport
         self.batch_records_out = 0
         self.batch_bytes_out = 0
         self.batch_records_in = 0
@@ -210,7 +200,7 @@ class ShardWorker:
         self.conn, child = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_shard_worker_main,
-            args=(shard, config_data, child, transport),
+            args=(shard, config_data, child),
             daemon=True,
         )
         self.process.start()
@@ -228,10 +218,9 @@ class ShardWorker:
 
     def send(self, request: tuple) -> None:
         """Issue one protocol request (reply collected via :meth:`recv`)."""
-        if self.transport == "shm":
-            request, records, total = _pack_request(request)
-            self.batch_records_out += records
-            self.batch_bytes_out += total
+        request, records, total = _pack_request(request)
+        self.batch_records_out += records
+        self.batch_bytes_out += total
         try:
             self.conn.send(request)
         except (BrokenPipeError, OSError) as exc:
@@ -292,21 +281,16 @@ class InlineShardWorker:
     """The same protocol served by an in-process runtime.
 
     Requests and replies are round-tripped through the *same* encoding
-    the pipe would use — the columnar batch codec under ``"shm"``, plain
-    pickle under ``"pickle"`` (with pickle covering the non-batch
-    residue in both modes) — so inline and process modes exercise
-    identical transport semantics (and identical fingerprints), rather
-    than the double-pickle divergence this class used to have.
+    the pipe would use — the columnar batch codec, with pickle covering
+    the non-batch residue — so inline and process modes exercise
+    identical transport semantics (and identical fingerprints).
     """
 
-    def __init__(
-        self, shard: int, config_data: dict, transport: str = "pickle"
-    ) -> None:
+    def __init__(self, shard: int, config_data: dict) -> None:
         from repro.harness.serialize import config_from_dict
         from repro.sim.sharded.runtime import ShardRuntime
 
         self.shard = shard
-        self.transport = transport
         self.batch_records_out = 0
         self.batch_bytes_out = 0
         self.batch_records_in = 0
@@ -318,14 +302,11 @@ class InlineShardWorker:
         return self.runtime.next_time()
 
     def send(self, request: tuple) -> None:
-        if self.transport == "shm":
-            request, records, total = _pack_request(request)
-            self.batch_records_out += records
-            self.batch_bytes_out += total
+        request, records, total = _pack_request(request)
+        self.batch_records_out += records
+        self.batch_bytes_out += total
         request = _unpack_request(pickle.loads(pickle.dumps(request)))
-        result = _dispatch(self.runtime, request)
-        if self.transport == "shm":
-            result = _pack_reply(request[0], result)
+        result = _pack_reply(request[0], _dispatch(self.runtime, request))
         result, records_in, bytes_in = _unpack_reply(
             pickle.loads(pickle.dumps(result))
         )

@@ -71,7 +71,6 @@ def run_sweep(
     timeout_s: Optional[float] = None,
     retries: int = 1,
     cache: Optional[Any] = None,
-    transport: str = "auto",
 ) -> list[tuple[dict[str, Any], Any]]:
     """Run one scenario per override point, in order.
 
@@ -97,6 +96,5 @@ def run_sweep(
         timeout_s=timeout_s,
         retries=retries,
         cache=cache,
-        transport=transport,
     )
     return list(zip(points, values))

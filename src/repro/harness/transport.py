@@ -62,8 +62,6 @@ except ImportError:  # pragma: no cover - exotic builds only
 
 MAGIC = b"RTC1"
 
-TRANSPORTS = ("auto", "pickle", "shm")
-
 # Node tags.  The format is recursive: every node is one tag byte plus
 # a tag-specific payload; lengths use native-order standard-size struct
 # codes ("=I"/"=Q") so they agree with array.tobytes on the same host
@@ -438,44 +436,19 @@ def unpack(data: Any) -> Any:
     return value
 
 
-# --------------------------------------------------------------------------
-# Transport selection.  The module-level default exists so entry points
-# that cannot thread a parameter to every call site (``repro run
-# --shards`` reaches ShardedRun through run_scenario(config)) can still
-# honour ``--transport``; explicit per-call arguments win over it.
+def resolve_transport(requested: str = "auto") -> str:
+    """The result plane this host runs: ``"shm"`` where available, else ``"pickle"``.
 
-_default_lock = threading.Lock()
-_default_transport = "auto"
-
-
-def validate_transport(name: str) -> str:
-    if name not in TRANSPORTS:
+    Decided from :data:`SHM_AVAILABLE` alone.  ``"auto"`` is the only
+    request there is; the argument exists for callers that record what
+    the default resolved to.
+    """
+    if requested != "auto":
         raise ValueError(
-            f"unknown transport {name!r} (choose from {', '.join(TRANSPORTS)})"
+            f"unknown transport request {requested!r}: the result plane is "
+            "chosen from SHM_AVAILABLE, not by the caller"
         )
-    return name
-
-
-def set_default_transport(name: str) -> None:
-    """Set the process-wide transport used when calls pass ``"auto"``."""
-    global _default_transport
-    validate_transport(name)
-    with _default_lock:
-        _default_transport = name
-
-
-def get_default_transport() -> str:
-    return _default_transport
-
-
-def resolve_transport(requested: Optional[str]) -> str:
-    """Collapse ``None``/``"auto"`` through the default to a concrete mode."""
-    choice = validate_transport(requested or "auto")
-    if choice == "auto":
-        choice = _default_transport
-    if choice == "auto":
-        choice = "shm" if SHM_AVAILABLE else "pickle"
-    return choice
+    return "shm" if SHM_AVAILABLE else "pickle"
 
 
 # --------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Every kernel in this module exists twice: a vectorized numpy
 implementation and a pure-Python scalar reference.  The twins are
 *byte-identical* — same sketch counter arrays, same estimate sequences,
 same packed buffers — which is what lets the fast path ship without a
-semantics review: ``repro check --kernel-oracle`` and the Hypothesis
-properties in ``tests/test_kernels.py`` assert identity on adversarial
-inputs, and either twin can serve production traffic.
+semantics review: the ``scalar-kernels`` variant of ``repro check`` and
+the Hypothesis properties in ``tests/test_kernels.py`` assert identity
+on adversarial inputs, and either twin can serve production traffic.
 
 Backend selection happens once at import: numpy if importable, scalar
 otherwise, overridable with ``REPRO_KERNELS=scalar`` (force the

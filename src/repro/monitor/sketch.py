@@ -252,7 +252,7 @@ class HeavyHitterSketch:
 
         The candidate maintenance runs once per *unique* key with that
         key's whole-window amount — the canonical bulk semantics both
-        kernel twins share (``--kernel-oracle`` pins them byte-identical).
+        kernel twins share (``repro check`` pins them byte-identical).
         """
         ests = self.cms.add_bulk(counts)
         cand = self._candidates

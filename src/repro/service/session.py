@@ -23,7 +23,7 @@ current slice boundary), the tracer records it, and the reconfig log
 keeps the applied schedule.  Replaying the same schedule therefore
 reproduces a byte-identical fingerprint, and a session with *no*
 mutations is byte-identical to the batch ``run_scenario`` path
-(asserted by ``repro check --serve-oracle``).
+(asserted by the ``served`` variant of ``repro check``).
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Core discrete-event simulation engine.
 
-The engine is a classic calendar-queue simulator: callbacks are scheduled at
-absolute simulated times and executed in time order.  Ties are broken by a
-monotonically increasing sequence number so that events scheduled earlier run
-earlier, which keeps every run fully deterministic for a given seed.
+The engine is a classic binary-heap event-list simulator: callbacks are
+scheduled at absolute simulated times and executed in time order.  Ties are
+broken by a monotonically increasing sequence number so that events scheduled
+earlier run earlier, which keeps every run fully deterministic for a given
+seed.
 
 The heap stores ``(time, seq, event)`` tuples rather than the events
 themselves, so heap sifts compare a float and an int instead of dispatching

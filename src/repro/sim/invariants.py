@@ -24,9 +24,9 @@ them periodically on the scenario's own clock plus once after the run:
   reference to a recycled packet is a structured violation instead of
   silent aliasing;
 * **scheduler accounting** — the event queue's physical entry count
-  equals live events plus tombstones and every tally is non-negative,
-  on both the tuple heap and the calendar queue (a lazy-cancel or
-  compaction bug shows up here as a leak, not as a mystery slowdown).
+  equals live events plus tombstones and every tally is non-negative
+  (a lazy-cancel or compaction bug shows up here as a leak, not as a
+  mystery slowdown).
 
 Checkers read counters the substrate already maintains; when no harness
 is constructed the only residue in the hot paths is one attribute
@@ -758,11 +758,10 @@ class PacketPoolChecker(InvariantChecker):
 class SchedulerAccountingChecker(InvariantChecker):
     """The event queue's physical/live/tombstone tallies tie out.
 
-    Both the tuple heap and the calendar queue maintain ``physical ==
-    live + dead`` through every push, lazy-cancel skim, window advance,
-    compaction and resize; a drift means entries were leaked or double
-    counted.  The reference engine keeps no tallies, so the checker
-    no-ops there (``accounting()`` absent).
+    The tuple heap maintains ``physical == live + dead`` through every
+    push, lazy-cancel skim and compaction; a drift means entries were
+    leaked or double counted.  The reference engine keeps no tallies, so
+    the checker no-ops there (``accounting()`` absent).
     """
 
     name = "scheduler-accounting"

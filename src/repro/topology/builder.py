@@ -48,37 +48,20 @@ class Network:
         control_latency_s: float = 0.002,
         tcp_config: TcpConfig | None = None,
         switch_costs: WorkloadCosts | None = None,
-        engine: str = "optimized",
-        microflow_enabled: bool = True,
-        pooling: bool = True,
-        burst_coalescing: bool = True,
+        reference: bool = False,
     ) -> None:
-        # "optimized" is the tuple-heap engine from repro.sim.engine;
-        # "calendar" is the bucketed calendar queue (O(1) amortized on
-        # flood-shaped event distributions); "reference" is the
-        # pre-overhaul loop kept as a differential oracle.  All three are
-        # held to byte-identical behavior by repro check --scheduler-oracle.
-        if engine == "optimized":
-            self.sim = Simulator()
-        elif engine == "calendar":
-            from repro.sim.engine_calendar import CalendarSimulator
-
-            self.sim = CalendarSimulator()
-        elif engine == "reference":
+        # ``reference`` swaps every fast path for its reference twin at
+        # once: the pre-overhaul event loop, linear-scan-only flow tables,
+        # no packet pool, one scheduled event per generated arrival.
+        # Results are byte-identical either way (``repro check``).
+        self.reference = reference
+        if reference:
             from repro.sim.engine_reference import ReferenceSimulator
 
             self.sim = ReferenceSimulator()
         else:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose 'optimized', 'calendar'"
-                " or 'reference'"
-            )
-        self.engine = engine
-        self.microflow_enabled = microflow_enabled
-        # Allocation fast-path knobs (both strategy-invisible: results are
-        # byte-identical with either setting; see repro.harness.fuzzer).
-        self.packet_pool = PacketPool() if pooling else None
-        self.burst_coalescing = burst_coalescing
+            self.sim = Simulator()
+        self.packet_pool = None if reference else PacketPool()
         self.rng = SeededRng(seed)
         self.tracer = Tracer(lambda: self.sim.now)
         self.default_link = default_link or LinkSpec()
@@ -109,7 +92,7 @@ class Network:
             raise ValueError(f"duplicate node name {name!r}")
         switch = OpenFlowSwitch(
             self.sim, name, dpid, costs=self.switch_costs,
-            microflow_enabled=self.microflow_enabled,
+            microflow_enabled=not self.reference,
         )
         channel = ControlChannel(self.sim, latency_s=self.control_latency_s)
         channel.connect(switch, self.controller)

@@ -95,10 +95,10 @@ class StandardWorkload:
             pulse_on_s=cfg.attack_pulse_on_s,
             pulse_off_s=cfg.attack_pulse_off_s,
         )
-        # Allocation fast-path knobs are owned by the Network (wired from
-        # ScenarioConfig); defaults keep direct construction on the fast path.
-        pool = getattr(self.net, "packet_pool", None)
-        burst = getattr(self.net, "burst_coalescing", True)
+        # The Network owns the fast/reference switch: a reference network
+        # has no packet pool and schedules every arrival as its own event.
+        pool = self.net.packet_pool
+        burst = not self.net.reference
         for name in self.roles.attackers:
             host = self.net.hosts[name]
             rng = self.net.rng.child(f"attacker.{name}")

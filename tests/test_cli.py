@@ -52,18 +52,23 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["success_after_attack"] > 0.9
 
-    def test_engine_flag_results_identical(self, capsys):
-        payloads = {}
-        for engine in ("optimized", "calendar"):
-            assert main([
-                "run", "--duration", "10", "--engine", engine, "--json",
-            ]) == 0
-            payloads[engine] = json.loads(capsys.readouterr().out)
-        assert payloads["optimized"] == payloads["calendar"]
+    def test_reference_flag_results_identical(self, capsys):
+        payloads = []
+        for flags in ([], ["--reference"]):
+            assert main(["run", "--duration", "10", "--json", *flags]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        # The linear-scan reference tables have no microflow cache to hit.
+        assert payloads[0].pop("microflow_hit_rate") > 0
+        assert payloads[1].pop("microflow_hit_rate") == 0
+        assert payloads[0] == payloads[1]
 
-    def test_engine_choices_enforced(self):
+    @pytest.mark.parametrize("flag", [
+        "--engine=reference", "--no-pooling", "--no-burst-coalescing",
+        "--transport=pickle",
+    ])
+    def test_retired_strategy_flags_rejected(self, flag):
         with pytest.raises(SystemExit):
-            main(["run", "--engine", "quantum"])
+            main(["run", flag])
 
     def test_monitor_backend_sketch_detects(self, capsys):
         code = main([
@@ -136,13 +141,6 @@ class TestCacheCommand:
         assert "entries: 0" in capsys.readouterr().out
 
 
-class TestCheckSchedulerOracle:
-    def test_one_seed_three_engines(self, capsys):
-        assert main(["check", "--seeds", "1", "--scheduler-oracle"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS: 1/1 seeds byte-identical" in out
-
-
 class TestCacheInfoJson:
     def test_stable_schema(self, capsys, tmp_path):
         code = main(["cache", "info", "--cache-dir", str(tmp_path), "--json"])
@@ -157,13 +155,6 @@ class TestCtl:
         code = main(["ctl", "--port", "1", "status"])
         assert code == 1
         assert "cannot reach" in capsys.readouterr().err
-
-    def test_serve_oracle_flag_parses(self):
-        # Full oracle runs live in CI; here only the wiring is checked.
-        from repro.cli import _build_parser
-
-        args = _build_parser().parse_args(["check", "--serve-oracle"])
-        assert args.serve_oracle is True
 
 
 class TestBrokenStdoutPipe:

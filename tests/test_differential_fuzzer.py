@@ -1,33 +1,47 @@
 """Tests for the differential scenario fuzzer and its CLI entry point.
 
-A handful of real differential runs (kept small — the full 25-seed
-sweep lives in CI via ``repro check``), plus determinism and failure
-shape checks: the generator must be a pure function of its seed, the
+A handful of real differential runs (kept small — the 20-seed sweep
+lives in CI via ``repro check``), plus determinism and failure shape
+checks: the generator must be a pure function of its seed, the
 fingerprint must exclude cache-dependent counters but catch genuine
-metric drift, and a mismatch must surface as a failing report, not an
-exception.
+metric drift, every entry of ``VARIANTS`` must agree with the default
+run, and a divergence must surface as a failing outcome that names the
+variant, not as an exception.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.harness import fuzzer
 from repro.harness.fuzzer import (
+    VARIANTS,
     DifferentialOutcome,
-    FuzzSuiteReport,
     describe_outcome,
-    fastpath_variant,
     fingerprint,
     fingerprint_json,
     generate_scenario,
-    reference_variant,
-    run_differential,
     run_fuzz_suite,
 )
 from repro.harness.scenario import run_scenario
+from repro.harness.serialize import config_to_dict
+
+VARIANT_NAMES = [name for name, _check in VARIANTS]
+
+# sha256[:12] of each seed's config_to_dict JSON at the commit before the
+# strategy knobs collapsed, with those knobs' keys dropped.
+_PARENT_SHAPES = [
+    "1b6032f9d172", "af45197dc1e2", "b41237b4ddba", "43cef666c77e",
+    "ff52063dc733", "93666c0e22f5", "3143a4a799a7", "af6774ce4ad0",
+    "67f759e87e2e", "6aec359efde8", "9427884c089f", "a95c7ccc884b",
+    "0d6df053c062", "a34345698e84", "017ddd3b966f", "095d77133573",
+    "453209487720", "dd2a9b408b40", "c34587a077d7", "ebc92e37b754",
+    "1583df4004eb", "82913b36dbe1", "558dc74c3fea", "e8b98643914b",
+    "a4fe25779b1b",
+]
 
 
 class TestGenerator:
@@ -39,8 +53,7 @@ class TestGenerator:
         for seed in range(20):
             config = generate_scenario(seed)
             assert config.check_invariants is True
-            assert config.engine == "optimized"
-            assert config.microflow_cache is True
+            assert config.reference is False
 
     def test_udp_attacks_get_udp_detector(self):
         kinds = set()
@@ -53,31 +66,16 @@ class TestGenerator:
                 assert config.detector != "udp-rate"
         assert kinds == {"syn", "udp"}
 
-    def test_reference_variant_flips_only_strategy_knobs(self):
-        config = generate_scenario(3)
-        variant = reference_variant(config)
-        assert variant.engine == "reference"
-        assert variant.microflow_cache is False
-        assert variant.seed == config.seed
-        assert variant.workload == config.workload
-        assert variant.topology == config.topology
-
-    def test_fastpath_variant_flips_only_allocation_knobs(self):
-        config = generate_scenario(3)
-        variant = fastpath_variant(config)
-        assert variant.pooling is False
-        assert variant.burst_coalescing is False
-        assert variant.engine == config.engine
-        assert variant.seed == config.seed
-        assert variant.workload == config.workload
-
-    def test_generator_mixes_fastpath_knobs(self):
-        settings = {
-            (generate_scenario(seed).pooling,
-             generate_scenario(seed).burst_coalescing)
-            for seed in range(40)
-        }
-        assert len(settings) > 1
+    def test_seeds_keep_their_parent_commit_shapes(self):
+        # The pooling/burst draws came last, so dropping them must not
+        # have moved any other draw of any seed.
+        for seed, expected in enumerate(_PARENT_SHAPES):
+            data = config_to_dict(generate_scenario(seed))
+            del data["reference"]
+            digest = hashlib.sha256(
+                json.dumps(data, sort_keys=True).encode()
+            ).hexdigest()
+            assert digest[:12] == expected, seed
 
 
 class TestFingerprint:
@@ -104,28 +102,67 @@ class TestFingerprint:
         assert fingerprint_json(result_a) != fingerprint_json(result_b)
 
 
+# star / spi / cusum / SYN flood with a flash crowd: monitors to shadow,
+# several switches to shard.
+_VARIANT_SEED = 10
+
+
+@pytest.fixture(scope="module")
+def variant_case():
+    config = generate_scenario(_VARIANT_SEED)
+    return config, fingerprint_json(run_scenario(config))
+
+
+@pytest.mark.parametrize("name", VARIANT_NAMES)
+class TestVariants:
+    def test_agrees_with_the_default_run(self, name, variant_case):
+        config, baseline = variant_case
+        check = dict(VARIANTS)[name]
+        assert check(config, _VARIANT_SEED, baseline, 2) is None
+
+    def test_planted_divergence_names_the_variant(self, name, monkeypatch, capsys):
+        from repro.cli import main
+
+        def planted(config, seed, baseline, workers):
+            return "planted divergence"
+
+        def agrees(config, seed, baseline, workers):
+            return None
+
+        monkeypatch.setattr(fuzzer, "VARIANTS", tuple(
+            (other, planted if other == name else agrees)
+            for other in VARIANT_NAMES
+        ))
+        (outcome,) = run_fuzz_suite(n_seeds=1)
+        assert not outcome.matched
+        assert outcome.variants == tuple(VARIANT_NAMES)
+        assert outcome.detail == f"{name}: planted divergence"
+        assert f"diverged: {name}\n" in describe_outcome(outcome)
+        assert main(["check", "--seeds", "1", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is False
+        assert payload["failures"] == [
+            {"seed": 0, "detail": f"{name}: planted divergence"}
+        ]
+
+
 class TestDifferentialRuns:
     @pytest.mark.parametrize("seed", [0, 3, 16])
     def test_seed_is_byte_identical_across_engines(self, seed):
-        outcome = run_differential(seed)
-        assert outcome.matched, describe_outcome(outcome)
-        assert outcome.optimized == outcome.reference
-
-    def test_fastpath_oracle_four_way_identical(self):
-        outcome = run_differential(0, fastpath_oracle=True)
-        assert outcome.matched, describe_outcome(outcome)
+        config = generate_scenario(seed)
+        default = fingerprint_json(run_scenario(config))
+        reference = dict(VARIANTS)["reference"]
+        assert reference(config, seed, default, 2) is None
 
     def test_suite_report_aggregates(self):
-        report = run_fuzz_suite(n_seeds=2, base_seed=0)
-        assert len(report.outcomes) == 2
-        assert report.parallel_matched is None
-        assert report.passed
-
-    def test_suite_parallel_oracle_matches(self):
-        report = run_fuzz_suite(n_seeds=2, base_seed=0, parallel_oracle=True,
-                                workers=2)
-        assert report.parallel_matched is True
-        assert report.passed
+        outcomes = run_fuzz_suite(n_seeds=2, base_seed=0)
+        assert [outcome.seed for outcome in outcomes] == [0, 1]
+        for outcome in outcomes:
+            assert outcome.matched, describe_outcome(outcome)
+            assert outcome.variants == tuple(VARIANT_NAMES)
+            assert describe_outcome(outcome).endswith(
+                f"[{' '.join(VARIANT_NAMES)}]"
+            )
 
     def test_mismatch_surfaces_as_failed_report(self, monkeypatch):
         real = fuzzer.fingerprint_json
@@ -134,19 +171,30 @@ class TestDifferentialRuns:
         def skewed(result):
             calls.append(result)
             text = real(result)
-            if len(calls) % 2 == 0:  # corrupt every reference run
+            if len(calls) > 1:  # corrupt every run after the default one
                 data = json.loads(text)
                 data["final_time"] += 1
                 return json.dumps(data, sort_keys=True)
             return text
 
         monkeypatch.setattr(fuzzer, "fingerprint_json", skewed)
-        outcome = fuzzer.run_differential(0)
+        monkeypatch.setattr(fuzzer, "VARIANTS", VARIANTS[:1])
+        (outcome,) = run_fuzz_suite(n_seeds=1)
         assert not outcome.matched
+        assert outcome.detail.startswith("reference: ")
         assert "final_time" in outcome.detail
-        report = FuzzSuiteReport(outcomes=(outcome,))
-        assert not report.passed
         assert "FAIL" in describe_outcome(outcome)
+
+    def test_invariant_violation_is_a_complaint_not_an_exception(self, monkeypatch):
+        from repro.sim.invariants import InvariantViolation
+
+        def trips(config, seed, baseline, workers):
+            raise InvariantViolation("planted", "planted violation", sim_time=1.0)
+
+        monkeypatch.setattr(fuzzer, "VARIANTS", (("reference", trips),))
+        (outcome,) = run_fuzz_suite(n_seeds=1)
+        assert not outcome.matched
+        assert outcome.detail.startswith("reference: invariant violation")
 
 
 class TestCheckCommand:
@@ -155,7 +203,7 @@ class TestCheckCommand:
 
         assert main(["check", "--seeds", "2"]) == 0
         out = capsys.readouterr().out
-        assert "PASS: 2/2 seeds byte-identical" in out
+        assert f"PASS: 2/2 seeds byte-identical across {len(VARIANTS)} variants" in out
 
     def test_cli_check_json_shape(self, capsys):
         from repro.cli import main
@@ -165,16 +213,16 @@ class TestCheckCommand:
         assert payload["passed"] is True
         assert payload["failures"] == []
         assert payload["seeds"] == 1
+        assert payload["variants"] == VARIANT_NAMES
 
     def test_cli_check_fails_on_mismatch(self, capsys, monkeypatch):
         from repro.cli import main
 
         def broken_suite(**kwargs):
-            outcome = DifferentialOutcome(
-                seed=0, config=generate_scenario(0), matched=False,
-                detail="planted divergence",
-            )
-            return FuzzSuiteReport(outcomes=(outcome,))
+            return [DifferentialOutcome(
+                seed=0, config=generate_scenario(0),
+                complaints=(("served", "planted divergence"),),
+            )]
 
         monkeypatch.setattr(
             "repro.harness.fuzzer.run_fuzz_suite", broken_suite
@@ -182,4 +230,10 @@ class TestCheckCommand:
         assert main(["check", "--seeds", "1", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is False
-        assert payload["failures"][0]["detail"] == "planted divergence"
+        assert payload["failures"][0]["detail"] == "served: planted divergence"
+
+    def test_cli_check_has_no_selector_flags(self):
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["check", "--serve-oracle"])

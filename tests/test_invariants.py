@@ -91,9 +91,7 @@ class TestCleanRuns:
             assert stack.connection_class is Connection
 
     def test_reference_engine_run_also_clean(self):
-        result = run_scenario(small_scenario(
-            engine="reference", microflow_cache=False, duration_s=4.0
-        ))
+        result = run_scenario(small_scenario(reference=True, duration_s=4.0))
         assert result.invariants is not None
         assert result.invariants.checks_run >= 6
 

@@ -2,8 +2,8 @@
 
 Hypothesis builds randomized :class:`ScenarioConfig` trees — including
 the invariant-checking and execution-strategy fields the differential
-oracle flips (``check_invariants``, ``invariant_period_s``, ``engine``,
-``microflow_cache``) — and asserts the ``config_to_dict`` → JSON text →
+oracle flips (``check_invariants``, ``invariant_period_s``,
+``reference``) — and asserts the ``config_to_dict`` → JSON text →
 ``config_from_dict`` pipeline reproduces the exact dataclass, the same
 transport the CLI's ``--save``/``--config`` replay and the spawn-pool
 workers rely on for determinism.
@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.scenario import ENGINES, FlashCrowdSpec, ScenarioConfig
+from repro.harness.scenario import FlashCrowdSpec, ScenarioConfig
 from repro.harness.serialize import config_from_dict, config_to_dict
 from repro.harness.sweep import apply_overrides
 from repro.workload.profiles import WorkloadConfig
@@ -76,8 +77,7 @@ def configs(draw):
         )),
         check_invariants=draw(st.booleans()),
         invariant_period_s=draw(finite),
-        engine=draw(st.sampled_from(ENGINES)),
-        microflow_cache=draw(st.booleans()),
+        reference=draw(st.booleans()),
     )
     if draw(st.booleans()):
         config = apply_overrides(config, {
@@ -109,17 +109,53 @@ class TestConfigRoundTrip:
         rebuilt = config_from_dict(data)
         assert rebuilt.check_invariants == config.check_invariants
         assert rebuilt.invariant_period_s == config.invariant_period_s
-        assert rebuilt.engine == config.engine
-        assert rebuilt.microflow_cache == config.microflow_cache
+        assert rebuilt.reference == config.reference
 
     def test_legacy_config_without_new_fields_defaults_cleanly(self):
         # Configs saved before the invariant subsystem existed have no
-        # check_invariants/engine keys; they must load at the defaults.
+        # check_invariants/reference keys; they must load at the defaults.
         data = config_to_dict(ScenarioConfig())
-        for key in ("check_invariants", "invariant_period_s", "engine",
-                    "microflow_cache"):
+        for key in ("check_invariants", "invariant_period_s", "reference"):
             del data[key]
         rebuilt = config_from_dict(data)
         assert rebuilt.check_invariants is False
-        assert rebuilt.engine == "optimized"
-        assert rebuilt.microflow_cache is True
+        assert rebuilt.reference is False
+
+
+class TestUnknownAndRetiredKeys:
+    def test_unknown_keys_are_rejected_at_every_level(self):
+        # Both typos used to load silently as the defaults.
+        with pytest.raises(ValueError) as top:
+            config_from_dict({"sheilds": 4})
+        assert "'sheilds'" in str(top.value)
+        assert "ScenarioConfig" in str(top.value) and "shards" in str(top.value)
+        with pytest.raises(ValueError) as nested:
+            config_from_dict({"workload": {"atack_rate_pps": 9999}})
+        assert "'workload.atack_rate_pps'" in str(nested.value)
+        assert "attack_rate_pps" in str(nested.value)
+        with pytest.raises(ValueError, match="'spi.monitor.bakend'"):
+            config_from_dict({"spi": {"monitor": {"bakend": "sketch"}}})
+        with pytest.raises(ValueError, match="'flash_crowd.start'"):
+            config_from_dict({"flash_crowd": {"start": 1.0}})
+
+    def test_free_form_param_dicts_are_not_field_checked(self):
+        config = config_from_dict({"topology_params": {"n_clients": 2},
+                                   "detector_params": {"anything": 1.0}})
+        assert config.topology_params == {"n_clients": 2}
+
+    def test_retired_strategy_keys_load_only_at_their_old_defaults(self):
+        # Every config save_config wrote before the collapse carries these.
+        saved = {**config_to_dict(ScenarioConfig(seed=9)), "engine": "optimized",
+                 "microflow_cache": True, "pooling": True,
+                 "burst_coalescing": True}
+        assert config_from_dict(saved) == ScenarioConfig(seed=9)
+        for key, value in (("engine", "reference"), ("engine", "calendar"),
+                           ("microflow_cache", False), ("pooling", False),
+                           ("burst_coalescing", False)):
+            with pytest.raises(ValueError) as retired:
+                config_from_dict({**saved, key: value})
+            assert repr(key) in str(retired.value)
+            assert "reference" in str(retired.value)
+        # Retired only at the top level: nested they are plain typos.
+        with pytest.raises(ValueError, match="'workload.pooling'"):
+            config_from_dict({"workload": {"pooling": True}})

@@ -86,11 +86,6 @@ def test_parity_udp_attack_udp_detector():
     )
 
 
-def test_parity_on_calendar_engine():
-    # The oracle matrix axis: sharding composes with the scheduler swap.
-    _assert_parity(_config(engine="calendar"), shard_counts=(2,))
-
-
 def test_parity_with_real_worker_processes():
     # The actual deployment shape: spawn-started workers, pickled
     # epoch batches over pipes.

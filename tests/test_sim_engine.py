@@ -243,3 +243,71 @@ class TestSimulator:
         sim.cancel(events[0])
         sim.run()
         assert fired == [2]
+
+
+class TestCompactionBounds:
+    """Cancel-heavy workloads must not grow the queue unboundedly."""
+
+    def test_cancel_heavy_workload_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(EventQueue, "compact_threshold", 64)
+        queue = EventQueue()
+        handles = []
+        for i in range(5000):
+            handles.append(queue.push(float(i % 97), lambda: None, ""))
+        for handle in handles[:4500]:
+            handle.cancel()
+            queue.note_cancelled()
+        acc = queue.accounting()
+        assert acc["physical"] == acc["live"] + acc["dead"]
+        # Tombstones can never outnumber both the live events and the
+        # threshold, so the physical size stays bounded.
+        assert acc["dead"] <= max(acc["live"], 64)
+        assert acc["physical"] <= acc["live"] + max(acc["live"], 64)
+        survivors = 0
+        while queue.pop() is not None:
+            survivors += 1
+        assert survivors == 500
+
+    def test_compact_is_idempotent_and_preserves_order(self):
+        queue = EventQueue()
+        handles = [queue.push(float(i), lambda: None, "") for i in range(100)]
+        for handle in handles[::2]:
+            handle.cancel()
+            queue.note_cancelled()
+        queue.compact()
+        queue.compact()
+        acc = queue.accounting()
+        assert acc["dead"] == 0
+        assert acc["physical"] == acc["live"] == 50
+        order = []
+        while True:
+            event = queue.pop()
+            if event is None:
+                break
+            order.append((event.time, event.seq))
+        assert order == sorted(order)
+        assert len(order) == 50
+
+    def test_run_loop_survives_compaction_mid_run(self, monkeypatch):
+        # Simulator.run holds a direct reference to the queue's internal
+        # list, so compaction must mutate it in place.  Cancel enough
+        # timers from inside callbacks to trigger compaction mid-run.
+        monkeypatch.setattr(EventQueue, "compact_threshold", 16)
+        sim = Simulator()
+        log = []
+        timers = [
+            sim.schedule(5.0 + i * 0.001, lambda: log.append("timer"))
+            for i in range(200)
+        ]
+
+        def cancel_all():
+            log.append("cancel")
+            for timer in timers:
+                sim.cancel(timer)
+
+        sim.schedule(1.0, cancel_all)
+        sim.schedule(2.0, lambda: log.append("after"))
+        sim.run()
+        assert log == ["cancel", "after"]
+        acc = sim._queue.accounting()
+        assert acc["physical"] == acc["live"] + acc["dead"] == 0

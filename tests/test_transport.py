@@ -94,7 +94,6 @@ def _fresh_pool():
     reset_pool_transport_stats()
     yield
     shutdown_pool()
-    transport.set_default_transport("auto")
 
 
 class TestCodecScalars:
@@ -275,22 +274,18 @@ def test_codec_roundtrip_on_row_tables(rows):
 
 class TestTransportSelection:
     def test_validate_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            transport.validate_transport("carrier-pigeon")
-        with pytest.raises(ValueError, match="unknown transport"):
-            transport.resolve_transport("bogus")
+        # The plane is picked from SHM_AVAILABLE; a caller cannot ask for one.
+        for request in ("carrier-pigeon", "pickle", "shm"):
+            with pytest.raises(ValueError, match="unknown transport"):
+                transport.resolve_transport(request)
 
-    def test_explicit_wins_over_default(self):
-        transport.set_default_transport("shm")
-        assert transport.resolve_transport("pickle") == "pickle"
-
-    def test_auto_follows_default(self):
-        transport.set_default_transport("pickle")
+    def test_auto_follows_shm_availability(self, monkeypatch):
+        monkeypatch.setattr(transport, "SHM_AVAILABLE", False)
         assert transport.resolve_transport("auto") == "pickle"
-        assert transport.resolve_transport(None) == "pickle"
+        monkeypatch.setattr(transport, "SHM_AVAILABLE", True)
+        assert transport.resolve_transport() == "shm"
 
     def test_auto_default_resolves_concrete(self):
-        transport.set_default_transport("auto")
         assert transport.resolve_transport("auto") in ("pickle", "shm")
 
 
@@ -323,21 +318,27 @@ class TestShmSegments:
 
 @pytest.mark.skipif(not transport.SHM_AVAILABLE, reason="no shared memory")
 class TestPoolShmPlane:
-    def test_results_identical_across_transports(self):
+    def test_results_identical_across_transports(self, monkeypatch):
         tasks = [{"seed": i} for i in range(4)]
         serial = run_tasks(_numeric_payload, tasks, workers=1)
-        via_pickle = run_tasks(
-            _numeric_payload, tasks, workers=2, transport="pickle"
+        via_shm = run_tasks(_numeric_payload, tasks, workers=2)
+        assert pool_transport_stats().transport == "shm"
+        # The pickle fallback is what a host without shared memory runs;
+        # the parent decides, so patching the parent's flag reaches it.
+        monkeypatch.setattr(transport, "SHM_AVAILABLE", False)
+        reset_pool_transport_stats()
+        via_pickle = run_tasks(_numeric_payload, tasks, workers=2)
+        stats = pool_transport_stats()
+        assert (stats.transport, stats.pickle_results, stats.shm_results) == (
+            "pickle", 4, 0
         )
-        via_shm = run_tasks(_numeric_payload, tasks, workers=2, transport="shm")
         assert _eq(serial, via_pickle) and _eq(serial, via_shm)
         assert _live_segments() == []
 
     def test_shm_results_are_tallied(self):
         reset_pool_transport_stats()
         run_tasks(
-            _numeric_payload, [{"seed": i} for i in range(3)],
-            workers=2, transport="shm",
+            _numeric_payload, [{"seed": i} for i in range(3)], workers=2
         )
         stats = pool_transport_stats()
         assert stats.transport == "shm"
@@ -350,7 +351,7 @@ class TestPoolShmPlane:
         # finish serially while straggler segments are swept.
         results = run_tasks(
             _add, [{"a": 1, "b": 1}, {"a": 2, "b": 2}],
-            workers=2, transport="shm", timeout_s=0.0001, retries=0,
+            workers=2, timeout_s=0.0001, retries=0,
         )
         assert results == [2, 4]
         shutdown_pool()
@@ -359,7 +360,7 @@ class TestPoolShmPlane:
     def test_no_leak_after_retry(self):
         results = run_tasks(
             _add, [{"a": 3, "b": 4}, {"a": 5, "b": 6}],
-            workers=2, transport="shm", timeout_s=0.0001, retries=2,
+            workers=2, timeout_s=0.0001, retries=2,
         )
         assert results == [7, 11]
         shutdown_pool()
@@ -370,8 +371,7 @@ class TestPoolShmPlane:
         # down, tasks complete serially, and every issued segment name is
         # force-swept — zero live segments remain.
         results = run_tasks(
-            _die_in_worker, [{"x": 1}, {"x": 2}, {"x": 3}],
-            workers=2, transport="shm",
+            _die_in_worker, [{"x": 1}, {"x": 2}, {"x": 3}], workers=2
         )
         assert results == [1, 2, 3]
         shutdown_pool()
