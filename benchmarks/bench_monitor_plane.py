@@ -22,9 +22,6 @@ throughput cost reported rather than hidden.
 
 from __future__ import annotations
 
-import pytest
-
-from repro import kernels
 from repro.monitor.features import FeatureExtractor
 from repro.net.headers import TCP_ACK, TCP_SYN, TcpHeader
 from repro.net.packet import Packet
@@ -54,17 +51,9 @@ def _flood_mix(n_packets: int, n_sources: int) -> list[Packet]:
 
 
 def _run_feature_plane(
-    benchmark,
-    n_sources: int = 5_000,
-    kernel_backend: str | None = None,
-    **extractor_kwargs,
+    benchmark, n_sources: int = 5_000, **extractor_kwargs
 ) -> None:
     packets = _flood_mix(20_000, n_sources)
-    previous = kernels.active_backend()
-    if kernel_backend == "numpy" and not kernels.NUMPY_AVAILABLE:
-        pytest.skip("numpy unavailable: no vectorized twin to measure")
-    if kernel_backend is not None:
-        kernels.set_backend(kernel_backend)
 
     def run() -> FeatureExtractor:
         extractor = FeatureExtractor(**extractor_kwargs)
@@ -75,16 +64,10 @@ def _run_feature_plane(
                 extractor.close_window(float(i))
         return extractor
 
-    try:
-        extractor = benchmark.pedantic(run, rounds=5, iterations=1)
-    finally:
-        kernels.set_backend(previous)
+    extractor = benchmark.pedantic(run, rounds=5, iterations=1)
     median = benchmark.stats.stats.median
     benchmark.extra_info["packets_per_second"] = round(len(packets) / median, 1)
     benchmark.extra_info["backend"] = extractor.backend.name
-    benchmark.extra_info["kernel_backend"] = (
-        kernel_backend if kernel_backend is not None else previous
-    )
     for knob in ("sketch_width", "sketch_depth", "sketch_hash_cache"):
         if knob in extractor_kwargs:
             benchmark.extra_info[knob] = extractor_kwargs[knob]
@@ -130,50 +113,6 @@ def test_monitor_plane_sketch_repeat_heavy_nocache(benchmark):
     _run_feature_plane(
         benchmark, n_sources=200, backend="sketch", sketch_hash_cache=0
     )
-
-
-# ------------------------------------------------- kernel-twin fold pair
-# The bulk window fold (PR 10) replaced per-packet sketch adds with one
-# state touch per unique key plus batch kernels (repro.kernels).  The
-# pairs below pin the kernel backend so the vectorized/scalar delta is
-# measured in isolation.  Honest shape on this machine: the *fold
-# restructure* is the big win (repeat-heavy ~4.2x over the committed
-# per-packet baseline — dedupe removes the keyed blake2b per packet),
-# while numpy-vs-scalar on the same bulk fold is modest on the exact
-# backend (~1.15x, flag classification + Counter work) and roughly
-# *parity or a small loss* on the first-touch-heavy sketch fold, where
-# every key is unique so the irreducible scalar blake2b per key
-# dominates and numpy's conversion overhead has nothing to amortize.
-
-
-def test_monitor_plane_sketch_first_touch_vectorized(benchmark):
-    """First-touch-heavy sketch fold (every window mostly fresh keys),
-    numpy kernel twins (the shipped default when numpy imports)."""
-    _run_feature_plane(benchmark, backend="sketch", kernel_backend="numpy")
-
-
-def test_monitor_plane_sketch_first_touch_scalar(benchmark):
-    """Artifact twin: the identical first-touch-heavy fold forced onto
-    the scalar kernels (REPRO_KERNELS=scalar).  Expect near-parity —
-    the honest `numpy loses here` case: hash-bound, nothing to
-    vectorize."""
-    _run_feature_plane(benchmark, backend="sketch", kernel_backend="scalar")
-
-
-def test_monitor_plane_sketch_repeat_heavy_scalar(benchmark):
-    """Artifact twin of the repeat-heavy case under scalar kernels:
-    isolates how much of the repeat-heavy win is the bulk-fold
-    restructure (dedupe + LRU) rather than numpy itself."""
-    _run_feature_plane(
-        benchmark, n_sources=200, backend="sketch", kernel_backend="scalar"
-    )
-
-
-def test_monitor_plane_exact_scalar(benchmark):
-    """Artifact twin: exact backend fold under scalar kernels (the
-    numpy flag-classification kernel is the whole delta vs
-    test_monitor_plane_exact)."""
-    _run_feature_plane(benchmark, kernel_backend="scalar")
 
 
 # ------------------------------------------------------- memory ceiling

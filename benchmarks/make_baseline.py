@@ -5,21 +5,17 @@ Usage::
     PYTHONPATH=src python -m pytest benchmarks/bench_micro_substrate.py \
         benchmarks/bench_scenario_throughput.py \
         benchmarks/bench_monitor_plane.py \
-        benchmarks/bench_sharded.py \
-        benchmarks/bench_transport.py --benchmark-json=/tmp/m1.json
+        benchmarks/bench_sharded.py --benchmark-json=/tmp/m1.json
     python benchmarks/make_baseline.py /tmp/m1.json \
         benchmarks/results/m1_baseline.json
 
 The committed baseline keeps only the event-loop, scenario,
-flood-throughput, monitor-plane and transport-decode cases — the
+flood-throughput, monitor-plane and single-shard cases — the
 millisecond-scale benchmarks whose medians are stable enough to gate
-on.  (The transport gates cover the parent-side decode comparison and
-the typed-array pack/unpack pairs, where the codec beats pickle in both
-directions; the untyped pack-side and batch-codec cases stay
-artifact-only because the codec honestly loses those — see
-bench_transport.py.)  The nanosecond-scale cases (flow-table
-probes, packet pack/parse) jitter by tens of percent between runs on
-shared hardware, so gating on them would make CI flaky; they are still
+on.  An already-slim baseline is a valid ``source``: re-slimming drops
+the cases no longer listed and leaves every other entry byte for byte.
+The nanosecond-scale cases (flow-table probes, packet pack/parse)
+jitter by tens of percent between runs on shared hardware, so gating on them would make CI flaky; they are still
 measured and uploaded as a workflow artifact on every build.  Raw
 per-round samples are dropped (``compare_micro.py`` reads only
 ``stats.median``), but ``extra_info`` is kept: the throughput cases
@@ -47,14 +43,6 @@ BASELINE_CASES = (
     "test_monitor_plane_sketch_deep",
     "test_monitor_plane_sketch_repeat_heavy",
     "test_sharded_single_shard_overhead",
-    "test_transport_unpack_floats",
-    "test_transport_pickle_loads_floats",
-    # PR 10 typed-array node: the codec beats pickle in both directions
-    # on typed payloads, so both pairs are gated.
-    "test_transport_pack_typed_floats",
-    "test_transport_pickle_dumps_typed_floats",
-    "test_transport_unpack_typed_floats",
-    "test_transport_pickle_loads_typed_floats",
 )
 STATS_KEYS = (
     "min", "max", "mean", "stddev", "median", "iqr", "ops", "rounds", "iterations"

@@ -19,8 +19,8 @@ cache (:mod:`repro.harness.cache`; ``cache info``/``cache clear`` manage
 the store); ``check`` runs the differential fuzzer from
 :mod:`repro.harness.fuzzer`: every seeded scenario is re-run through
 every entry of its ``VARIANTS`` table (reference twins, sharded, served,
-pooled, scalar kernels, sketch bounds) with runtime invariant checking
-enabled, and each must reproduce the default run byte for byte.
+pooled, sketch bounds) with runtime invariant checking enabled, and
+each must reproduce the default run byte for byte.
 ``run`` and ``experiment`` both accept ``--check-invariants`` to enable
 the :mod:`repro.sim.invariants` sweeps during normal runs.
 

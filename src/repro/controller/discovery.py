@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx
-
 from repro.controller.base import App, Controller, DatapathHandle
 from repro.net.headers import EthernetHeader
 from repro.net.packet import Packet
@@ -123,6 +121,8 @@ class TopologyDiscovery(App):
 
     def graph(self) -> networkx.Graph:
         """The discovered switch graph (nodes = dpids)."""
+        import networkx  # query-time only: keeps ``import repro`` stdlib-only
+
         g = networkx.Graph()
         g.add_nodes_from(self.state)
         for (src_dpid, src_port), (dst_dpid, dst_port) in self.adjacencies.items():
@@ -142,6 +142,8 @@ class TopologyDiscovery(App):
 
     def path(self, src_dpid: int, dst_dpid: int) -> list[int]:
         """Shortest dpid path between two switches ([] if disconnected)."""
+        import networkx
+
         g = self.graph()
         try:
             return networkx.shortest_path(g, src_dpid, dst_dpid)

@@ -2,11 +2,10 @@
 
 Every fast path and every way of hosting a run must be *invisible* in
 the metrics: the same seeded scenario on the reference twins, split
-across shards, stepped inside a service session, shipped through the
-process pool or folded by the scalar kernels has to fingerprint byte for
-byte like the plain default run.  This module generates
-randomized-but-seeded scenarios (topology, workload, attack mix,
-defense) and asserts exactly that:
+across shards, stepped inside a service session or shipped through the
+process pool has to fingerprint byte for byte like the plain default
+run.  This module generates randomized-but-seeded scenarios (topology,
+workload, attack mix, defense) and asserts exactly that:
 
 * ``generate_scenario(seed)`` — a deterministic scenario drawn from a
   seeded RNG, with invariant checking enabled;
@@ -275,134 +274,6 @@ def _check_pooled(
     return None
 
 
-def _kernel_state_probe(seed: int) -> dict[str, Any]:
-    """Drive sketches, feature folds, and the packer under the *active*
-    kernel backend; returns every byte of resulting state for comparison.
-
-    The streams are adversarial by construction: window sizes straddle
-    ``kernels.MIN_BATCH`` (so the numpy run mixes twins at the cutover),
-    key distributions cover all-unique / all-repeat / interleaved /
-    unicode, and the packed payloads carry NaN/±inf floats, int64 edge
-    values, and typed arrays.
-    """
-    from array import array
-
-    from repro import kernels
-    from repro.harness import transport
-    from repro.monitor.features import FeatureExtractor
-    from repro.sim.sharded.codec import encode_batch
-
-    rng = random.Random(seed + _SEED_SALT * 13)
-    width = rng.choice((64, 256, 1024))
-    depth = rng.choice((3, 4))
-    exact = FeatureExtractor(backend="exact")
-    sketch = FeatureExtractor(
-        backend="sketch",
-        sketch_width=width,
-        sketch_depth=depth,
-        sketch_topk=rng.choice((4, 8)),
-        hll_precision=rng.choice((8, 10)),
-        sketch_seed=seed + 0xBEEF,
-        sketch_hash_cache=rng.choice((0, 16, 256)),
-    )
-    features: list[Any] = []
-    key_pools = (
-        [f"10.0.{i}.{i % 7}" for i in range(4000)],  # mostly first-touch
-        ["192.168.1.1", "192.168.1.2"],  # all-repeat
-        [f"πρξ-{i % 50}·☃" for i in range(100)],  # unicode, interleaved
-    )
-    for _ in range(6):
-        n = rng.choice((0, 3, kernels.MIN_BATCH - 1, kernels.MIN_BATCH, 700))
-        pool = rng.choice(key_pools)
-        for fx in (exact, sketch):
-            # Feed the columnar batch directly: the probe targets the
-            # close_window fold layer; observe() is covered by the
-            # end-to-end scenario comparison in _check_scalar_kernels.
-            for _ in range(n):
-                fx._b_flags.append(rng.choice((-1, 2, 18, 16, 4, 20, 1, 17)))
-                fx._b_src.append(rng.choice(pool))
-                fx._b_dst.append(rng.choice(pool[:10]))
-            fx.packets_observed += n
-            features.append(fx.close_window(rng.random() * 10))
-    backend = sketch.backend
-    sketch_state = {
-        "rows": [
-            bytes(row.tobytes())
-            for hh in (backend.syn_dsts, backend.udp_dsts, backend.sources.hitters)
-            for row in hh.cms._rows
-        ],
-        "candidates": [
-            dict(hh._candidates)
-            for hh in (backend.syn_dsts, backend.udp_dsts, backend.sources.hitters)
-        ],
-        "registers": bytes(backend.sources.hll._registers),
-        "totals": (
-            backend.syn_dsts.total,
-            backend.udp_dsts.total,
-            backend.sources.total,
-            backend.sources.hll.total,
-        ),
-    }
-    payloads = [
-        [rng.random() for _ in range(500)],
-        [rng.randrange(-(2**62), 2**62) for _ in range(500)] + [2**63 - 1],
-        [float("nan"), float("inf"), float("-inf"), -0.0] * 40,
-        {"series": array("d", [rng.random() for _ in range(300)]),
-         "ids": array("q", [-1, 0, 2**62]), "mask": array("Q", [0, 2**63])},
-        [(rng.random(), str(rng.randrange(50)), rng.randrange(100))
-         for _ in range(200)],
-        [rng.choice(key_pools[2]) for _ in range(300)],
-        [1, 2.0, "mixed", None, (3, [4.5])],
-    ]
-    packed = [transport.pack(p) for p in payloads]
-    boundary = [
-        (rng.random() * 10, rng.random() * 10, 0, i, i, 0, (i, 1, b"\x00" * 14))
-        for i in range(80)
-    ]
-    packed.append(encode_batch(boundary))
-    return {
-        "features": features,
-        "exact_accounting": exact.accounting(),
-        "sketch_accounting": sketch.accounting(),
-        "sketch_state": sketch_state,
-        "packed": packed,
-    }
-
-
-def _check_scalar_kernels(
-    config: ScenarioConfig, seed: int, baseline: str, workers: int
-) -> str | None:
-    """Everything :mod:`repro.kernels` accelerates, replayed on the
-    scalar twins: sketch counter rows, heavy-hitter candidates, HLL
-    registers, folded features and packed buffers (the state probe),
-    and the whole scenario in exact and sketch monitor modes.  With
-    numpy unavailable there is only one twin, which agrees with itself.
-    """
-    from repro import kernels
-
-    if not kernels.NUMPY_AVAILABLE:
-        return None
-    sketch_config = _sketch_mode(config)
-    sketch_baseline = fingerprint_json(run_scenario(sketch_config))
-    probe = _kernel_state_probe(seed)
-    previous = kernels.active_backend()
-    try:
-        kernels.set_backend("scalar")
-        scalar_probe = _kernel_state_probe(seed)
-        exact = fingerprint_json(run_scenario(config))
-        sketch = fingerprint_json(run_scenario(sketch_config))
-    finally:
-        kernels.set_backend(previous)
-    for part, state in probe.items():
-        if scalar_probe[part] != state:
-            return f"kernel twins diverged in state probe part {part!r}"
-    complaint = _divergence(baseline, exact)
-    if complaint is not None:
-        return f"exact mode: {complaint}"
-    complaint = _divergence(sketch_baseline, sketch)
-    return None if complaint is None else f"sketch mode: {complaint}"
-
-
 #: Absolute tolerance for the sketch-bounds entropy comparison.  The
 #: heavy-hitter + uniform-tail estimator tracks the exact normalized
 #: entropy well inside this on every fuzz stream; see EXPERIMENTS M6 for
@@ -585,7 +456,6 @@ VARIANTS: tuple[tuple[str, Callable[..., str | None]], ...] = (
     ("sharded-4", _check_sharded(4)),
     ("served", _check_served),
     ("pooled", _check_pooled),
-    ("scalar-kernels", _check_scalar_kernels),
     ("sketch-bounds", _check_sketch_bounds),
 )
 

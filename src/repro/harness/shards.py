@@ -23,9 +23,8 @@ the coordinator can tear down the remaining siblings (the same
 terminate → join → kill escalation :func:`repro.harness.parallel
 .shutdown_pool` applies to abandoned sweep workers).
 
-Each epoch's boundary batches cross the pipe as one packed columnar
-buffer per ``(src, dest)`` pair
-(:func:`repro.sim.sharded.codec.encode_batch`).  Each worker handle
+Each epoch's boundary batches cross the pipe as one framed pickle per
+``(src, dest)`` pair (:func:`repro.sim.sharded.codec.encode_batch`).  Each worker handle
 tallies batch bytes/records in both directions for the coordinator's
 transport telemetry.
 

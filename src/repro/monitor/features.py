@@ -273,8 +273,7 @@ class SketchFeatureBackend:
         """Bulk-add whole-window per-key counts into the sketches.
 
         One keyed hash (or LRU hit) per *unique* key per sketch; the
-        heavy-hitter candidate set sees one whole-window amount per key
-        — the canonical bulk semantics shared by both kernel twins.
+        heavy-hitter candidate set sees one whole-window amount per key.
         """
         self.syn_adds += n_syn
         self.udp_adds += n_udp
@@ -434,7 +433,7 @@ class FeatureExtractor:
     def close_window(self, now: float) -> WindowFeatures:
         """Fold the batch through the backend, summarize, and reset.
 
-        The flag column is classified by a kernel twin
+        The flag column is classified in one pass
         (:func:`repro.kernels.classify_flags`), the address columns are
         reduced to first-touch-ordered per-key Counters, and the backend
         ingests the whole window through ``fold`` — one state touch per

@@ -161,9 +161,9 @@ class CountMinSketch:
         """Count every ``(key, amount)`` pair; returns post-add estimates.
 
         Equivalent to sequential :meth:`add` calls in the dict's
-        iteration (first-touch) order — the kernel twins reproduce the
-        exact estimate sequence and counter bytes — with one slot
-        resolve (and one LRU touch) per unique key.
+        iteration (first-touch) order — same estimate sequence, same
+        counter bytes — with one slot resolve (and one LRU touch) per
+        unique key.
         """
         if not counts:
             return []
@@ -251,8 +251,7 @@ class HeavyHitterSketch:
         """Count every ``(key, amount)`` pair and refresh the candidates.
 
         The candidate maintenance runs once per *unique* key with that
-        key's whole-window amount — the canonical bulk semantics both
-        kernel twins share (``repro check`` pins them byte-identical).
+        key's whole-window amount.
         """
         ests = self.cms.add_bulk(counts)
         cand = self._candidates
@@ -368,9 +367,8 @@ class HyperLogLog:
     def add_bulk(self, keys) -> None:
         """Observe each key once (bulk adds count one distinct per key).
 
-        The slot/rank resolve (hash + LRU traffic) is shared scalar
-        code; only the register fold is a kernel twin — max commutes,
-        so the register file is byte-identical either way.
+        Max commutes, so the register file is byte-identical to
+        sequential :meth:`add` calls.
         """
         keys = keys if isinstance(keys, list) else list(keys)
         if not keys:

@@ -32,11 +32,8 @@ A boundary record is the tuple::
 from __future__ import annotations
 
 import pickle
-import struct
-from array import array
 from typing import Any
 
-from repro import kernels
 from repro.net.packet import Packet, parse_packet
 from repro.openflow.messages import Message, PacketIn, PacketOut
 
@@ -120,162 +117,29 @@ def decode_message(encoded: tuple[str, Any]) -> Message:
     return body
 
 
-_BATCH_MAGIC = b"RBB1"
-_BATCH_PICKLED = 0
-_BATCH_COLUMNAR = 1
-
-
-def _encode_batch_columnar(records: list) -> bytes:
-    """Columnar batch layout; raises TypeError on any shape surprise."""
-    n = len(records)
-    t_col: list[float] = []
-    emit_col: list[float] = []
-    kind_col = array("q")
-    entity_col = array("q")
-    seq_col = array("q")
-    dest_col = array("q")
-    link_meta = array("q")  # (link index, direction) per cut-link record
-    link_ends = array("Q")
-    wire = bytearray()
-    others: list[Any] = []
-    for record in records:
-        t_arr, emit_time, kind, entity, seq, dest, payload = record
-        t_col.append(t_arr)
-        emit_col.append(emit_time)
-        kind_col.append(kind)
-        entity_col.append(entity)
-        seq_col.append(seq)
-        dest_col.append(dest)
-        if kind == KIND_LINK:
-            if type(payload) is not tuple or len(payload) != 3:
-                raise TypeError("unexpected cut-link payload shape")
-            index, direction, raw = payload
-            if (
-                type(index) is not int
-                or type(direction) is not int
-                or type(raw) is not bytes
-            ):
-                raise TypeError("unexpected cut-link payload shape")
-            link_meta.append(index)
-            link_meta.append(direction)
-            wire += raw
-            link_ends.append(len(wire))
-        else:
-            others.append(payload)
-    if not (
-        kernels.uniform_type(t_col, float)
-        and kernels.uniform_type(emit_col, float)
-    ):
-        raise TypeError("non-float boundary times")
-    others_blob = pickle.dumps(others, protocol=pickle.HIGHEST_PROTOCOL)
-    out = bytearray(_BATCH_MAGIC)
-    out.append(_BATCH_COLUMNAR)
-    out += struct.pack("=Q", n)
-    out += kernels.f64_pack(t_col)
-    out += kernels.f64_pack(emit_col)
-    out += kind_col.tobytes()
-    out += entity_col.tobytes()
-    out += seq_col.tobytes()
-    out += dest_col.tobytes()
-    out += struct.pack("=Q", len(link_ends))
-    out += link_meta.tobytes()
-    out += link_ends.tobytes()
-    out += struct.pack("=Q", len(wire))
-    out += wire
-    out += struct.pack("=Q", len(others_blob))
-    out += others_blob
-    return bytes(out)
+_BATCH_MAGIC = b"RBB2"
 
 
 def encode_batch(records: list) -> bytes:
-    """Pack one epoch's boundary records for a single (src, dest) pair.
+    """One epoch's boundary records for a single (src, dest) pair, framed
+    as ``_BATCH_MAGIC`` + one pickle of the record list.
 
-    Numeric fields become six contiguous typed columns and cut-link wire
-    bytes a single concatenated blob, so a batch costs a handful of
-    buffer copies instead of one pickled object graph per record.
-    Non-link payloads (channel messages, alerts) ride a single pickle
-    inside the batch; any record that defies the expected shapes drops
-    the whole batch to a pickled fallback.  ``decode_batch`` restores
-    the exact record tuples either way — ordering, types and all — so
-    the ``(t_arr, emit_time, kind, entity, seq)`` ingest contract is
-    untouched by transport.
+    ``decode_batch`` restores the exact record tuples — ordering, types
+    and all — so the ``(t_arr, emit_time, kind, entity, seq)`` ingest
+    contract is untouched by transport.
     """
-    try:
-        return _encode_batch_columnar(records)
-    except (TypeError, OverflowError, ValueError, struct.error):
-        blob = pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL)
-        return (
-            _BATCH_MAGIC
-            + bytes([_BATCH_PICKLED])
-            + struct.pack("=Q", len(blob))
-            + blob
-        )
+    return _BATCH_MAGIC + pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def decode_batch(data: Any) -> list:
     """Inverse of :func:`encode_batch`."""
     buf = memoryview(data)
-    if bytes(buf[:4]) != _BATCH_MAGIC:
+    if buf[:4] != _BATCH_MAGIC:
         raise ValueError("corrupt boundary batch: bad magic")
-    mode = buf[4]
-    offset = 5
-    if mode == _BATCH_PICKLED:
-        (length,) = struct.unpack_from("=Q", buf, offset)
-        offset += 8
-        return pickle.loads(buf[offset : offset + length])
-    (n,) = struct.unpack_from("=Q", buf, offset)
-    offset += 8
-    columns = []
-    for code in ("d", "d", "q", "q", "q", "q"):
-        col = array(code)
-        col.frombytes(buf[offset : offset + 8 * n])
-        offset += 8 * n
-        columns.append(col)
-    t_col, emit_col, kind_col, entity_col, seq_col, dest_col = columns
-    (n_link,) = struct.unpack_from("=Q", buf, offset)
-    offset += 8
-    link_meta = array("q")
-    link_meta.frombytes(buf[offset : offset + 16 * n_link])
-    offset += 16 * n_link
-    link_ends = array("Q")
-    link_ends.frombytes(buf[offset : offset + 8 * n_link])
-    offset += 8 * n_link
-    (wire_len,) = struct.unpack_from("=Q", buf, offset)
-    offset += 8
-    wire = bytes(buf[offset : offset + wire_len])
-    offset += wire_len
-    (others_len,) = struct.unpack_from("=Q", buf, offset)
-    offset += 8
-    others = pickle.loads(buf[offset : offset + others_len])
-    others_iter = iter(others)
-    records = []
-    link_index = 0
-    wire_start = 0
-    for i in range(n):
-        kind = kind_col[i]
-        if kind == KIND_LINK:
-            end = link_ends[link_index]
-            payload: Any = (
-                link_meta[2 * link_index],
-                link_meta[2 * link_index + 1],
-                wire[wire_start:end],
-            )
-            wire_start = end
-            link_index += 1
-        else:
-            payload = next(others_iter)
-        records.append(
-            (
-                t_col[i],
-                emit_col[i],
-                kind,
-                entity_col[i],
-                seq_col[i],
-                dest_col[i],
-                payload,
-            )
-        )
-    return records
+    try:
+        return pickle.loads(buf[4:])
+    except Exception as exc:  # pickle documents no closed set for bad input
+        raise ValueError(f"corrupt boundary batch: {exc!r}") from exc
 
 
 def sort_key(src_shard: int, record: tuple) -> tuple:

@@ -13,13 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx
-
 from repro.topology.builder import Network
+
+# networkx is imported where it is used: only the placement planner
+# needs it, and a module-level import would load it into every
+# ``import repro`` (and every spawned pool and shard worker).
 
 
 def switch_graph(net: Network) -> networkx.Graph:
     """The switch-to-switch fabric graph of a built network."""
+    import networkx
+
     g = networkx.Graph()
     for switch in net.switches.values():
         g.add_node(switch.name)
@@ -44,6 +48,8 @@ def _paths_between(
     net: Network, sources: list[str], destinations: list[str]
 ) -> list[list[str]]:
     """Switch paths for each (source host, destination host) pair."""
+    import networkx
+
     g = switch_graph(net)
     attach = attachment_map(net)
     paths = []
@@ -135,6 +141,8 @@ def recommend_monitor_placement(
 
 def fabric_summary(net: Network) -> dict[str, float | int]:
     """Headline numbers for a fabric: size, diameter, mean path length."""
+    import networkx
+
     g = switch_graph(net)
     summary: dict[str, float | int] = {
         "switches": g.number_of_nodes(),

@@ -31,6 +31,14 @@ from repro.harness.serialize import config_to_dict
 
 VARIANT_NAMES = [name for name, _check in VARIANTS]
 
+
+def test_variant_table_is_the_seven_lanes():
+    # A lane is added or dropped on purpose (README, CI comment, verify skill).
+    assert VARIANT_NAMES == [
+        "reference", "sharded-1", "sharded-2", "sharded-4",
+        "served", "pooled", "sketch-bounds",
+    ]
+
 # sha256[:12] of each seed's config_to_dict JSON at the commit before the
 # strategy knobs collapsed, with those knobs' keys dropped.
 _PARENT_SHAPES = [

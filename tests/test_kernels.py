@@ -1,12 +1,12 @@
-"""Twin-identity properties for the vectorized kernel plane.
+"""The monitor plane's bulk paths against their sequential definitions.
 
-Every kernel in :mod:`repro.kernels` has a numpy twin and a scalar
-reference; the contract is *byte identity*, not approximation.  These
-properties drive both twins over adversarial key/value distributions —
-all-unique, all-repeat, interleaved, unicode keys, NaN/±inf/-0 floats,
-out-of-range ints — and assert the sketch state, folded features and
-packed transport buffers match bit for bit.  A subprocess test proves
-the module degrades to the scalar twin when numpy cannot import.
+:mod:`repro.kernels` folds a whole window in one pass; the contract is
+*byte identity* with the per-key (sketches) or per-packet (feature
+backends) path it replaced, not approximation.  These properties drive
+both over adversarial key/value distributions — all-unique, all-repeat,
+interleaved, unicode keys — and assert sketch state and folded features
+match bit for bit.  One subprocess test pins the import footprint:
+``import repro`` loads neither numpy nor networkx.
 """
 
 from __future__ import annotations
@@ -15,36 +15,21 @@ import os
 import subprocess
 import sys
 import textwrap
-from array import array
-from contextlib import contextmanager
+from collections import Counter
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
-from repro.harness.transport import pack, unpack
-from repro.monitor.features import FeatureExtractor
+from repro.monitor.features import (
+    ExactFeatureBackend,
+    FeatureExtractor,
+    SketchFeatureBackend,
+)
 from repro.monitor.sketch import CountMinSketch, HeavyHitterSketch, HyperLogLog
 from repro.net.headers import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN
 
 REPO = Path(__file__).resolve().parents[1]
-
-
-def _backends() -> tuple[str, ...]:
-    return ("scalar", "numpy") if kernels.NUMPY_AVAILABLE else ("scalar",)
-
-
-@contextmanager
-def _use(backend: str):
-    previous = kernels.active_backend()
-    kernels.set_backend(backend)
-    try:
-        yield
-    finally:
-        kernels.set_backend(previous)
-
 
 # Adversarial key distributions: a wide pool (draws are mostly
 # first-touch), a two-key pool (all-repeat), and a unicode pool.
@@ -58,7 +43,7 @@ _KEY_POOLS = (
 
 @st.composite
 def _key_counts(draw) -> dict[str, int]:
-    """A first-touch-ordered key -> amount dict (spans MIN_BATCH)."""
+    """A first-touch-ordered key -> amount dict."""
     pool = draw(st.sampled_from(_KEY_POOLS))
     keys = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=120))
     counts: dict[str, int] = {}
@@ -98,38 +83,68 @@ def _feed(fx: FeatureExtractor, windows) -> list:
     return features
 
 
+def _is_syn(fl: int) -> bool:
+    return fl >= 0 and bool(fl & TCP_SYN) and not fl & TCP_ACK
+
+
+def _flag_counts(flags: list[int]) -> dict[str, int]:
+    """The window's scalar features, one naive pass per field."""
+    tcp = [fl for fl in flags if fl >= 0]
+    return {
+        "total_packets": len(flags),
+        "tcp_packets": len(tcp),
+        "syn_count": sum(map(_is_syn, tcp)),
+        "synack_count": sum(1 for fl in tcp if fl & TCP_SYN and fl & TCP_ACK),
+        "ack_count": sum(1 for fl in tcp if fl & TCP_ACK and not fl & TCP_SYN),
+        "rst_count": sum(1 for fl in tcp if fl & TCP_RST),
+        "fin_count": sum(1 for fl in tcp if fl & TCP_FIN),
+        "udp_packets": len(flags) - len(tcp),
+    }
+
+
+def _assert_window(features, summary, flags) -> None:
+    """One closed window against a reference backend's summary."""
+    for name, value in _flag_counts(flags).items():
+        assert getattr(features, name) == value, name
+    for name in summary._fields:
+        if name != "capped":
+            assert getattr(features, name) == getattr(summary, name), name
+    assert features.per_destination_capped == summary.capped
+
+
 class TestSketchTwins:
+    """Each sketch's bulk add against its own sequential ``add``."""
+
     @settings(max_examples=60, deadline=None)
     @given(counts=_key_counts(), seed=st.integers(0, 2**16))
     def test_cms_bulk_matches_sequential_adds_bytewise(self, counts, seed):
-        # width=64 forces slot collisions, the regime where the numpy
-        # twin's grouped-cumsum estimate replay actually matters.
+        # width=64 forces slot collisions: the post-add estimate of a
+        # key depends on every earlier key that shares one of its slots.
         reference = CountMinSketch(width=64, depth=4, seed=seed)
         ref_ests = [reference.add(k, c) for k, c in counts.items()]
-        for backend in _backends():
-            with _use(backend):
-                sketch = CountMinSketch(width=64, depth=4, seed=seed)
-                ests = sketch.add_bulk(counts)
-            assert ests == ref_ests
-            assert sketch.total == reference.total
-            assert [r.tobytes() for r in sketch._rows] == [
-                r.tobytes() for r in reference._rows
-            ]
+        sketch = CountMinSketch(width=64, depth=4, seed=seed)
+        assert sketch.add_bulk(counts) == ref_ests
+        assert sketch.total == reference.total
+        assert [r.tobytes() for r in sketch._rows] == [
+            r.tobytes() for r in reference._rows
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(counts=_key_counts(), seed=st.integers(0, 2**16))
     def test_heavy_hitter_bulk_state_identical(self, counts, seed):
-        states = {}
-        for backend in _backends():
-            with _use(backend):
-                sketch = HeavyHitterSketch(width=64, depth=4, topk=4, seed=seed)
-                sketch.add_bulk(counts)
-            states[backend] = (
-                dict(sketch._candidates),
-                sketch.top(),
-                [r.tobytes() for r in sketch.cms._rows],
-            )
-        assert len(set(map(repr, states.values()))) == 1
+        reference = HeavyHitterSketch(width=64, depth=4, topk=4, seed=seed)
+        for key, amount in counts.items():
+            reference.add(key, amount)
+        sketch = HeavyHitterSketch(width=64, depth=4, topk=4, seed=seed)
+        sketch.add_bulk(counts)
+        # Candidate *order* is state too: eviction and top() break ties by it.
+        assert list(sketch._candidates.items()) == list(
+            reference._candidates.items()
+        )
+        assert sketch.top() == reference.top()
+        assert [r.tobytes() for r in sketch.cms._rows] == [
+            r.tobytes() for r in reference.cms._rows
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -142,178 +157,89 @@ class TestSketchTwins:
         reference = HyperLogLog(precision=8, seed=seed)
         for key in keys:
             reference.add(key)
-        for backend in _backends():
-            with _use(backend):
-                hll = HyperLogLog(precision=8, seed=seed)
-                hll.add_bulk(keys)
-            assert bytes(hll._registers) == bytes(reference._registers)
-            assert hll.estimate() == reference.estimate()
+        hll = HyperLogLog(precision=8, seed=seed)
+        hll.add_bulk(keys)
+        assert bytes(hll._registers) == bytes(reference._registers)
+        assert hll.estimate() == reference.estimate()
 
 
 class TestFoldTwins:
+    """``close_window``'s one-pass fold against a reference backend fed
+    without it: flag counts from naive per-field passes, per-address
+    state from per-packet (exact) or per-key (sketch) adds."""
+
     @settings(max_examples=40, deadline=None)
     @given(windows=_windows())
     def test_exact_fold_features_identical(self, windows):
-        results = {}
-        for backend in _backends():
-            with _use(backend):
-                fx = FeatureExtractor(backend="exact")
-                features = _feed(fx, windows)
-            results[backend] = (features, fx.accounting())
-        first = next(iter(results.values()))
-        for other in results.values():
-            assert other == first
+        fx = FeatureExtractor(backend="exact")
+        reference = ExactFeatureBackend()
+        for features, (flags, src, dst) in zip(_feed(fx, windows), windows):
+            for fl, s, d in zip(flags, src, dst):
+                if fl < 0:
+                    reference.add_udp(s, d)
+                elif _is_syn(fl):
+                    reference.add_syn(s, d)
+            _assert_window(features, reference.summarize(1.0, None), flags)
+            reference.reset()
+        accounting = fx.accounting()
+        assert accounting["backend_syn_adds"] == reference.syn_adds
+        assert accounting["backend_udp_adds"] == reference.udp_adds
+        assert accounting["folded_total"] == sum(len(w[0]) for w in windows)
 
     @settings(max_examples=40, deadline=None)
     @given(windows=_windows())
     def test_sketch_fold_state_identical(self, windows):
-        results = {}
-        for backend in _backends():
-            with _use(backend):
-                fx = FeatureExtractor(backend="sketch", sketch_width=64)
-                features = _feed(fx, windows)
-            be = fx.backend
-            results[backend] = (
-                features,
-                fx.accounting(),
-                [r.tobytes() for r in be.syn_dsts.cms._rows],
-                dict(be.syn_dsts._candidates),
-                bytes(be.sources.hll._registers),
-                be.sources.hll.total,
-            )
-        first = next(iter(results.values()))
-        for other in results.values():
-            assert other == first
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        flags=st.lists(
-            st.one_of(st.just(-1), st.integers(0, 255)), max_size=150
-        )
-    )
-    def test_classify_flags_twins_identical(self, flags):
-        folds = []
-        for backend in _backends():
-            with _use(backend):
-                folds.append(
-                    kernels.classify_flags(
-                        flags, TCP_SYN, TCP_ACK, TCP_RST, TCP_FIN
-                    )
-                )
-        assert all(fold == folds[0] for fold in folds)
+        fx = FeatureExtractor(backend="sketch", sketch_width=64)
+        reference = SketchFeatureBackend(width=64)
+        for features, (flags, src, dst) in zip(_feed(fx, windows), windows):
+            # Whole-window amounts, applied per key in first-touch order.
+            udp = [fl < 0 for fl in flags]
+            syn = [_is_syn(fl) for fl in flags]
+            sources = Counter(s for s, u, y in zip(src, udp, syn) if u or y)
+            for key, amount in sources.items():
+                reference.sources.add(key, amount)
+            for key, amount in Counter(d for d, y in zip(dst, syn) if y).items():
+                reference.syn_dsts.add(key, amount)
+            for key, amount in Counter(d for d, u in zip(dst, udp) if u).items():
+                reference.udp_dsts.add(key, amount)
+            _assert_window(features, reference.summarize(1.0, None), flags)
+            reference.reset()
+        accounting = fx.accounting()
+        assert accounting["folded_syn"] == accounting["backend_syn_adds"]
+        assert accounting["folded_udp"] == accounting["backend_udp_adds"]
 
 
-class TestPackTwins:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        floats=st.lists(
-            st.floats(allow_nan=True, allow_infinity=True), max_size=80
-        ),
-        ints=st.lists(
-            st.integers(min_value=-(2**66), max_value=2**66), max_size=80
-        ),
-        texts=st.lists(st.text(max_size=6), max_size=40),
-        typed=st.lists(
-            st.floats(allow_nan=True, allow_infinity=True), max_size=40
-        ),
-    )
-    def test_pack_bytes_identical_across_backends(
-        self, floats, ints, texts, typed
-    ):
-        payload = {
-            "floats": floats,
-            "ints": ints,  # may exceed int64: exercises the pickle fallback
-            "texts": texts,
-            "typed": array("d", typed),
-            "rows": [(float(i), f"k{i}", i) for i in range(len(texts))],
-            "mixed": [1, "a", 2.5, None],
-        }
-        buffers = set()
-        for backend in _backends():
-            with _use(backend):
-                buffers.add(pack(payload))
-        assert len(buffers) == 1
-        buf = buffers.pop()
-        # Repacking the unpacked value is a fixed point (NaN-safe:
-        # compared at the byte level, not with ==).
-        assert pack(unpack(buf)) == buf
+class TestImportFootprint:
+    """``import repro`` is stdlib-only; networkx loads with the planner."""
 
+    def test_runtime_imports_neither_numpy_nor_networkx(self):
+        code = """
+            import sys
+            import repro
+            import repro.cli
+            import repro.harness.fuzzer
+            import repro.harness.parallel
+            import repro.sim.sharded
+            import repro.service
 
-class TestBackendSelection:
-    def test_set_backend_validates(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.set_backend("cuda")
+            heavy = {"numpy", "networkx"} & set(sys.modules)
+            assert not heavy, f"imported at load: {sorted(heavy)}"
 
-    def test_prefer_numpy_respects_min_batch(self):
-        if not kernels.NUMPY_AVAILABLE:
-            pytest.skip("numpy unavailable")
-        with _use("numpy"):
-            assert not kernels.prefer_numpy(kernels.MIN_BATCH - 1)
-            assert kernels.prefer_numpy(kernels.MIN_BATCH)
-        with _use("scalar"):
-            assert not kernels.prefer_numpy(10**9)
+            from repro.topology.analysis import switch_graph
+            from repro.topology.standard import dumbbell
 
-    def _run(self, code: str, **env_extra) -> str:
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), **env_extra}
+            net, _roles = dumbbell()
+            assert sorted(switch_graph(net).edges) == [("s1", "s2")]
+            assert "networkx" in sys.modules
+            print("OK")
+        """
         proc = subprocess.run(
             [sys.executable, "-c", textwrap.dedent(code)],
             capture_output=True,
             text=True,
-            env=env,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
             cwd=REPO,
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout
-
-    def test_scalar_fallback_without_numpy(self):
-        # A meta_path blocker makes numpy unimportable before repro
-        # loads: the kernel plane must select the scalar twin and the
-        # monitor/transport paths must keep working.
-        out = self._run(
-            """
-            import sys
-
-            class _Block:
-                def find_spec(self, name, path=None, target=None):
-                    if name == "numpy" or name.startswith("numpy."):
-                        raise ImportError("numpy blocked")
-                    return None
-
-            sys.meta_path.insert(0, _Block())
-            from repro import kernels
-            assert not kernels.NUMPY_AVAILABLE
-            assert kernels.active_backend() == "scalar"
-            try:
-                kernels.set_backend("numpy")
-            except RuntimeError:
-                pass
-            else:
-                raise SystemExit("expected RuntimeError")
-            from repro.monitor.features import FeatureExtractor
-            fx = FeatureExtractor(backend="sketch", sketch_width=64)
-            fx._b_flags.extend([2, -1] * 40)
-            fx._b_src.extend(f"10.0.0.{i}" for i in range(80))
-            fx._b_dst.extend("10.9.9.9" for _ in range(80))
-            fx.packets_observed += 80
-            features = fx.close_window(1.0)
-            assert features.syn_count == 40.0
-            assert features.udp_packets == 40.0
-            from repro.harness.transport import pack, unpack
-            buf = pack({"xs": [0.5, 1.5], "n": 7})
-            assert unpack(buf) == {"xs": [0.5, 1.5], "n": 7}
-            print("OK")
-            """
-        )
-        assert "OK" in out
-
-    def test_env_override_forces_scalar(self):
-        out = self._run(
-            """
-            from repro import kernels
-            assert kernels.active_backend() == "scalar"
-            print("OK", kernels.NUMPY_AVAILABLE)
-            """,
-            REPRO_KERNELS="scalar",
-        )
-        assert "OK" in out
+        assert "OK" in proc.stdout

@@ -171,4 +171,11 @@ class TestShutdownPool:
 
         for process in processes:
             process.join(timeout=10)
+            # The executor's manager thread joins these same Process
+            # objects.  When it reaps a worker first, waitpid here answers
+            # ECHILD — which multiprocessing reads as "still alive" — for
+            # the few ms until that thread stores the exit code.
+            grace = _time.monotonic() + 5
+            while process.is_alive() and _time.monotonic() < grace:
+                _time.sleep(0.01)
             assert not process.is_alive(), f"worker {process.pid} orphaned"
