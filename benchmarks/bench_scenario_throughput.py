@@ -1,32 +1,30 @@
 """Scenario throughput: packets simulated per second at flood scale.
 
-The allocation fast path (packet pooling, header templates, coalesced
-burst scheduling) exists to make flood-scale scenarios cheap, so this
+The flood fast path (field-only packet templates, coalesced burst
+scheduling) exists to make flood-scale scenarios cheap, so this
 benchmark measures exactly that on two shapes:
 
 * an E5-style SYN flood on a linear switch chain, where the reactive
   punt-and-flood cascade (every spoofed 5-tuple misses the flow table)
   dominates and bounds what emission-side work can save; and
 * a UDP volumetric flood under selective packet inspection, where the
-  inspector consumes wire bytes for every mirrored frame and the
-  template's pre-packed frames pay off end to end.
+  mirror window covers most of the short run, so the inspector reads —
+  and ``Packet.to_bytes()`` packs, 512-byte payload checksum included —
+  most of the flood.  This is the one shape bytes-on-demand does not
+  help: nearly every frame is read, so nothing is saved by not packing
+  at birth.
 
 Each shape is timed on the fast path (the shipped default) and on the
-reference twins (``reference=True``: no pool, per-arrival scheduling,
-plus the reference event loop and linear-scan flow tables).  All
-cases report ``packets_per_second`` — every frame serialized onto any
-link counts once — via ``extra_info``, and the committed slim baseline
-gates the fast-path medians like the other M1 benchmarks.
+reference twins (``reference=True``: per-arrival scheduling, plus the
+reference event loop and linear-scan flow tables).  All cases report
+``packets_per_second`` — every frame serialized onto any link counts
+once — via ``extra_info``, and the committed slim baseline gates the
+fast-path medians like the other M1 benchmarks.
 
-The fast/reference delta understates the PR that introduced the fast
-path: several of its optimizations (vectorized RFC 1071 checksums,
-memoized address codecs, dict-copy packet cloning) are unconditional,
-so the reference run also benefits from them.  ``_PREPR_BASELINE``
-therefore records the medians of the *pre-PR* tree measured on the same
-machine, interleaved run-for-run with the post-PR tree in the same
-session; the fast-path cases publish their speedup against it in
-``extra_info`` so the committed baseline carries the honest before/after
-number.
+``_PREPR_BASELINE`` records the medians of the tree just before the
+flood fast path first landed, measured on the same machine interleaved
+run-for-run with the tree that produced the committed baseline; the
+fast-path cases publish their speedup against it in ``extra_info``.
 
 A non-benchmark companion test asserts each fast/reference pair
 produces byte-identical fingerprints — the speedup must never buy a
@@ -40,7 +38,7 @@ from repro.harness.scenario import ScenarioConfig, ScenarioResult, run_scenario
 from repro.workload.profiles import WorkloadConfig
 
 #: Median wall-clock seconds for these exact configs on the commit just
-#: before the allocation fast path landed (measured interleaved with the
+#: before the flood fast path landed (measured interleaved with the
 #: post-PR tree, median of 5 alternating runs per tree, same machine and
 #: session that produced benchmarks/results/m1_baseline.json).
 _PREPR_BASELINE = {

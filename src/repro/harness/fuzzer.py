@@ -220,7 +220,7 @@ def _check_reference(
     config: ScenarioConfig, seed: int, baseline: str, workers: int
 ) -> str | None:
     """Every reference twin at once: reference loop, linear-scan flow
-    tables, no packet pool, per-arrival scheduling."""
+    tables, per-arrival scheduling."""
     twin = run_scenario(replace(config, reference=True))
     return _divergence(baseline, fingerprint_json(twin))
 

@@ -124,9 +124,9 @@ class ScenarioConfig:
     check_invariants: bool = False
     invariant_period_s: float = 0.5
     # Run every reference twin at once instead of the fast paths: the
-    # pre-overhaul event loop, linear-scan flow tables, no packet pool,
-    # one scheduled event per generated arrival.  It may not change any
-    # metric; repro check verifies exactly that.
+    # pre-overhaul event loop, linear-scan flow tables, one scheduled
+    # event per generated arrival.  It may not change any metric; repro
+    # check verifies exactly that.
     reference: bool = False
     # Multi-process domain decomposition (repro.sim.sharded): 1 runs the
     # classic single-process path, N > 1 partitions the topology across

@@ -93,9 +93,9 @@ class DpiEngine:
         self.stats.frames_received += 1
         self.stats.bytes_received += frame.size_bytes
         try:
-            # ``to_bytes()`` is memoized on the frame: if the mirror or a
-            # pcap tap already serialized this hop, the DPI re-parse
-            # shares that serialization instead of re-packing.
+            # Usually the first reader of a mirrored frame's bytes, so this
+            # is where it is packed; ``to_bytes()`` memoizes on the frame,
+            # so a pcap tap on the same hop shares the serialization.
             parsed = parse_packet(frame.to_bytes())
         except HeaderError:
             self.stats.parse_errors += 1

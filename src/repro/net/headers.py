@@ -54,32 +54,6 @@ def internet_checksum(data: bytes) -> int:
     return (~total) & 0xFFFF
 
 
-def checksum_partial(data: bytes, total: int = 0) -> int:
-    """Folded ones-complement partial sum, chainable via ``total``.
-
-    The ones-complement sum is associative and fold-order insensitive, so
-    a checksum over ``fixed + variable`` bytes can be split: precompute the
-    partial over the fixed bytes once, then per packet add the variable
-    16-bit words and finish with :func:`finish_checksum`.  The flood-packet
-    templates lean on this to stamp src-IP/port/seq into pre-packed frames
-    without re-summing the whole header.
-    """
-    if len(data) % 2:
-        data += b"\x00"
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
-
-
-def finish_checksum(total: int) -> int:
-    """Fold a partial sum and return the complemented checksum value."""
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
-
-
 @dataclass(frozen=True)
 class EthernetHeader:
     """Ethernet II frame header (no VLAN tag)."""

@@ -10,7 +10,7 @@ congests benign traffic in these experiments.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.packet import Packet
@@ -78,8 +78,7 @@ class LinkEnd:
         # per-direction delay is constant, so propagation completes in FIFO
         # order and the callbacks below can be shared bound methods instead
         # of one closure per packet (the closures dominated allocation at
-        # flood rates, and a closure-held reference would also defeat
-        # PacketPool recycling on delivery).
+        # flood rates).
         self._serializing: Optional[Packet] = None
         self._propagating: deque[Packet] = deque()
         self._peer: Optional["Interface"] = None
@@ -147,9 +146,6 @@ class LinkEnd:
         ):
             stats.packets_lost += 1
             stats.packets_in_flight -= 1
-            pool = packet._pool
-            if pool is not None:
-                pool.release(packet)
         elif self.export is not None:
             # Loss is decided above (the rng draw stays on the sending
             # shard); what survives crosses the boundary.  The frame
@@ -162,9 +158,6 @@ class LinkEnd:
         else:
             stats.packets_unrouted += 1
             stats.packets_in_flight -= 1
-            pool = packet._pool
-            if pool is not None:
-                pool.release(packet)
         if self._queue:
             entry = self._start_tx()
             if propagate is None:
@@ -192,11 +185,6 @@ class LinkEnd:
         stats.packets_delivered += 1
         stats.packets_in_flight -= 1
         self._peer.deliver(packet)
-        # Offer the frame back to its pool; release() recycles only if the
-        # receiver (and everyone upstream) dropped all references.
-        pool = packet._pool
-        if pool is not None:
-            pool.release(packet)
 
 
 class Link:

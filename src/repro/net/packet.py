@@ -5,41 +5,31 @@ matching inside the simulated OVS) *and* can serialize itself to wire bytes
 (for the DPI path).  ``parse_packet`` is the inverse, used by the inspector
 to prove the bytes genuinely round-trip.
 
-Two allocation fast paths for flood-scale workloads live here as well:
-
-* :class:`PacketPool` — a bounded free-list of packet shells, recycled when
-  a link delivers a frame nobody retained (checked via the interpreter's
-  reference count, so a buffered or sniffed packet is simply never reused);
-* :class:`SynFloodTemplate` / :class:`UdpFloodTemplate` — one immutable
-  frame shape per flood flow, stamped per packet with the spoofed source,
-  port and sequence number.  Stamping patches the pre-packed wire bytes in
-  place (incremental RFC 1071 checksums), so the ``to_bytes()`` memo is
-  warm at birth and the DPI path never re-packs a flood frame.
+``Packet.to_bytes()`` is the only code that produces wire bytes.  Flood
+generators build their packets through a :class:`FloodTemplate` (one frame
+shape per flood flow, stamped per packet with the spoofed source and L4
+header), which assembles fields only: bytes are made when somebody reads
+them.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.net.addresses import ip_to_int
 from repro.net.headers import (
     ETHERTYPE_IPV4,
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
-    TCP_SYN,
     EthernetHeader,
     HeaderError,
     IcmpHeader,
     IPv4Header,
     TcpHeader,
     UdpHeader,
-    _pseudo_header,
-    checksum_partial,
 )
 
 _packet_ids = itertools.count(1)
@@ -73,9 +63,6 @@ class Packet:
     # (in_port, FlowKey) pair memoized by FlowKey.from_packet.
     _fkobj: Optional[tuple] = field(default=None, repr=False, compare=False)
     _size: Optional[int] = field(default=None, repr=False, compare=False)
-    # Owning PacketPool, if any; survives header mutation so every hop's
-    # copy of a pooled flood frame can be recycled on delivery.
-    _pool: Optional["PacketPool"] = field(default=None, repr=False, compare=False)
 
     # Hand-written so construction writes slots directly: routing every
     # dataclass-generated assignment through the memo-invalidating
@@ -104,7 +91,6 @@ class Packet:
         set_(self, "_fkey", None)
         set_(self, "_fkobj", None)
         set_(self, "_size", None)
-        set_(self, "_pool", None)
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
@@ -233,10 +219,8 @@ class Packet:
         serialization memo: mirroring then exporting/inspecting a frame
         packs its bytes once, not once per consumer.
         """
-        pool = self._pool
-        clone = Packet.__new__(Packet) if pool is None else pool.acquire()
-        # One C-level dict copy instead of a setattr per field (~2x); the
-        # replaced __dict__ also discards whatever a recycled shell held.
+        clone = Packet.__new__(Packet)
+        # One C-level dict copy instead of a setattr per field (~2x).
         state = dict(self.__dict__)
         state["packet_id"] = next(_packet_ids)
         object.__setattr__(clone, "__dict__", state)
@@ -292,307 +276,71 @@ class Packet:
         return f"ETH {self.eth.src_mac} -> {self.eth.dst_mac} type=0x{self.eth.ethertype:04x}"
 
 
-_getrefcount = getattr(sys, "getrefcount", None)
+class FloodTemplate:
+    """One immutable flood shape (MACs, victim, protocol, payload).
 
-
-def _probe_refs(obj: object) -> int:
-    """Reference count seen by a callee for a caller-local argument."""
-    return 0 if _getrefcount is None else _getrefcount(obj)
-
-
-def _measure_baseline_refs() -> int:
-    # Self-calibrating: the call shape (caller local -> callee parameter ->
-    # getrefcount argument) mirrors exactly how PacketPool.release() sees a
-    # packet whose only outside reference is the caller's local variable.
-    obj = object()
-    return _probe_refs(obj)
-
-
-#: Refcount of a packet that nobody but the releasing caller still holds.
-_BASELINE_REFS = _measure_baseline_refs()
-
-
-class PacketPool:
-    """Bounded free-list of :class:`Packet` shells for flood fast paths.
-
-    Recycling is opportunistic and conservative: ``release()`` recycles a
-    shell only when the interpreter's reference count proves the caller
-    holds the last reference (switch buffers, sniffer copies and DPI queues
-    simply keep their packets and the shell is skipped).  Reused shells get
-    a fresh ``packet_id``, so pooling is invisible to every consumer.
-
-    Accounting identity (checked by the invariant harness)::
-
-        releases - hits == free_count <= capacity
+    ``stamp()`` fills in what varies per packet — spoofed source and the
+    L4 header — on a copy of a prototype ``__dict__``.  ``_size`` and
+    ``_fkey`` are warm at birth because every hop reads them; ``_wire``
+    is left unset, so a flood frame is serialized by ``to_bytes()`` the
+    first time DPI, pcap or the shard codec reads it, and never if nobody
+    does (most of a flood is forwarded or dropped unread).
     """
 
-    __slots__ = ("capacity", "_free", "hits", "misses", "releases",
-                 "skipped_live", "overflow")
+    __slots__ = ("dst_ip", "dst_port", "protocol", "_l4_field",
+                 "_total_length", "_ip_headers", "_proto_state")
 
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity <= 0:
-            raise ValueError(f"pool capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._free: list[Packet] = []
-        self.hits = 0
-        self.misses = 0
-        self.releases = 0
-        self.skipped_live = 0
-        self.overflow = 0
-
-    @property
-    def free_count(self) -> int:
-        """Shells currently waiting on the free list."""
-        return len(self._free)
-
-    def acquire(self) -> Packet:
-        """Return a shell to overwrite: recycled if available, else fresh.
-
-        The caller must assign *every* field (the templates and
-        ``Packet.copy`` do); the shell's previous contents are garbage.
-        """
-        free = self._free
-        if free:
-            self.hits += 1
-            return free.pop()
-        self.misses += 1
-        return Packet.__new__(Packet)
-
-    def release(self, packet: Packet) -> bool:
-        """Offer a packet back to the pool; recycle only if provably dead.
-
-        Call with exactly one caller-held reference (a local variable).  A
-        packet retained anywhere else — buffered, sniffed, queued — shows a
-        higher reference count and is skipped, never corrupted.
-        """
-        if _getrefcount is None or _getrefcount(packet) != _BASELINE_REFS:
-            self.skipped_live += 1
-            return False
-        if len(self._free) >= self.capacity:
-            self.overflow += 1
-            return False
-        self.releases += 1
-        self._free.append(packet)
-        return True
-
-
-# Byte offsets of the variable fields inside a templated flood frame
-# (Ethernet 14 + IPv4 20 + L4).  See SynFloodTemplate/UdpFloodTemplate.
-_IP_CSUM_OFF = EthernetHeader.LENGTH + 10          # 24
-_IP_SRC_OFF = EthernetHeader.LENGTH + 12           # 26
-_L4_OFF = EthernetHeader.LENGTH + IPv4Header.LENGTH  # 34
-
-
-class _FloodTemplate:
-    """Shared machinery: pre-packed frame + incremental checksum partials."""
-
-    __slots__ = ("eth", "dst_ip", "dst_port", "pool", "_base", "_frame_size",
-                 "_ip_partial", "_src_cache", "_proto_state")
-
-    #: Bound on the per-source cache (random-source floods draw tens of
-    #: thousands of distinct addresses; each entry is tiny but not free).
+    #: Bound on the per-source header memo (random-source floods draw tens
+    #: of thousands of distinct addresses; each entry is tiny but not free).
     _SRC_CACHE_LIMIT = 1 << 16
 
-    def __init__(self, prototype: Packet, pool: Optional[PacketPool]) -> None:
-        self.eth = prototype.eth
-        self.dst_ip = prototype.ip.dst_ip
-        self.pool = pool
-        self._base = prototype.to_bytes()
-        self._frame_size = len(self._base)
-        # IPv4 header words that never change: version..protocol and dst,
-        # excluding the checksum field and the (zeroed) source address.
-        self._ip_partial = checksum_partial(
-            self._base[_IP_SRC_OFF + 4:_IP_SRC_OFF + 8],
-            checksum_partial(self._base[EthernetHeader.LENGTH:_IP_CSUM_OFF]),
+    def __init__(
+        self, src_mac: str, dst_mac: str, dst_ip: str, dst_port: int,
+        protocol: int, payload: bytes = b"",
+    ) -> None:
+        if protocol == PROTO_TCP:
+            self._l4_field, l4_length = "tcp", TcpHeader.LENGTH
+        elif protocol == PROTO_UDP:
+            self._l4_field, l4_length = "udp", UdpHeader.LENGTH
+        else:
+            raise ValueError(f"flood templates are TCP or UDP, got protocol {protocol}")
+        self.dst_ip = dst_ip
+        self.dst_port = dst_port
+        self.protocol = protocol
+        self._total_length = IPv4Header.LENGTH + l4_length + len(payload)
+        self._ip_headers: dict[str, IPv4Header] = {}
+        # Every field that is the same for all packets of this shape.
+        prototype = Packet(
+            eth=EthernetHeader(src_mac=src_mac, dst_mac=dst_mac, ethertype=ETHERTYPE_IPV4),
+            payload=payload, packet_id=0,
         )
-        self._src_cache: dict[str, tuple] = {}
-        # Prototype __dict__ for stamped packets: every field that is the
-        # same for all packets of this shape.  stamp() copies it and fills
-        # in the per-packet fields, then installs the dict wholesale.
-        self._proto_state = {
-            "eth": prototype.eth,
-            "ip": None,
-            "tcp": None,
-            "udp": None,
-            "icmp": None,
-            "payload": prototype.payload,
-            "packet_id": 0,
-            "created_at": 0.0,
-            "_wire": b"",
-            "_fkey": None,
-            "_fkobj": None,
-            "_size": self._frame_size,
-            "_pool": pool,
-        }
+        self._proto_state = dict(
+            prototype.__dict__, _size=EthernetHeader.LENGTH + self._total_length
+        )
 
-    def _src_entry(self, src_ip: str) -> tuple:
-        """(packed bytes, high word, low word, IPv4Header) for a source."""
-        entry = self._src_cache.get(src_ip)
-        if entry is None:
-            value = ip_to_int(src_ip)
-            entry = (
-                value.to_bytes(4, "big"),
-                value >> 16,
-                value & 0xFFFF,
-                self._make_ip_header(src_ip),
+    def stamp(self, src_ip: str, l4_header: TcpHeader | UdpHeader, created_at: float) -> Packet:
+        """A finished packet, field-identical to ``tcp_packet``/``udp_packet``.
+
+        ``l4_header.dst_port`` must be the template's ``dst_port``.
+        """
+        ip_header = self._ip_headers.get(src_ip)
+        if ip_header is None:
+            ip_header = IPv4Header(
+                src_ip=src_ip, dst_ip=self.dst_ip, protocol=self.protocol,
+                total_length=self._total_length,
             )
-            if len(self._src_cache) < self._SRC_CACHE_LIMIT:
-                self._src_cache[src_ip] = entry
-        return entry
-
-    def _make_ip_header(self, src_ip: str) -> IPv4Header:
-        raise NotImplementedError
-
-
-class SynFloodTemplate(_FloodTemplate):
-    """One immutable SYN shape (victim, MACs, TTL); stamp the rest per packet.
-
-    ``stamp()`` builds a finished packet whose wire bytes, flow key and
-    size memos are already warm: the spoofed source, source port and
-    sequence number are patched into a copy of the pre-packed frame and
-    both checksums are updated incrementally (RFC 1071 ones-complement
-    sums over only the changed words).
-    """
-
-    __slots__ = ("_tcp_partial",)
-
-    def __init__(
-        self, src_mac: str, dst_mac: str, dst_ip: str, dst_port: int,
-        pool: Optional[PacketPool] = None,
-    ) -> None:
-        prototype = Packet.tcp_packet(
-            src_mac, dst_mac, "0.0.0.0", dst_ip,
-            TcpHeader(src_port=0, dst_port=dst_port, seq=0, flags=TCP_SYN),
-        )
-        super().__init__(prototype, pool)
-        self.dst_port = dst_port
-        base = self._base
-        # TCP words that never change: pseudo-header (with zeroed source),
-        # dst_port, ack/offset/flags/window, urgent pointer.
-        partial = checksum_partial(
-            _pseudo_header("0.0.0.0", dst_ip, PROTO_TCP, TcpHeader.LENGTH)
-        )
-        partial = checksum_partial(base[_L4_OFF + 2:_L4_OFF + 4], partial)
-        partial = checksum_partial(base[_L4_OFF + 8:_L4_OFF + 16], partial)
-        partial = checksum_partial(base[_L4_OFF + 18:_L4_OFF + 20], partial)
-        self._tcp_partial = partial
-
-    def _make_ip_header(self, src_ip: str) -> IPv4Header:
-        return IPv4Header(
-            src_ip=src_ip, dst_ip=self.dst_ip, protocol=PROTO_TCP,
-            total_length=IPv4Header.LENGTH + TcpHeader.LENGTH,
-        )
-
-    def stamp(self, src_ip: str, src_port: int, seq: int, created_at: float) -> Packet:
-        """A finished SYN packet, byte-identical to the classmethod path."""
-        src_bytes, src_hi, src_lo, ip_header = self._src_entry(src_ip)
-        wire = bytearray(self._base)
-        wire[_IP_SRC_OFF:_IP_SRC_OFF + 4] = src_bytes
-        total = self._ip_partial + src_hi + src_lo
-        total = (total & 0xFFFF) + (total >> 16)
-        total = (total & 0xFFFF) + (total >> 16)
-        checksum = ~total & 0xFFFF
-        wire[_IP_CSUM_OFF] = checksum >> 8
-        wire[_IP_CSUM_OFF + 1] = checksum & 0xFF
-        wire[_L4_OFF] = src_port >> 8
-        wire[_L4_OFF + 1] = src_port & 0xFF
-        wire[_L4_OFF + 4] = (seq >> 24) & 0xFF
-        wire[_L4_OFF + 5] = (seq >> 16) & 0xFF
-        wire[_L4_OFF + 6] = (seq >> 8) & 0xFF
-        wire[_L4_OFF + 7] = seq & 0xFF
-        total = (self._tcp_partial + src_hi + src_lo + src_port
-                 + (seq >> 16) + (seq & 0xFFFF))
-        total = (total & 0xFFFF) + (total >> 16)
-        total = (total & 0xFFFF) + (total >> 16)
-        checksum = ~total & 0xFFFF
-        wire[_L4_OFF + 16] = checksum >> 8
-        wire[_L4_OFF + 17] = checksum & 0xFF
-        pool = self.pool
-        packet = Packet.__new__(Packet) if pool is None else pool.acquire()
-        # Assemble the state as one dict and install it wholesale (same
-        # trick as Packet.copy): measurably cheaper than a setattr per
-        # field, and it wipes whatever a recycled shell previously held.
+            if len(self._ip_headers) < self._SRC_CACHE_LIMIT:
+                self._ip_headers[src_ip] = ip_header
+        # One C-level dict copy installed wholesale (same trick as
+        # Packet.copy): measurably cheaper than a setattr per field.
         state = dict(self._proto_state)
         state["ip"] = ip_header
-        state["tcp"] = TcpHeader(src_port=src_port, dst_port=self.dst_port,
-                                 seq=seq, flags=TCP_SYN)
+        state[self._l4_field] = l4_header
         state["packet_id"] = next(_packet_ids)
         state["created_at"] = created_at
-        state["_wire"] = bytes(wire)
-        state["_fkey"] = (src_ip, src_port, self.dst_ip, self.dst_port,
-                          PROTO_TCP)
-        object.__setattr__(packet, "__dict__", state)
-        return packet
-
-
-class UdpFloodTemplate(_FloodTemplate):
-    """One immutable UDP flood shape (victim, MACs, payload); see SYN twin."""
-
-    __slots__ = ("payload", "_udp_partial")
-
-    def __init__(
-        self, src_mac: str, dst_mac: str, dst_ip: str, dst_port: int,
-        payload: bytes = b"", pool: Optional[PacketPool] = None,
-    ) -> None:
-        prototype = Packet.udp_packet(
-            src_mac, dst_mac, "0.0.0.0", dst_ip,
-            UdpHeader(src_port=0, dst_port=dst_port), payload=payload,
-        )
-        super().__init__(prototype, pool)
-        self.dst_port = dst_port
-        self.payload = payload
-        base = self._base
-        udp_length = UdpHeader.LENGTH + len(payload)
-        # UDP words that never change: pseudo-header (with zeroed source),
-        # dst_port + length, and the payload.  Every fixed chunk starts at
-        # an even offset of the checksummed stream, so summing them apart
-        # pads odd-length payloads exactly like the one-shot checksum.
-        partial = checksum_partial(
-            _pseudo_header("0.0.0.0", dst_ip, PROTO_UDP, udp_length)
-        )
-        partial = checksum_partial(base[_L4_OFF + 2:_L4_OFF + 6], partial)
-        partial = checksum_partial(base[_L4_OFF + 8:], partial)
-        self._udp_partial = partial
-
-    def _make_ip_header(self, src_ip: str) -> IPv4Header:
-        return IPv4Header(
-            src_ip=src_ip, dst_ip=self.dst_ip, protocol=PROTO_UDP,
-            total_length=IPv4Header.LENGTH + UdpHeader.LENGTH + len(self.payload),
-        )
-
-    def stamp(self, src_ip: str, src_port: int, created_at: float) -> Packet:
-        """A finished UDP packet, byte-identical to the classmethod path."""
-        src_bytes, src_hi, src_lo, ip_header = self._src_entry(src_ip)
-        wire = bytearray(self._base)
-        wire[_IP_SRC_OFF:_IP_SRC_OFF + 4] = src_bytes
-        total = self._ip_partial + src_hi + src_lo
-        total = (total & 0xFFFF) + (total >> 16)
-        total = (total & 0xFFFF) + (total >> 16)
-        checksum = ~total & 0xFFFF
-        wire[_IP_CSUM_OFF] = checksum >> 8
-        wire[_IP_CSUM_OFF + 1] = checksum & 0xFF
-        wire[_L4_OFF] = src_port >> 8
-        wire[_L4_OFF + 1] = src_port & 0xFF
-        total = self._udp_partial + src_hi + src_lo + src_port
-        total = (total & 0xFFFF) + (total >> 16)
-        total = (total & 0xFFFF) + (total >> 16)
-        checksum = ~total & 0xFFFF
-        if checksum == 0:  # RFC 768: transmitted as all-ones
-            checksum = 0xFFFF
-        wire[_L4_OFF + 6] = checksum >> 8
-        wire[_L4_OFF + 7] = checksum & 0xFF
-        pool = self.pool
-        packet = Packet.__new__(Packet) if pool is None else pool.acquire()
-        # Same dict-install trick as the SYN twin: one C-level dict copy
-        # beats a setattr per field and scrubs any recycled shell.
-        state = dict(self._proto_state)
-        state["ip"] = ip_header
-        state["udp"] = UdpHeader(src_port=src_port, dst_port=self.dst_port)
-        state["packet_id"] = next(_packet_ids)
-        state["created_at"] = created_at
-        state["_wire"] = bytes(wire)
-        state["_fkey"] = (src_ip, src_port, self.dst_ip, self.dst_port,
-                          PROTO_UDP)
+        state["_fkey"] = (src_ip, l4_header.src_port, self.dst_ip,
+                          self.dst_port, self.protocol)
+        packet = Packet.__new__(Packet)
         object.__setattr__(packet, "__dict__", state)
         return packet
 

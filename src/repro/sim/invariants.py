@@ -18,11 +18,6 @@ them periodically on the scenario's own clock plus once after the run:
   to the packets the tap actually sampled, scaled consistently;
 * **DPI / budget sanity** — slot bounds, parse accounting, and
   non-negativity of every counter the metrics layer reads;
-* **packet-pool hygiene** — the recycle accounting ties out
-  (``releases - hits == free_count <= capacity``) and no free-listed
-  shell is still referenced by anything outside the pool, so a leaked
-  reference to a recycled packet is a structured violation instead of
-  silent aliasing;
 * **scheduler accounting** — the event queue's physical entry count
   equals live events plus tombstones and every tally is non-negative
   (a lazy-cancel or compaction bug shows up here as a leak, not as a
@@ -41,7 +36,6 @@ import dataclasses
 import math
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.net.packet import PacketPool, _getrefcount
 from repro.sim.process import PeriodicTask
 from repro.tcp.socket import Connection
 from repro.tcp.states import TcpState
@@ -62,7 +56,6 @@ __all__ = [
     "TcpLegalityChecker",
     "MonitorAccountingChecker",
     "BudgetDpiChecker",
-    "PacketPoolChecker",
     "SchedulerAccountingChecker",
 ]
 
@@ -676,85 +669,6 @@ class BudgetDpiChecker(InvariantChecker):
                 )
 
 
-# --------------------------------------------------------------- packet pool
-
-
-class PacketPoolChecker(InvariantChecker):
-    """Pool accounting ties out and no free shell is externally referenced.
-
-    The pool's refcount guard at release time prevents recycling a packet
-    something still holds; this checker closes the remaining gap — a
-    reference taken *after* a shell entered the free list (or a guard
-    regression) — by re-counting references on every free shell during
-    the sweep.  The expected count is calibrated with a probe that mimics
-    the scan loop exactly, so the check is CPython-version independent
-    and disables itself where ``sys.getrefcount`` does not exist.
-    """
-
-    name = "packet-pool"
-
-    def __init__(self, pool: PacketPool) -> None:
-        self.pool = pool
-        self._scan_refs = self._scan_baseline()
-
-    @staticmethod
-    def _scan_baseline() -> Optional[int]:
-        if _getrefcount is None:
-            return None
-        probe = [object()]
-        for shell in probe:
-            # References: the list slot, the loop variable, and
-            # getrefcount's own argument — the same three the real scan
-            # loop below holds.
-            return _getrefcount(shell)
-        return None
-
-    def check(self, now: float) -> None:
-        pool = self.pool
-        snapshot = (
-            f"hits={pool.hits} misses={pool.misses} releases={pool.releases} "
-            f"skipped_live={pool.skipped_live} overflow={pool.overflow} "
-            f"free={pool.free_count} capacity={pool.capacity}",
-        )
-        for counter in ("hits", "misses", "releases", "skipped_live", "overflow"):
-            value = getattr(pool, counter)
-            if value < 0:
-                self.violation(
-                    f"pool counter {counter} is negative ({value})",
-                    now=now, trace=snapshot,
-                )
-        if pool.free_count > pool.capacity:
-            self.violation(
-                f"free list over capacity ({pool.free_count} > {pool.capacity})",
-                now=now, trace=snapshot,
-            )
-        if pool.releases - pool.hits != pool.free_count:
-            self.violation(
-                f"recycle accounting leak: {pool.releases} releases - "
-                f"{pool.hits} re-acquisitions != {pool.free_count} free shells",
-                now=now, trace=snapshot,
-            )
-        if self._scan_refs is None:
-            return
-        seen: set[int] = set()
-        for shell in pool._free:
-            ident = id(shell)
-            if ident in seen:
-                self.violation(
-                    f"packet shell id={ident} double-released onto the free list",
-                    now=now, trace=snapshot,
-                )
-            seen.add(ident)
-            refs = _getrefcount(shell)
-            if refs != self._scan_refs:
-                self.violation(
-                    f"leaked reference to recycled packet shell id={ident}: "
-                    f"{refs} references, expected {self._scan_refs} "
-                    "(something outside the pool still holds this packet)",
-                    now=now, trace=snapshot,
-                )
-
-
 class SchedulerAccountingChecker(InvariantChecker):
     """The event queue's physical/live/tombstone tallies tie out.
 
@@ -822,9 +736,6 @@ class InvariantHarness:
             harness.add(MonitorAccountingChecker(monitors))
         if spi is not None:
             harness.add(BudgetDpiChecker(spi))
-        pool = getattr(net, "packet_pool", None)
-        if pool is not None:
-            harness.add(PacketPoolChecker(pool))
         harness.add(SchedulerAccountingChecker(net))
         return harness
 

@@ -1,12 +1,11 @@
 """Canonical encoding for cross-shard boundary messages.
 
 Everything that crosses a shard boundary travels as plain picklable
-data.  Live :class:`~repro.net.packet.Packet` objects never cross: a
-packet may hold a reference to its shard-local :class:`PacketPool` (and
-a memoized wire-bytes buffer), so frames are serialized to their
-canonical wire bytes (``Packet.to_bytes``) and re-parsed on the owning
-shard — the same byte-exact round trip the fast-path tests already
-assert.  OpenFlow messages that embed a packet (``PacketIn`` /
+data.  Live :class:`~repro.net.packet.Packet` objects never cross:
+frames are serialized to their canonical wire bytes (``Packet.to_bytes``,
+which packs a flood frame here if nothing read it earlier) and re-parsed
+on the owning shard — the same byte-exact round trip the fast-path tests
+already assert.  OpenFlow messages that embed a packet (``PacketIn`` /
 ``PacketOut``) are rebuilt field-by-field with their original ``xid``
 (passing ``xid`` explicitly skips the ``default_factory``, so decoding
 consumes nothing from the xid counter); every other message type is

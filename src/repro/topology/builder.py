@@ -17,7 +17,6 @@ from repro.controller.l2 import L2LearningSwitch
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.node import Node
-from repro.net.packet import PacketPool
 from repro.openflow.channel import ControlChannel
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
@@ -52,8 +51,8 @@ class Network:
     ) -> None:
         # ``reference`` swaps every fast path for its reference twin at
         # once: the pre-overhaul event loop, linear-scan-only flow tables,
-        # no packet pool, one scheduled event per generated arrival.
-        # Results are byte-identical either way (``repro check``).
+        # one scheduled event per generated arrival.  Results are
+        # byte-identical either way (``repro check``).
         self.reference = reference
         if reference:
             from repro.sim.engine_reference import ReferenceSimulator
@@ -61,7 +60,8 @@ class Network:
             self.sim = ReferenceSimulator()
         else:
             self.sim = Simulator()
-        self.packet_pool = None if reference else PacketPool()
+        # Ledger pin: benchmarks/ledger/layers.py reads it (falsy = no pool).
+        self.packet_pool = None
         self.rng = SeededRng(seed)
         self.tracer = Tracer(lambda: self.sim.now)
         self.default_link = default_link or LinkSpec()

@@ -12,14 +12,14 @@ Both attackers share an allocation-aware fast path (on by default, see
 arrival, a *burst event* pre-generates ~50 ms of arrivals at a time —
 drawing gaps and per-packet randomness in exactly the legacy order, so
 the packet stream is byte-identical — crafts the packets through a
-:class:`repro.net.packet.SynFloodTemplate`/``UdpFloodTemplate`` (wire
-bytes pre-packed, checksums patched incrementally), and fans the
-emissions out through one ``schedule_at_many`` batch sharing a single
-bound-method callback.  Overdrawing the attacker's RNG past the attack
-end is harmless: the stream is an exclusive ``rng.child`` nobody else
-reads.  When the host routes through an ARP service, or MAC resolution
-fails, crafting falls back to the per-packet ``send_tcp``/``send_udp``
-path (same draws, same counters) so ARP semantics are preserved.
+:class:`repro.net.packet.FloodTemplate` (fields only; bytes are packed
+if and when something reads them), and fans the emissions out through
+one ``schedule_at_many`` batch sharing a single bound-method callback.
+Overdrawing the attacker's RNG past the attack end is harmless: the
+stream is an exclusive ``rng.child`` nobody else reads.  When the host
+routes through an ARP service, or MAC resolution fails, crafting falls
+back to the per-packet ``send_tcp``/``send_udp`` path (same draws, same
+counters) so ARP semantics are preserved.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.net.headers import TCP_SYN, TcpHeader, UdpHeader
+from repro.net.headers import PROTO_TCP, PROTO_UDP, TCP_SYN, TcpHeader, UdpHeader
 from repro.net.host import Host
-from repro.net.packet import PacketPool, SynFloodTemplate, UdpFloodTemplate
+from repro.net.packet import FloodTemplate
 from repro.sim.process import Interval
 from repro.sim.rng import SeededRng
 
@@ -107,7 +107,6 @@ class _FloodAttacker:
         host: Host,
         rng: SeededRng,
         config,
-        pool: Optional[PacketPool] = None,
         burst: bool = True,
     ) -> None:
         if not config.victim_ip:
@@ -117,7 +116,6 @@ class _FloodAttacker:
         self.config = config
         self.packets_sent = 0
         self.packets_rejected = 0  # NIC-level drops (link queue full)
-        self.pool = pool
         self._burst = burst
         self._interval: Optional[Interval] = None
         self._running = False
@@ -216,30 +214,12 @@ class _FloodAttacker:
         self._t_next = t
         append((t, self._burst_fire, label))
         self._burst_events = sim.schedule_at_many(entries)
-        # Recycling a rejected shell must happen in the frame holding the
-        # *only* remaining reference (release() proves deadness by
-        # refcount), so _emit reports the verdict and the release is
-        # inlined here rather than in _emit or a helper — either would add
-        # a frame and the guard would always see the shell as live.  The
-        # loop's `item` still aliases `first_item` on one-iteration bursts,
-        # so drop it first.
-        item = None
-        if (
-            first_item is not None
-            and not self._emit(first_item)
-            and type(first_item) is not tuple
-        ):
-            pool = first_item._pool
-            if pool is not None:
-                pool.release(first_item)
+        if first_item is not None:
+            self._emit(first_item)
 
     def _emit_next(self) -> None:
         if self._pending:
-            item = self._pending.popleft()
-            if not self._emit(item) and type(item) is not tuple:
-                pool = item._pool
-                if pool is not None:
-                    pool.release(item)
+            self._emit(self._pending.popleft())
 
     # Hooks ------------------------------------------------------------
 
@@ -262,7 +242,7 @@ class _FloodAttacker:
     def _craft(self, t: float):
         raise NotImplementedError
 
-    def _emit(self, item) -> bool:
+    def _emit(self, item) -> None:
         raise NotImplementedError
 
 
@@ -276,23 +256,22 @@ class SynFloodAttacker(_FloodAttacker):
         host: Host,
         rng: SeededRng,
         config: SynFloodConfig,
-        pool: Optional[PacketPool] = None,
         burst: bool = True,
     ) -> None:
-        super().__init__(host, rng, config, pool=pool, burst=burst)
+        super().__init__(host, rng, config, burst=burst)
         self._spoof_pool: list[str] = []
         if config.spoof and config.spoof_pool_size > 0:
             self._spoof_pool = [
                 rng.random_ipv4(config.spoof_prefix) for _ in range(config.spoof_pool_size)
             ]
 
-    def _build_template(self) -> Optional[SynFloodTemplate]:
+    def _build_template(self) -> Optional[FloodTemplate]:
         dst_mac = self._resolve_victim_mac()
         if dst_mac is None:
             return None
-        return SynFloodTemplate(
+        return FloodTemplate(
             self.host.mac, dst_mac, self.config.victim_ip,
-            self.config.victim_port, pool=self.pool,
+            self.config.victim_port, PROTO_TCP,
         )
 
     def _fire(self) -> None:
@@ -325,18 +304,16 @@ class SynFloodAttacker(_FloodAttacker):
         src_port = rng.randint(1024, 65535)
         seq = rng.randint(0, 0xFFFFFFFF)
         src_ip = self._source_ip()
+        header = TcpHeader(src_port=src_port, dst_port=self.config.victim_port,
+                           seq=seq, flags=TCP_SYN)
         template = self._template
         if template is not None:
             return template.stamp(
-                src_ip if src_ip is not None else self.host.ip, src_port, seq, t
+                src_ip if src_ip is not None else self.host.ip, header, t
             )
-        return (
-            src_ip,
-            TcpHeader(src_port=src_port, dst_port=self.config.victim_port,
-                      seq=seq, flags=TCP_SYN),
-        )
+        return (src_ip, header)
 
-    def _emit(self, item) -> bool:
+    def _emit(self, item) -> None:
         if type(item) is tuple:
             src_ip, header = item
             sent = self.host.send_tcp(self.config.victim_ip, header, src_ip=src_ip)
@@ -346,7 +323,6 @@ class SynFloodAttacker(_FloodAttacker):
             self.packets_sent += 1
         else:
             self.packets_rejected += 1
-        return sent
 
     def _source_ip(self) -> Optional[str]:
         if not self.config.spoof:
@@ -380,24 +356,14 @@ class UdpFloodAttacker(_FloodAttacker):
 
     _kind = "udpflood"
 
-    def __init__(
-        self,
-        host: Host,
-        rng: SeededRng,
-        config: UdpFloodConfig,
-        pool: Optional[PacketPool] = None,
-        burst: bool = True,
-    ) -> None:
-        super().__init__(host, rng, config, pool=pool, burst=burst)
-
-    def _build_template(self) -> Optional[UdpFloodTemplate]:
+    def _build_template(self) -> Optional[FloodTemplate]:
         dst_mac = self._resolve_victim_mac()
         if dst_mac is None:
             return None
-        return UdpFloodTemplate(
+        return FloodTemplate(
             self.host.mac, dst_mac, self.config.victim_ip,
-            self.config.victim_port, payload=bytes(self.config.payload_bytes),
-            pool=self.pool,
+            self.config.victim_port, PROTO_UDP,
+            payload=bytes(self.config.payload_bytes),
         )
 
     def _fire(self) -> None:
@@ -427,17 +393,15 @@ class UdpFloodAttacker(_FloodAttacker):
         src_ip = (
             rng.random_ipv4(self.config.spoof_prefix) if self.config.spoof else None
         )
+        header = UdpHeader(src_port=src_port, dst_port=self.config.victim_port)
         template = self._template
         if template is not None:
             return template.stamp(
-                src_ip if src_ip is not None else self.host.ip, src_port, t
+                src_ip if src_ip is not None else self.host.ip, header, t
             )
-        return (
-            src_ip,
-            UdpHeader(src_port=src_port, dst_port=self.config.victim_port),
-        )
+        return (src_ip, header)
 
-    def _emit(self, item) -> bool:
+    def _emit(self, item) -> None:
         if type(item) is tuple:
             src_ip, header = item
             sent = self.host.send_udp(
@@ -450,4 +414,3 @@ class UdpFloodAttacker(_FloodAttacker):
             self.packets_sent += 1
         else:
             self.packets_rejected += 1
-        return sent

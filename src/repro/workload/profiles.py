@@ -9,7 +9,7 @@ streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.topology.builder import Network
 from repro.topology.standard import Roles
@@ -96,8 +96,7 @@ class StandardWorkload:
             pulse_off_s=cfg.attack_pulse_off_s,
         )
         # The Network owns the fast/reference switch: a reference network
-        # has no packet pool and schedules every arrival as its own event.
-        pool = self.net.packet_pool
+        # schedules every arrival as its own event.
         burst = not self.net.reference
         for name in self.roles.attackers:
             host = self.net.hosts[name]
@@ -113,7 +112,6 @@ class StandardWorkload:
                         spoof=cfg.spoof,
                         schedule=schedule,
                     ),
-                    pool=pool,
                     burst=burst,
                 )
             else:
@@ -128,7 +126,6 @@ class StandardWorkload:
                         spoof_pool_size=cfg.spoof_pool_size,
                         schedule=schedule,
                     ),
-                    pool=pool,
                     burst=burst,
                 )
 

@@ -1,10 +1,10 @@
-"""The allocation fast path: flood templates, the packet pool, and the
-vectorized Internet checksum.
+"""The allocation fast path: the flood template and the vectorized
+Internet checksum.
 
 Everything here defends one promise: the fast path is invisible.  A
-stamped packet must be byte-for-byte what the classmethod constructors
-build, a recycled shell must be indistinguishable from a fresh one, and
-the word-summed checksum must equal the word-at-a-time reference on any
+stamped packet must serialize byte-for-byte to what the classmethod
+constructors build — and only when something reads its bytes — and the
+word-summed checksum must equal the word-at-a-time reference on any
 input.
 """
 
@@ -14,14 +14,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.headers import TCP_SYN, TcpHeader, UdpHeader, internet_checksum
-from repro.net.packet import (
-    Packet,
-    PacketPool,
-    SynFloodTemplate,
-    UdpFloodTemplate,
-    parse_packet,
+from repro.harness.scenario import ScenarioConfig, run_scenario
+from repro.net.headers import (
+    PROTO_ICMP,
+    PROTO_TCP,
+    PROTO_UDP,
+    TCP_SYN,
+    EthernetHeader,
+    TcpHeader,
+    UdpHeader,
+    internet_checksum,
 )
+from repro.net.packet import FloodTemplate, Packet, parse_packet
+from repro.workload.profiles import WorkloadConfig
 
 SRC_MAC = "02:00:00:00:00:01"
 DST_MAC = "02:00:00:00:00:02"
@@ -42,28 +47,45 @@ def _legacy_udp(src_ip: str, src_port: int, payload: bytes) -> Packet:
     )
 
 
+def _syn_template() -> FloodTemplate:
+    return FloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80, PROTO_TCP)
+
+
+def _udp_template(payload: bytes) -> FloodTemplate:
+    return FloodTemplate(SRC_MAC, DST_MAC, VICTIM, 53, PROTO_UDP, payload=payload)
+
+
+def _stamp_syn(template: FloodTemplate, src_ip: str, src_port: int, seq: int,
+               created_at: float = 0.0) -> Packet:
+    header = TcpHeader(src_port=src_port, dst_port=80, seq=seq, flags=TCP_SYN)
+    return template.stamp(src_ip, header, created_at)
+
+
+def _stamp_udp(template: FloodTemplate, src_ip: str, src_port: int) -> Packet:
+    return template.stamp(src_ip, UdpHeader(src_port=src_port, dst_port=53), 0.0)
+
+
 class TestSynFloodTemplate:
     def test_stamp_matches_classmethod_bytes(self):
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80)
+        template = _syn_template()
         for src_ip, src_port, seq in [
             ("198.18.3.7", 1024, 0),
             ("198.18.255.254", 65535, 0xFFFFFFFF),
             ("1.2.3.4", 40000, 0x80008000),
         ]:
-            stamped = template.stamp(src_ip, src_port, seq, 0.0)
+            stamped = _stamp_syn(template, src_ip, src_port, seq)
             assert stamped.to_bytes() == _legacy_syn(src_ip, src_port, seq).to_bytes()
 
-    def test_stamp_wire_memo_is_warm_and_parses_verified(self):
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80)
-        stamped = template.stamp("198.18.0.1", 2048, 12345, 1.5)
-        assert stamped._wire  # pre-packed at birth, no lazy serialization
+    def test_stamp_leaves_wire_unset_and_parses_verified(self):
+        stamped = _stamp_syn(_syn_template(), "198.18.0.1", 2048, 12345, 1.5)
+        assert stamped._wire is None  # no bytes until somebody reads them
         parsed = parse_packet(stamped.to_bytes(), verify=True)  # checksums hold
+        assert stamped._wire is not None
         assert parsed.ip.src_ip == "198.18.0.1"
         assert parsed.tcp.seq == 12345
 
     def test_stamp_fields_match_classmethod(self):
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80)
-        stamped = template.stamp("198.18.9.9", 5555, 77, 2.0)
+        stamped = _stamp_syn(_syn_template(), "198.18.9.9", 5555, 77, 2.0)
         legacy = _legacy_syn("198.18.9.9", 5555, 77)
         assert stamped.flow_key() == legacy.flow_key()
         assert stamped.size_bytes == legacy.size_bytes
@@ -72,108 +94,65 @@ class TestSynFloodTemplate:
 
     @given(st.integers(0, 0xFFFFFFFF), st.integers(1024, 65535))
     def test_stamp_checksums_for_any_seq_and_port(self, seq, src_port):
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80)
-        stamped = template.stamp("198.18.1.2", src_port, seq, 0.0)
+        stamped = _stamp_syn(_syn_template(), "198.18.1.2", src_port, seq)
         assert stamped.to_bytes() == _legacy_syn("198.18.1.2", src_port, seq).to_bytes()
 
     def test_distinct_stamps_get_distinct_ids(self):
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80)
-        a = template.stamp("198.18.0.1", 1111, 1, 0.0)
-        b = template.stamp("198.18.0.1", 1111, 1, 0.0)
+        template = _syn_template()
+        a = _stamp_syn(template, "198.18.0.1", 1111, 1)
+        b = _stamp_syn(template, "198.18.0.1", 1111, 1)
         assert a.packet_id != b.packet_id
+
+    def test_rejects_other_protocols(self):
+        with pytest.raises(ValueError):
+            FloodTemplate(SRC_MAC, DST_MAC, VICTIM, 0, PROTO_ICMP)
 
 
 class TestUdpFloodTemplate:
     def test_stamp_matches_classmethod_bytes(self):
         payload = b"x" * 64
-        template = UdpFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 53, payload=payload)
+        template = _udp_template(payload)
         for src_ip, src_port in [("198.18.3.7", 1024), ("203.0.113.200", 65535)]:
-            stamped = template.stamp(src_ip, src_port, 0.0)
-            assert stamped.to_bytes() == _legacy_udp(src_ip, src_port, payload).to_bytes()
+            stamped = _stamp_udp(template, src_ip, src_port)
+            legacy = _legacy_udp(src_ip, src_port, payload)
+            assert stamped._wire is None
+            assert stamped.to_bytes() == legacy.to_bytes()
+            assert stamped.flow_key() == legacy.flow_key()
+            assert stamped.size_bytes == legacy.size_bytes
 
     def test_odd_length_payload_checksum(self):
         # Odd payloads exercise the zero-padding of the final 16-bit word.
         payload = b"abc"
-        template = UdpFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 53, payload=payload)
-        stamped = template.stamp("198.18.7.7", 3333, 0.0)
+        stamped = _stamp_udp(_udp_template(payload), "198.18.7.7", 3333)
         assert stamped.to_bytes() == _legacy_udp("198.18.7.7", 3333, payload).to_bytes()
         parse_packet(stamped.to_bytes(), verify=True)
 
     @given(st.integers(1024, 65535))
     def test_stamp_checksums_for_any_port(self, src_port):
-        template = UdpFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 53, payload=b"q" * 9)
-        stamped = template.stamp("198.18.1.2", src_port, 0.0)
+        stamped = _stamp_udp(_udp_template(b"q" * 9), "198.18.1.2", src_port)
         assert stamped.to_bytes() == _legacy_udp("198.18.1.2", src_port, b"q" * 9).to_bytes()
 
 
-class TestPacketPool:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PacketPool(capacity=0)
+class TestBytesOnDemand:
+    """Unread flood frames are never packed; read frames are packed once."""
 
-    def test_acquire_miss_then_release_then_hit(self):
-        pool = PacketPool(capacity=4)
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80, pool=pool)
-        packet = template.stamp("198.18.0.1", 1111, 1, 0.0)
-        assert pool.misses == 1
-        released = pool.release(packet)
-        packet = None  # drop our reference *after* release already ran
-        assert released and pool.releases == 1 and pool.free_count == 1
-        recycled = template.stamp("198.18.0.2", 2222, 2, 1.0)
-        assert pool.hits == 1 and pool.free_count == 0
-        # The recycled shell is a fully fresh packet to every consumer.
-        assert recycled.to_bytes() == _legacy_syn("198.18.0.2", 2222, 2).to_bytes()
-
-    def test_recycled_shell_gets_fresh_id(self):
-        pool = PacketPool(capacity=4)
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80, pool=pool)
-        packet = template.stamp("198.18.0.1", 1111, 1, 0.0)
-        old_id = packet.packet_id
-        pool.release(packet)
-        packet = None
-        assert template.stamp("198.18.0.2", 2222, 2, 1.0).packet_id != old_id
-
-    def test_release_skips_live_packets(self):
-        pool = PacketPool(capacity=4)
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80, pool=pool)
-        packet = template.stamp("198.18.0.1", 1111, 1, 0.0)
-        retained = packet  # a second reference: a buffer, a sniffer, a queue
-        assert not pool.release(packet)
-        assert pool.skipped_live == 1 and pool.free_count == 0
-        assert retained.to_bytes()  # untouched
-
-    def test_release_overflow_beyond_capacity(self):
-        pool = PacketPool(capacity=1)
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80, pool=pool)
-        first = template.stamp("198.18.0.1", 1111, 1, 0.0)
-        second = template.stamp("198.18.0.2", 2222, 2, 0.0)
-        assert pool.release(first)
-        first = None
-        assert not pool.release(second)
-        assert pool.overflow == 1 and pool.free_count == 1
-
-    def test_accounting_identity(self):
-        pool = PacketPool(capacity=8)
-        template = UdpFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 53, pool=pool)
-        for i in range(20):
-            packet = template.stamp(f"198.18.0.{i + 1}", 1024 + i, 0.0)
-            pool.release(packet)
-            packet = None
-        assert pool.releases - pool.hits == pool.free_count <= pool.capacity
-
-    def test_copy_of_pooled_packet_draws_from_the_pool(self):
-        pool = PacketPool(capacity=4)
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80, pool=pool)
-        packet = template.stamp("198.18.0.1", 1111, 1, 0.0)
-        pool.release(packet)
-        packet = None
-        assert pool.free_count == 1
-        donor = template.stamp("198.18.0.2", 2222, 2, 0.0)  # consumes the free shell
-        assert pool.free_count == 0
-        clone = donor.copy()  # pool empty again: a miss, but still pool-owned
-        assert clone._pool is pool
-        assert clone.packet_id != donor.packet_id
-        assert clone.to_bytes() == donor.to_bytes()
+    @pytest.mark.parametrize("attack_kind,detector", [("syn", "ewma"), ("udp", "udp-rate")])
+    def test_only_inspected_frames_are_packed(self, monkeypatch, attack_kind, detector):
+        packs = []
+        pack = EthernetHeader.pack
+        monkeypatch.setattr(
+            EthernetHeader, "pack", lambda self: packs.append(1) or pack(self)
+        )
+        result = run_scenario(ScenarioConfig(
+            topology="single", duration_s=6.0, detector=detector,
+            workload=WorkloadConfig(
+                attack_kind=attack_kind, attack_rate_pps=2000.0, attack_start_s=2.0
+            ),
+        ))
+        attack_packets = sum(a.packets_sent for a in result.workload.attackers.values())
+        inspected = result.spi.dpi.stats.frames_received
+        assert 0 < inspected < attack_packets / 2  # the mirror window is selective
+        assert len(packs) == inspected
 
 
 def _reference_checksum(data: bytes) -> int:

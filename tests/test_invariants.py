@@ -251,7 +251,6 @@ class TestHarness:
             "LinkConservationChecker",
             "FlowTableCoherenceChecker",
             "TcpLegalityChecker",
-            "PacketPoolChecker",
             "SchedulerAccountingChecker",
         }
         harness.check_now()

@@ -53,6 +53,14 @@ def test_pool_stats_surface():
     } <= {f.name for f in fields(parallel.PoolTransportStats)}
 
 
+def test_packet_pool_attribute_reads_as_no_pool():
+    # layers.py::_scenario_counts reads ``net.packet_pool``; falsy means
+    # "no pool" and ``net.pool_hit_ratio`` reports 0.
+    from repro.topology.builder import Network
+
+    assert not Network().packet_pool
+
+
 def test_sharded_transport_stats_keys():
     # workloads.py::_sharded_check copies the dict; layers.py reads these.
     from repro.harness.scenario import ScenarioConfig
