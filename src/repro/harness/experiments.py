@@ -10,28 +10,27 @@ path.
 
 Every runner takes a ``workers`` argument: its scenario points are
 independent seeded runs, so they fan out over the process pool in
-:mod:`repro.harness.parallel`.  Each experiment reduces a finished
-:class:`ScenarioResult` to plain data with a module-level ``_extract_*``
-function (workers are spawn-started, so extractors are pickled by
-reference and must be importable), and the aggregation into table rows
-happens in the parent from those extracts — which is why the tables are
-byte-identical whatever the worker count.
+:mod:`repro.harness.parallel`.  A runner is a *spec* — the groups of
+scenario points (one table row each) and a ``cells`` function from a
+group's :class:`~repro.harness.record.RunRecord` list to its measured
+cells — handed to the one generic :func:`_tabulate`; the worker-side
+reduction is always :func:`~repro.harness.record.run_record` and the
+aggregation happens in the parent from those records, which is why the
+tables are byte-identical whatever the worker count.  E7c and E13b
+build their inputs by hand (no scenario config covers them) and ride
+the generic :func:`run_tasks` layer instead.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.budget import BudgetConfig
 from repro.core.config import SpiConfig
 from repro.harness.parallel import run_scenarios, run_tasks
-from repro.harness.scenario import (
-    FlashCrowdSpec,
-    ScenarioConfig,
-    ScenarioResult,
-)
-from repro.metrics.detection import classify_detections
-from repro.metrics.recorder import summarize
+from repro.harness.record import RunRecord, run_record
+from repro.harness.scenario import FlashCrowdSpec, ScenarioConfig
+from repro.metrics.detection import ConfusionCounts, classify_detections
 from repro.metrics.report import Table
 from repro.workload.profiles import WorkloadConfig
 
@@ -51,42 +50,59 @@ BASE = ScenarioConfig(
     ),
 )
 
+# ---------------------------------------------------------- generic runner
 
-# --------------------------------------------------------------- extractors
-#
-# Worker-side reductions of a ScenarioResult to picklable plain data.
-
-
-def _extract_timeline(result: ScenarioResult) -> dict[str, Any]:
-    timeline = result.timeline()
-    return {
-        "alert": timeline.time_to_alert,
-        "verdict": timeline.time_to_verdict,
-        "mitigation": timeline.time_to_mitigation,
-    }
+Records = Sequence[RunRecord]
 
 
-def _extract_detections(result: ScenarioResult) -> dict[str, Any]:
-    return {
-        "detections": result.detection_times(),
-        "window": result.attack_window,
-    }
+def _tabulate(
+    title: str,
+    columns: list[str],
+    groups: Sequence[tuple[tuple, dict[str, Any]]],
+    seeds: Sequence[int],
+    cells: Callable[[Records], Sequence[Any]],
+    workers: Optional[int],
+) -> Table:
+    """One table row per group: its label cells + ``cells(records)``.
+
+    ``groups`` pairs each row's label cells with the override point that
+    distinguishes it; every group runs once per seed and ``cells`` sees
+    that group's records in seed order.
+    """
+    points = [
+        {**overrides, "seed": seed} for _label, overrides in groups for seed in seeds
+    ]
+    records = run_scenarios(BASE, points, extract=run_record, workers=workers)
+    table = Table(title, columns)
+    for index, (label, _overrides) in enumerate(groups):
+        group = records[index * len(seeds):(index + 1) * len(seeds)]
+        table.add_row(*label, *cells(group))
+    return table
 
 
-def _extract_inspection_workload(result: ScenarioResult) -> dict[str, Any]:
-    table_stats = result.flow_table_stats()
-    mitigation = result.mitigation_state()
-    return {
-        "inspected_fraction": result.inspected_fraction(),
-        "mirror_cpu_share": result.switch_inspection_share(),
-        "busy_seconds": result.switch_busy_seconds(),
-        "mf_hit_rate": table_stats.microflow_hit_rate,
-        "buffer_evictions": result.buffer_evictions(),
-        "detected": len(result.detection_times()) > 0,
-        "active_blocks": len(mitigation["active_blocks"]),
-        "block_expiries": _format_expiries(mitigation["active_blocks"]),
-        "whitelisted": len(mitigation["whitelist"]),
-    }
+def _mean(values: Sequence[float]) -> Optional[float]:
+    """Arithmetic mean, or ``None`` (an empty report cell) without samples."""
+    return sum(values) / len(values) if values else None
+
+
+def _mitigated(records: Records) -> list[RunRecord]:
+    """The runs whose flood was mitigated (rules installed after its start)."""
+    return [r for r in records if r.timeline.time_to_mitigation is not None]
+
+
+def _out_of(hits: Sequence[Any], records: Records) -> str:
+    """The ``detected``-style cell: ``"2/3"``."""
+    return f"{len(hits)}/{len(records)}"
+
+
+def _t_alert(records: Records) -> Optional[float]:
+    """Mean time-to-alert over the mitigated runs."""
+    return _mean([r.timeline.time_to_alert for r in _mitigated(records)])
+
+
+def _t_mitigate(records: Records) -> Optional[float]:
+    """Mean time-to-mitigation over the mitigated runs."""
+    return _mean([r.timeline.time_to_mitigation for r in _mitigated(records)])
 
 
 def _format_expiries(entries: Sequence[dict[str, Any]]) -> str:
@@ -105,96 +121,6 @@ def _format_expiries(entries: Sequence[dict[str, Any]]) -> str:
     return ",".join(stamps)
 
 
-def _extract_service_phases(result: ScenarioResult) -> dict[str, Any]:
-    attack_start = result.config.workload.attack_start_s
-    end = result.config.duration_s
-    return {
-        "pre": result.success_rate(0, attack_start),
-        "during": result.success_rate(attack_start, attack_start + 5),
-        "post": result.success_rate(attack_start + 10, end),
-        "latencies": result.workload.client_latencies(attack_start + 10, end),
-    }
-
-
-def _extract_scalability(result: ScenarioResult) -> dict[str, Any]:
-    timeline = result.timeline()
-    return {
-        "alert": timeline.time_to_alert,
-        "mitigation": timeline.time_to_mitigation,
-        "controller_msgs": result.net.controller.messages_received,
-        "flow_mods": sum(
-            sw.counters.flow_mods for sw in result.net.switches.values()
-        ),
-    }
-
-
-def _extract_flashcrowd(result: ScenarioResult) -> dict[str, Any]:
-    tracer = result.net.tracer
-    assert result.flash_crowd is not None
-    return {
-        "alert_times": [e.time for e in tracer.entries("spi.alert")],
-        "confirmed_times": [e.time for e in tracer.entries("spi.confirmed")],
-        "refuted": sum(1 for _ in tracer.entries("spi.refuted")),
-        "crowd_started": result.flash_crowd.connections_started,
-        "crowd_completed": result.flash_crowd.connections_completed,
-    }
-
-
-def _extract_window_ablation(result: ScenarioResult) -> dict[str, Any]:
-    timeline = result.timeline()
-    assert result.spi is not None and result.spi.correlator is not None
-    cases = result.spi.correlator.cases
-    return {
-        "mitigation": timeline.time_to_mitigation,
-        "extensions": sum(case.extensions_used for case in cases),
-        "evidence": [
-            case.report.syn_total for case in cases if case.report is not None
-        ],
-    }
-
-
-def _extract_pulsing(result: ScenarioResult) -> dict[str, Any]:
-    return {
-        "detections": result.detection_times(),
-        "tail": result.success_rate(25.0, 40.0),
-    }
-
-
-def _extract_link_loss(result: ScenarioResult) -> dict[str, Any]:
-    timeline = result.timeline()
-    return {
-        "mitigation": timeline.time_to_mitigation,
-        "post": result.success_rate(12.0, 30.0),
-    }
-
-
-def _extract_placement(result: ScenarioResult) -> dict[str, Any]:
-    timeline = result.timeline()
-    return {
-        "alerts": len(result.alert_times()),
-        "mitigation": timeline.time_to_mitigation,
-    }
-
-
-def _extract_host_vs_network(result: ScenarioResult) -> dict[str, Any]:
-    core_link = result.net.links[0]  # dumbbell cables s1-s2 first
-    stats = core_link.stats_for(core_link.a)
-    return {
-        "success_post": result.success_rate(12.0, 25.0),
-        "drop_rate": stats.drop_rate(),
-        "packets_sent": stats.packets_sent,
-    }
-
-
-def _extract_udp_flood(result: ScenarioResult) -> dict[str, Any]:
-    timeline = result.timeline()
-    return {
-        "mitigation": timeline.time_to_mitigation,
-        "during": result.success_rate(5.0, 8.0),
-        "post": result.success_rate(12.0, 30.0),
-    }
-
-
 # -------------------------------------------------------------- experiments
 
 
@@ -209,35 +135,22 @@ def run_e1_response_time(
     monitor alert, to the verified verdict, and to mitigation rules
     installed, as the flood rate varies.
     """
-    table = Table(
+
+    def cells(records: Records) -> tuple:
+        hit = _mitigated(records)
+        return (
+            _t_alert(records),
+            _mean([r.timeline.time_to_verdict for r in hit]),
+            _t_mitigate(records),
+            _out_of(hit, records),
+        )
+
+    return _tabulate(
         "E1: response time vs attack rate",
         ["rate_pps", "t_alert_s", "t_verdict_s", "t_mitigate_s", "detected"],
+        [((rate,), {"workload.attack_rate_pps": float(rate)}) for rate in rates],
+        seeds, cells, workers,
     )
-    points = [
-        {"workload.attack_rate_pps": float(rate), "seed": seed}
-        for rate in rates
-        for seed in seeds
-    ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_timeline, workers=workers)
-    )
-    for rate in rates:
-        alerts, verdicts, mitigations, detected = [], [], [], 0
-        for _seed in seeds:
-            row = next(extracts)
-            if row["mitigation"] is not None:
-                detected += 1
-                alerts.append(row["alert"])
-                verdicts.append(row["verdict"])
-                mitigations.append(row["mitigation"])
-        table.add_row(
-            rate,
-            summarize(alerts).mean if alerts else None,
-            summarize(verdicts).mean if verdicts else None,
-            summarize(mitigations).mean if mitigations else None,
-            f"{detected}/{len(seeds)}",
-        )
-    return table
 
 
 def run_e2_accuracy(
@@ -254,12 +167,8 @@ def run_e2_accuracy(
     monitor-only trades TPR against FPR as the threshold moves, while
     SPI holds TPR with ~zero FPR across a wide threshold band.
     """
-    table = Table(
-        "E2: accuracy vs threshold",
-        ["threshold", "defense", "tp", "fp", "fn", "precision", "recall", "f1"],
-    )
-    points = [
-        {
+    groups = [
+        ((threshold, defense), {
             "defense": defense,
             "detector": "static",
             "detector_params": {"syn_rate_threshold": float(threshold)},
@@ -270,41 +179,27 @@ def run_e2_accuracy(
             "flash_crowd": FlashCrowdSpec(
                 start_s=6.0, duration_s=6.0, connections_per_second=200.0
             ),
-            "seed": seed,
-        }
+        })
         for threshold in thresholds
         for defense in ("monitor-only", "spi")
-        for seed in seeds
     ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_detections, workers=workers)
-    )
-    for threshold in thresholds:
-        for defense in ("monitor-only", "spi"):
-            counts_total = None
-            for _seed in seeds:
-                row = next(extracts)
-                counts, _ = classify_detections(
-                    row["detections"], [row["window"]], grace_s=3.0
-                )
-                if counts_total is None:
-                    counts_total = counts
-                else:
-                    counts_total.tp += counts.tp
-                    counts_total.fp += counts.fp
-                    counts_total.fn += counts.fn
-            assert counts_total is not None
-            table.add_row(
-                threshold,
-                defense,
-                counts_total.tp,
-                counts_total.fp,
-                counts_total.fn,
-                counts_total.precision,
-                counts_total.recall,
-                counts_total.f1,
+
+    def cells(records: Records) -> tuple:
+        total = ConfusionCounts()
+        for r in records:
+            counts, _ = classify_detections(
+                r.counters["detections"], [r.config.attack_window], grace_s=3.0
             )
-    return table
+            total.tp += counts.tp
+            total.fp += counts.fp
+            total.fn += counts.fn
+        return (total.tp, total.fp, total.fn, total.precision, total.recall, total.f1)
+
+    return _tabulate(
+        "E2: accuracy vs threshold",
+        ["threshold", "defense", "tp", "fp", "fn", "precision", "recall", "f1"],
+        groups, seeds, cells, workers,
+    )
 
 
 def run_e3_workload(
@@ -319,54 +214,45 @@ def run_e3_workload(
     suspicious aggregate for only the verification window, a small and
     rate-insensitive fraction.
     """
-    table = Table(
-        "E3: inspection workload",
-        [
-            "rate_pps",
-            "defense",
-            "inspected_fraction",
-            "mirror_cpu_share",
-            "switch_busy_ms",
-            "mf_hit_rate",
-            "buffer_evictions",
-            "detected",
-            "active_blocks",
-            "block_expiries",
-            "whitelisted",
-        ],
-    )
-    defenses = ("spi", "always-on", "sampled")
-    points = [
-        {
-            "defense": defense,
-            "workload.attack_rate_pps": float(rate),
-            "seed": seed,
-        }
-        for rate in rates
-        for defense in defenses
+    columns = [
+        "rate_pps",
+        "defense",
+        "inspected_fraction",
+        "mirror_cpu_share",
+        "switch_busy_ms",
+        "mf_hit_rate",
+        "buffer_evictions",
+        "detected",
+        "active_blocks",
+        "block_expiries",
+        "whitelisted",
     ]
-    extracts = iter(
-        run_scenarios(
-            BASE, points, extract=_extract_inspection_workload, workers=workers
+    groups = [
+        ((rate, defense), {
+            "defense": defense, "workload.attack_rate_pps": float(rate)
+        })
+        for rate in rates
+        for defense in ("spi", "always-on", "sampled")
+    ]
+
+    def cells(records: Records) -> tuple:
+        (r,) = records
+        blocks = r.mitigation["active_blocks"]
+        return (
+            r.counters["inspected_fraction"],
+            r.mirror_cpu_share,
+            r.switch_busy_s * 1000,
+            r.microflow_hit_rate,
+            r.counters["buffer_evictions"],
+            len(r.counters["detections"]) > 0,
+            len(blocks),
+            _format_expiries(blocks),
+            len(r.mitigation["whitelist"]),
         )
+
+    return _tabulate(
+        "E3: inspection workload", columns, groups, (seed,), cells, workers
     )
-    for rate in rates:
-        for defense in defenses:
-            row = next(extracts)
-            table.add_row(
-                rate,
-                defense,
-                row["inspected_fraction"],
-                row["mirror_cpu_share"],
-                row["busy_seconds"] * 1000,
-                row["mf_hit_rate"],
-                row["buffer_evictions"],
-                row["detected"],
-                row["active_blocks"],
-                row["block_expiries"],
-                row["whitelisted"],
-            )
-    return table
 
 
 def run_e4_mitigation(
@@ -380,52 +266,41 @@ def run_e4_mitigation(
     flood (backlog exhaustion) and recovers to near-clean levels once
     SPI mitigates; connect latency follows the same pattern.
     """
-    table = Table(
-        "E4: benign service under attack",
-        [
-            "condition",
-            "success_pre",
-            "success_attack",
-            "success_post_mitigation",
-            "mean_latency_ms",
-        ],
-    )
-    conditions = (
-        ("no-attack", "none", False),
-        ("attack-undefended", "none", True),
-        ("attack-spi", "spi", True),
-    )
-    points = [
-        {
+    columns = [
+        "condition",
+        "success_pre",
+        "success_attack",
+        "success_post_mitigation",
+        "mean_latency_ms",
+    ]
+    groups = [
+        ((label,), {
             "defense": defense,
             "with_attack": with_attack,
             "workload.attack_rate_pps": attack_rate,
             "duration_s": 40.0,
-            "seed": seed,
-        }
-        for _label, defense, with_attack in conditions
-        for seed in seeds
-    ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_service_phases, workers=workers)
-    )
-    for label, _defense, _with_attack in conditions:
-        pre, during, post, latencies = [], [], [], []
-        for _seed in seeds:
-            row = next(extracts)
-            pre.append(row["pre"])
-            during.append(row["during"])
-            post.append(row["post"])
-            latencies.extend(row["latencies"])
-        n = len(seeds)
-        table.add_row(
-            label,
-            sum(pre) / n,
-            sum(during) / n,
-            sum(post) / n,
-            (sum(latencies) / len(latencies) * 1000) if latencies else None,
+        })
+        for label, defense, with_attack in (
+            ("no-attack", "none", False),
+            ("attack-undefended", "none", True),
+            ("attack-spi", "spi", True),
         )
-    return table
+    ]
+
+    def cells(records: Records) -> tuple:
+        start = records[0].config.workload.attack_start_s
+        end = records[0].config.duration_s
+        latencies = [x for r in records for x in r.latencies(start + 10, end)]
+        return (
+            _mean([r.success_rate(0, start) for r in records]),
+            _mean([r.success_rate(start, start + 5) for r in records]),
+            _mean([r.success_rate(start + 10, end) for r in records]),
+            _mean(latencies) * 1000 if latencies else None,
+        )
+
+    return _tabulate(
+        "E4: benign service under attack", columns, groups, seeds, cells, workers
+    )
 
 
 def run_e5_scalability(
@@ -438,43 +313,34 @@ def run_e5_scalability(
     The table's shape: both times grow mildly (per-hop propagation and
     control-channel fan-out), never explosively, with switch count.
     """
-    table = Table(
-        "E5: scalability with topology size",
-        ["switches", "t_alert_s", "t_mitigate_s", "controller_msgs", "flow_mods"],
-    )
-    points = [
-        {
+    groups = [
+        ((size,), {
             "topology": "linear",
             "topology_params": {
                 "n_switches": int(size),
                 "clients_per_switch": 1,
                 "n_attackers": 1,
             },
-            "seed": seed,
-        }
+        })
         for size in sizes
-        for seed in seeds
     ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_scalability, workers=workers)
-    )
-    for size in sizes:
-        alerts, mitigations, msgs, mods = [], [], [], []
-        for _seed in seeds:
-            row = next(extracts)
-            if row["mitigation"] is not None:
-                alerts.append(row["alert"])
-                mitigations.append(row["mitigation"])
-            msgs.append(row["controller_msgs"])
-            mods.append(row["flow_mods"])
-        table.add_row(
-            size,
-            summarize(alerts).mean if alerts else None,
-            summarize(mitigations).mean if mitigations else None,
-            sum(msgs) / len(msgs),
-            sum(mods) / len(mods),
+
+    def cells(records: Records) -> tuple:
+        return (
+            _t_alert(records),
+            _t_mitigate(records),
+            _mean([r.controller_msgs for r in records]),
+            _mean([
+                sum(row["flow_mods"] for row in r.counters["switches"].values())
+                for r in records
+            ]),
         )
-    return table
+
+    return _tabulate(
+        "E5: scalability with topology size",
+        ["switches", "t_alert_s", "t_mitigate_s", "controller_msgs", "flow_mods"],
+        groups, seeds, cells, workers,
+    )
 
 
 def run_e6_flashcrowd(
@@ -489,19 +355,16 @@ def run_e6_flashcrowd(
     SPI's verified detections stay at zero and benign service is never
     mitigated against; a genuine flood in the same run still confirms.
     """
-    table = Table(
-        "E6: flash crowd false-alarm suppression",
-        [
-            "crowd_cps",
-            "monitor_alerts",
-            "verified_detections",
-            "refuted",
-            "crowd_success_rate",
-            "flood_confirmed",
-        ],
-    )
-    points = [
-        {
+    columns = [
+        "crowd_cps",
+        "monitor_alerts",
+        "verified_detections",
+        "refuted",
+        "crowd_success_rate",
+        "flood_confirmed",
+    ]
+    groups = [
+        ((rate,), {
             "detector": "static",
             "detector_params": {"syn_rate_threshold": 60.0},
             "flash_crowd": FlashCrowdSpec(
@@ -510,36 +373,33 @@ def run_e6_flashcrowd(
             "workload.attack_start_s": 20.0,
             "workload.attack_duration_s": 8.0,
             "duration_s": 32.0,
-            "seed": seed,
-        }
+        })
         for rate in crowd_rates
-        for seed in seeds
     ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_flashcrowd, workers=workers)
-    )
-    for rate in crowd_rates:
-        alerts = verified = refuted = confirmed = 0
-        crowd_success = []
-        for _seed in seeds:
-            row = next(extracts)
-            crowd_end = 12.0
-            alerts += sum(1 for t in row["alert_times"] if t < crowd_end + 2)
-            verified += sum(1 for t in row["confirmed_times"] if t < crowd_end + 2)
-            refuted += row["refuted"]
-            confirmed += sum(1 for t in row["confirmed_times"] if t >= 20.0)
-            started = row["crowd_started"]
-            completed = row["crowd_completed"]
-            crowd_success.append(completed / started if started else 1.0)
-        table.add_row(
-            rate,
-            alerts,
-            verified,
-            refuted,
-            sum(crowd_success) / len(crowd_success),
-            f"{confirmed}/{len(seeds)}",
+    crowd_end = 12.0
+
+    def cells(records: Records) -> tuple:
+        alerts = [t for r in records for t in r.counters["alerts"]]
+        confirmed = [t for r in records for t in r.counters["detections"]]
+        crowds = [
+            completed / started if started else 1.0
+            for started, completed, _failed in (r.flash_crowd for r in records)
+        ]
+        return (
+            sum(1 for t in alerts if t < crowd_end + 2),
+            sum(1 for t in confirmed if t < crowd_end + 2),
+            # The SPI stats counter; it equals the number of ``spi.refuted``
+            # trace entries, and the committed e6_flashcrowd.csv golden
+            # (tests/test_experiments_golden.py) pins the cell.
+            sum(r.counters["spi"]["refuted"] for r in records),
+            _mean(crowds),
+            f"{sum(1 for t in confirmed if t >= 20.0)}/{len(records)}",
         )
-    return table
+
+    return _tabulate(
+        "E6: flash crowd false-alarm suppression",
+        columns, groups, seeds, cells, workers,
+    )
 
 
 def run_e7_detector_ablation(
@@ -552,10 +412,6 @@ def run_e7_detector_ablation(
     CUSUM and EWMA catch low-rate ramps earlier than the static
     threshold; entropy keys on spoofing rather than volume.
     """
-    table = Table(
-        "E7a: detector family ablation",
-        ["rate_pps", "detector", "t_alert_s", "t_mitigate_s", "detected"],
-    )
     families: dict[str, dict] = {
         "static": {"syn_rate_threshold": 100.0},
         "adaptive": {},
@@ -563,38 +419,29 @@ def run_e7_detector_ablation(
         "cusum": {},
         "entropy": {},
     }
-    points = [
-        {
+    groups = [
+        ((rate, family), {
             "detector": family,
             "detector_params": params,
             "workload.attack_rate_pps": float(rate),
             "workload.attack_ramp_s": 4.0,
-            "seed": seed,
-        }
+        })
         for rate in rates
         for family, params in families.items()
-        for seed in seeds
     ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_timeline, workers=workers)
+
+    def cells(records: Records) -> tuple:
+        return (
+            _t_alert(records),
+            _t_mitigate(records),
+            _out_of(_mitigated(records), records),
+        )
+
+    return _tabulate(
+        "E7a: detector family ablation",
+        ["rate_pps", "detector", "t_alert_s", "t_mitigate_s", "detected"],
+        groups, seeds, cells, workers,
     )
-    for rate in rates:
-        for family in families:
-            alerts, mitigations, detected = [], [], 0
-            for _seed in seeds:
-                row = next(extracts)
-                if row["mitigation"] is not None:
-                    detected += 1
-                    alerts.append(row["alert"])
-                    mitigations.append(row["mitigation"])
-            table.add_row(
-                rate,
-                family,
-                summarize(alerts).mean if alerts else None,
-                summarize(mitigations).mean if mitigations else None,
-                f"{detected}/{len(seeds)}",
-            )
-    return table
 
 
 def run_e7_window_ablation(
@@ -607,35 +454,22 @@ def run_e7_window_ablation(
     Longer windows cost latency but gather more evidence per verdict;
     very short windows risk inconclusive extensions.
     """
-    table = Table(
+
+    def cells(records: Records) -> tuple:
+        cases = [case for r in records for case in r.cases]
+        return (
+            _t_mitigate(records),
+            _mean([c.syn_total for c in cases if c.syn_total is not None]),
+            sum(case.extensions_used for case in cases),
+            _out_of(_mitigated(records), records),
+        )
+
+    return _tabulate(
         "E7b: verification window ablation",
         ["window_s", "t_mitigate_s", "syn_evidence", "extensions", "detected"],
+        [((w,), {"spi.verification_window_s": float(w)}) for w in windows],
+        seeds, cells, workers,
     )
-    points = [
-        {"spi.verification_window_s": float(window), "seed": seed}
-        for window in windows
-        for seed in seeds
-    ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_window_ablation, workers=workers)
-    )
-    for window in windows:
-        mitigations, evidence, extensions, detected = [], [], 0, 0
-        for _seed in seeds:
-            row = next(extracts)
-            if row["mitigation"] is not None:
-                detected += 1
-                mitigations.append(row["mitigation"])
-            extensions += row["extensions"]
-            evidence.extend(row["evidence"])
-        table.add_row(
-            window,
-            summarize(mitigations).mean if mitigations else None,
-            summarize([float(e) for e in evidence]).mean if evidence else None,
-            extensions,
-            f"{detected}/{len(seeds)}",
-        )
-    return table
 
 
 def _e7c_point(
@@ -766,42 +600,27 @@ def run_e7_sampling_ablation(
     aggressive sampling at high attack rates and only degrade when the
     expected samples-per-window approaches zero.
     """
-    table = Table(
-        "E7d: monitor sampling ablation",
-        ["sampling_p", "rate_pps", "detected_runs", "t_alert_s", "t_mitigate_s"],
-    )
-    points = [
-        {
+    groups = [
+        ((probability, rate), {
             "spi.monitor.sampling_probability": float(probability),
             "workload.attack_rate_pps": float(rate),
-            "seed": seed,
-        }
+        })
         for probability in probabilities
         for rate in rates
-        for seed in seeds
     ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_timeline, workers=workers)
+
+    def cells(records: Records) -> tuple:
+        return (
+            _out_of(_mitigated(records), records),
+            _t_alert(records),
+            _t_mitigate(records),
+        )
+
+    return _tabulate(
+        "E7d: monitor sampling ablation",
+        ["sampling_p", "rate_pps", "detected_runs", "t_alert_s", "t_mitigate_s"],
+        groups, seeds, cells, workers,
     )
-    for probability in probabilities:
-        for rate in rates:
-            detected = 0
-            alerts: list[float] = []
-            mitigations: list[float] = []
-            for _seed in seeds:
-                row = next(extracts)
-                if row["mitigation"] is not None:
-                    detected += 1
-                    alerts.append(row["alert"])
-                    mitigations.append(row["mitigation"])
-            table.add_row(
-                probability,
-                rate,
-                f"{detected}/{len(seeds)}",
-                summarize(alerts).mean if alerts else None,
-                summarize(mitigations).mean if mitigations else None,
-            )
-    return table
 
 
 def run_e8_pulsing(
@@ -817,13 +636,8 @@ def run_e8_pulsing(
     which sees every pulse.  The table reports whether each defense
     detects and how fast.
     """
-    table = Table(
-        "E8: pulsing flood (1s on / 4s off)",
-        ["defense", "detected_runs", "first_detection_s", "success_tail"],
-    )
-    defenses = ("spi", "sampled", "flow-stats")
-    points = [
-        {
+    groups = [
+        ((defense,), {
             "defense": defense,
             "workload.attack_rate_pps": pulse_rate,
             # Start at t=7 so the 1s pulses (7-8, 12-13, ...) are
@@ -835,32 +649,27 @@ def run_e8_pulsing(
             "duration_s": 40.0,
             "sampled_period_s": 5.0,
             "sampled_duty": 0.2,
-            "seed": seed,
-        }
-        for defense in defenses
-        for seed in seeds
+        })
+        for defense in ("spi", "sampled", "flow-stats")
     ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_pulsing, workers=workers)
-    )
-    for defense in defenses:
-        detected = 0
-        first: list[float] = []
-        tails: list[float] = []
-        for _seed in seeds:
-            row = next(extracts)
-            times = [t for t in row["detections"] if t >= 7.0]
+
+    def cells(records: Records) -> tuple:
+        firsts = []
+        for r in records:
+            times = [t for t in r.counters["detections"] if t >= 7.0]
             if times:
-                detected += 1
-                first.append(times[0] - 7.0)
-            tails.append(row["tail"])
-        table.add_row(
-            defense,
-            f"{detected}/{len(seeds)}",
-            summarize(first).mean if first else None,
-            sum(tails) / len(tails),
+                firsts.append(times[0] - 7.0)
+        return (
+            _out_of(firsts, records),
+            _mean(firsts),
+            _mean([r.success_rate(25.0, 40.0) for r in records]),
         )
-    return table
+
+    return _tabulate(
+        "E8: pulsing flood (1s on / 4s off)",
+        ["defense", "detected_runs", "first_detection_s", "success_tail"],
+        groups, seeds, cells, workers,
+    )
 
 
 def run_e9_link_loss(
@@ -874,39 +683,26 @@ def run_e9_link_loss(
     The signature evidence is statistical, so detection should survive
     realistic loss rates with, at worst, modest extra latency.
     """
-    table = Table(
-        "E9: robustness to link loss",
-        ["loss", "detected_runs", "t_mitigate_s", "success_post"],
-    )
-    points = [
-        {
+    groups = [
+        ((loss,), {
             "link_loss_probability": float(loss),
             "workload.attack_rate_pps": 400.0,
-            "seed": seed,
-        }
+        })
         for loss in losses
-        for seed in seeds
     ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_link_loss, workers=workers)
-    )
-    for loss in losses:
-        detected = 0
-        mitigations: list[float] = []
-        post: list[float] = []
-        for _seed in seeds:
-            row = next(extracts)
-            if row["mitigation"] is not None:
-                detected += 1
-                mitigations.append(row["mitigation"])
-            post.append(row["post"])
-        table.add_row(
-            loss,
-            f"{detected}/{len(seeds)}",
-            summarize(mitigations).mean if mitigations else None,
-            sum(post) / len(post),
+
+    def cells(records: Records) -> tuple:
+        return (
+            _out_of(_mitigated(records), records),
+            _t_mitigate(records),
+            _mean([r.success_rate(12.0, 30.0) for r in records]),
         )
-    return table
+
+    return _tabulate(
+        "E9: robustness to link loss",
+        ["loss", "detected_runs", "t_mitigate_s", "success_post"],
+        groups, seeds, cells, workers,
+    )
 
 
 def run_e10_monitor_placement(
@@ -922,17 +718,13 @@ def run_e10_monitor_placement(
     core) monitoring aggregates the evidence; attacker-edge monitors see
     only their slice and a high static threshold misses it.
     """
-    table = Table(
-        "E10: monitor placement (distributed 4-arm attack)",
-        ["placement", "alerts", "detected_runs", "t_mitigate_s"],
-    )
     placements = {
         "victim-edge": ("core",),
         "attacker-edges": ("edge1", "edge2", "edge3", "edge4"),
         "everywhere": ("core", "edge1", "edge2", "edge3", "edge4"),
     }
-    points = [
-        {
+    groups = [
+        ((label,), {
             "topology": "star",
             "topology_params": {
                 "n_arms": 4, "clients_per_arm": 1, "n_attackers": 4
@@ -943,31 +735,22 @@ def run_e10_monitor_placement(
             "workload.attack_rate_pps": 4 * per_attacker_rate,
             "monitor_switches": switches,
             "inspector_switch": "core",
-            "seed": seed,
-        }
-        for switches in placements.values()
-        for seed in seeds
+        })
+        for label, switches in placements.items()
     ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_placement, workers=workers)
-    )
-    for label in placements:
-        alerts = 0
-        detected = 0
-        mitigations: list[float] = []
-        for _seed in seeds:
-            row = next(extracts)
-            alerts += row["alerts"]
-            if row["mitigation"] is not None:
-                detected += 1
-                mitigations.append(row["mitigation"])
-        table.add_row(
-            label,
-            alerts,
-            f"{detected}/{len(seeds)}",
-            summarize(mitigations).mean if mitigations else None,
+
+    def cells(records: Records) -> tuple:
+        return (
+            sum(len(r.counters["alerts"]) for r in records),
+            _out_of(_mitigated(records), records),
+            _t_mitigate(records),
         )
-    return table
+
+    return _tabulate(
+        "E10: monitor placement (distributed 4-arm attack)",
+        ["placement", "alerts", "detected_runs", "t_mitigate_s"],
+        groups, seeds, cells, workers,
+    )
 
 
 def run_e11_host_vs_network_defense(
@@ -984,17 +767,8 @@ def run_e11_host_vs_network_defense(
     the flood at its ingress edge.  The dumbbell core is throttled to
     make the crossover visible.
     """
-    table = Table(
-        "E11: host-side vs network-side defense",
-        ["rate_pps", "defense", "success_post", "core_drop_rate", "flood_crosses_core"],
-    )
-    conditions = (
-        ("syn-cookies", "none", True),
-        ("spi", "spi", False),
-        ("both", "spi", True),
-    )
-    points = [
-        {
+    groups = [
+        ((rate, label), {
             "defense": defense,
             "syn_cookies": cookies,
             "workload.attack_rate_pps": float(rate),
@@ -1006,28 +780,36 @@ def run_e11_host_vs_network_defense(
                 "core_bandwidth_bps": 2e6,
             },
             "duration_s": 25.0,
-            "seed": seed,
-        }
+        })
         for rate in rates
-        for _label, defense, cookies in conditions
+        for label, defense, cookies in (
+            ("syn-cookies", "none", True),
+            ("spi", "spi", False),
+            ("both", "spi", True),
+        )
     ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_host_vs_network, workers=workers)
+
+    def cells(records: Records) -> tuple:
+        (r,) = records
+        # The dumbbell cables s1-s2 first (``net.links[0]``), so the core's
+        # s1 end is port 1; the committed e11_host_vs_network.csv golden
+        # (tests/test_experiments_golden.py) pins the cells read from it.
+        (core,) = [row for row in r.counters["links"] if row["from"] == "s1:1"]
+        offered = core["sent"] + core["queue_drops"]
+        return (
+            r.success_rate(12.0, 25.0),
+            core["queue_drops"] / offered if offered else 0.0,
+            # More than ~3 attack-seconds' worth of flood packets
+            # (after a generous allowance for benign traffic) means
+            # the flood ran unmitigated over the core.
+            core["sent"] > r.config.workload.attack_rate_pps * 3 + 5000,
+        )
+
+    return _tabulate(
+        "E11: host-side vs network-side defense",
+        ["rate_pps", "defense", "success_post", "core_drop_rate", "flood_crosses_core"],
+        groups, (seed,), cells, workers,
     )
-    for rate in rates:
-        for label, _defense, _cookies in conditions:
-            row = next(extracts)
-            table.add_row(
-                rate,
-                label,
-                row["success_post"],
-                row["drop_rate"],
-                # More than ~3 attack-seconds' worth of flood packets
-                # (after a generous allowance for benign traffic) means
-                # the flood ran unmitigated over the core.
-                row["packets_sent"] > rate * 3 + 5000,
-            )
-    return table
 
 
 def run_e12_udp_flood(
@@ -1042,12 +824,8 @@ def run_e12_udp_flood(
     the mirrored datagrams; mitigation blocks the spoofed prefix.  The
     dumbbell core is throttled so the flood actually hurts benign TCP.
     """
-    table = Table(
-        "E12: UDP flood detection and mitigation",
-        ["rate_pps", "detected_runs", "t_mitigate_s", "success_during", "success_post"],
-    )
-    points = [
-        {
+    groups = [
+        ((rate,), {
             "detector": "udp-rate",
             "detector_params": {"udp_rate_threshold": 150.0},
             "workload.attack_kind": "udp",
@@ -1059,51 +837,23 @@ def run_e12_udp_flood(
                 "core_bandwidth_bps": 10e6,
             },
             "duration_s": 30.0,
-            "seed": seed,
-        }
+        })
         for rate in rates
-        for seed in seeds
     ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_udp_flood, workers=workers)
-    )
-    for rate in rates:
-        detected = 0
-        mitigations: list[float] = []
-        during: list[float] = []
-        post: list[float] = []
-        for _seed in seeds:
-            row = next(extracts)
-            if row["mitigation"] is not None:
-                detected += 1
-                mitigations.append(row["mitigation"])
-            during.append(row["during"])
-            post.append(row["post"])
-        table.add_row(
-            rate,
-            f"{detected}/{len(seeds)}",
-            summarize(mitigations).mean if mitigations else None,
-            sum(during) / len(during),
-            sum(post) / len(post),
+
+    def cells(records: Records) -> tuple:
+        return (
+            _out_of(_mitigated(records), records),
+            _t_mitigate(records),
+            _mean([r.success_rate(5.0, 8.0) for r in records]),
+            _mean([r.success_rate(12.0, 30.0) for r in records]),
         )
-    return table
 
-
-def _extract_e13_accuracy(result: ScenarioResult) -> dict[str, Any]:
-    timeline = result.timeline()
-    monitors = []
-    if result.spi is not None:
-        monitors.extend(result.spi.monitors.values())
-    if result.monitor_only is not None:
-        monitors.extend(result.monitor_only.monitors.values())
-    return {
-        "detected": bool(result.detection_times()),
-        "alert": timeline.time_to_alert,
-        "mitigation": timeline.time_to_mitigation,
-        "peak_bytes": max(
-            (m.extractor.peak_state_bytes for m in monitors), default=0
-        ),
-    }
+    return _tabulate(
+        "E12: UDP flood detection and mitigation",
+        ["rate_pps", "detected_runs", "t_mitigate_s", "success_during", "success_post"],
+        groups, seeds, cells, workers,
+    )
 
 
 #: The standard scenarios E13 compares across feature backends: the
@@ -1144,11 +894,6 @@ def run_e13_sketch_monitor(
     backend changes, so verdict differences would mean estimator error
     crossed a detector threshold.
     """
-    table = Table(
-        "E13a: feature backend accuracy (exact vs sketch)",
-        ["case", "backend", "detected_runs", "t_alert_s", "t_mitigate_s",
-         "peak_monitor_kib"],
-    )
     backends: list[tuple[str, dict[str, Any]]] = [("exact", {})]
     for width in widths:
         backends.append((
@@ -1158,44 +903,33 @@ def run_e13_sketch_monitor(
                 "spi.monitor.sketch_width": int(width),
             },
         ))
-    points = [
-        {
+    groups = [
+        ((case, backend), {
             **case_overrides,
             **backend_overrides,
             "spi.monitor.track_state_bytes": True,
-            "seed": seed,
-        }
-        for _case, case_overrides in _E13_CASES
-        for _backend, backend_overrides in backends
-        for seed in seeds
+        })
+        for case, case_overrides in _E13_CASES
+        for backend, backend_overrides in backends
     ]
-    extracts = iter(
-        run_scenarios(BASE, points, extract=_extract_e13_accuracy, workers=workers)
+
+    def cells(records: Records) -> tuple:
+        # Unlike E1's, these means are over every run that alerted (or
+        # mitigated) at all: the flash-crowd case alerts and never mitigates.
+        alerts = [r.timeline.time_to_alert for r in records]
+        return (
+            _out_of([r for r in records if r.counters["detections"]], records),
+            _mean([t for t in alerts if t is not None]),
+            _t_mitigate(records),
+            round(max(r.monitor_peak_bytes for r in records) / 1024, 1),
+        )
+
+    return _tabulate(
+        "E13a: feature backend accuracy (exact vs sketch)",
+        ["case", "backend", "detected_runs", "t_alert_s", "t_mitigate_s",
+         "peak_monitor_kib"],
+        groups, seeds, cells, workers,
     )
-    for case, _overrides in _E13_CASES:
-        for backend, _knobs in backends:
-            detected = 0
-            alerts: list[float] = []
-            mitigations: list[float] = []
-            peak = 0
-            for _seed in seeds:
-                row = next(extracts)
-                if row["detected"]:
-                    detected += 1
-                if row["alert"] is not None:
-                    alerts.append(row["alert"])
-                if row["mitigation"] is not None:
-                    mitigations.append(row["mitigation"])
-                peak = max(peak, row["peak_bytes"])
-            table.add_row(
-                case,
-                backend,
-                f"{detected}/{len(seeds)}",
-                summarize(alerts).mean if alerts else None,
-                summarize(mitigations).mean if mitigations else None,
-                round(peak / 1024, 1),
-            )
-    return table
 
 
 def _e13_scale_task(n_sources: int, backend: str) -> dict[str, Any]:

@@ -16,13 +16,8 @@ workload, attack mix, defense) and asserts exactly that:
   loop that runs every variant of every seed and names the ones that
   diverged.
 
-The fingerprint intentionally covers every counter the metrics layer
-reads (detections, service quality, switch/link/stack/DPI counters,
-trace categories) and excludes only what legitimately differs between
-strategies: the ``microflow_*`` counters (cache off) and the raw event
-count (burst coalescing replaces N per-arrival heap entries with batch
-wake-ups, so the count of executed events is a property of the schedule
-encoding, not of the simulated traffic).
+What is compared is :func:`repro.harness.fingerprint.fingerprint`
+(re-exported here: the perf ledger imports it from this module).
 """
 
 from __future__ import annotations
@@ -30,14 +25,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
+from repro.harness.fingerprint import fingerprint, fingerprint_json
 from repro.harness.scenario import (
     FlashCrowdSpec,
     ScenarioConfig,
-    ScenarioResult,
     build_scenario,
     finish_scenario,
     run_scenario,
@@ -113,63 +107,6 @@ def generate_scenario(seed: int) -> ScenarioConfig:
         flash_crowd=flash_crowd,
         check_invariants=True,
     )
-
-
-def fingerprint(result: ScenarioResult) -> dict[str, Any]:
-    """Every strategy-invariant metric of a finished run, as plain data.
-
-    A result that carries precomputed ``fingerprint_data`` (a sharded
-    run, whose counters are merged across worker processes by
-    :mod:`repro.sim.sharded.merge`) returns it verbatim — same keys,
-    same row shapes, so the JSON form stays byte-comparable.
-    """
-    precomputed = getattr(result, "fingerprint_data", None)
-    if precomputed is not None:
-        return precomputed
-    from repro.harness.fingerprint import link_row, stack_row, switch_row
-
-    net = result.net
-    switches = {
-        name: switch_row(switch) for name, switch in sorted(net.switches.items())
-    }
-    links = []
-    for link in net.links:
-        for iface in (link.a, link.b):
-            links.append(link_row(iface, link.stats_for(iface)))
-    stacks = {
-        name: stack_row(stack) for name, stack in sorted(net.stacks.items())
-    }
-    data: dict[str, Any] = {
-        "detections": result.detection_times(),
-        "alerts": result.alert_times(),
-        "success_rate": result.success_rate(),
-        "mean_latency": result.mean_latency(),
-        "attack_packets": result.workload.attack_packets_sent(),
-        "inspected_fraction": result.inspected_fraction(),
-        "buffer_evictions": result.buffer_evictions(),
-        "switches": switches,
-        "links": sorted(links, key=lambda row: row["from"]),
-        "stacks": stacks,
-        "trace_categories": dict(
-            sorted(Counter(e.category for e in net.tracer.entries()).items())
-        ),
-        "final_time": net.sim.now,
-        "invariant_sweeps": (
-            result.invariants.checks_run if result.invariants else 0
-        ),
-    }
-    if result.spi is not None:
-        data["spi"] = dict(vars(result.spi.stats))
-        if result.spi.dpi is not None:
-            data["dpi"] = dict(vars(result.spi.dpi.stats))
-    if result.tap_dpi is not None:
-        data["tap_dpi"] = dict(vars(result.tap_dpi.stats))
-    return data
-
-
-def fingerprint_json(result: ScenarioResult) -> str:
-    """Canonical (sorted, byte-comparable) form of :func:`fingerprint`."""
-    return json.dumps(fingerprint(result), sort_keys=True)
 
 
 # Module-level so the pooled variant can pickle it by reference.
@@ -418,12 +355,7 @@ def _check_sketch_bounds(
     }
     built = build_scenario(config)
     pairs: list[_ShadowPairExtractor] = []
-    monitors = []
-    if built.spi is not None:
-        monitors.extend(built.spi.monitors.values())
-    if built.monitor_only is not None:
-        monitors.extend(built.monitor_only.monitors.values())
-    for monitor in monitors:
+    for monitor in built.monitors():
         shadow = FeatureExtractor(
             monitor.config.sampling_probability,
             backend="sketch",

@@ -35,6 +35,7 @@ from repro.core.spi import SpiSystem
 from repro.metrics.detection import DetectionTimeline, extract_timeline
 from repro.mitigation.manager import MitigationManager, MitigationMode
 from repro.monitor.detectors import make_detector
+from repro.monitor.monitor import TrafficMonitor
 from repro.topology import standard
 from repro.topology.builder import Network
 from repro.topology.standard import Roles
@@ -149,6 +150,13 @@ class ScenarioConfig:
         if self.shards < 1:
             raise ValueError("shard count must be >= 1")
 
+    @property
+    def attack_window(self) -> tuple[float, float]:
+        """Ground-truth attack interval (clipped to the run)."""
+        start = self.workload.attack_start_s
+        end = min(start + self.workload.attack_duration_s, self.duration_s)
+        return (start, end)
+
 
 @dataclass
 class ScenarioResult:
@@ -176,11 +184,7 @@ class ScenarioResult:
     @property
     def attack_window(self) -> tuple[float, float]:
         """Ground-truth attack interval (clipped to the run)."""
-        start = self.config.workload.attack_start_s
-        end = min(
-            start + self.config.workload.attack_duration_s, self.config.duration_s
-        )
-        return (start, end)
+        return self.config.attack_window
 
     def success_rate(self, start: float = 0.0, end: float = float("inf")) -> float:
         """Benign request success fraction within a phase."""
@@ -192,6 +196,11 @@ class ScenarioResult:
         return sum(latencies) / len(latencies) if latencies else 0.0
 
     # ---------------------------------------------------------- detection
+
+    def monitors(self) -> list[TrafficMonitor]:
+        """Every edge monitor of whichever defense deployed some."""
+        defenses = (self.spi, self.monitor_only)
+        return [m for d in defenses if d is not None for m in d.monitors.values()]
 
     def detection_times(self) -> list[float]:
         """Confirmed detection timestamps for whichever defense ran."""
@@ -409,15 +418,10 @@ def build_scenario(config: ScenarioConfig) -> ScenarioResult:
     if config.check_invariants:
         from repro.sim.invariants import InvariantHarness
 
-        monitors = []
-        if result.spi is not None:
-            monitors.extend(result.spi.monitors.values())
-        if result.monitor_only is not None:
-            monitors.extend(result.monitor_only.monitors.values())
         result.invariants = InvariantHarness.for_network(
             net,
             period_s=config.invariant_period_s,
-            monitors=monitors,
+            monitors=result.monitors(),
             spi=result.spi,
         )
         result.invariants.start()
@@ -451,7 +455,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     With ``config.shards > 1`` the run is handed to the sharded
     coordinator; the returned :class:`ShardedResult` quacks like a
     :class:`ScenarioResult` (it delegates every accessor to the
-    coordinator shard's result and carries the merged fingerprint).
+    coordinator shard's result and keeps every shard's counter slice).
     """
     if config.shards > 1:
         from repro.sim.sharded.coordinator import run_sharded_scenario

@@ -356,7 +356,7 @@ class Session:
             raise RuntimeError(
                 f"fingerprint requires state done, session is {self.state.value}"
             )
-        from repro.harness.fuzzer import fingerprint_json
+        from repro.harness.fingerprint import fingerprint_json
 
         assert self.result is not None
         return fingerprint_json(self.result)

@@ -34,6 +34,7 @@ import heapq
 import math
 from typing import Any, Callable, Optional
 
+from repro.harness.fingerprint import fingerprint, graft_workload
 from repro.harness.scenario import ScenarioConfig, ScenarioResult, effective_config
 from repro.harness.serialize import config_to_dict
 from repro.harness.shards import (
@@ -42,20 +43,21 @@ from repro.harness.shards import (
     ShardWorkerError,
     shutdown_workers,
 )
-from repro.sim.sharded.merge import graft_workload, merged_fingerprint_data
 from repro.sim.sharded.runtime import ShardRuntime
 
 __all__ = ["ShardedRun", "ShardedResult", "run_sharded_scenario"]
 
 
 class ShardedResult:
-    """A finished sharded run: coordinator result + merged fingerprint.
+    """A finished sharded run: coordinator result + every shard's slice.
 
     Delegates every accessor to the coordinator's
     :class:`ScenarioResult` (detections, mitigation state, config, the
-    trace — all centralized state is exact there) while carrying the
-    cross-shard ``fingerprint_data`` that
-    :func:`repro.harness.fuzzer.fingerprint` returns verbatim.
+    trace — all centralized state is exact there, and the workers'
+    workload ledgers are grafted onto it) while keeping the per-shard
+    ``slices`` of the distributed counters
+    (:func:`repro.harness.fingerprint.owned_rows`) and the
+    ``fingerprint_data`` assembled from them.
     """
 
     is_sharded = True
@@ -63,11 +65,12 @@ class ShardedResult:
     def __init__(
         self,
         base: ScenarioResult,
-        fingerprint_data: dict[str, Any],
+        slices: list[dict[str, Any]],
         transport_stats: Optional[dict[str, Any]] = None,
     ):
         self._base = base
-        self.fingerprint_data = fingerprint_data
+        self.slices = slices
+        self.fingerprint_data = fingerprint(base, slices)
         #: Boundary-exchange telemetry: epoch count and packed-batch
         #: bytes/records in each direction.
         self.transport_stats = transport_stats or {}
@@ -75,7 +78,7 @@ class ShardedResult:
     def __getattr__(self, name: str) -> Any:
         return getattr(self._base, name)
 
-    # Datapath-wide aggregates answered from the merged rows — the
+    # Datapath-wide aggregates answered from the summed rows — the
     # coordinator's replicas of foreign switches saw no traffic, so the
     # delegated implementations would undercount.
 
@@ -300,20 +303,19 @@ class ShardedRun:
         self.duration = min(self.duration, duration)
 
     def finalize(self) -> ShardedResult:
-        """Close every shard, merge reports, release the workers."""
+        """Close every shard, collect the slices, release the workers."""
         if self.result is not None:
             return self.result
         try:
             for worker in self.workers:
                 worker.send(("finish", self.duration))
-            reports = [self.coordinator.finish(self.duration)]
-            for worker in self.workers:
-                reports.append(worker.recv("finish"))
+            own = self.coordinator.finish(self.duration)
+            reports = [worker.recv("finish") for worker in self.workers]
         except BaseException:
             shutdown_workers(self.workers)
             raise
+        # The workers' slices only: grafting sums flash-crowd counters.
         graft_workload(self.coordinator.result, reports)
-        data = merged_fingerprint_data(self.coordinator.result, reports)
         stats = {
             "epochs": self.epochs,
             "boundary_records": self.boundary_records,
@@ -330,7 +332,7 @@ class ShardedRun:
                 worker.batch_records_in for worker in self.workers
             ),
         }
-        self.result = ShardedResult(self.coordinator.result, data, stats)
+        self.result = ShardedResult(self.coordinator.result, [own, *reports], stats)
         shutdown_workers(self.workers)
         self.workers = []
         return self.result

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from repro.harness.fingerprint import LINK_FIELDS, stack_row, switch_row
+from repro.harness.fingerprint import owned_rows
 from repro.harness.scenario import (
     ScenarioConfig,
     ScenarioResult,
@@ -92,14 +92,6 @@ class ShardRuntime:
         )
         self._emit_seq += 1
 
-    def _all_monitors(self) -> list:
-        monitors = []
-        if self.result.spi is not None:
-            monitors.extend(self.result.spi.monitors.values())
-        if self.result.monitor_only is not None:
-            monitors.extend(self.result.monitor_only.monitors.values())
-        return monitors
-
     def _install_boundary_stubs(self) -> None:
         net = self.result.net
         part = self.partition
@@ -149,7 +141,7 @@ class ShardRuntime:
             buses.append(self.result.monitor_only.bus)
         self._buses = buses
         self._monitor_rank = {
-            monitor.name: rank for rank, monitor in enumerate(self._all_monitors())
+            monitor.name: rank for rank, monitor in enumerate(self.result.monitors())
         }
         for bus_index, bus in enumerate(buses):
             bus.export = self._make_bus_export(bus_index, bus)
@@ -196,7 +188,7 @@ class ShardRuntime:
         for name, attacker in result.workload.attackers.items():
             if name not in self.own_hosts:
                 attacker.stop()
-        for monitor in self._all_monitors():
+        for monitor in result.monitors():
             if monitor.switch.name not in self.own_switches:
                 monitor.stop()
         if result.flash_crowd is not None:
@@ -321,44 +313,5 @@ class ShardRuntime:
         return self.report()
 
     def report(self) -> dict[str, Any]:
-        """This shard's owned slice of the fingerprint counters."""
-        net = self.result.net
-        links = []
-        for index, link in enumerate(net.links):
-            for direction, iface in enumerate((link.a, link.b)):
-                stats = link.stats_for(iface)
-                links.append(
-                    (index, direction)
-                    + tuple(getattr(stats, attr) for _key, attr in LINK_FIELDS)
-                )
-        workload = self.result.workload
-        flash = self.result.flash_crowd
-        return {
-            "shard": self.shard,
-            "switches": {
-                name: switch_row(net.switches[name]) for name in self.own_switches
-            },
-            "links": links,
-            "stacks": {
-                name: stack_row(stack)
-                for name, stack in net.stacks.items()
-                if name in self.own_hosts
-            },
-            # Whole attempt ledgers, so the coordinator can graft them
-            # onto its replicas and answer *any* phase-windowed query.
-            "client_stats": {
-                name: client.stats
-                for name, client in workload.clients.items()
-                if name in self.own_hosts
-            },
-            "attacker_sent": {
-                name: attacker.packets_sent
-                for name, attacker in workload.attackers.items()
-                if name in self.own_hosts
-            },
-            "flash_crowd": None if flash is None else (
-                flash.connections_started,
-                flash.connections_completed,
-                flash.connections_failed,
-            ),
-        }
+        """This shard's owned slice of the distributed counters."""
+        return owned_rows(self.result, self.own_switches, self.own_hosts)

@@ -62,6 +62,21 @@ class TestRun:
         assert payloads[1].pop("microflow_hit_rate") == 0
         assert payloads[0] == payloads[1]
 
+    def test_sharded_summary_is_topology_wide(self, capsys):
+        # The coordinator's replicas of foreign switches see no traffic,
+        # so every datapath-wide number must come from all shards' slices.
+        payloads = []
+        for shards in ("1", "2"):
+            assert main([
+                "run", "--topology", "linear", "--duration", "8", "--rate", "300",
+                "--shards", shards, "--json",
+            ]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[1].pop("transport")["epochs"] > 0
+        assert 0 < payloads[0]["microflow_hit_rate"] < 1
+        assert payloads[0] == payloads[1]
+        assert [case["state"] for case in payloads[0]["cases"]] == ["confirmed"]
+
     @pytest.mark.parametrize("flag", [
         "--engine=reference", "--no-pooling", "--no-burst-coalescing",
         "--transport=pickle",

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+from repro.harness.fingerprint import fingerprint, owned_rows
+from repro.harness.record import run_record
 from repro.harness.scenario import (
     DEFENSES,
     FlashCrowdSpec,
@@ -93,6 +97,29 @@ class TestRunScenario:
         )
         result = run_scenario(config)
         assert len(result.spi.monitors) == 2
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("defense", ["spi", "none", "always-on"])
+    def test_record_is_plain_picklable_data(self, defense):
+        result = run_scenario(ScenarioConfig(defense=defense, **FAST))
+        record = run_record(result)
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert record.counters == fingerprint(result)
+        assert record.success_rate(0, 3.0) == result.success_rate(0, 3.0)
+        if defense == "spi":
+            assert [case.state for case in record.cases] == ["confirmed"]
+            assert record.mitigation["active_blocks"]
+        else:
+            assert record.cases == ()
+        if defense == "none":
+            assert record.mitigation == {"active_blocks": [], "whitelist": []}
+
+    def test_single_process_run_is_the_one_slice_case(self):
+        result = run_scenario(ScenarioConfig(**FAST))
+        net = result.net
+        whole = owned_rows(result, net.switches, net.stacks)
+        assert fingerprint(result) == fingerprint(result, [whole])
 
 
 class TestOverrides:

@@ -28,6 +28,16 @@ def test_wrapped_entry_point_resolves(module_name, dotted):
     assert callable(holder.__dict__[attr])
 
 
+def test_fingerprint_is_reexported_by_the_fuzzer():
+    # layers.py:14, workloads.py:29 and ledger/tests/test_trace.py:8 import
+    # the fingerprint from the fuzzer; its one implementation lives in
+    # repro.harness.fingerprint.
+    from repro.harness import fingerprint, fuzzer
+
+    assert fuzzer.fingerprint is fingerprint.fingerprint
+    assert fuzzer.fingerprint_json is fingerprint.fingerprint_json
+
+
 def test_provenance_and_tally_names():
     # trace.py:301 and environment.py:60-61.
     from repro import kernels

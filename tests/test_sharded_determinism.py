@@ -17,7 +17,8 @@ from dataclasses import replace
 import pytest
 
 from repro.harness.fuzzer import fingerprint_json
-from repro.harness.scenario import ScenarioConfig, run_scenario
+from repro.harness.record import run_record
+from repro.harness.scenario import FlashCrowdSpec, ScenarioConfig, run_scenario
 from repro.sim.sharded import ShardedRun, run_sharded_scenario
 from repro.workload.profiles import WorkloadConfig
 
@@ -135,6 +136,27 @@ def test_merged_fingerprint_shape_matches_single_process():
     assert set(single["switches"]) == set(sharded["switches"])
     for row_a, row_b in zip(single["links"], sharded["links"]):
         assert set(row_a) == set(row_b)
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_run_record_matches_single_process(shards):
+    # The record's reported-but-unfingerprinted numbers (microflow hit
+    # rate, switch CPU, monitor state) and the flash-crowd counters have
+    # no other oracle: a coordinator that answered from its own replicas
+    # would undercount the former, one that grafted its own slice would
+    # double-count the latter.
+    config = _config(
+        duration_s=4.0,
+        flash_crowd=FlashCrowdSpec(
+            start_s=1.5, duration_s=1.5, connections_per_second=60.0
+        ),
+    )
+    single = run_record(run_scenario(config))
+    assert single.flash_crowd[0] > 0 and 0 < single.microflow_hit_rate < 1
+    sharded = run_record(
+        run_sharded_scenario(replace(config, shards=shards), inline=True)
+    )
+    assert replace(sharded, config=config) == single
 
 
 def test_shard_count_validation():
