@@ -9,7 +9,7 @@ backend across geometries.
 
 Honest numbers on this machine (see also EXPERIMENTS M6): the exact
 backend folds into C-speed dicts and is several times *faster* than the
-sketch backend, whose per-add keyed blake2b hashing is pure-Python
+sketch backend, whose keyed blake2b per unique key is pure-Python
 overhead.  What the sketch buys is the memory column, not the time
 column: its state is fixed by the sketch geometry (~110 KiB at the
 default 1024x4 + 2^12 registers) while the exact backend's per-address
@@ -68,7 +68,7 @@ def _run_feature_plane(
     median = benchmark.stats.stats.median
     benchmark.extra_info["packets_per_second"] = round(len(packets) / median, 1)
     benchmark.extra_info["backend"] = extractor.backend.name
-    for knob in ("sketch_width", "sketch_depth", "sketch_hash_cache"):
+    for knob in ("sketch_width", "sketch_depth"):
         if knob in extractor_kwargs:
             benchmark.extra_info[knob] = extractor_kwargs[knob]
 
@@ -99,20 +99,10 @@ def test_monitor_plane_sketch_deep(benchmark):
 
 def test_monitor_plane_sketch_repeat_heavy(benchmark):
     """Sketch backend on a flood that re-hits 200 sources window after
-    window — the hash-memoization fast path (PR 7 follow-up): every add
-    resolves its counter slots from the bounded LRU instead of paying a
-    keyed blake2b digest.  Compare against the cache-disabled twin below
-    for the isolated speedup; contents are identical either way (see
-    tests/test_monitor_sketch.py::TestHashMemoization)."""
+    window: the window fold deduplicates the key columns, so each
+    2 000-packet window costs ~200 keyed blake2b digests per source
+    sketch instead of one per packet, and the rest is Counter work."""
     _run_feature_plane(benchmark, n_sources=200, backend="sketch")
-
-
-def test_monitor_plane_sketch_repeat_heavy_nocache(benchmark):
-    """The same repeat-heavy flood with memoization disabled (artifact
-    twin of the case above; the delta is the cache's contribution)."""
-    _run_feature_plane(
-        benchmark, n_sources=200, backend="sketch", sketch_hash_cache=0
-    )
 
 
 # ------------------------------------------------------- memory ceiling

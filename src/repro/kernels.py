@@ -2,14 +2,16 @@
 
 The feature extractor buffers a window as parallel columns and folds it
 once at close; these are the three loops that fold runs through —
-TCP-flag classification, count-min bulk add (returning the sequential
-post-add estimates) and HyperLogLog register max.  Keyed blake2b hashing
-and float accumulation stay with their callers in
-:mod:`repro.monitor.sketch` / :mod:`repro.monitor.features`.
+TCP-flag classification, count-min bulk add (digest → slot → counter in
+one loop, returning the sequential post-add estimates) and HyperLogLog
+register max.  Keyed blake2b hashing and float accumulation stay with
+their callers in :mod:`repro.monitor.sketch` /
+:mod:`repro.monitor.features`.
 
 Each kernel has exactly one implementation and the module imports only
-the stdlib: the plane's cost is one keyed hash per first-touch key,
-which a vectorized twin of these loops does not touch (EXPERIMENTS M8).
+the stdlib: the plane's cost is one keyed hash per unique key per
+sketch, which a vectorized twin of these loops does not touch
+(EXPERIMENTS M8, M10).
 """
 
 from __future__ import annotations
@@ -76,25 +78,31 @@ def classify_flags(
     )
 
 
-def cms_bulk_add(rows: list, slots_list: list, counts: list) -> list:
+def cms_bulk_add(rows: list, width: int, digests: list, counts: list) -> list:
     """Apply per-key increments to count-min rows; returns post-add mins.
 
-    ``rows`` are the sketch's ``array('Q')`` counter rows, ``slots_list``
-    the per-key slot tuples (one slot per row, first-touch key order)
-    and ``counts`` the per-key amounts.  The returned list is exactly
-    what sequential ``CountMinSketch.add(key, amount)`` calls would have
-    returned.
+    ``rows`` are the sketch's ``array('Q')`` counter rows of ``width``
+    counters, ``digests`` the per-key 64-bit keyed digests (first-touch
+    key order) and ``counts`` the per-key amounts.  Row ``i`` takes slot
+    ``(h1 + i * h2) % width`` with ``h1``/``h2 | 1`` the digest's low/high
+    32-bit halves, walked here as ``at += h2``.  The returned list is
+    exactly what sequential ``CountMinSketch.add(key, amount)`` calls
+    would have returned.
     """
     maxsize = sys.maxsize
     ests = []
     append = ests.append
-    for slots, amount in zip(slots_list, counts):
+    for digest, amount in zip(digests, counts):
+        at = digest & 0xFFFFFFFF
+        step = (digest >> 32) | 1
         est = maxsize
-        for row, slot in zip(rows, slots):
+        for row in rows:
+            slot = at % width
             value = row[slot] + amount
             row[slot] = value
             if value < est:
                 est = value
+            at += step
         append(est)
     return ests
 

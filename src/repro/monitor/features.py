@@ -34,11 +34,7 @@ from repro import kernels
 from repro.net.flowkey import FlowKey
 from repro.net.headers import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN
 from repro.net.packet import Packet
-from repro.monitor.sketch import (
-    DEFAULT_HASH_CACHE,
-    HeavyHitterSketch,
-    SketchSourceStats,
-)
+from repro.monitor.sketch import HeavyHitterSketch, SketchSourceStats
 from repro.monitor.window import EntropyAccumulator
 
 #: Default seed for the sketch backend's keyed hashing.  Any fixed value
@@ -238,16 +234,11 @@ class SketchFeatureBackend:
         topk: int = 8,
         hll_precision: int = 12,
         seed: int = DEFAULT_SKETCH_SEED,
-        hash_cache: int = DEFAULT_HASH_CACHE,
     ) -> None:
-        self.syn_dsts = HeavyHitterSketch(
-            width, depth, topk, seed=seed ^ 0x515, cache_size=hash_cache
-        )
-        self.udp_dsts = HeavyHitterSketch(
-            width, depth, topk, seed=seed ^ 0xAD9, cache_size=hash_cache
-        )
+        self.syn_dsts = HeavyHitterSketch(width, depth, topk, seed=seed ^ 0x515)
+        self.udp_dsts = HeavyHitterSketch(width, depth, topk, seed=seed ^ 0xAD9)
         self.sources = SketchSourceStats(
-            width, depth, topk, hll_precision, seed=seed, cache_size=hash_cache
+            width, depth, topk, hll_precision, seed=seed
         )
         self.syn_adds = 0
         self.udp_adds = 0
@@ -272,7 +263,7 @@ class SketchFeatureBackend:
     ) -> None:
         """Bulk-add whole-window per-key counts into the sketches.
 
-        One keyed hash (or LRU hit) per *unique* key per sketch; the
+        One keyed hash per *unique* key per sketch; the
         heavy-hitter candidate set sees one whole-window amount per key.
         """
         self.syn_adds += n_syn
@@ -334,7 +325,6 @@ class FeatureExtractor:
         sketch_topk: int = 8,
         hll_precision: int = 12,
         sketch_seed: int = DEFAULT_SKETCH_SEED,
-        sketch_hash_cache: int = DEFAULT_HASH_CACHE,
         per_destination_cap: int | None = None,
         track_state_bytes: bool = False,
     ) -> None:
@@ -355,7 +345,6 @@ class FeatureExtractor:
                 topk=sketch_topk,
                 hll_precision=hll_precision,
                 seed=sketch_seed,
-                hash_cache=sketch_hash_cache,
             )
         else:
             raise ValueError(f"unknown feature backend: {backend!r}")

@@ -24,14 +24,12 @@ Python's builtin ``hash``: ``PYTHONHASHSEED`` randomization would make
 fingerprints differ across runs and spawn workers, and the fuzz
 oracles pin byte-identical behavior.
 
-The keyed digest is the sketches' pure-Python hot spot (ROADMAP PR 7
-follow-up), and a flood stream hits the same spoofed-source keys window
-after window, so each sketch memoizes its *derived* per-key values
-(counter slots, HLL slot/rank) in a bounded LRU.  The mapping depends
-only on seed and shape — never on counts — so it survives ``reset()``
-and carries across window folds; contents are byte-identical with the
-cache on, off, or thrashing, and cache bytes are charged to
-``state_bytes`` so the memory ceilings stay honest.
+Each sketch keeps one pre-keyed ``blake2b`` and hashes a key as
+``copy()`` → ``update()`` → ``digest()``, which skips the per-call key
+schedule.  The bulk paths (what ``close_window`` calls) pay exactly one
+such digest per unique key per sketch and hand the 64-bit values
+straight to :mod:`repro.kernels`; nothing per key outlives the call, so
+``state_bytes`` is a function of geometry alone.
 """
 
 from __future__ import annotations
@@ -45,48 +43,18 @@ from repro import kernels
 
 _MASK64 = (1 << 64) - 1
 
-#: Default per-sketch LRU entries; 0 disables memoization.
-DEFAULT_HASH_CACHE = 256
+
+def _keyed_hasher(seed: int, salt: int):
+    """A pre-keyed 8-byte ``blake2b`` for a config seed and a role salt."""
+    key = ((seed ^ (salt * 0x9E3779B97F4A7C15)) & _MASK64).to_bytes(8, "little")
+    return blake2b(digest_size=8, key=key)
 
 
-class _LRUCache:
-    """Tiny bounded LRU over a dict (insertion order = recency)."""
-
-    __slots__ = ("cap", "data")
-
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        self.data: dict = {}
-
-    def get(self, key):
-        data = self.data
-        value = data.pop(key, None)
-        if value is not None:
-            data[key] = value  # refresh recency
-        return value
-
-    def put(self, key, value) -> None:
-        data = self.data
-        if len(data) >= self.cap:
-            del data[next(iter(data))]
-        data[key] = value
-
-    def state_bytes(self) -> int:
-        data = self.data
-        return sys.getsizeof(data) + sum(
-            sys.getsizeof(k) + sys.getsizeof(v) for k, v in data.items()
-        )
-
-
-def _hash64(key: str, seed_bytes: bytes) -> int:
-    """Deterministic 64-bit hash of ``key`` under a seed-derived key."""
-    digest = blake2b(key.encode(), digest_size=8, key=seed_bytes).digest()
-    return int.from_bytes(digest, "little")
-
-
-def _seed_bytes(seed: int, salt: int) -> bytes:
-    """Derive an 8-byte blake2b key from a config seed and a role salt."""
-    return ((seed ^ (salt * 0x9E3779B97F4A7C15)) & _MASK64).to_bytes(8, "little")
+def _hash64(hasher, key: str) -> int:
+    """``key``'s little-endian 64-bit digest under a pre-keyed ``hasher``."""
+    h = hasher.copy()
+    h.update(key.encode())
+    return int.from_bytes(h.digest(), "little")
 
 
 class CountMinSketch:
@@ -94,20 +62,15 @@ class CountMinSketch:
 
     ``depth`` rows of ``width`` counters; each key maps to one counter
     per row via double hashing (one blake2b digest per update, split
-    into the two 32-bit halves).  ``estimate`` returns the minimum over
+    into the two 32-bit halves ``h1``, ``h2 | 1``; row ``i`` uses
+    ``(h1 + i * h2) % width``).  ``estimate`` returns the minimum over
     the key's counters, which never undercounts and overcounts by at
     most ``e * total / width`` with probability ``>= 1 - e**-depth``.
     """
 
-    __slots__ = ("width", "depth", "seed", "total", "_rows", "_key", "_cache")
+    __slots__ = ("width", "depth", "seed", "total", "_rows", "_hasher")
 
-    def __init__(
-        self,
-        width: int = 1024,
-        depth: int = 4,
-        seed: int = 0,
-        cache_size: int = DEFAULT_HASH_CACHE,
-    ) -> None:
+    def __init__(self, width: int = 1024, depth: int = 4, seed: int = 0) -> None:
         if width < 8:
             raise ValueError("width must be >= 8")
         if depth < 1:
@@ -117,24 +80,14 @@ class CountMinSketch:
         self.seed = seed
         self.total = 0
         self._rows = [array("Q", bytes(8 * width)) for _ in range(depth)]
-        self._key = _seed_bytes(seed, 0xC31)
-        self._cache = _LRUCache(cache_size) if cache_size > 0 else None
+        self._hasher = _keyed_hasher(seed, 0xC31)
 
-    def _slots(self, key: str) -> tuple:
-        """The key's counter slot per row (memoized; count-independent)."""
-        cache = self._cache
-        if cache is not None:
-            slots = cache.get(key)
-            if slots is not None:
-                return slots
-        digest = _hash64(key, self._key)
+    def _slots(self, key: str) -> list:
+        """The key's counter slot per row."""
+        digest = _hash64(self._hasher, key)
         h1 = digest & 0xFFFFFFFF
         h2 = (digest >> 32) | 1
-        width = self.width
-        slots = tuple((h1 + i * h2) % width for i in range(self.depth))
-        if cache is not None:
-            cache.put(key, slots)
-        return slots
+        return [(h1 + i * h2) % self.width for i in range(self.depth)]
 
     @property
     def epsilon(self) -> float:
@@ -162,15 +115,21 @@ class CountMinSketch:
 
         Equivalent to sequential :meth:`add` calls in the dict's
         iteration (first-touch) order — same estimate sequence, same
-        counter bytes — with one slot resolve (and one LRU touch) per
-        unique key.
+        counter bytes — with one keyed digest per unique key.
         """
         if not counts:
             return []
-        slots = self._slots
-        slots_list = [slots(key) for key in counts]
-        ests = kernels.cms_bulk_add(self._rows, slots_list, list(counts.values()))
-        self.total += sum(counts.values())
+        copy = self._hasher.copy
+        from_bytes = int.from_bytes
+        digests = []
+        append = digests.append
+        for key in counts:
+            h = copy()
+            h.update(key.encode())
+            append(from_bytes(h.digest(), "little"))
+        amounts = list(counts.values())
+        ests = kernels.cms_bulk_add(self._rows, self.width, digests, amounts)
+        self.total += sum(amounts)
         return ests
 
     def estimate(self, key: str) -> int:
@@ -193,11 +152,8 @@ class CountMinSketch:
         self.total = 0
 
     def state_bytes(self) -> int:
-        """Resident bytes: counter arrays plus the bounded slot cache."""
-        total = sum(sys.getsizeof(row) for row in self._rows)
-        if self._cache is not None:
-            total += self._cache.state_bytes()
-        return total
+        """Resident bytes: the counter arrays."""
+        return sum(sys.getsizeof(row) for row in self._rows)
 
 
 class HeavyHitterSketch:
@@ -213,16 +169,11 @@ class HeavyHitterSketch:
     __slots__ = ("cms", "topk", "_cap", "_candidates")
 
     def __init__(
-        self,
-        width: int = 1024,
-        depth: int = 4,
-        topk: int = 8,
-        seed: int = 0,
-        cache_size: int = DEFAULT_HASH_CACHE,
+        self, width: int = 1024, depth: int = 4, topk: int = 8, seed: int = 0
     ) -> None:
         if topk < 1:
             raise ValueError("topk must be >= 1")
-        self.cms = CountMinSketch(width, depth, seed, cache_size=cache_size)
+        self.cms = CountMinSketch(width, depth, seed)
         self.topk = topk
         self._cap = 2 * topk
         self._candidates: dict[str, int] = {}
@@ -251,21 +202,32 @@ class HeavyHitterSketch:
         """Count every ``(key, amount)`` pair and refresh the candidates.
 
         The candidate maintenance runs once per *unique* key with that
-        key's whole-window amount.
+        key's whole-window amount, and matches sequential :meth:`add`
+        calls.  The floor (the weakest candidate, first-inserted wins
+        ties) is kept across keys and recomputed only after an eviction
+        or an update of the floor key itself: a stored estimate never
+        falls, so updating any other candidate cannot move the floor.
         """
         ests = self.cms.add_bulk(counts)
         cand = self._candidates
         cap = self._cap
+        weakest = None  # the floor key once the set is full; None = stale
+        floor = 0
         for key, est in zip(counts, ests):
             if key in cand:
                 cand[key] = est
+                if key == weakest:
+                    weakest = None
             elif len(cand) < cap:
                 cand[key] = est
             else:
-                weakest = min(cand, key=cand.get)  # first-inserted wins ties
-                if est > cand[weakest]:
+                if weakest is None:
+                    weakest = min(cand, key=cand.get)
+                    floor = cand[weakest]
+                if est > floor:
                     del cand[weakest]
                     cand[key] = est
+                    weakest = None
         return ests
 
     def estimate(self, key: str) -> int:
@@ -311,23 +273,9 @@ class HyperLogLog:
     cardinality this simulator can produce.
     """
 
-    __slots__ = (
-        "precision",
-        "seed",
-        "_m",
-        "_alpha",
-        "_registers",
-        "_key",
-        "total",
-        "_cache",
-    )
+    __slots__ = ("precision", "seed", "_m", "_alpha", "_registers", "_hasher", "total")
 
-    def __init__(
-        self,
-        precision: int = 12,
-        seed: int = 0,
-        cache_size: int = DEFAULT_HASH_CACHE,
-    ) -> None:
+    def __init__(self, precision: int = 12, seed: int = 0) -> None:
         if not 4 <= precision <= 16:
             raise ValueError("precision must be in [4, 16]")
         self.precision = precision
@@ -342,56 +290,44 @@ class HyperLogLog:
         else:
             self._alpha = 0.673
         self._registers = bytearray(self._m)
-        self._key = _seed_bytes(seed, 0x41F)
+        self._hasher = _keyed_hasher(seed, 0x41F)
         self.total = 0
-        self._cache = _LRUCache(cache_size) if cache_size > 0 else None
 
     def add(self, key: str) -> None:
         """Observe ``key``."""
         self.total += 1
-        cache = self._cache
-        pair = cache.get(key) if cache is not None else None
-        if pair is None:
-            value = _hash64(key, self._key)
-            slot = value & (self._m - 1)
-            rest = value >> self.precision
-            rank = (64 - self.precision) - rest.bit_length() + 1
-            pair = (slot, rank)
-            if cache is not None:
-                cache.put(key, pair)
-        slot, rank = pair
+        value = _hash64(self._hasher, key)
+        slot = value & (self._m - 1)
+        rest = value >> self.precision
+        rank = (64 - self.precision) - rest.bit_length() + 1
         registers = self._registers
         if rank > registers[slot]:
             registers[slot] = rank
 
     def add_bulk(self, keys) -> None:
-        """Observe each key once (bulk adds count one distinct per key).
+        """Observe each of ``keys`` (a list or dict view) once.
 
-        Max commutes, so the register file is byte-identical to
-        sequential :meth:`add` calls.
+        Bulk adds count one distinct per key.  Max commutes, so the
+        register file is byte-identical to sequential :meth:`add` calls.
         """
-        keys = keys if isinstance(keys, list) else list(keys)
         if not keys:
             return
         self.total += len(keys)
-        cache = self._cache
-        hash_key = self._key
+        copy = self._hasher.copy
+        from_bytes = int.from_bytes
         mask = self._m - 1
         precision = self.precision
+        top_rank = 65 - precision
         slots = []
         ranks = []
+        add_slot = slots.append
+        add_rank = ranks.append
         for key in keys:
-            pair = cache.get(key) if cache is not None else None
-            if pair is None:
-                value = _hash64(key, hash_key)
-                slot = value & mask
-                rest = value >> precision
-                rank = (64 - precision) - rest.bit_length() + 1
-                pair = (slot, rank)
-                if cache is not None:
-                    cache.put(key, pair)
-            slots.append(pair[0])
-            ranks.append(pair[1])
+            h = copy()
+            h.update(key.encode())
+            value = from_bytes(h.digest(), "little")
+            add_slot(value & mask)
+            add_rank(top_rank - (value >> precision).bit_length())
         kernels.hll_bulk_max(self._registers, slots, ranks)
 
     def estimate(self) -> float:
@@ -420,11 +356,8 @@ class HyperLogLog:
         self.total = 0
 
     def state_bytes(self) -> int:
-        """Resident bytes: register file plus the bounded hash cache."""
-        total = sys.getsizeof(self._registers)
-        if self._cache is not None:
-            total += self._cache.state_bytes()
-        return total
+        """Resident bytes: the register file."""
+        return sys.getsizeof(self._registers)
 
 
 class SketchSourceStats:
@@ -452,14 +385,9 @@ class SketchSourceStats:
         topk: int = 8,
         precision: int = 12,
         seed: int = 0,
-        cache_size: int = DEFAULT_HASH_CACHE,
     ) -> None:
-        self.hitters = HeavyHitterSketch(
-            width, depth, topk, seed=seed ^ 0x50FA, cache_size=cache_size
-        )
-        self.hll = HyperLogLog(
-            precision, seed=seed ^ 0x7E11, cache_size=cache_size
-        )
+        self.hitters = HeavyHitterSketch(width, depth, topk, seed=seed ^ 0x50FA)
+        self.hll = HyperLogLog(precision, seed=seed ^ 0x7E11)
 
     @property
     def total(self) -> int:

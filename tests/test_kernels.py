@@ -21,12 +21,18 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.monitor.features import (
     ExactFeatureBackend,
     FeatureExtractor,
     SketchFeatureBackend,
 )
-from repro.monitor.sketch import CountMinSketch, HeavyHitterSketch, HyperLogLog
+from repro.monitor.sketch import (
+    CountMinSketch,
+    HeavyHitterSketch,
+    HyperLogLog,
+    _hash64,
+)
 from repro.net.headers import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN
 
 REPO = Path(__file__).resolve().parents[1]
@@ -131,20 +137,60 @@ class TestSketchTwins:
 
     @settings(max_examples=60, deadline=None)
     @given(counts=_key_counts(), seed=st.integers(0, 2**16))
-    def test_heavy_hitter_bulk_state_identical(self, counts, seed):
-        reference = HeavyHitterSketch(width=64, depth=4, topk=4, seed=seed)
-        for key, amount in counts.items():
-            reference.add(key, amount)
-        sketch = HeavyHitterSketch(width=64, depth=4, topk=4, seed=seed)
-        sketch.add_bulk(counts)
-        # Candidate *order* is state too: eviction and top() break ties by it.
-        assert list(sketch._candidates.items()) == list(
-            reference._candidates.items()
-        )
-        assert sketch.top() == reference.top()
-        assert [r.tobytes() for r in sketch.cms._rows] == [
-            r.tobytes() for r in reference.cms._rows
+    def test_cms_bulk_add_kernel_matches_sequential_adds(self, counts, seed):
+        reference = CountMinSketch(width=64, depth=4, seed=seed)
+        ref_ests = [reference.add(k, c) for k, c in counts.items()]
+        sketch = CountMinSketch(width=64, depth=4, seed=seed)
+        digests = [_hash64(sketch._hasher, key) for key in counts]
+        ests = kernels.cms_bulk_add(sketch._rows, 64, digests, list(counts.values()))
+        assert ests == ref_ests
+        assert [r.tobytes() for r in sketch._rows] == [
+            r.tobytes() for r in reference._rows
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first=_key_counts(), second=_key_counts(), seed=st.integers(0, 2**16)
+    )
+    def test_heavy_hitter_bulk_state_identical(self, first, second, seed):
+        # Two bulk folds into one window: the second re-touches keys
+        # already in the candidate set (raising the floor key among them).
+        reference = HeavyHitterSketch(width=64, depth=4, topk=4, seed=seed)
+        sketch = HeavyHitterSketch(width=64, depth=4, topk=4, seed=seed)
+        for counts in (first, second):
+            for key, amount in counts.items():
+                reference.add(key, amount)
+            sketch.add_bulk(counts)
+            # Candidate *order* is state too: eviction and top() break
+            # ties by it.
+            assert list(sketch._candidates.items()) == list(
+                reference._candidates.items()
+            )
+            assert sketch.top() == reference.top()
+            assert [r.tobytes() for r in sketch.cms._rows] == [
+                r.tobytes() for r in reference.cms._rows
+            ]
+
+    def test_heavy_hitter_floor_ties_keep_candidate_order(self):
+        # topk=2 holds four candidates, all tied at 1 after the first
+        # fold.  In the second, "x" fails to beat the floor "a", raising
+        # "a" moves the floor to the next tie "b", ties at the floor
+        # never evict ("v"), and evictions take tied candidates in
+        # insertion order.
+        folds = (
+            {"a": 1, "b": 1, "c": 1, "d": 1},
+            {"x": 1, "a": 4, "y": 2, "b": 1, "z": 2, "w": 3, "v": 2},
+        )
+        reference = HeavyHitterSketch(width=4096, depth=4, topk=2, seed=7)
+        sketch = HeavyHitterSketch(width=4096, depth=4, topk=2, seed=7)
+        for counts in folds:
+            for key, amount in counts.items():
+                reference.add(key, amount)
+            sketch.add_bulk(counts)
+        expected = [("a", 5), ("b", 2), ("z", 2), ("w", 3)]
+        assert list(reference._candidates.items()) == expected
+        assert list(sketch._candidates.items()) == expected
+        assert sketch.top() == reference.top()
 
     @settings(max_examples=60, deadline=None)
     @given(

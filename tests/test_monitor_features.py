@@ -259,17 +259,17 @@ class TestSketchBackend:
         assert second.per_destination_syns == {}
 
     def test_sketch_state_bytes_bounded(self):
-        fx = FeatureExtractor(backend="sketch", track_state_bytes=True)
-        for i in range(5_000):
-            fx.observe(tcp(TCP_SYN, src_ip=f"10.{i >> 8}.{i & 255}.1"))
-        fx.close_window(1.0)
-        # Enough sources to saturate the bounded hash caches, so the
-        # comparison isolates population-dependent growth.
-        few = FeatureExtractor(backend="sketch", track_state_bytes=True)
-        for i in range(1_000):
-            few.observe(tcp(TCP_SYN, src_ip=f"10.0.{i >> 8}.{i & 255}"))
-        few.close_window(1.0)
-        assert fx.peak_state_bytes <= few.peak_state_bytes * 1.1
+        # Sketch state is geometry: 20x the sources moves it only by the
+        # candidate keys' string sizes (the committed E13 memory claims).
+        peaks = []
+        for n_sources in (1_000, 20_000):
+            fx = FeatureExtractor(backend="sketch", track_state_bytes=True)
+            for i in range(n_sources):
+                fx.observe(tcp(TCP_SYN, src_ip=f"10.{i >> 8}.{i & 255}.1"))
+            fx.close_window(1.0)
+            peaks.append(fx.peak_state_bytes)
+        few, many = peaks
+        assert abs(many - few) < 0.005 * few
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):

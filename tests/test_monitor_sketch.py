@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from hashlib import blake2b
 
 import pytest
 from hypothesis import given, settings
@@ -83,22 +85,12 @@ class TestCountMinSketch:
         assert cms.row_totals() == [0, 0]
 
     def test_state_bytes_fixed_without_cache(self):
-        cms = CountMinSketch(width=256, depth=4, seed=1, cache_size=0)
+        cms = CountMinSketch(width=256, depth=4, seed=1)
         before = cms.state_bytes()
         for key in _stream(11, 5000, 5000):
             cms.add(key)
+        cms.add_bulk(dict.fromkeys(_stream(13, 5000, 5000), 2))
         assert cms.state_bytes() == before
-
-    def test_state_bytes_bounded_with_cache(self):
-        """The slot cache saturates at its cap; more keys add no memory."""
-        cms = CountMinSketch(width=256, depth=4, seed=1)
-        for key in _stream(11, 5000, 5000):
-            cms.add(key)
-        saturated = cms.state_bytes()
-        for key in _stream(13, 5000, 5000):
-            cms.add(key)
-        assert len(cms._cache.data) <= 256
-        assert cms.state_bytes() <= saturated * 1.05
 
 
 class TestHeavyHitterSketch:
@@ -171,10 +163,11 @@ class TestHyperLogLog:
         assert a.estimate() == b.estimate()
 
     def test_reset_and_state_bytes(self):
-        hll = HyperLogLog(precision=10, seed=1, cache_size=0)
+        hll = HyperLogLog(precision=10, seed=1)
         size = hll.state_bytes()
         for i in range(10_000):
             hll.add(f"k{i}")
+        hll.add_bulk([f"j{i}" for i in range(10_000)])
         assert hll.state_bytes() == size
         hll.reset()
         assert hll.total == 0
@@ -219,8 +212,6 @@ class TestSketchSourceStats:
         assert stats.entropy() == pytest.approx(1.0, abs=0.01)
 
     def test_state_bytes_independent_of_stream(self):
-        # Enough keys to saturate the hash caches, so the baseline
-        # already includes their full (bounded) footprint.
         stats = SketchSourceStats(seed=5)
         for i in range(1000):
             stats.add(f"k{i}")
@@ -230,60 +221,65 @@ class TestSketchSourceStats:
         assert stats.state_bytes() <= small * 1.1
 
 
+class TestKeyedHashLayout:
+    """Sketch contents are a function of seed, shape and stream only: the
+    counter slots and HLL registers follow from one keyed ``blake2b`` of
+    the key, written out here from its definition — the contract that
+    keeps fingerprints stable."""
+
+    def test_cms_rows_follow_the_keyed_digest(self):
+        cms = CountMinSketch(width=128, depth=4, seed=9)
+        rows = [[0] * 128 for _ in range(4)]
+        key = ((9 ^ (0xC31 * 0x9E3779B97F4A7C15)) & (2**64 - 1)).to_bytes(8, "little")
+        for k in _stream(21, 4000, 60):
+            cms.add(k)
+            digest = int.from_bytes(
+                blake2b(k.encode(), digest_size=8, key=key).digest(), "little"
+            )
+            h1, h2 = digest & 0xFFFFFFFF, (digest >> 32) | 1
+            for i, row in enumerate(rows):
+                row[(h1 + i * h2) % 128] += 1
+        assert [list(r) for r in cms._rows] == rows
+        assert cms.total == 4000
+
+    def test_hll_registers_follow_the_keyed_digest(self):
+        hll = HyperLogLog(precision=10, seed=3)
+        registers = [0] * 1024
+        key = ((3 ^ (0x41F * 0x9E3779B97F4A7C15)) & (2**64 - 1)).to_bytes(8, "little")
+        for k in _stream(22, 4000, 500):
+            hll.add(k)
+            value = int.from_bytes(
+                blake2b(k.encode(), digest_size=8, key=key).digest(), "little"
+            )
+            rank = 54 - (value >> 10).bit_length() + 1
+            registers[value & 1023] = max(registers[value & 1023], rank)
+        assert list(hll._registers) == registers
+
+
 class TestHashMemoization:
-    """The LRU memoizes *derived* per-key values only, so sketch contents
-    are byte-identical with the cache on, off, or thrashing — the golden
-    contract that keeps fingerprints transport- and cache-invariant."""
+    """The sketches memoize nothing per key: a sketch that has folded any
+    number of keys and been ``reset()`` behaves exactly like a fresh one."""
 
-    def test_cms_rows_identical_with_and_without_cache(self):
-        cached = CountMinSketch(width=128, depth=4, seed=9, cache_size=16)
-        plain = CountMinSketch(width=128, depth=4, seed=9, cache_size=0)
-        for key in _stream(21, 4000, 60):
-            cached.add(key)
-            plain.add(key)
-        assert [bytes(r) for r in cached._rows] == [bytes(r) for r in plain._rows]
-        assert cached.total == plain.total
-
-    def test_hll_registers_identical_with_and_without_cache(self):
-        cached = HyperLogLog(precision=10, seed=3, cache_size=8)
-        plain = HyperLogLog(precision=10, seed=3, cache_size=0)
-        for key in _stream(22, 4000, 500):
-            cached.add(key)
-            plain.add(key)
-        assert bytes(cached._registers) == bytes(plain._registers)
-
-    @pytest.mark.parametrize("cache_size", (0, 3, 256))
-    def test_source_stats_identical_across_window_folds(self, cache_size):
-        """Every cache size yields the same per-window outputs, and the
-        cache survives reset() — the key→slot mapping depends only on
-        seed and shape, never on counts."""
-        stats = SketchSourceStats(
-            width=256, depth=4, topk=8, precision=10, seed=42,
-            cache_size=cache_size,
-        )
-        golden = SketchSourceStats(
-            width=256, depth=4, topk=8, precision=10, seed=42, cache_size=0
-        )
+    @pytest.mark.parametrize("warm_keys", (0, 3, 256))
+    def test_source_stats_identical_across_window_folds(self, warm_keys):
+        """Bulk folds match sequential adds window after window: nothing
+        from an earlier window (keys, candidates, the heavy-hitter floor)
+        leaks into the next after ``reset()``."""
+        stats = SketchSourceStats(width=256, depth=4, topk=8, precision=10, seed=42)
+        golden = SketchSourceStats(width=256, depth=4, topk=8, precision=10, seed=42)
+        stats.add_bulk({f"warm{i}": i + 1 for i in range(warm_keys)})
+        stats.reset()
         stream = _stream(23, 20_000, 200)
         for fold in range(5):
-            for key in stream[fold * 4000 : (fold + 1) * 4000]:
-                stats.add(key)
-                golden.add(key)
+            counts = Counter(stream[fold * 4000 : (fold + 1) * 4000])
+            stats.add_bulk(counts)
+            for key, amount in counts.items():
+                golden.add(key, amount)
             assert stats.distinct == golden.distinct
             assert stats.entropy() == golden.entropy()
             assert stats.hitters.top() == golden.hitters.top()
             stats.reset()
             golden.reset()
-
-    def test_lru_evicts_and_stays_correct(self):
-        cms = CountMinSketch(width=128, depth=4, seed=5, cache_size=4)
-        keys = [f"k{i}" for i in range(32)]
-        for _ in range(3):
-            for key in keys:  # 32 distinct keys thrash a 4-entry cache
-                cms.add(key)
-        assert len(cms._cache.data) <= 4
-        for key in keys:
-            assert cms.estimate(key) >= 3
 
 
 # ------------------------------------------------- property-based bounds
