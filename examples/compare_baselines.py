@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""All five defenses on one identical attack, side by side.
+"""All six defenses on one identical attack, side by side.
 
 Runs the same dumbbell SYN-flood scenario under: no defense,
-monitor-only (alert = mitigate), always-on DPI, duty-cycled sampled
-DPI, and SPI.  The table shows the paper's core trade-off: SPI matches
+monitor-only (alert = mitigate), flow-stats polling, always-on DPI,
+duty-cycled sampled DPI, and SPI.  The table shows the paper's core trade-off: SPI matches
 always-on DPI's protection at a fraction of its inspection workload,
 and matches monitor-only's speed without its false-alarm exposure.
 
@@ -11,6 +11,7 @@ and matches monitor-only's speed without its false-alarm exposure.
 """
 
 from repro.harness import ScenarioConfig, run_scenario
+from repro.harness.record import run_record
 from repro.harness.sweep import apply_overrides
 from repro.metrics import Table
 from repro.workload import WorkloadConfig
@@ -32,15 +33,15 @@ def main() -> None:
          "inspected_frac", "switch_cpu_ms"],
     )
     for defense in ("none", "monitor-only", "flow-stats", "sampled", "always-on", "spi"):
-        result = run_scenario(apply_overrides(BASE, {"defense": defense}))
-        detections = result.detection_times()
+        record = run_record(run_scenario(apply_overrides(BASE, {"defense": defense})))
+        detections = record.counters["detections"]
         table.add_row(
             defense,
             (min(detections) - 5.0) if detections else None,
-            result.success_rate(5.0, 10.0),
-            result.success_rate(12.0, 30.0),
-            result.inspected_fraction(),
-            result.switch_busy_seconds() * 1000,
+            record.success_rate(5.0, 10.0),
+            record.success_rate(12.0, 30.0),
+            record.counters["inspected_fraction"],
+            record.switch_busy_s * 1000,
         )
     print(table.to_text())
     print("Reading: 'none' collapses after the flood; 'monitor-only' and")

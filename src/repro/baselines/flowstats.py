@@ -12,9 +12,10 @@ paper's two-tier design improves on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.defense import Defense
 from repro.mitigation.manager import MitigationManager
 from repro.openflow.messages import FlowStatsReply
 from repro.sim.process import PeriodicTask
@@ -41,8 +42,10 @@ class FlowStatsStats:
     mitigations: int = 0
 
 
-class FlowStatsDefense:
+class FlowStatsDefense(Defense):
     """Threshold detector over per-destination flow-counter deltas."""
+
+    coordinator_only = True
 
     def __init__(
         self,
@@ -56,6 +59,7 @@ class FlowStatsDefense:
             raise ValueError("poll period must be positive")
         if pps_threshold <= 0:
             raise ValueError("threshold must be positive")
+        super().__init__()
         self.net = net
         self.poll_period_s = poll_period_s
         self.pps_threshold = pps_threshold

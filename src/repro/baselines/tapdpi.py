@@ -1,18 +1,27 @@
-"""Shared machinery for tap-based DPI baselines.
+"""Tap-fed DPI: always-on and duty-cycled inspection in one class.
 
 A tap-based inspector sees every ingress packet of a switch (as a SPAN
 of all ports would), charges the switch's workload meter for each packet
 it actually inspects, reconstructs handshakes per destination, and
-periodically scores every destination against the SYN-flood signature.
-Duty cycling (inspect only a slice of each period) is the knob that
-separates :class:`AlwaysOnDpi` from :class:`SampledDpi`.
+scores every destination against the SYN-flood signature at the end of
+each on-phase.  Its duty cycle is the only knob:
+
+* the defaults (``period_s=1.0, duty_fraction=1.0``) never switch the
+  tap off — the accuracy upper bound the paper argues is unaffordable,
+  every packet charged as a mirror copy, and the baseline selective
+  inspection's E3 win is measured against;
+* a fraction below 1 inspects the first slice of each period and is
+  blind in between — the pre-SDN compromise: cheap, but detection waits
+  out the off-phase and short floods can be missed entirely, the
+  weakness alert-driven inspection removes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
+from repro.core.defense import Defense
 from repro.core.signatures import SignatureReport, SynFloodSignature, SynFloodSignatureConfig, Verdict
 from repro.inspection.tracker import HandshakeTracker
 from repro.mitigation.manager import MitigationManager
@@ -48,18 +57,28 @@ class BaselineDetection:
     report: SignatureReport
 
 
-class TapDpiBase:
-    """Tap-fed DPI with periodic signature evaluation."""
+class TapDpi(Defense):
+    """Inspect during the first ``duty_fraction`` of every ``period_s``."""
+
+    coordinator_only = True
 
     def __init__(
         self,
         switch: OpenFlowSwitch,
-        evaluation_period_s: float = 1.0,
+        period_s: float = 1.0,
+        duty_fraction: float = 1.0,
         signature_config: SynFloodSignatureConfig | None = None,
         mitigation: Optional[MitigationManager] = None,
         detection_holddown_s: float = 5.0,
     ) -> None:
+        if not 0 < duty_fraction <= 1:
+            raise ValueError("duty fraction must be in (0, 1]")
+        if period_s <= 0:
+            raise ValueError("period must be positive")
+        super().__init__()
         self.switch = switch
+        self.period_s = period_s
+        self._on_s = period_s * duty_fraction
         self.signature = SynFloodSignature(signature_config)
         self.mitigation = mitigation
         self.detection_holddown_s = detection_holddown_s
@@ -68,27 +87,24 @@ class TapDpiBase:
         self._trackers: dict[str, HandshakeTracker] = {}
         self._holddown_until: dict[str, float] = {}
         self._task = PeriodicTask(
-            switch.sim, evaluation_period_s, self._evaluate_all, "tapdpi.evaluate"
+            switch.sim, period_s, self._evaluate_all, "tapdpi.evaluate"
         )
         switch.attach_tap(self._tap)
-        self._task.start()
+        # Evaluate at the end of each on-phase, when a window of evidence
+        # is complete, so a flood caught in the on-phase is scored
+        # immediately rather than after the blind off-phase too.
+        self._task.start(initial_delay=self._on_s)
 
     def stop(self) -> None:
         """Halt periodic evaluation."""
         self._task.stop()
 
-    # -------------------------------------------------------------- duty
-
-    def inspecting_now(self) -> bool:
-        """Whether the inspector is in its on-phase; subclasses override."""
-        return True
-
     # --------------------------------------------------------------- tap
 
     def _tap(self, packet: Packet, in_port: int, key: FlowKey) -> None:
         self.stats.packets_seen += 1
-        if not self.inspecting_now():
-            return
+        if self.switch.sim.now % self.period_s >= self._on_s:
+            return  # off-phase (never, at duty fraction 1)
         self.stats.packets_inspected += 1
         self.stats.bytes_inspected += packet.size_bytes
         # Inspection is a SPAN copy: charge the switch exactly as the
@@ -140,6 +156,16 @@ class TapDpiBase:
                 completed_sources=report.completed_sources,
             )
 
+    # ------------------------------------------------------------ defense
+
     def detection_times(self) -> list[float]:
         """Timestamps of all confirmed detections."""
         return [d.time for d in self.detections]
+
+    def inspected_fraction(self, mirrored: int, packets_in: int) -> float:
+        """The tap's own count: it inspects without mirror rules."""
+        return self.stats.inspected_fraction
+
+    def fingerprint_rows(self) -> dict[str, Any]:
+        """The tap's workload and outcome counters."""
+        return {"tap_dpi": dict(vars(self.stats))}

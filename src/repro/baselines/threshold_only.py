@@ -8,9 +8,10 @@ the false-alarm cost experiments E2 and E6 quantify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.defense import Defense
 from repro.mitigation.manager import MitigationManager
 from repro.monitor.alerts import Alert, AlertBus
 from repro.monitor.detectors import AnomalyDetector, EwmaDetector
@@ -26,7 +27,7 @@ class MonitorOnlyStats:
     mitigations: int = 0
 
 
-class MonitorOnlyDefense:
+class MonitorOnlyDefense(Defense):
     """Alerts become detections (and optionally mitigations) immediately."""
 
     def __init__(
@@ -36,11 +37,11 @@ class MonitorOnlyDefense:
         monitor_config: MonitorConfig | None = None,
         alert_latency_s: float = 0.005,
     ) -> None:
+        super().__init__()
         self.net = net
         self.mitigation = mitigation
         self.monitor_config = monitor_config or MonitorConfig()
         self.bus = AlertBus(net.sim, latency_s=alert_latency_s)
-        self.monitors: dict[str, TrafficMonitor] = {}
         self.stats = MonitorOnlyStats()
         self.detections: list[Alert] = []
         self.bus.subscribe(self._on_alert)
@@ -65,10 +66,8 @@ class MonitorOnlyDefense:
         """Timestamps of all alert-detections."""
         return [a.time for a in self.detections]
 
-    def stop(self) -> None:
-        """Halt the monitors."""
-        for monitor in self.monitors.values():
-            monitor.stop()
+    # Every alert is a detection.
+    alert_times = detection_times
 
     def _on_alert(self, alert: Alert) -> None:
         self.stats.alerts += 1

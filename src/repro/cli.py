@@ -51,9 +51,8 @@ from repro.harness.scenario import (
     run_scenario,
 )
 from repro.metrics.report import Table
+from repro.monitor.detectors import DETECTORS
 from repro.workload.profiles import WorkloadConfig
-
-DETECTORS = ("static", "adaptive", "ewma", "cusum", "entropy", "udp-rate")
 
 # Reduced parameter sets so `--quick` finishes in seconds per experiment.
 QUICK_ARGS: dict[str, dict] = {

@@ -18,13 +18,13 @@ removes the mirrors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from repro.controller.l2 import L2LearningSwitch
 from repro.core.budget import InspectionBudget
 from repro.core.config import SPI_MIRROR_COOKIE, SpiConfig
 from repro.core.correlator import Correlator, VerificationCase
+from repro.core.defense import Defense
 from repro.core.signatures import SignatureReport, Verdict
 from repro.inspection.dpi import DpiEngine
 from repro.mitigation.manager import MitigationManager
@@ -53,10 +53,11 @@ class SpiStats:
     inconclusive: int = 0
 
 
-class SpiSystem:
+class SpiSystem(Defense):
     """Selective Packet Inspection deployed on one network."""
 
     def __init__(self, net: Network, config: SpiConfig | None = None) -> None:
+        super().__init__()
         self.net = net
         self.config = config or SpiConfig()
         self.stats = SpiStats()
@@ -65,7 +66,6 @@ class SpiSystem:
         self.mitigation = MitigationManager(
             net.controller, self.config.mitigation, net.tracer
         )
-        self.monitors: dict[str, TrafficMonitor] = {}
         self.inspector_host: Optional[Host] = None
         self.dpi: Optional[DpiEngine] = None
         self.correlator: Optional[Correlator] = None
@@ -116,11 +116,6 @@ class SpiSystem:
         self.monitors[name] = monitor
         return monitor
 
-    def stop(self) -> None:
-        """Halt monitor windowing tasks (end of scenario)."""
-        for monitor in self.monitors.values():
-            monitor.stop()
-
     # ---------------------------------------------------------- retuning
 
     def retune(
@@ -146,29 +141,6 @@ class SpiSystem:
             if self.correlator is not None:
                 self.correlator.config = self.config
         return self.config
-
-    def retune_detectors(self, **params: float) -> dict[str, float]:
-        """Retune every deployed monitor's detector (validated, atomic).
-
-        Validation runs against each detector before any is mutated, so
-        an illegal value leaves the whole monitor tier untouched.
-        """
-        for monitor in self.monitors.values():
-            detector = monitor.detector
-            if not detector.TUNABLE:
-                # Composite members validate inside their own retune.
-                continue
-            unknown = sorted(set(params) - set(detector.TUNABLE))
-            if unknown:
-                raise ValueError(
-                    f"{monitor.name}: unknown tunable(s) {unknown}; "
-                    f"choose from {sorted(detector.TUNABLE)}"
-                )
-            for key, value in params.items():
-                detector.TUNABLE[key](value)
-        for monitor in self.monitors.values():
-            monitor.detector.retune(**params)
-        return dict(params)
 
     # ------------------------------------------------------------- pipeline
 
@@ -308,15 +280,33 @@ class SpiSystem:
 
     # ------------------------------------------------------------ telemetry
 
+    def detection_times(self) -> list[float]:
+        """Timestamps of confirmed verdicts."""
+        return [e.time for e in self.net.tracer.entries("spi.confirmed")]
+
+    def alert_times(self) -> list[float]:
+        """Timestamps of every alert the pipeline received."""
+        return [e.time for e in self.net.tracer.entries("spi.alert")]
+
+    def inspected_fraction(self, mirrored: int, packets_in: int) -> float:
+        """SPI inspects exactly what its rules mirror."""
+        return mirrored / packets_in if packets_in else 0.0
+
+    def fingerprint_rows(self) -> dict[str, Any]:
+        """Pipeline counters, plus the DPI engine's once deployed."""
+        rows = {"spi": dict(vars(self.stats))}
+        if self.dpi is not None:
+            rows["dpi"] = dict(vars(self.dpi.stats))
+        return rows
+
     def mirrored_fraction(self) -> float:
         """Share of datapath packets that were mirrored for inspection.
 
         The headline E3 quantity: selective inspection keeps this small
         where always-on DPI holds it at 1.0.
         """
-        mirrored = 0
-        seen = 0
-        for switch in self.net.switches.values():
-            mirrored += switch.counters.packets_mirrored
-            seen += switch.counters.packets_in
-        return mirrored / seen if seen else 0.0
+        counters = [switch.counters for switch in self.net.switches.values()]
+        return self.inspected_fraction(
+            sum(c.packets_mirrored for c in counters),
+            sum(c.packets_in for c in counters),
+        )

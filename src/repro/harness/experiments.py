@@ -647,8 +647,6 @@ def run_e8_pulsing(
             "workload.attack_pulse_on_s": 1.0,
             "workload.attack_pulse_off_s": 4.0,
             "duration_s": 40.0,
-            "sampled_period_s": 5.0,
-            "sampled_duty": 0.2,
         })
         for defense in ("spi", "sampled", "flow-stats")
     ]

@@ -11,9 +11,10 @@ there is exactly one assembly of it, over *slices*:
   owning everything; a sharded run is one slice per shard
   (:meth:`ShardRuntime.report` is a single ``owned_rows`` call).
 * :func:`fingerprint` sums the slices and adds the centralized state —
-  detections, alerts, SPI/DPI stats, trace categories, invariant sweeps,
-  final time — which lives on the result itself (on a sharded run, the
-  coordinator's: every trace emitter is a coordinator-side subsystem).
+  detections, alerts, the defense's own counters, trace categories,
+  invariant sweeps, final time — which lives on the result itself (on a
+  sharded run, the coordinator's: every trace emitter is a
+  coordinator-side subsystem).
 
 Anything added to a row here is automatically covered by every oracle.
 The fingerprint covers every counter the metrics layer reads and
@@ -184,16 +185,12 @@ def fingerprint(
 
     # Datapath-wide ratios come from the summed rows: a shard's replicas
     # of foreign switches saw no traffic.
-    if result.tap_dpi is not None:
-        inspected_fraction = result.tap_dpi.stats.inspected_fraction
-    elif result.spi is not None:
-        packets_in = sum(row["packets_in"] for row in switches.values())
-        mirrored = sum(row["packets_mirrored"] for row in switches.values())
-        inspected_fraction = mirrored / packets_in if packets_in else 0.0
-    else:
-        inspected_fraction = 0.0
+    inspected_fraction = result.defense.inspected_fraction(
+        sum(row["packets_mirrored"] for row in switches.values()),
+        sum(row["packets_in"] for row in switches.values()),
+    )
 
-    data: dict[str, Any] = {
+    return {
         "detections": result.detection_times(),
         "alerts": result.alert_times(),
         # Exact post-graft: the workload accessors see every shard.
@@ -214,14 +211,8 @@ def fingerprint(
         "invariant_sweeps": (
             result.invariants.checks_run if result.invariants else 0
         ),
+        **result.defense.fingerprint_rows(),
     }
-    if result.spi is not None:
-        data["spi"] = dict(vars(result.spi.stats))
-        if result.spi.dpi is not None:
-            data["dpi"] = dict(vars(result.spi.dpi.stats))
-    if result.tap_dpi is not None:
-        data["tap_dpi"] = dict(vars(result.tap_dpi.stats))
-    return data
 
 
 def fingerprint_json(result) -> str:

@@ -5,10 +5,11 @@ service (:mod:`repro.service`) can host a built scenario and step it in
 bounded slices while the batch path stays a single call:
 
 * ``build_scenario`` assembles a topology, a workload (optionally with a
-  flash crowd) and one of the defenses (``spi`` / ``monitor-only`` /
-  ``always-on`` / ``sampled`` / ``flow-stats`` / ``none``), starts the
-  workload, and returns a live :class:`ScenarioResult` whose simulator
-  has not advanced yet;
+  flash crowd) and one defense, built by name from
+  :data:`DEFENSE_BUILDERS` (``spi`` / ``monitor-only`` / ``always-on`` /
+  ``sampled`` / ``flow-stats`` / ``none``), starts the workload, and
+  returns a live :class:`ScenarioResult` whose simulator has not
+  advanced yet;
 * ``finish_scenario`` stops every component and runs the final
   invariant sweep once the clock has reached the configured duration;
 * ``run_scenario`` is build + one uninterrupted ``net.run`` + finish —
@@ -18,23 +19,25 @@ bounded slices while the batch path stays a single call:
 ``ScenarioResult`` carries uniform accessors for the quantities every
 experiment reports: detection times, benign service quality per phase,
 inspection workload, and live mitigation state (active blocks and
-whitelist entries with expiry timestamps).
+whitelist entries with expiry timestamps).  Each defense-dependent one
+asks the one :class:`~repro.core.defense.Defense` in ``result.defense``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
-from repro.baselines.always_on import AlwaysOnDpi
 from repro.baselines.flowstats import FlowStatsDefense
-from repro.baselines.sampled import SampledDpi
+from repro.baselines.tapdpi import TapDpi
 from repro.baselines.threshold_only import MonitorOnlyDefense
 from repro.core.config import SpiConfig
+from repro.core.defense import Defense
 from repro.core.spi import SpiSystem
 from repro.metrics.detection import DetectionTimeline, extract_timeline
 from repro.mitigation.manager import MitigationManager, MitigationMode
-from repro.monitor.detectors import make_detector
+from repro.monitor.detectors import DETECTORS, make_detector
 from repro.monitor.monitor import TrafficMonitor
 from repro.topology import standard
 from repro.topology.builder import Network
@@ -51,8 +54,6 @@ TOPOLOGIES = {
     "fat_tree": standard.fat_tree,
     "random_tree": standard.random_tree,
 }
-
-DEFENSES = ("spi", "monitor-only", "always-on", "sampled", "flow-stats", "none")
 
 # Process-wide override set by ``repro experiment --check-invariants``:
 # experiment runners build their own configs, so the flag is applied to
@@ -108,12 +109,6 @@ class ScenarioConfig:
     # Host-side defense: SYN cookies on every TCP stack (E11 baseline).
     syn_cookies: bool = False
     flash_crowd: Optional[FlashCrowdSpec] = None
-    # Baseline knobs.
-    sampled_period_s: float = 5.0
-    sampled_duty: float = 0.2
-    flowstats_poll_s: float = 1.0
-    flowstats_pps_threshold: float = 200.0
-    baseline_mitigates: bool = True
     # Placement: None means "the victim's edge switch".
     monitor_switches: tuple[str, ...] | None = None
     inspector_switch: str | None = None
@@ -143,6 +138,10 @@ class ScenarioConfig:
             )
         if self.defense not in DEFENSES:
             raise ValueError(f"unknown defense {self.defense!r}; choose from {DEFENSES}")
+        if self.detector not in DETECTORS:
+            raise ValueError(
+                f"unknown detector {self.detector!r}; choose from {tuple(DETECTORS)}"
+            )
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
         if self.invariant_period_s <= 0:
@@ -166,15 +165,17 @@ class ScenarioResult:
     net: Network
     roles: Roles
     workload: StandardWorkload
-    spi: Optional[SpiSystem] = None
-    monitor_only: Optional[MonitorOnlyDefense] = None
-    tap_dpi: Optional[AlwaysOnDpi] = None
-    flow_stats: Optional[FlowStatsDefense] = None
+    defense: Defense
     flash_crowd: Optional[FlashCrowd] = None
     probe: Optional["ScenarioProbe"] = None
     invariants: Optional["InvariantHarness"] = None
 
     # ------------------------------------------------------------ service
+
+    @property
+    def spi(self) -> Optional[SpiSystem]:
+        """The SPI system, when that is the defense that ran."""
+        return self.defense if isinstance(self.defense, SpiSystem) else None
 
     @property
     def victim_ip(self) -> str:
@@ -198,29 +199,16 @@ class ScenarioResult:
     # ---------------------------------------------------------- detection
 
     def monitors(self) -> list[TrafficMonitor]:
-        """Every edge monitor of whichever defense deployed some."""
-        defenses = (self.spi, self.monitor_only)
-        return [m for d in defenses if d is not None for m in d.monitors.values()]
+        """The defense's edge monitors (none for tap and poller defenses)."""
+        return list(self.defense.monitors.values())
 
     def detection_times(self) -> list[float]:
-        """Confirmed detection timestamps for whichever defense ran."""
-        if self.spi is not None:
-            return [e.time for e in self.net.tracer.entries("spi.confirmed")]
-        if self.monitor_only is not None:
-            return self.monitor_only.detection_times()
-        if self.tap_dpi is not None:
-            return self.tap_dpi.detection_times()
-        if self.flow_stats is not None:
-            return self.flow_stats.detection_times()
-        return []
+        """Confirmed detection timestamps of the defense that ran."""
+        return self.defense.detection_times()
 
     def alert_times(self) -> list[float]:
         """Raw (unverified) alert timestamps, where the defense has them."""
-        if self.spi is not None:
-            return [e.time for e in self.net.tracer.entries("spi.alert")]
-        if self.monitor_only is not None:
-            return self.monitor_only.detection_times()
-        return []
+        return self.defense.alert_times()
 
     def timeline(self) -> DetectionTimeline:
         """E1 milestones relative to attack start."""
@@ -230,22 +218,11 @@ class ScenarioResult:
 
     def inspected_fraction(self) -> float:
         """Share of datapath packets that were deep-inspected."""
-        if self.tap_dpi is not None:
-            return self.tap_dpi.stats.inspected_fraction
-        if self.spi is not None:
-            return self.spi.mirrored_fraction()
-        return 0.0
-
-    def switch_inspection_share(self) -> float:
-        """Fraction of switch CPU busy-time spent on mirroring."""
-        shares = [
-            sw.workload.inspection_share() for sw in self.net.switches.values()
-        ]
-        return sum(shares) / len(shares) if shares else 0.0
-
-    def switch_busy_seconds(self) -> float:
-        """Total CPU busy time across all switches."""
-        return sum(sw.workload.total_busy for sw in self.net.switches.values())
+        counters = [sw.counters for sw in self.net.switches.values()]
+        return self.defense.inspected_fraction(
+            sum(c.packets_mirrored for c in counters),
+            sum(c.packets_in for c in counters),
+        )
 
     def buffer_evictions(self) -> int:
         """Packet-in buffer evictions across all switches (E3 pressure)."""
@@ -257,12 +234,7 @@ class ScenarioResult:
 
     def mitigation_manager(self) -> Optional[MitigationManager]:
         """The active defense's mitigation manager, if it has one."""
-        if self.spi is not None:
-            return self.spi.mitigation
-        for defense in (self.monitor_only, self.tap_dpi, self.flow_stats):
-            if defense is not None:
-                return defense.mitigation
-        return None
+        return self.defense.mitigation
 
     def mitigation_state(self) -> dict[str, Any]:
         """Active blocks and whitelist entries with expiry timestamps.
@@ -302,6 +274,74 @@ def _default_edge(net: Network, roles: Roles) -> str:
     return switch.name
 
 
+def _mitigation(
+    net: Network, config: ScenarioConfig, shield: bool = False
+) -> MitigationManager:
+    """The mitigation manager a baseline acts through (SPI builds its own)."""
+    settings = config.spi.mitigation
+    if shield:
+        # Monitor alerts and flow counters name no sources: shielding
+        # the victim wholesale is the only mitigation they can drive.
+        settings = replace(settings, mode=MitigationMode.SHIELD_VICTIM)
+    return MitigationManager(net.controller, settings, net.tracer)
+
+
+def _with_monitors(defense, config: ScenarioConfig, monitor_switches):
+    for switch_name in monitor_switches:
+        defense.deploy_monitor(
+            switch_name, make_detector(config.detector, **config.detector_params)
+        )
+    return defense
+
+
+def _build_spi(net, config, inspector_switch, monitor_switches):
+    spi = SpiSystem(net, config.spi)
+    spi.deploy_inspector(inspector_switch)
+    return _with_monitors(spi, config, monitor_switches)
+
+
+def _build_monitor_only(net, config, inspector_switch, monitor_switches):
+    defense = MonitorOnlyDefense(
+        net,
+        mitigation=_mitigation(net, config, shield=True),
+        monitor_config=config.spi.monitor,
+    )
+    return _with_monitors(defense, config, monitor_switches)
+
+
+def _build_tap_dpi(net, config, inspector_switch, monitor_switches, **duty_cycle):
+    return TapDpi(
+        net.switches[inspector_switch],
+        signature_config=config.spi.signature,
+        mitigation=_mitigation(net, config),
+        **duty_cycle,
+    )
+
+
+def _build_flow_stats(net, config, inspector_switch, monitor_switches):
+    return FlowStatsDefense(
+        net,
+        poll_period_s=1.0,
+        pps_threshold=200.0,
+        mitigation=_mitigation(net, config, shield=True),
+    )
+
+
+#: Defense name -> ``builder(net, config, inspector_switch,
+#: monitor_switches)``; each baseline's settings are the constants here.
+DEFENSE_BUILDERS: dict[str, Callable[..., Defense]] = {
+    "spi": _build_spi,
+    "monitor-only": _build_monitor_only,
+    "always-on": _build_tap_dpi,
+    # Inspect the first second of every five.
+    "sampled": partial(_build_tap_dpi, period_s=5.0, duty_fraction=0.2),
+    "flow-stats": _build_flow_stats,
+    "none": lambda *_placement: Defense(),
+}
+
+DEFENSES = tuple(DEFENSE_BUILDERS)
+
+
 def build_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Construct one scenario without advancing the simulator.
 
@@ -327,74 +367,16 @@ def build_scenario(config: ScenarioConfig) -> ScenarioResult:
         extra["tcp_config"] = TcpConfig(syn_cookies=True)
     net, roles = build(seed=config.seed, **config.topology_params, **extra)
     workload = StandardWorkload(net, roles, config.workload)
-    result = ScenarioResult(config=config, net=net, roles=roles, workload=workload)
-
     edge = _default_edge(net, roles)
-    monitor_switches = config.monitor_switches or (edge,)
-    inspector_switch = config.inspector_switch or edge
-
-    def new_detector():
-        return make_detector(config.detector, **config.detector_params)
-
-    if config.defense == "spi":
-        spi = SpiSystem(net, config.spi)
-        spi.deploy_inspector(inspector_switch)
-        for switch_name in monitor_switches:
-            spi.deploy_monitor(switch_name, new_detector())
-        result.spi = spi
-    elif config.defense == "monitor-only":
-        manager = None
-        if config.baseline_mitigates:
-            manager = MitigationManager(
-                net.controller,
-                replace(config.spi.mitigation, mode=MitigationMode.SHIELD_VICTIM),
-                net.tracer,
-            )
-        defense = MonitorOnlyDefense(
-            net, mitigation=manager, monitor_config=config.spi.monitor
-        )
-        for switch_name in monitor_switches:
-            defense.deploy_monitor(switch_name, new_detector())
-        result.monitor_only = defense
-    elif config.defense == "always-on":
-        manager = (
-            MitigationManager(net.controller, config.spi.mitigation, net.tracer)
-            if config.baseline_mitigates
-            else None
-        )
-        result.tap_dpi = AlwaysOnDpi(
-            net.switches[inspector_switch],
-            signature_config=config.spi.signature,
-            mitigation=manager,
-        )
-    elif config.defense == "sampled":
-        manager = (
-            MitigationManager(net.controller, config.spi.mitigation, net.tracer)
-            if config.baseline_mitigates
-            else None
-        )
-        result.tap_dpi = SampledDpi(
-            net.switches[inspector_switch],
-            period_s=config.sampled_period_s,
-            duty_fraction=config.sampled_duty,
-            signature_config=config.spi.signature,
-            mitigation=manager,
-        )
-    elif config.defense == "flow-stats":
-        manager = None
-        if config.baseline_mitigates:
-            manager = MitigationManager(
-                net.controller,
-                replace(config.spi.mitigation, mode=MitigationMode.SHIELD_VICTIM),
-                net.tracer,
-            )
-        result.flow_stats = FlowStatsDefense(
-            net,
-            poll_period_s=config.flowstats_poll_s,
-            pps_threshold=config.flowstats_pps_threshold,
-            mitigation=manager,
-        )
-    # "none": no defense.
+    defense = DEFENSE_BUILDERS[config.defense](
+        net,
+        config,
+        config.inspector_switch or edge,
+        config.monitor_switches or (edge,),
+    )
+    result = ScenarioResult(
+        config=config, net=net, roles=roles, workload=workload, defense=defense
+    )
 
     if config.flash_crowd is not None:
         crowd_stacks = [net.stack(name) for name in roles.clients]
@@ -435,14 +417,7 @@ def finish_scenario(result: ScenarioResult) -> ScenarioResult:
     result.workload.stop()
     if result.probe is not None:
         result.probe.stop()
-    if result.spi is not None:
-        result.spi.stop()
-    if result.monitor_only is not None:
-        result.monitor_only.stop()
-    if result.tap_dpi is not None:
-        result.tap_dpi.stop()
-    if result.flow_stats is not None:
-        result.flow_stats.stop()
+    result.defense.stop()
     result.net.stop()
     if result.invariants is not None:
         result.invariants.final_check()

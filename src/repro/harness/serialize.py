@@ -14,7 +14,6 @@ import json
 from typing import Any
 
 from repro.harness.scenario import FlashCrowdSpec, ScenarioConfig
-from repro.mitigation.manager import MitigationMode
 
 
 def config_to_dict(config: Any) -> Any:
@@ -45,14 +44,24 @@ def canonical_config_json(config: Any) -> str:
     return json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
 
 
-#: Top-level keys of configs saved before the strategy knobs collapsed
-#: into ``reference``, with the only value each is still accepted at
-#: (every config ``save_config`` wrote carries all four at these).
+_REFERENCE_TWINS = "set 'reference': true to run the reference twins"
+_DEFENSE_TABLE = "the defense table in repro.harness.scenario fixes it"
+
+#: Top-level keys of configs saved before these fields were retired, with
+#: the only value each is still accepted at (every config ``save_config``
+#: wrote carries them at these) and what replaced the field.
 _RETIRED_DEFAULTS = {
-    "engine": "optimized",
-    "microflow_cache": True,
-    "pooling": True,
-    "burst_coalescing": True,
+    # Strategy knobs, collapsed into ``reference``.
+    "engine": ("optimized", _REFERENCE_TWINS),
+    "microflow_cache": (True, _REFERENCE_TWINS),
+    "pooling": (True, _REFERENCE_TWINS),
+    "burst_coalescing": (True, _REFERENCE_TWINS),
+    # Baseline knobs no experiment varied.
+    "sampled_period_s": (5.0, _DEFENSE_TABLE),
+    "sampled_duty": (0.2, _DEFENSE_TABLE),
+    "flowstats_poll_s": (1.0, _DEFENSE_TABLE),
+    "flowstats_pps_threshold": (200.0, _DEFENSE_TABLE),
+    "baseline_mitigates": (True, _DEFENSE_TABLE),
 }
 
 
@@ -63,11 +72,11 @@ def _build(cls: type, data: dict[str, Any], path: str = "") -> Any:
         if name in fields:
             kwargs[name] = _coerce(fields[name], value, f"{path}{name}.")
         elif cls is ScenarioConfig and name in _RETIRED_DEFAULTS:
-            if value != _RETIRED_DEFAULTS[name]:
+            default, instead = _RETIRED_DEFAULTS[name]
+            if value != default:
                 raise ValueError(
                     f"config key {name!r} was retired and {value!r} is not the "
-                    "default it is still accepted at; set 'reference': true to "
-                    "run the reference twins"
+                    f"default {default!r} it is still accepted at; {instead}"
                 )
         else:
             raise ValueError(

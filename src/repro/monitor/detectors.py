@@ -364,16 +364,20 @@ class CompositeDetector(AnomalyDetector):
         return dict(params)
 
 
+#: Detector family name -> class: the one list ``make_detector``, the CLI
+#: and ``ScenarioConfig`` validation read.
+DETECTORS: dict[str, type[AnomalyDetector]] = {
+    "static": StaticThresholdDetector,
+    "adaptive": AdaptiveThresholdDetector,
+    "ewma": EwmaDetector,
+    "cusum": CusumDetector,
+    "entropy": EntropyDetector,
+    "udp-rate": UdpRateDetector,
+}
+
+
 def make_detector(kind: str, **kwargs) -> AnomalyDetector:
     """Factory keyed by detector family name (used by sweep configs)."""
-    families = {
-        "static": StaticThresholdDetector,
-        "adaptive": AdaptiveThresholdDetector,
-        "ewma": EwmaDetector,
-        "cusum": CusumDetector,
-        "entropy": EntropyDetector,
-        "udp-rate": UdpRateDetector,
-    }
-    if kind not in families:
-        raise ValueError(f"unknown detector family {kind!r}; choose from {sorted(families)}")
-    return families[kind](**kwargs)
+    if kind not in DETECTORS:
+        raise ValueError(f"unknown detector family {kind!r}; choose from {sorted(DETECTORS)}")
+    return DETECTORS[kind](**kwargs)

@@ -40,27 +40,19 @@ RECONFIG_TARGETS = (
 )
 
 
-def _monitors(result: ScenarioResult) -> list:
-    if result.spi is not None:
-        return list(result.spi.monitors.values())
-    if result.monitor_only is not None:
-        return list(result.monitor_only.monitors.values())
-    return []
-
-
-def _retune_detectors(result: ScenarioResult, params: dict[str, Any]) -> None:
-    if result.spi is not None:
-        result.spi.retune_detectors(**params)
-        return
-    monitors = _monitors(result)
+def _monitors(result: ScenarioResult, what: str) -> list:
+    monitors = result.monitors()
     if not monitors:
-        raise ValueError(
-            f"defense {result.config.defense!r} deploys no retunable monitors"
-        )
-    # Validate against every detector before mutating any (atomic).
+        raise ValueError(f"defense {result.config.defense!r} deploys no {what}")
+    return monitors
+
+
+def _retune_detectors(monitors: list, params: dict[str, Any]) -> None:
+    """Retune every monitor's detector, validating all before mutating any."""
     for monitor in monitors:
         detector = monitor.detector
         if not detector.TUNABLE:
+            # Composite members validate inside their own retune.
             continue
         unknown = sorted(set(params) - set(detector.TUNABLE))
         if unknown:
@@ -111,16 +103,11 @@ def apply_reconfig(
             "monitors run on worker shards the coordinator cannot mutate"
         )
     if target == "detector":
-        _retune_detectors(result, dict(params))
+        _retune_detectors(_monitors(result, "retunable monitors"), params)
         return dict(params)
     if target == "monitor":
-        monitors = _monitors(result)
-        if not monitors:
-            raise ValueError(
-                f"defense {result.config.defense!r} deploys no monitors"
-            )
         applied: dict[str, Any] = {}
-        for monitor in monitors:
+        for monitor in _monitors(result, "monitors"):
             config = monitor.retune(**params)
             applied = {
                 "sampling_probability": config.sampling_probability,

@@ -134,16 +134,12 @@ class ShardRuntime:
         # handlers) lives on the coordinator, and even coordinator-local
         # publishes export, so all alerts funnel through one
         # deterministic ingest order.
-        buses = []
-        if self.result.spi is not None:
-            buses.append(self.result.spi.bus)
-        if self.result.monitor_only is not None:
-            buses.append(self.result.monitor_only.bus)
-        self._buses = buses
+        bus = self.result.defense.bus
+        self._buses = [] if bus is None else [bus]
         self._monitor_rank = {
             monitor.name: rank for rank, monitor in enumerate(self.result.monitors())
         }
-        for bus_index, bus in enumerate(buses):
+        for bus_index, bus in enumerate(self._buses):
             bus.export = self._make_bus_export(bus_index, bus)
 
     def _make_link_export(self, delay_s, index, direction, dest):
@@ -198,10 +194,8 @@ class ShardRuntime:
             )
         if self.shard != 0:
             # Centralized subsystems run with the controller only.
-            if result.flow_stats is not None:
-                result.flow_stats.stop()
-            if result.tap_dpi is not None:
-                result.tap_dpi.stop()
+            if result.defense.coordinator_only:
+                result.defense.stop()
             if net.discovery is not None:
                 net.discovery.stop()
         if result.invariants is not None:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.always_on import AlwaysOnDpi
-from repro.baselines.sampled import SampledDpi
+from repro.baselines.tapdpi import TapDpi
 from repro.baselines.threshold_only import MonitorOnlyDefense
 from repro.mitigation.manager import MitigationConfig, MitigationManager, MitigationMode
 from repro.monitor.detectors import StaticThresholdDetector
@@ -28,7 +27,7 @@ def make_rig(attack_rate=400.0, attack_start=2.0, duration=1000.0):
 class TestAlwaysOn:
     def test_detects_flood(self):
         net, roles, wl = make_rig()
-        dpi = AlwaysOnDpi(net.switches["s1"])
+        dpi = TapDpi(net.switches["s1"])
         wl.start()
         net.run(until=10.0)
         assert dpi.stats.detections >= 1
@@ -37,7 +36,7 @@ class TestAlwaysOn:
 
     def test_inspects_everything(self):
         net, roles, wl = make_rig()
-        dpi = AlwaysOnDpi(net.switches["s1"])
+        dpi = TapDpi(net.switches["s1"])
         wl.start()
         net.run(until=5.0)
         assert dpi.stats.inspected_fraction == 1.0
@@ -46,7 +45,7 @@ class TestAlwaysOn:
 
     def test_charges_switch_mirror_cost(self):
         net, roles, wl = make_rig()
-        dpi = AlwaysOnDpi(net.switches["s1"])
+        dpi = TapDpi(net.switches["s1"])
         wl.start()
         net.run(until=5.0)
         assert net.switches["s1"].workload.breakdown().get("mirror", 0) > 0
@@ -54,7 +53,7 @@ class TestAlwaysOn:
 
     def test_quiet_traffic_no_detection(self):
         net, roles, wl = make_rig()
-        dpi = AlwaysOnDpi(net.switches["s1"])
+        dpi = TapDpi(net.switches["s1"])
         wl.start(with_attack=False)
         net.run(until=8.0)
         assert dpi.stats.detections == 0
@@ -63,7 +62,7 @@ class TestAlwaysOn:
     def test_mitigation_applied_when_manager_given(self):
         net, roles, wl = make_rig()
         manager = MitigationManager(net.controller)
-        dpi = AlwaysOnDpi(net.switches["s1"], mitigation=manager)
+        dpi = TapDpi(net.switches["s1"], mitigation=manager)
         wl.start()
         net.run(until=10.0)
         assert manager.is_active(wl.victim_ip)
@@ -71,7 +70,7 @@ class TestAlwaysOn:
 
     def test_holddown_limits_repeat_detections(self):
         net, roles, wl = make_rig()
-        dpi = AlwaysOnDpi(net.switches["s1"], detection_holddown_s=100.0)
+        dpi = TapDpi(net.switches["s1"], detection_holddown_s=100.0)
         wl.start()
         net.run(until=15.0)
         assert dpi.stats.detections == 1
@@ -81,7 +80,7 @@ class TestAlwaysOn:
 class TestSampled:
     def test_duty_fraction_bounds_inspection(self):
         net, roles, wl = make_rig()
-        dpi = SampledDpi(net.switches["s1"], period_s=2.0, duty_fraction=0.25)
+        dpi = TapDpi(net.switches["s1"], period_s=2.0, duty_fraction=0.25)
         wl.start()
         net.run(until=20.0)
         assert 0.1 < dpi.stats.inspected_fraction < 0.5
@@ -89,7 +88,7 @@ class TestSampled:
 
     def test_detects_long_flood(self):
         net, roles, wl = make_rig()
-        dpi = SampledDpi(net.switches["s1"], period_s=2.0, duty_fraction=0.25)
+        dpi = TapDpi(net.switches["s1"], period_s=2.0, duty_fraction=0.25)
         wl.start()
         net.run(until=20.0)
         assert dpi.stats.detections >= 1
@@ -98,7 +97,7 @@ class TestSampled:
     def test_misses_flood_entirely_inside_off_phase(self):
         # Attack lives entirely within the off-phase of a long period.
         net, roles, wl = make_rig(attack_start=3.0, duration=2.0)
-        dpi = SampledDpi(net.switches["s1"], period_s=10.0, duty_fraction=0.2)
+        dpi = TapDpi(net.switches["s1"], period_s=10.0, duty_fraction=0.2)
         wl.start()
         net.run(until=20.0)
         assert dpi.stats.detections == 0
@@ -107,9 +106,9 @@ class TestSampled:
     def test_invalid_parameters(self):
         net, _, _ = make_rig()
         with pytest.raises(ValueError):
-            SampledDpi(net.switches["s1"], duty_fraction=0.0)
+            TapDpi(net.switches["s1"], duty_fraction=0.0)
         with pytest.raises(ValueError):
-            SampledDpi(net.switches["s1"], period_s=0.0)
+            TapDpi(net.switches["s1"], period_s=0.0)
 
 
 class TestMonitorOnly:

@@ -40,7 +40,16 @@ def test_variant_table_is_the_seven_lanes():
     ]
 
 # sha256[:12] of each seed's config_to_dict JSON at the commit before the
-# strategy knobs collapsed, with those knobs' keys dropped.
+# strategy knobs collapsed, with those knobs' keys dropped.  The defense
+# knobs retired since then are re-inserted at the defaults every seed
+# carried.
+_RETIRED_DEFENSE_KNOBS = {
+    "sampled_period_s": 5.0,
+    "sampled_duty": 0.2,
+    "flowstats_poll_s": 1.0,
+    "flowstats_pps_threshold": 200.0,
+    "baseline_mitigates": True,
+}
 _PARENT_SHAPES = [
     "1b6032f9d172", "af45197dc1e2", "b41237b4ddba", "43cef666c77e",
     "ff52063dc733", "93666c0e22f5", "3143a4a799a7", "af6774ce4ad0",
@@ -80,6 +89,7 @@ class TestGenerator:
         for seed, expected in enumerate(_PARENT_SHAPES):
             data = config_to_dict(generate_scenario(seed))
             del data["reference"]
+            data.update(_RETIRED_DEFENSE_KNOBS)
             digest = hashlib.sha256(
                 json.dumps(data, sort_keys=True).encode()
             ).hexdigest()

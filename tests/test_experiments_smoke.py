@@ -1,37 +1,22 @@
-"""Smoke tests: every experiment runs end to end at quick parameters.
+"""Quick-parameter checks of the experiment registry.
 
-These keep the experiment registry from rotting: each function must
-build, run and tabulate without error, produce the declared columns, and
-satisfy a minimal sanity property.  The full-shape assertions live in
-the benchmarks; this suite is the cheap always-on guard.
+Every scenario table is regenerated at full parameters and compared byte
+for byte, header included, in ``test_experiments_golden.py``; running it
+again at quick parameters here would check less.  What this file adds:
+E13a and E13b's claims at quick parameters (E13a's table has no golden;
+E13b reports wall-clock throughput), and that every ``--quick`` argument
+set still binds to its runner, so ``repro experiment NAME --quick``
+cannot rot.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 
 from repro.cli import QUICK_ARGS
 from repro.harness.experiments import ALL_EXPERIMENTS
-
-EXPECTED_FIRST_COLUMN = {
-    "e1": "rate_pps",
-    "e2": "threshold",
-    "e3": "rate_pps",
-    "e4": "condition",
-    "e5": "switches",
-    "e6": "crowd_cps",
-    "e7a": "rate_pps",
-    "e7b": "window_s",
-    "e7c": "budget",
-    "e7d": "sampling_p",
-    "e8": "defense",
-    "e9": "loss",
-    "e10": "placement",
-    "e11": "rate_pps",
-    "e12": "rate_pps",
-    "e13a": "case",
-    "e13b": "distinct_sources",
-}
 
 
 def test_e13a_sketch_verdicts_match_exact():
@@ -64,23 +49,11 @@ def test_e13b_sketch_state_flat_exact_grows():
 
 
 @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
-def test_experiment_runs_and_tabulates(name):
-    table = ALL_EXPERIMENTS[name](**QUICK_ARGS.get(name, {}))
-    assert len(table) >= 1, f"{name} produced no rows"
-    assert table.columns[0] == EXPECTED_FIRST_COLUMN[name]
-    # Every renderer works on every experiment's output.
-    assert table.title in table.to_text()
-    assert table.to_markdown().count("|") > 4
-    assert table.to_csv().startswith(",".join(table.columns))
+def test_quick_args_bind_to_runner(name):
+    runner = ALL_EXPERIMENTS[name]
+    inspect.signature(runner).bind(**QUICK_ARGS[name], workers=1)
 
 
 def test_registry_matches_quick_args():
     """Every experiment has quick parameters (so CLI --quick covers all)."""
     assert set(QUICK_ARGS) == set(ALL_EXPERIMENTS)
-
-
-def test_experiments_are_deterministic():
-    """Same experiment, same args -> byte-identical table."""
-    first = ALL_EXPERIMENTS["e1"](**QUICK_ARGS["e1"]).to_csv()
-    second = ALL_EXPERIMENTS["e1"](**QUICK_ARGS["e1"]).to_csv()
-    assert first == second

@@ -92,5 +92,5 @@ class TestFlowStats:
                 workload=WorkloadConfig(attack_rate_pps=400, attack_start_s=3.0),
             )
         )
-        assert result.flow_stats is not None
+        assert isinstance(result.defense, FlowStatsDefense)
         assert result.detection_times()

@@ -34,6 +34,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(defense="prayers")
 
+    def test_unknown_detector_rejected(self):
+        # Caught at config time, not inside build_scenario in a pool worker.
+        with pytest.raises(ValueError, match="unknown detector 'ewmaa'"):
+            ScenarioConfig(detector="ewmaa")
+
     def test_duration_positive(self):
         with pytest.raises(ValueError):
             ScenarioConfig(duration_s=0)
@@ -53,7 +58,7 @@ class TestRunScenario:
         assert result.attack_window == (3.0, 12.0)
         assert 0 <= result.success_rate() <= 1
         assert result.inspected_fraction() > 0
-        assert result.switch_busy_seconds() > 0
+        assert run_record(result).switch_busy_s > 0
         timeline = result.timeline()
         assert timeline.time_to_mitigation is not None
 

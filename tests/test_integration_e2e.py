@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness.record import run_record
 from repro.harness.scenario import FlashCrowdSpec, ScenarioConfig, run_scenario
 from repro.harness.sweep import apply_overrides
 from repro.workload.profiles import WorkloadConfig
@@ -105,7 +106,7 @@ class TestClaimC3BoundedWorkload:
         spi = run_scenario(ATTACK)
         always = run_scenario(apply_overrides(ATTACK, {"defense": "always-on"}))
         assert spi.inspected_fraction() < always.inspected_fraction() / 5
-        assert spi.switch_inspection_share() < always.switch_inspection_share()
+        assert run_record(spi).mirror_cpu_share < run_record(always).mirror_cpu_share
 
     def test_mirrors_do_not_persist_after_verdict(self):
         result = run_scenario(ATTACK)

@@ -71,6 +71,28 @@ def test_packet_pool_attribute_reads_as_no_pool():
     assert not Network().packet_pool
 
 
+def test_scenario_result_names():
+    # What layers.py::_scenario_counts and workloads.py::_scenario_facts /
+    # sweep_extract read off a finished SPI run.
+    from repro.harness.scenario import ScenarioConfig, run_scenario
+
+    result = run_scenario(ScenarioConfig(duration_s=8.0))
+    monitors = list(result.spi.monitors.values())
+    assert monitors
+    for monitor in monitors:
+        extractor = monitor.extractor
+        assert extractor.packets_observed > 0
+        assert max(extractor.peak_state_bytes, extractor.state_bytes()) > 0
+        assert monitor.windows_closed > 0 and monitor.alerts_emitted >= 1
+    assert sum(record.rule_count for record in result.spi.mitigation.records) > 0
+    assert 0.0 <= result.flow_table_stats().microflow_hit_rate <= 1.0
+    timeline = result.timeline()
+    assert timeline.time_to_alert is not None
+    assert timeline.time_to_mitigation is not None
+    assert result.workload.client_latencies()
+    assert result.workload.client_successes() > 0
+
+
 def test_sharded_transport_stats_keys():
     # workloads.py::_sharded_check copies the dict; layers.py reads these.
     from repro.harness.scenario import ScenarioConfig

@@ -159,3 +159,20 @@ class TestUnknownAndRetiredKeys:
         # Retired only at the top level: nested they are plain typos.
         with pytest.raises(ValueError, match="'workload.pooling'"):
             config_from_dict({"workload": {"pooling": True}})
+
+    def test_retired_defense_keys_load_only_at_their_old_defaults(self):
+        # Every config save_config wrote while these were fields.
+        saved = {**config_to_dict(ScenarioConfig(defense="sampled")),
+                 "sampled_period_s": 5.0, "sampled_duty": 0.2,
+                 "flowstats_poll_s": 1.0, "flowstats_pps_threshold": 200.0,
+                 "baseline_mitigates": True}
+        assert config_from_dict(saved) == ScenarioConfig(defense="sampled")
+        for key, value in (("sampled_period_s", 2.0), ("sampled_duty", 1.0),
+                           ("flowstats_poll_s", 0.5),
+                           ("flowstats_pps_threshold", 150.0),
+                           ("baseline_mitigates", False)):
+            with pytest.raises(ValueError) as retired:
+                config_from_dict({**saved, key: value})
+            message = str(retired.value)
+            assert repr(key) in message and repr(saved[key]) in message
+            assert "defense table" in message and "reference" not in message
