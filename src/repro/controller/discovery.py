@@ -26,16 +26,6 @@ PROBE_DST_MAC = "01:80:c2:00:00:0e"  # LLDP nearest-bridge multicast
 PROBE_SRC_MAC = "00:0c:0c:0c:0c:0c"
 
 
-@dataclass(frozen=True)
-class AdjacencyKey:
-    """One directed switch-to-switch link."""
-
-    src_dpid: int
-    src_port: int
-    dst_dpid: int
-    dst_port: int
-
-
 @dataclass
 class DiscoveryState:
     """What discovery currently believes about one datapath."""

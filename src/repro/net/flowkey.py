@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.net.addresses import ip_to_int
-from repro.net.headers import PROTO_TCP, PROTO_UDP
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (packet imports us)
     from repro.net.packet import Packet
@@ -93,14 +92,6 @@ class FlowKey(NamedTuple):
         )
         object.__setattr__(packet, "_fkobj", (in_port, key))
         return key
-
-    def five_tuple(self) -> tuple:
-        """The legacy 5-tuple (src, sport, dst, dport, proto) for counters."""
-        if self.ip_src is None:
-            return (self.eth_src, 0, self.eth_dst, 0, -1)
-        if self.ip_proto in (PROTO_TCP, PROTO_UDP) and self.tp_src is not None:
-            return (self.ip_src, self.tp_src, self.ip_dst, self.tp_dst, self.ip_proto)
-        return (self.ip_src, 0, self.ip_dst, 0, self.ip_proto)
 
     def conn_key(self) -> tuple[str, int, int]:
         """(src_ip, src_port, dst_port): the DPI half-open connection key."""

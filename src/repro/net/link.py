@@ -98,10 +98,6 @@ class LinkEnd:
         """Packets currently waiting (not counting one in serialization)."""
         return len(self._queue)
 
-    def transmission_time(self, packet: Packet) -> float:
-        """Seconds the packet occupies the wire."""
-        return packet.size_bytes * 8.0 / self._bandwidth_bps
-
     def send(self, packet: Packet) -> bool:
         """Enqueue ``packet`` for transmission; False if drop-tailed."""
         if len(self._queue) >= self._queue_packets:

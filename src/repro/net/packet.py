@@ -35,7 +35,7 @@ from repro.net.headers import (
 _packet_ids = itertools.count(1)
 
 # Fields whose mutation changes the wire image / flow identity; assigning
-# any of them drops the serialization and flow-key memos.
+# any of them drops the serialization, size and flow-key memos.
 _WIRE_FIELDS = frozenset({"eth", "ip", "tcp", "udp", "icmp", "payload"})
 
 
@@ -43,9 +43,9 @@ _WIRE_FIELDS = frozenset({"eth", "ip", "tcp", "udp", "icmp", "payload"})
 class Packet:
     """A frame in flight: Ethernet + optional IPv4 + optional L4 header.
 
-    The frame memoizes its wire serialization and 5-tuple flow key; both
-    memos are dropped automatically when a header or the payload is
-    reassigned (e.g. the TTL decrement in :meth:`forwarded`), so mirror
+    The frame memoizes its wire serialization, size and
+    :class:`~repro.net.flowkey.FlowKey`; the memos are dropped
+    automatically when a header or the payload is reassigned, so mirror
     copies, pcap export and the DPI re-parse share one serialization
     without ever observing stale bytes.
     """
@@ -59,7 +59,6 @@ class Packet:
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
     created_at: float = 0.0
     _wire: Optional[bytes] = field(default=None, repr=False, compare=False)
-    _fkey: Optional[tuple] = field(default=None, repr=False, compare=False)
     # (in_port, FlowKey) pair memoized by FlowKey.from_packet.
     _fkobj: Optional[tuple] = field(default=None, repr=False, compare=False)
     _size: Optional[int] = field(default=None, repr=False, compare=False)
@@ -88,7 +87,6 @@ class Packet:
         set_(self, "packet_id", next(_packet_ids) if packet_id is None else packet_id)
         set_(self, "created_at", created_at)
         set_(self, "_wire", None)
-        set_(self, "_fkey", None)
         set_(self, "_fkobj", None)
         set_(self, "_size", None)
 
@@ -96,7 +94,6 @@ class Packet:
         object.__setattr__(self, name, value)
         if name in _WIRE_FIELDS:
             object.__setattr__(self, "_wire", None)
-            object.__setattr__(self, "_fkey", None)
             object.__setattr__(self, "_fkobj", None)
             object.__setattr__(self, "_size", None)
 
@@ -180,11 +177,6 @@ class Packet:
         return size
 
     @property
-    def is_tcp(self) -> bool:
-        """True for Ethernet/IPv4/TCP packets."""
-        return self.tcp is not None
-
-    @property
     def src_ip(self) -> str | None:
         """IPv4 source if present."""
         return self.ip.src_ip if self.ip is not None else None
@@ -193,24 +185,6 @@ class Packet:
     def dst_ip(self) -> str | None:
         """IPv4 destination if present."""
         return self.ip.dst_ip if self.ip is not None else None
-
-    def flow_key(self) -> tuple:
-        """5-tuple identifying the flow (for counters and DPI tables)."""
-        cached = self._fkey
-        if cached is not None:
-            return cached
-        if self.tcp is not None and self.ip is not None:
-            key = (self.ip.src_ip, self.tcp.src_port, self.ip.dst_ip,
-                   self.tcp.dst_port, PROTO_TCP)
-        elif self.udp is not None and self.ip is not None:
-            key = (self.ip.src_ip, self.udp.src_port, self.ip.dst_ip,
-                   self.udp.dst_port, PROTO_UDP)
-        elif self.ip is not None:
-            key = (self.ip.src_ip, 0, self.ip.dst_ip, 0, self.ip.protocol)
-        else:
-            key = (self.eth.src_mac, 0, self.eth.dst_mac, 0, -1)
-        object.__setattr__(self, "_fkey", key)
-        return key
 
     def copy(self) -> "Packet":
         """Shallow per-header copy with a fresh packet id (for mirroring).
@@ -226,20 +200,11 @@ class Packet:
         object.__setattr__(clone, "__dict__", state)
         return clone
 
-    def forwarded(self) -> "Packet":
-        """Copy with TTL decremented, as an L3 hop would produce."""
-        if self.ip is None:
-            return self.copy()
-        clone = self.copy()
-        clone.ip = self.ip.decrement_ttl()
-        return clone
-
     def to_bytes(self) -> bytes:
         """Serialize the whole frame to wire format (memoized).
 
         The packed frame is cached until a header or the payload is
-        reassigned; ``forwarded()`` replaces the IPv4 header, so each hop
-        re-packs, but mirror/pcap/DPI touches of the *same* hop share
+        reassigned, so mirror/pcap/DPI touches of the same frame share
         one serialization.
         """
         cached = self._wire
@@ -280,11 +245,11 @@ class FloodTemplate:
     """One immutable flood shape (MACs, victim, protocol, payload).
 
     ``stamp()`` fills in what varies per packet — spoofed source and the
-    L4 header — on a copy of a prototype ``__dict__``.  ``_size`` and
-    ``_fkey`` are warm at birth because every hop reads them; ``_wire``
-    is left unset, so a flood frame is serialized by ``to_bytes()`` the
-    first time DPI, pcap or the shard codec reads it, and never if nobody
-    does (most of a flood is forwarded or dropped unread).
+    L4 header — on a copy of a prototype ``__dict__``.  ``_size`` is
+    warm at birth because every link reads it; ``_wire`` is left unset,
+    so a flood frame is serialized by ``to_bytes()`` the first time DPI,
+    pcap or the shard codec reads it, and never if nobody does (most of
+    a flood is forwarded or dropped unread).
     """
 
     __slots__ = ("dst_ip", "dst_port", "protocol", "_l4_field",
@@ -338,8 +303,6 @@ class FloodTemplate:
         state[self._l4_field] = l4_header
         state["packet_id"] = next(_packet_ids)
         state["created_at"] = created_at
-        state["_fkey"] = (src_ip, l4_header.src_port, self.dst_ip,
-                          self.dst_port, self.protocol)
         packet = Packet.__new__(Packet)
         object.__setattr__(packet, "__dict__", state)
         return packet

@@ -57,10 +57,6 @@ class SeededRng:
         """Normal variate."""
         return self._random.gauss(mu, sigma)
 
-    def pareto(self, alpha: float) -> float:
-        """Pareto variate (heavy-tailed sizes, e.g. web object sizes)."""
-        return self._random.paretovariate(alpha)
-
     def random_ipv4(self, prefix: str = "") -> str:
         """Draw a random dotted-quad IPv4 address.
 

@@ -15,7 +15,6 @@ forwarding.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -58,25 +57,8 @@ from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicTask
 from repro.switch.workload import WorkloadCosts, WorkloadMeter
 
-# Taps receive (packet, in_port, flow_key); legacy two-argument taps are
-# adapted at attach time so the key extraction stays free for them.
-Tap = Callable[[Packet, int], None]
+# Taps receive (packet, in_port, flow_key).
 FlowTap = Callable[[Packet, int, FlowKey], None]
-
-
-def _adapt_tap(tap: Callable) -> FlowTap:
-    """Wrap a legacy ``(packet, in_port)`` tap into the 3-argument form."""
-    try:
-        parameters = inspect.signature(tap).parameters
-    except (TypeError, ValueError):
-        return tap  # builtins etc.: assume the modern signature
-    positional = [
-        p for p in parameters.values()
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if any(p.kind is p.VAR_POSITIONAL for p in parameters.values()) or len(positional) >= 3:
-        return tap
-    return lambda packet, in_port, key: tap(packet, in_port)
 
 
 @dataclass
@@ -129,14 +111,13 @@ class OpenFlowSwitch(Node):
         """Attach the control channel (done by the topology builder)."""
         self.channel = channel
 
-    def attach_tap(self, tap: Tap | FlowTap) -> None:
+    def attach_tap(self, tap: FlowTap) -> None:
         """Register a passive per-ingress-packet observer (sFlow agent).
 
-        Taps with a third parameter receive the ingress
-        :class:`FlowKey` extracted once by the datapath; two-argument
-        taps keep working unchanged.
+        The tap receives the ingress :class:`FlowKey` extracted once by
+        the datapath as its third argument.
         """
-        self._taps.append(_adapt_tap(tap))
+        self._taps.append(tap)
 
     # ---------------------------------------------------------- data path
 

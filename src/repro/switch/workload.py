@@ -15,7 +15,7 @@ term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,6 @@ class WorkloadCosts:
     mirror_byte: float = 4e-9
     forward_packet: float = 1e-6
     stats_request: float = 20e-6
-
-
-@dataclass
-class _WindowSample:
-    """Busy-time accumulated within one measurement window."""
-
-    start: float
-    busy: float = 0.0
 
 
 class WorkloadMeter:

@@ -52,14 +52,6 @@ class WebClientStats:
             if a.failed_at is not None and start <= a.failed_at < end
         )
 
-    def connect_latencies(self, start: float = 0.0, end: float = float("inf")) -> list[float]:
-        """Handshake latencies of successful connects within the phase."""
-        return [
-            a.connected_at - a.started_at
-            for a in self.attempts
-            if a.connected_at is not None and start <= a.connected_at < end
-        ]
-
     def started_outcomes(
         self, start: float = 0.0, end: float = float("inf")
     ) -> tuple[int, int, int]:

@@ -3,9 +3,10 @@ Internet checksum.
 
 Everything here defends one promise: the fast path is invisible.  A
 stamped packet must serialize byte-for-byte to what the classmethod
-constructors build — and only when something reads its bytes — and the
+constructors build — and only when something reads its bytes — the
 word-summed checksum must equal the word-at-a-time reference on any
-input.
+input, and a flood-scale run must fingerprint identically on the fast
+path and on the reference twins.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.harness.fuzzer import fingerprint_json
 from repro.harness.scenario import ScenarioConfig, run_scenario
 from repro.net.headers import (
     PROTO_ICMP,
@@ -25,6 +27,7 @@ from repro.net.headers import (
     UdpHeader,
     internet_checksum,
 )
+from repro.net.flowkey import FlowKey
 from repro.net.packet import FloodTemplate, Packet, parse_packet
 from repro.workload.profiles import WorkloadConfig
 
@@ -87,7 +90,7 @@ class TestSynFloodTemplate:
     def test_stamp_fields_match_classmethod(self):
         stamped = _stamp_syn(_syn_template(), "198.18.9.9", 5555, 77, 2.0)
         legacy = _legacy_syn("198.18.9.9", 5555, 77)
-        assert stamped.flow_key() == legacy.flow_key()
+        assert FlowKey.from_packet(stamped) == FlowKey.from_packet(legacy)
         assert stamped.size_bytes == legacy.size_bytes
         assert stamped.created_at == 2.0
         assert stamped.udp is None and stamped.icmp is None
@@ -117,7 +120,7 @@ class TestUdpFloodTemplate:
             legacy = _legacy_udp(src_ip, src_port, payload)
             assert stamped._wire is None
             assert stamped.to_bytes() == legacy.to_bytes()
-            assert stamped.flow_key() == legacy.flow_key()
+            assert FlowKey.from_packet(stamped) == FlowKey.from_packet(legacy)
             assert stamped.size_bytes == legacy.size_bytes
 
     def test_odd_length_payload_checksum(self):
@@ -153,6 +156,48 @@ class TestBytesOnDemand:
         inspected = result.spi.dpi.stats.frames_received
         assert 0 < inspected < attack_packets / 2  # the mirror window is selective
         assert len(packs) == inspected
+
+
+def _syn_flood_config(reference: bool) -> ScenarioConfig:
+    """E5-style SYN flood: 4-switch linear chain, two 5000-pps attackers."""
+    return ScenarioConfig(
+        topology="linear",
+        topology_params={"n_switches": 4, "clients_per_switch": 1, "n_attackers": 2},
+        workload=WorkloadConfig(
+            attack_kind="syn", attack_rate_pps=10000.0, attack_start_s=0.3
+        ),
+        duration_s=0.8,
+        defense="spi",
+        seed=5,
+        reference=reference,
+    )
+
+
+def _udp_flood_config(reference: bool) -> ScenarioConfig:
+    """UDP volumetric flood under SPI: most mirrored frames are re-parsed."""
+    return ScenarioConfig(
+        topology="linear",
+        topology_params={"n_switches": 2, "clients_per_switch": 1, "n_attackers": 2},
+        workload=WorkloadConfig(
+            attack_kind="udp", attack_rate_pps=20000.0, attack_start_s=0.3
+        ),
+        duration_s=0.8,
+        defense="spi",
+        detector="udp-rate",
+        seed=7,
+        reference=reference,
+    )
+
+
+@pytest.mark.parametrize("make", [_syn_flood_config, _udp_flood_config], ids=["syn", "udp"])
+def test_fastpath_fingerprint_identical(make):
+    """Flood scale on the fast path and on the reference twins
+    (per-arrival scheduling, reference event loop, linear-scan flow
+    tables) simulates byte-identical traffic.  ``repro check`` draws
+    150–500 pps, so this is the one flood-rate check of the twins."""
+    fast = fingerprint_json(run_scenario(make(reference=False)))
+    slow = fingerprint_json(run_scenario(make(reference=True)))
+    assert fast == slow, f"fast path changed the simulation for {make.__name__}"
 
 
 def _reference_checksum(data: bytes) -> int:

@@ -270,6 +270,8 @@ class TestSketchBackend:
             peaks.append(fx.peak_state_bytes)
         few, many = peaks
         assert abs(many - few) < 0.005 * few
+        # The memory ceiling: source-independent, so any window shows it.
+        assert many < 512 * 1024, f"sketch state {many} bytes exceeds 512 KiB"
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):

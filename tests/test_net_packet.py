@@ -17,6 +17,7 @@ from repro.net.headers import (
     TcpHeader,
     UdpHeader,
 )
+from repro.net.flowkey import FlowKey
 from repro.net.packet import Packet, parse_packet
 
 MAC_A = "00:00:00:00:00:01"
@@ -32,7 +33,7 @@ def tcp_packet(payload=b"", flags=TCP_SYN, src_ip="10.0.0.1", dst_ip="10.0.0.2")
 class TestBuilders:
     def test_tcp_packet_fields(self):
         p = tcp_packet(b"abc")
-        assert p.is_tcp
+        assert p.tcp is not None
         assert p.src_ip == "10.0.0.1" and p.dst_ip == "10.0.0.2"
         assert p.ip.protocol == PROTO_TCP
         assert p.ip.total_length == 20 + 20 + 3
@@ -50,24 +51,32 @@ class TestBuilders:
         assert tcp_packet().packet_id != tcp_packet().packet_id
 
     def test_size_bytes(self):
-        assert tcp_packet(b"abcd").size_bytes == 14 + 20 + 20 + 4
+        p = tcp_packet(b"abcd")
+        assert p.size_bytes == 14 + 20 + 20 + 4
+        assert len(p.to_bytes()) == p.size_bytes
+
+
+def _five(packet: Packet) -> tuple:
+    key = FlowKey.from_packet(packet)
+    return (key.ip_src, key.tp_src, key.ip_dst, key.tp_dst, key.ip_proto)
 
 
 class TestFlowKey:
     def test_tcp_flow_key(self):
-        assert tcp_packet().flow_key() == ("10.0.0.1", 1234, "10.0.0.2", 80, PROTO_TCP)
+        assert _five(tcp_packet()) == ("10.0.0.1", 1234, "10.0.0.2", 80, PROTO_TCP)
 
     def test_udp_flow_key(self):
         p = Packet.udp_packet(MAC_A, MAC_B, "10.0.0.1", "10.0.0.2", UdpHeader(5, 6))
-        assert p.flow_key() == ("10.0.0.1", 5, "10.0.0.2", 6, PROTO_UDP)
+        assert _five(p) == ("10.0.0.1", 5, "10.0.0.2", 6, PROTO_UDP)
 
     def test_icmp_flow_key_uses_protocol(self):
         p = Packet.icmp_packet(MAC_A, MAC_B, "10.0.0.1", "10.0.0.2", IcmpHeader(8))
-        assert p.flow_key() == ("10.0.0.1", 0, "10.0.0.2", 0, PROTO_ICMP)
+        assert _five(p) == ("10.0.0.1", None, "10.0.0.2", None, PROTO_ICMP)
 
     def test_l2_only_flow_key(self):
-        p = Packet(eth=EthernetHeader(MAC_A, MAC_B, 0x86DD))
-        assert p.flow_key() == (MAC_A, 0, MAC_B, 0, -1)
+        key = FlowKey.from_packet(Packet(eth=EthernetHeader(MAC_A, MAC_B, 0x86DD)))
+        assert (key.eth_src, key.eth_dst, key.eth_type) == (MAC_A, MAC_B, 0x86DD)
+        assert key.ip_src is None and key.ip_proto is None
 
 
 class TestCopyForward:
@@ -79,7 +88,8 @@ class TestCopyForward:
 
     def test_forwarded_decrements_ttl(self):
         p = tcp_packet()
-        q = p.forwarded()
+        q = p.copy()
+        q.ip = p.ip.decrement_ttl()
         assert q.ip.ttl == p.ip.ttl - 1
         assert p.ip.ttl == 64  # original untouched
 
@@ -202,11 +212,12 @@ class TestWireMemo:
     def test_forwarded_invalidates_and_reflects_ttl(self):
         p = tcp_packet(b"data")
         before = p.to_bytes()
-        q = p.forwarded()
+        q = p.copy()
+        q.ip = p.ip.decrement_ttl()  # an L3 hop's TTL rewrite on the copy
         after = q.to_bytes()
         assert after is not before
         assert parse_packet(after).ip.ttl == 63
-        assert parse_packet(before).ip.ttl == 64
+        assert p.to_bytes() is before  # the original keeps its memo
 
     def test_header_mutation_invalidates(self):
         p = tcp_packet(b"data")
@@ -224,48 +235,30 @@ class TestWireMemo:
 
     def test_flow_key_is_cached_and_invalidated(self):
         p = tcp_packet()
-        key = p.flow_key()
-        assert p.flow_key() is key
+        key = FlowKey.from_packet(p)
+        assert FlowKey.from_packet(p) is key
         p.tcp = TcpHeader(999, 80, flags=TCP_SYN)
-        assert p.flow_key()[1] == 999
+        assert FlowKey.from_packet(p).tp_src == 999
 
 
 class TestFlowKeyExtraction:
     def test_tcp_key_fields(self):
-        from repro.net.flowkey import FlowKey
-
         key = FlowKey.from_packet(tcp_packet(), in_port=7)
         assert key.in_port == 7
         assert key.ip_src == "10.0.0.1" and key.ip_dst == "10.0.0.2"
         assert key.tp_src == 1234 and key.tp_dst == 80
         assert key.ip_proto == PROTO_TCP
         assert key.ip_src_int == (10 << 24) + 1
-        assert key.five_tuple() == ("10.0.0.1", 1234, "10.0.0.2", 80, PROTO_TCP)
         assert key.conn_key() == ("10.0.0.1", 1234, 80)
 
     def test_l2_key_fields(self):
-        from repro.net.flowkey import FlowKey
-
         p = Packet(eth=EthernetHeader(MAC_A, MAC_B, 0x0806), payload=b"arp")
         key = FlowKey.from_packet(p, in_port=3)
         assert key.ip_src is None and key.ip_src_int is None
-        assert key.five_tuple() == (MAC_A, 0, MAC_B, 0, -1)
+        assert key.eth_src == MAC_A and key.eth_dst == MAC_B
 
     def test_icmp_key_has_no_ports(self):
-        from repro.net.flowkey import FlowKey
-
         p = Packet.icmp_packet(MAC_A, MAC_B, "10.0.0.1", "10.0.0.2", IcmpHeader(8))
         key = FlowKey.from_packet(p, in_port=1)
         assert key.tp_src is None and key.ip_proto == PROTO_ICMP
-        assert key.five_tuple() == ("10.0.0.1", 0, "10.0.0.2", 0, PROTO_ICMP)
-
-    def test_key_matches_legacy_packet_flow_key(self):
-        from repro.net.flowkey import FlowKey
-
-        for p in (
-            tcp_packet(),
-            Packet.udp_packet(MAC_A, MAC_B, "10.0.0.1", "10.0.0.2", UdpHeader(5, 6)),
-            Packet.icmp_packet(MAC_A, MAC_B, "10.0.0.1", "10.0.0.2", IcmpHeader(8)),
-            Packet(eth=EthernetHeader(MAC_A, MAC_B, 0x0806)),
-        ):
-            assert FlowKey.from_packet(p).five_tuple() == p.flow_key()
+        assert key.ip_src == "10.0.0.1" and key.ip_dst == "10.0.0.2"

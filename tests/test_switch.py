@@ -151,7 +151,7 @@ class TestDataPath:
     def test_tap_sees_every_ingress_packet(self, fabric, sim):
         switch, hosts, _ = fabric
         tapped = []
-        switch.attach_tap(lambda p, port: tapped.append(port))
+        switch.attach_tap(lambda p, port, key: tapped.append(port))
         hosts[0].send_packet(syn(hosts[0], hosts[1]))
         hosts[1].send_packet(syn(hosts[1], hosts[0]))
         sim.run(until=1.0)
