@@ -109,7 +109,7 @@ class TapDpi(Defense):
         self.stats.bytes_inspected += packet.size_bytes
         # Inspection is a SPAN copy: charge the switch exactly as the
         # Mirror action would.
-        self.switch.workload.charge_mirror(packet.size_bytes, self.switch.sim.now)
+        self.switch.workload.charge_mirror(packet.size_bytes)
         if packet.tcp is None or packet.ip is None:
             return
         flags = packet.tcp.flags

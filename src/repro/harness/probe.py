@@ -61,6 +61,7 @@ class ScenarioProbe:
         self.period_s = period_s
         self.success_window_s = success_window_s
         self.series = ProbeSeries()
+        self._last_busy: dict[str, float] = {}
         self._task = PeriodicTask(net.sim, period_s, self._sample, "probe")
         self._task.start(initial_delay=0.0)
 
@@ -77,10 +78,13 @@ class ScenarioProbe:
         self.series.success_rate.append(
             now, self.workload.client_success_rate(window_start, now)
         )
-        utilizations = [
-            sw.workload.utilization(now, window=self.period_s)
-            for sw in self.net.switches.values()
-        ]
+        # Busy seconds charged since the previous sample, per switch, over
+        # the sampling period (the first sample covers what came before).
+        utilizations = []
+        for name, sw in self.net.switches.items():
+            busy = sw.workload.total_busy
+            utilizations.append((busy - self._last_busy.get(name, 0.0)) / self.period_s)
+            self._last_busy[name] = busy
         self.series.switch_utilization.append(
             now, sum(utilizations) / len(utilizations) if utilizations else 0.0
         )

@@ -74,7 +74,7 @@ def int_to_ip(value: int) -> str:
     """Convert a 32-bit integer to dotted-quad."""
     if not 0 <= value <= 0xFFFFFFFF:
         raise ValueError(f"IPv4 integer out of range: {value}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
 
 
 def ip_in_subnet(ip: str, cidr: str) -> bool:

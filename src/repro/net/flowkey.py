@@ -25,6 +25,8 @@ from repro.net.addresses import ip_to_int
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (packet imports us)
     from repro.net.packet import Packet
 
+_new_key = tuple.__new__
+
 
 class FlowKey(NamedTuple):
     """Exact-match header fields of one packet arriving on one port.
@@ -60,36 +62,24 @@ class FlowKey(NamedTuple):
             return memo[1]
         eth = packet.eth
         ip = packet.ip
+        # Positional ``tuple.__new__`` in field order: the generated
+        # keyword ``__new__`` is a Python frame per key.
         if ip is None:
-            key = cls(
-                in_port=in_port,
-                eth_src=eth.src_mac,
-                eth_dst=eth.dst_mac,
-                eth_type=eth.ethertype,
-            )
-            object.__setattr__(packet, "_fkobj", (in_port, key))
-            return key
-        tp_src: Optional[int] = None
-        tp_dst: Optional[int] = None
-        if packet.tcp is not None:
-            tp_src = packet.tcp.src_port
-            tp_dst = packet.tcp.dst_port
-        elif packet.udp is not None:
-            tp_src = packet.udp.src_port
-            tp_dst = packet.udp.dst_port
-        key = cls(
-            in_port=in_port,
-            eth_src=eth.src_mac,
-            eth_dst=eth.dst_mac,
-            eth_type=eth.ethertype,
-            ip_src=ip.src_ip,
-            ip_dst=ip.dst_ip,
-            ip_proto=ip.protocol,
-            tp_src=tp_src,
-            tp_dst=tp_dst,
-            ip_src_int=ip_to_int(ip.src_ip),
-            ip_dst_int=ip_to_int(ip.dst_ip),
-        )
+            key = _new_key(cls, (
+                in_port, eth.src_mac, eth.dst_mac, eth.ethertype,
+                None, None, None, None, None, None, None,
+            ))
+        else:
+            l4 = packet.tcp or packet.udp
+            src_ip = ip.src_ip
+            dst_ip = ip.dst_ip
+            key = _new_key(cls, (
+                in_port, eth.src_mac, eth.dst_mac, eth.ethertype,
+                src_ip, dst_ip, ip.protocol,
+                None if l4 is None else l4.src_port,
+                None if l4 is None else l4.dst_port,
+                ip_to_int(src_ip), ip_to_int(dst_ip),
+            ))
         object.__setattr__(packet, "_fkobj", (in_port, key))
         return key
 

@@ -81,6 +81,11 @@ class EthernetHeader:
         return cls(src_mac=src, dst_mac=dst, ethertype=ethertype), raw[14:]
 
 
+#: version/IHL, TOS, total length, id, flags+fragment, TTL, protocol,
+#: checksum, then both addresses as 32-bit integers.
+_IPV4 = struct.Struct("!BBHHHBBHII")
+
+
 @dataclass(frozen=True)
 class IPv4Header:
     """IPv4 header without options (IHL fixed at 5)."""
@@ -98,8 +103,7 @@ class IPv4Header:
     def pack(self) -> bytes:
         """Serialize to 20 bytes with a valid header checksum."""
         version_ihl = (4 << 4) | 5
-        without_checksum = struct.pack(
-            "!BBHHHBBH4s4s",
+        without_checksum = _IPV4.pack(
             version_ihl,
             self.dscp << 2,
             self.total_length,
@@ -108,8 +112,8 @@ class IPv4Header:
             self.ttl,
             self.protocol,
             0,  # checksum placeholder
-            bytes((ip_to_int(self.src_ip) >> s) & 0xFF for s in (24, 16, 8, 0)),
-            bytes((ip_to_int(self.dst_ip) >> s) & 0xFF for s in (24, 16, 8, 0)),
+            ip_to_int(self.src_ip),
+            ip_to_int(self.dst_ip),
         )
         checksum = internet_checksum(without_checksum)
         return without_checksum[:10] + struct.pack("!H", checksum) + without_checksum[12:]
@@ -119,6 +123,7 @@ class IPv4Header:
         """Parse and checksum-verify; returns header and L4 payload."""
         if len(raw) < cls.LENGTH:
             raise HeaderError(f"IPv4 header too short: {len(raw)} bytes")
+        head = raw[:20]
         (
             version_ihl,
             dscp_ecn,
@@ -128,16 +133,16 @@ class IPv4Header:
             ttl,
             protocol,
             _checksum,
-            src_raw,
-            dst_raw,
-        ) = struct.unpack("!BBHHHBBH4s4s", raw[:20])
+            src,
+            dst,
+        ) = _IPV4.unpack(head)
         if version_ihl >> 4 != 4:
             raise HeaderError(f"not IPv4 (version={version_ihl >> 4})")
-        if internet_checksum(raw[:20]) != 0:
+        if internet_checksum(head) != 0:
             raise HeaderError("IPv4 header checksum mismatch")
         header = cls(
-            src_ip=int_to_ip(int.from_bytes(src_raw, "big")),
-            dst_ip=int_to_ip(int.from_bytes(dst_raw, "big")),
+            src_ip=int_to_ip(src),
+            dst_ip=int_to_ip(dst),
             protocol=protocol,
             total_length=total_length,
             ttl=ttl,

@@ -316,35 +316,30 @@ def parse_packet(raw: bytes, verify: bool = True) -> Packet:
     ``verify`` is False.
     """
     eth, rest = EthernetHeader.unpack(raw)
-    packet = Packet(eth=eth, payload=rest)
     if eth.ethertype != ETHERTYPE_IPV4:
-        return packet
+        return Packet(eth, payload=rest)
     ip, l4 = IPv4Header.unpack(rest)
-    packet.ip = ip
+    protocol = ip.protocol
     l4 = l4[: max(0, ip.total_length - IPv4Header.LENGTH)] if ip.total_length else l4
-    _check_l4_length(ip.protocol, l4)
+    _check_l4_length(protocol, l4)
+    tcp = udp = icmp = None
     try:
-        if ip.protocol == PROTO_TCP:
+        if protocol == PROTO_TCP:
             tcp, payload = TcpHeader.unpack(l4, ip.src_ip, ip.dst_ip, verify=verify)
-            packet.tcp = tcp
-            packet.payload = payload
-        elif ip.protocol == PROTO_UDP:
+        elif protocol == PROTO_UDP:
             udp, payload = UdpHeader.unpack(l4, ip.src_ip, ip.dst_ip, verify=verify)
-            packet.udp = udp
-            packet.payload = payload
-        elif ip.protocol == PROTO_ICMP:
+        elif protocol == PROTO_ICMP:
             icmp, payload = IcmpHeader.unpack(l4, verify=verify)
-            packet.icmp = icmp
-            packet.payload = payload
         else:
-            packet.payload = l4
+            payload = l4
     except HeaderError:
         raise
     except (struct.error, IndexError, ValueError) as exc:
         # Mirrored frames can arrive mangled in arbitrary ways; the DPI
         # engine must see a HeaderError, never a codec-internal error.
-        raise HeaderError(f"malformed L4 bytes (proto={ip.protocol}): {exc}") from exc
-    return packet
+        raise HeaderError(f"malformed L4 bytes (proto={protocol}): {exc}") from exc
+    # Built once with every header: no memo to invalidate on a fresh frame.
+    return Packet(eth, ip, tcp, udp, icmp, payload)
 
 
 _L4_HEADER_LENGTHS = {

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from repro.net.flowkey import FlowKey
 from repro.net.packet import Packet
-from repro.openflow.actions import Action
+from repro.openflow.actions import Action, Drop, RateLimit
 from repro.openflow.match import Match
 
 _entry_ids = itertools.count(1)
@@ -57,6 +57,16 @@ class FlowEntry:
     packets: int = 0
     bytes: int = 0
     entry_id: int = field(default_factory=lambda: next(_entry_ids))
+    #: Every packet is discarded with nothing to police first — the list is
+    #: empty, or holds a ``Drop`` and no ``RateLimit`` — so the datapath
+    #: drops on this one flag instead of walking the actions.
+    drops: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.drops = not self.actions or (
+            any(isinstance(a, Drop) for a in self.actions)
+            and not any(isinstance(a, RateLimit) for a in self.actions)
+        )
 
     def hit(self, packet: Packet, now: float) -> None:
         """Update counters on a lookup hit."""

@@ -130,15 +130,19 @@ class OpenFlowSwitch(Node):
         ``flow_extract()`` discipline).
         """
         self.counters.packets_in += 1
-        key = FlowKey.from_packet(packet, ingress.port_no)
+        in_port = ingress.port_no
+        key = FlowKey.from_packet(packet, in_port)
         for tap in self._taps:
-            tap(packet, ingress.port_no, key)
-        self.workload.charge_lookup(self.sim.now)
-        entry = self.table.lookup(packet, ingress.port_no, self.sim.now, key=key)
+            tap(packet, in_port, key)
+        self.workload.charge_lookup()
+        entry = self.table.lookup(packet, in_port, self.sim.now, key=key)
         if entry is None:
-            self._punt(packet, ingress.port_no, PacketInReason.NO_MATCH)
-            return
-        self.apply_actions(packet, ingress.port_no, entry.actions)
+            self._punt(packet, in_port, PacketInReason.NO_MATCH)
+        elif entry.drops:
+            # A mitigation rule: decided once when the entry was built.
+            self.counters.packets_dropped_by_rule += 1
+        else:
+            self.apply_actions(packet, in_port, entry.actions)
 
     def apply_actions(
         self, packet: Packet, in_port: int, actions: tuple[Action, ...]
@@ -173,7 +177,7 @@ class OpenFlowSwitch(Node):
         interface = self.interfaces.get(port_no)
         if interface is None:
             return
-        self.workload.charge_forward(self.sim.now)
+        self.workload.charge_forward()
         self.counters.packets_forwarded += 1
         interface.send(packet.copy())
 
@@ -182,14 +186,14 @@ class OpenFlowSwitch(Node):
         for port_no, interface in self.interfaces.items():
             if port_no == in_port or not interface.connected:
                 continue
-            self.workload.charge_forward(self.sim.now)
+            self.workload.charge_forward()
             interface.send(packet.copy())
 
     def _mirror(self, packet: Packet, port_no: int) -> None:
         interface = self.interfaces.get(port_no)
         if interface is None:
             return
-        self.workload.charge_mirror(packet.size_bytes, self.sim.now)
+        self.workload.charge_mirror(packet.size_bytes)
         self.counters.packets_mirrored += 1
         self.counters.bytes_mirrored += packet.size_bytes
         interface.send(packet.copy())
@@ -197,7 +201,7 @@ class OpenFlowSwitch(Node):
     def _punt(self, packet: Packet, in_port: int, reason: PacketInReason) -> None:
         if self.channel is None:
             return
-        self.workload.charge_packet_in(self.sim.now)
+        self.workload.charge_packet_in()
         self.counters.packets_punted += 1
         buffer_id = self._buffer_packet(packet, in_port)
         self.channel.to_controller(
@@ -251,7 +255,7 @@ class OpenFlowSwitch(Node):
             )
 
     def _handle_flow_mod(self, mod: FlowMod) -> None:
-        self.workload.charge_flow_mod(self.sim.now)
+        self.workload.charge_flow_mod()
         self.counters.flow_mods += 1
         if mod.command is FlowModCommand.ADD:
             entry = FlowEntry(
@@ -290,7 +294,7 @@ class OpenFlowSwitch(Node):
                     )
 
     def _handle_packet_out(self, out: PacketOut) -> None:
-        self.workload.charge_packet_out(self.sim.now)
+        self.workload.charge_packet_out()
         self.counters.packet_outs += 1
         packet: Optional[Packet]
         in_port = out.in_port
@@ -304,7 +308,7 @@ class OpenFlowSwitch(Node):
         self.apply_actions(packet, in_port, out.actions)
 
     def _handle_flow_stats(self, request: FlowStatsRequest) -> None:
-        self.workload.charge_stats(self.sim.now)
+        self.workload.charge_stats()
         entries = [
             FlowStatsEntry(
                 match=e.match,
@@ -327,7 +331,7 @@ class OpenFlowSwitch(Node):
         )
 
     def _handle_port_stats(self, request: PortStatsRequest) -> None:
-        self.workload.charge_stats(self.sim.now)
+        self.workload.charge_stats()
         rows = []
         for port_no, interface in sorted(self.interfaces.items()):
             if request.port_no is not None and port_no != request.port_no:

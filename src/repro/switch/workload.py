@@ -35,67 +35,58 @@ class WorkloadCosts:
 class WorkloadMeter:
     """Integrates switch CPU busy-time, split by cause.
 
-    ``utilization(window)`` returns busy/wall over the trailing window,
-    the number the E3 bench reports as *OVS load*.
+    The meter keeps totals only — ``total_busy`` and ``busy_by_cause`` —
+    so its state does not grow with the number of charges.  A reader that
+    wants utilisation over time differences ``total_busy`` between its
+    own samples (``harness.probe.ScenarioProbe`` does).
     """
 
     def __init__(self, costs: WorkloadCosts | None = None) -> None:
         self.costs = costs or WorkloadCosts()
         self.total_busy = 0.0
         self.busy_by_cause: dict[str, float] = {}
-        self._samples: list[tuple[float, float]] = []  # (time, busy_delta)
 
-    def charge(self, cause: str, seconds: float, now: float) -> None:
-        """Record ``seconds`` of CPU attributable to ``cause`` at ``now``."""
+    def charge(self, cause: str, seconds: float) -> None:
+        """Record ``seconds`` of CPU attributable to ``cause``."""
         if seconds < 0:
             raise ValueError("cannot charge negative time")
         self.total_busy += seconds
         self.busy_by_cause[cause] = self.busy_by_cause.get(cause, 0.0) + seconds
-        self._samples.append((now, seconds))
 
     # Convenience wrappers for the common operations -------------------
 
-    def charge_lookup(self, now: float) -> None:
+    def charge_lookup(self) -> None:
         """One flow-table lookup."""
-        self.charge("lookup", self.costs.lookup, now)
+        self.charge("lookup", self.costs.lookup)
 
-    def charge_packet_in(self, now: float) -> None:
+    def charge_packet_in(self) -> None:
         """Encapsulating and punting one packet to the controller."""
-        self.charge("packet_in", self.costs.packet_in, now)
+        self.charge("packet_in", self.costs.packet_in)
 
-    def charge_packet_out(self, now: float) -> None:
+    def charge_packet_out(self) -> None:
         """Processing one PacketOut from the controller."""
-        self.charge("packet_out", self.costs.packet_out, now)
+        self.charge("packet_out", self.costs.packet_out)
 
-    def charge_flow_mod(self, now: float) -> None:
+    def charge_flow_mod(self) -> None:
         """Installing or removing one flow entry."""
-        self.charge("flow_mod", self.costs.flow_mod, now)
+        self.charge("flow_mod", self.costs.flow_mod)
 
-    def charge_forward(self, now: float) -> None:
+    def charge_forward(self) -> None:
         """Fast-path forwarding of one packet."""
-        self.charge("forward", self.costs.forward_packet, now)
+        self.charge("forward", self.costs.forward_packet)
 
-    def charge_mirror(self, size_bytes: int, now: float) -> None:
+    def charge_mirror(self, size_bytes: int) -> None:
         """Copying one packet of ``size_bytes`` to a SPAN port."""
         self.charge(
             "mirror",
             self.costs.mirror_packet + self.costs.mirror_byte * size_bytes,
-            now,
         )
 
-    def charge_stats(self, now: float) -> None:
+    def charge_stats(self) -> None:
         """Serving one statistics request."""
-        self.charge("stats", self.costs.stats_request, now)
+        self.charge("stats", self.costs.stats_request)
 
     # Reporting ---------------------------------------------------------
-
-    def utilization(self, now: float, window: float = 1.0) -> float:
-        """Busy fraction over the trailing ``window`` seconds."""
-        if window <= 0:
-            raise ValueError("window must be positive")
-        cutoff = now - window
-        busy = sum(delta for t, delta in self._samples if t >= cutoff)
-        return busy / window
 
     def breakdown(self) -> dict[str, float]:
         """Total busy seconds per cause (copy)."""
@@ -106,7 +97,3 @@ class WorkloadMeter:
         if self.total_busy == 0:
             return 0.0
         return self.busy_by_cause.get("mirror", 0.0) / self.total_busy
-
-    def prune(self, before: float) -> None:
-        """Drop samples older than ``before`` to bound memory."""
-        self._samples = [(t, d) for t, d in self._samples if t >= before]

@@ -1,6 +1,9 @@
-"""Tests for the control channel and the switch workload meter."""
+"""Tests for the control channel, the switch workload meter and its probe."""
 
 from __future__ import annotations
+
+import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -93,9 +96,9 @@ class TestControlChannel:
 class TestWorkloadMeter:
     def test_charges_accumulate_by_cause(self):
         meter = WorkloadMeter()
-        meter.charge_lookup(now=0.0)
-        meter.charge_lookup(now=0.1)
-        meter.charge_packet_in(now=0.2)
+        meter.charge_lookup()
+        meter.charge_lookup()
+        meter.charge_packet_in()
         breakdown = meter.breakdown()
         assert breakdown["lookup"] == pytest.approx(2 * meter.costs.lookup)
         assert breakdown["packet_in"] == pytest.approx(meter.costs.packet_in)
@@ -105,50 +108,84 @@ class TestWorkloadMeter:
 
     def test_mirror_charge_has_byte_term(self):
         meter = WorkloadMeter()
-        meter.charge_mirror(1000, now=0.0)
+        meter.charge_mirror(1000)
         expected = meter.costs.mirror_packet + 1000 * meter.costs.mirror_byte
         assert meter.breakdown()["mirror"] == pytest.approx(expected)
 
-    def test_utilization_trailing_window(self):
-        meter = WorkloadMeter()
-        meter.charge("x", 0.25, now=1.0)
-        meter.charge("x", 0.25, now=5.0)
-        assert meter.utilization(now=5.0, window=1.0) == pytest.approx(0.25)
-        assert meter.utilization(now=5.0, window=10.0) == pytest.approx(0.05)
-
     def test_inspection_share(self):
         meter = WorkloadMeter()
-        meter.charge("mirror", 0.3, now=0.0)
-        meter.charge("lookup", 0.7, now=0.0)
+        meter.charge("mirror", 0.3)
+        meter.charge("lookup", 0.7)
         assert meter.inspection_share() == pytest.approx(0.3)
 
     def test_inspection_share_zero_when_idle(self):
         assert WorkloadMeter().inspection_share() == 0.0
 
-    def test_prune_bounds_memory(self):
+    def test_meter_state_does_not_grow_with_charges(self):
         meter = WorkloadMeter()
-        for i in range(100):
-            meter.charge("x", 0.001, now=float(i))
-        meter.prune(before=90.0)
-        assert meter.utilization(now=100.0, window=100.0) == pytest.approx(
-            10 * 0.001 / 100.0
-        )
-        # Totals are preserved even after pruning samples.
-        assert meter.total_busy == pytest.approx(0.1)
+        for _ in range(10):
+            meter.charge_lookup()
+        size = len(pickle.dumps(meter))
+        for _ in range(10_000):
+            meter.charge_lookup()
+        # Totals only: a long hosted session charges millions of lookups.
+        assert len(pickle.dumps(meter)) == size
+        assert meter.total_busy == pytest.approx(10_010 * meter.costs.lookup)
 
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
-            WorkloadMeter().charge("x", -1.0, now=0.0)
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadMeter().utilization(now=1.0, window=0.0)
+            WorkloadMeter().charge("x", -1.0)
 
     def test_custom_costs(self):
         costs = WorkloadCosts(lookup=1.0)
         meter = WorkloadMeter(costs)
-        meter.charge_lookup(now=0.0)
+        meter.charge_lookup()
         assert meter.total_busy == 1.0
+
+
+class TestProbeUtilization:
+    """``ScenarioProbe`` turns the meter's running total into a series."""
+
+    def _probe(self, period_s=1.0):
+        from repro.harness.probe import ScenarioProbe
+        from repro.topology.builder import Network
+
+        net = Network(seed=1)
+        net.add_switch("s1")
+        net.add_host("h1")
+        net.link("h1", "s1")
+        net.finalize()
+        idle = SimpleNamespace(
+            servers={"srv": SimpleNamespace(half_open=0, backlog_drops=0)},
+            client_success_rate=lambda start, end: 1.0,
+        )
+        return net, ScenarioProbe(net, idle, period_s=period_s)
+
+    def test_probe_reports_busy_since_previous_sample(self):
+        net, probe = self._probe(period_s=1.0)
+        meter = net.switches["s1"].workload
+        net.sim.schedule(0.5, lambda: meter.charge("x", 0.25))
+        net.sim.schedule(2.5, lambda: meter.charge("x", 0.5))
+        net.run(until=4.0)
+        assert probe.series.switch_utilization.samples() == [
+            (0.0, 0.0), (1.0, 0.25), (2.0, 0.0), (3.0, 0.5), (4.0, 0.0),
+        ]
+
+    def test_probe_counts_each_charge_once(self):
+        # A charge at a sample instant lands in exactly one window, so the
+        # series integrates back to the meter's total.
+        net, probe = self._probe(period_s=0.5)
+        meter = net.switches["s1"].workload
+        for t in (0.5, 1.0, 1.25, 2.0):
+            net.sim.schedule(t, lambda: meter.charge("x", 0.1))
+        net.run(until=3.0)
+        samples = probe.series.switch_utilization.samples()
+        assert sum(u for _, u in samples) * 0.5 == pytest.approx(meter.total_busy)
+        assert meter.total_busy == pytest.approx(0.4)
+
+    def test_probe_rejects_non_positive_period(self):
+        with pytest.raises(ValueError):
+            self._probe(period_s=0.0)
 
 
 class TestControllerOutage:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.rng import SeededRng
 from repro.sim.trace import Tracer
@@ -79,6 +83,68 @@ class TestSeededRng:
     def test_random_ipv4_full_prefix(self):
         rng = SeededRng(1)
         assert rng.random_ipv4("1.2.3.4") == "1.2.3.4"
+
+
+def _stdlib_ipv4(rnd: random.Random, prefix: str) -> str:
+    """The spoofed-address draw written against the stdlib calls."""
+    have = [p for p in prefix.split(".") if p != ""]
+    octets = have + [str(rnd.randint(1, 254)) for _ in range(4 - len(have))]
+    return ".".join(octets[:4])
+
+
+# One call of the draw layer: (method, args) on SeededRng, and the same
+# draw through the stdlib on a random.Random.
+_widths = st.one_of(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=70).map(lambda b: 2**b),
+    st.integers(min_value=0, max_value=70).map(lambda b: 2**b + 1),
+    st.integers(min_value=0, max_value=70).map(lambda b: max(1, 2**b - 1)),
+    st.integers(min_value=2**32, max_value=2**70),
+)
+_calls = st.one_of(
+    st.tuples(st.integers(-2**40, 2**40), _widths).map(
+        lambda c: ("randint", (c[0], c[0] + c[1] - 1))
+    ),
+    st.integers(min_value=1, max_value=300).map(
+        lambda n: ("choice", (list(range(n)),))
+    ),
+    st.sampled_from(["", "10.", "198.18.", "10.0.0.7", "1.2.3.4.5"]).map(
+        lambda p: ("random_ipv4", (p,))
+    ),
+    st.floats(min_value=1e-3, max_value=1e5).map(lambda r: ("expovariate", (r,))),
+    st.just(("random", ())),
+)
+
+
+class TestDrawEquivalence:
+    """SeededRng's one-frame draws are the stdlib's draws, word for word.
+
+    The ``reference`` twin goes through the same SeededRng, so this is
+    the oracle: a stdlib change to ``_randbelow`` fails here instead of
+    silently re-drawing every golden.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64),
+        calls=st.lists(_calls, max_size=40),
+    )
+    def test_same_values_and_state_as_stdlib(self, seed, calls):
+        ours = SeededRng(seed)
+        theirs = random.Random(seed)
+        for name, args in calls:
+            if name == "random_ipv4":
+                expected = _stdlib_ipv4(theirs, *args)
+            else:
+                expected = getattr(theirs, name)(*args)
+            assert getattr(ours, name)(*args) == expected, (name, args)
+        assert ours._random.getstate() == theirs.getstate()
+
+    def test_empty_ranges_rejected(self):
+        with pytest.raises(ValueError):
+            SeededRng(1).randint(5, 4)
+        with pytest.raises(IndexError):
+            SeededRng(1).choice([])
 
 
 class TestTracer:
