@@ -304,7 +304,6 @@ def _command_run(args: argparse.Namespace) -> int:
             attack_start + 5, config.duration_s
         ),
         "inspected_fraction": record.counters["inspected_fraction"],
-        "microflow_hit_rate": record.microflow_hit_rate,
         "buffer_evictions": record.counters["buffer_evictions"],
     }
     transport_stats = getattr(result, "transport_stats", None)

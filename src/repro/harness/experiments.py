@@ -220,7 +220,6 @@ def run_e3_workload(
         "inspected_fraction",
         "mirror_cpu_share",
         "switch_busy_ms",
-        "mf_hit_rate",
         "buffer_evictions",
         "detected",
         "active_blocks",
@@ -242,7 +241,6 @@ def run_e3_workload(
             r.counters["inspected_fraction"],
             r.mirror_cpu_share,
             r.switch_busy_s * 1000,
-            r.microflow_hit_rate,
             r.counters["buffer_evictions"],
             len(r.counters["detections"]) > 0,
             len(blocks),

@@ -21,10 +21,9 @@ The fingerprint covers every counter the metrics layer reads and
 excludes only what legitimately differs between strategies: the raw
 event count (burst coalescing replaces N per-arrival heap entries with
 batch wake-ups) and the per-switch numbers that are reported but never
-compared — ``microflow_*`` (cache off on the reference twin), CPU busy
-time, monitor state bytes.  The latter ride along in each slice's
-``unpinned`` rows so :func:`repro.harness.record.run_record` can report
-them topology-wide; they never enter the fingerprint.
+compared — CPU busy time, monitor state bytes.  The latter ride along in
+each slice's ``unpinned`` rows so :func:`repro.harness.record.run_record`
+can report them topology-wide; they never enter the fingerprint.
 """
 
 from __future__ import annotations
@@ -87,7 +86,6 @@ def owned_rows(
             "misses": stats.misses,
         }
         unpinned[name] = {
-            "microflow_hits": stats.microflow_hits,
             "busy_s": switch.workload.total_busy,
             "mirror_share": switch.workload.inspection_share(),
             "monitor_peak_bytes": monitor_peak[name],

@@ -56,7 +56,6 @@ class RunRecord:
     # twins); summed over every process's slice of the topology.
     switch_busy_s: float
     mirror_cpu_share: float
-    microflow_hit_rate: float
     monitor_peak_bytes: int
 
     def success_rate(self, start: float = 0.0, end: float = float("inf")) -> float:
@@ -84,8 +83,6 @@ def run_record(result) -> RunRecord:
     }
     # Sorted, so the float sums do not depend on how the topology was cut.
     per_switch = [unpinned[name] for name in sorted(unpinned)]
-    lookups = sum(row["lookups"] for row in counters["switches"].values())
-    hits = sum(row["microflow_hits"] for row in per_switch)
     correlator = result.spi.correlator if result.spi is not None else None
     crowds = [piece["flash_crowd"] for piece in slices]
     crowds = [crowd for crowd in crowds if crowd is not None]
@@ -116,7 +113,6 @@ def run_record(result) -> RunRecord:
             sum(row["mirror_share"] for row in per_switch) / len(per_switch)
             if per_switch else 0.0
         ),
-        microflow_hit_rate=hits / lookups if lookups else 0.0,
         monitor_peak_bytes=max(
             (row["monitor_peak_bytes"] for row in per_switch), default=0
         ),

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from types import SimpleNamespace
 from typing import Any, Callable, Optional
 
 from repro.baselines.flowstats import FlowStatsDefense
@@ -251,20 +252,10 @@ class ScenarioResult:
             "whitelist": [w.describe() for w in manager.whitelist_entries()],
         }
 
-    def flow_table_stats(self) -> "TableStats":
-        """Aggregate flow-table lookup/microflow counters across switches."""
-        from repro.openflow.flowtable import TableStats
-
-        totals = [sw.table.stats() for sw in self.net.switches.values()]
-        return TableStats(
-            entry_count=sum(t.entry_count for t in totals),
-            lookups=sum(t.lookups for t in totals),
-            hits=sum(t.hits for t in totals),
-            misses=sum(t.misses for t in totals),
-            microflow_hits=sum(t.microflow_hits for t in totals),
-            microflow_misses=sum(t.microflow_misses for t in totals),
-            microflow_size=sum(t.microflow_size for t in totals),
-        )
+    def flow_table_stats(self) -> SimpleNamespace:
+        """Ledger pin: benchmarks/ledger/layers.py reads the cache hit rate
+        of a flow table that no longer has a cache (always 0.0)."""
+        return SimpleNamespace(microflow_hit_rate=0.0)
 
 
 def _default_edge(net: Network, roles: Roles) -> str:

@@ -53,7 +53,6 @@ _DEFENSE_TABLE = "the defense table in repro.harness.scenario fixes it"
 _RETIRED_DEFAULTS = {
     # Strategy knobs, collapsed into ``reference``.
     "engine": ("optimized", _REFERENCE_TWINS),
-    "microflow_cache": (True, _REFERENCE_TWINS),
     "pooling": (True, _REFERENCE_TWINS),
     "burst_coalescing": (True, _REFERENCE_TWINS),
     # Baseline knobs no experiment varied.
@@ -71,6 +70,14 @@ def _build(cls: type, data: dict[str, Any], path: str = "") -> Any:
     for name, value in data.items():
         if name in fields:
             kwargs[name] = _coerce(fields[name], value, f"{path}{name}.")
+        elif cls is ScenarioConfig and name == "microflow_cache":
+            # Retired, and either value describes every run: each flow-table
+            # lookup is one linear scan, with or without the cache it asked for.
+            if not isinstance(value, bool):
+                raise ValueError(
+                    f"config key {name!r} was retired and loads only at true "
+                    f"or false, not {value!r}"
+                )
         elif cls is ScenarioConfig and name in _RETIRED_DEFAULTS:
             default, instead = _RETIRED_DEFAULTS[name]
             if value != default:

@@ -1,7 +1,7 @@
 """The canonical flow key: one header extraction per ingress packet.
 
-Every layer of the datapath — flow-table matching, microflow caching,
-monitor feature extraction, DPI handshake tracking — needs the same
+Every layer of the datapath — flow-table matching, monitor feature
+extraction, DPI handshake tracking — needs the same
 handful of header fields (in_port + Ethernet + 5-tuple).  Before this
 module each layer re-derived them from the packet independently; now the
 switch extracts a :class:`FlowKey` once at ingress and threads it
@@ -9,8 +9,7 @@ through taps, lookup and counters, exactly as Open vSwitch computes its
 ``struct flow`` once in ``flow_extract()`` and keys every cache level
 off it.
 
-``FlowKey`` is frozen and hashable, so it doubles as the exact-match key
-of the flow table's microflow cache.  The IP addresses are carried both
+``FlowKey`` is frozen and hashable.  The IP addresses are carried both
 as canonical dotted-quad strings (what matches and reports display) and
 as 32-bit integers (what prefix matching needs), so CIDR checks never
 re-parse address strings per packet.

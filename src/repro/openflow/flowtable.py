@@ -1,24 +1,20 @@
-"""The prioritized flow table with counters, timeouts and a microflow cache.
+"""The prioritized flow table with counters and timeouts.
 
 Lookup semantics follow OpenFlow 1.0 / Open vSwitch: highest priority
 wins; among equal priorities the earliest-installed entry wins; every hit
 updates packet/byte counters and the idle-timeout clock.
 
-Like Open vSwitch's datapath, an exact-match **microflow cache**
-(:class:`FlowKey` → winning entry, bounded LRU) sits in front of the
-linear classifier scan.  Repeated packets of the same flow resolve in
-one dict probe; any table mutation (install, delete, expiry) invalidates
-the cache wholesale so a cached verdict can never diverge from what the
-classifier would return.  Negative results are cached too — a table-miss
-flood (the packet-in storm of a DoS attack) is exactly the repeated-key
-workload the cache exists for.
+Every lookup is one linear scan over the priority-sorted entries.  The
+tables this simulator builds hold a handful of rules, and a spoofed-source
+flood presents a fresh 5-tuple on nearly every packet, so an exact-match
+cache in front of the scan would almost never hit and would cost more
+than the scan it skips.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -28,9 +24,6 @@ from repro.openflow.actions import Action, Drop, RateLimit
 from repro.openflow.match import Match
 
 _entry_ids = itertools.count(1)
-
-#: Sentinel distinguishing "cached miss" from "not cached".
-_MISS = object()
 
 
 class RemovedReason(enum.Enum):
@@ -90,48 +83,28 @@ class FlowEntry:
 
 @dataclass(frozen=True)
 class TableStats:
-    """Lookup and microflow-cache effectiveness counters (one snapshot)."""
+    """Lookup counters (one snapshot)."""
 
     entry_count: int
     lookups: int
     hits: int
     misses: int
-    microflow_hits: int
-    microflow_misses: int
-    microflow_size: int
 
     @property
     def hit_rate(self) -> float:
         """Classifier hit fraction over all lookups."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    @property
-    def microflow_hit_rate(self) -> float:
-        """Fraction of lookups served by the exact-match cache."""
-        return self.microflow_hits / self.lookups if self.lookups else 0.0
-
 
 class FlowTable:
-    """A single OpenFlow table with an exact-match microflow cache."""
+    """A single OpenFlow table."""
 
-    def __init__(
-        self,
-        max_entries: int = 10000,
-        microflow_capacity: int = 4096,
-        microflow_enabled: bool = True,
-    ) -> None:
+    def __init__(self, max_entries: int = 10000) -> None:
         self._entries: list[FlowEntry] = []
         self._max_entries = max_entries
         self.lookups = 0
         self.hits = 0
         self.misses = 0
-        self.microflow_hits = 0
-        self.microflow_misses = 0
-        self._microflow_enabled = microflow_enabled and microflow_capacity > 0
-        self._microflow_capacity = microflow_capacity
-        # FlowKey -> FlowEntry (positive) or _MISS (cached table miss),
-        # ordered oldest-touched first for LRU eviction.
-        self._microflow: OrderedDict[FlowKey, object] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -144,63 +117,19 @@ class FlowTable:
         """True when no more entries can be installed."""
         return len(self._entries) >= self._max_entries
 
-    @property
-    def microflow_size(self) -> int:
-        """Entries currently cached."""
-        return len(self._microflow)
-
-    @property
-    def microflow_enabled(self) -> bool:
-        """Whether the exact-match cache fronts the classifier."""
-        return self._microflow_enabled
-
-    @property
-    def microflow_capacity(self) -> int:
-        """LRU bound on cached verdicts."""
-        return self._microflow_capacity
-
-    def classify_fresh(self, key: FlowKey) -> Optional[FlowEntry]:
-        """Run the linear classifier scan only: no counters, no cache.
-
-        The coherence oracle in :mod:`repro.sim.invariants` compares every
-        cached microflow verdict against this, so it must stay free of
-        side effects.
-        """
-        return self._classify(key)
-
-    def microflow_snapshot(self) -> list[tuple[FlowKey, Optional[FlowEntry]]]:
-        """Current cached verdicts as ``(key, entry-or-None)`` pairs.
-
-        ``None`` stands for a cached table miss.  LRU order is preserved
-        but not touched (snapshotting must not perturb eviction).
-        """
-        return [
-            (key, None if value is _MISS else value)  # type: ignore[misc]
-            for key, value in self._microflow.items()
-        ]
-
     def stats(self) -> TableStats:
-        """Snapshot of lookup/cache counters for stats replies and reports."""
+        """Snapshot of lookup counters for stats replies and reports."""
         return TableStats(
             entry_count=len(self._entries),
             lookups=self.lookups,
             hits=self.hits,
             misses=self.misses,
-            microflow_hits=self.microflow_hits,
-            microflow_misses=self.microflow_misses,
-            microflow_size=len(self._microflow),
         )
-
-    def _invalidate_microflow(self) -> None:
-        """Drop every cached verdict; called on any table mutation."""
-        if self._microflow:
-            self._microflow.clear()
 
     def install(self, entry: FlowEntry, now: float) -> FlowEntry:
         """Add an entry, replacing any with identical match+priority."""
         entry.installed_at = now
         entry.last_hit_at = now
-        self._invalidate_microflow()
         for i, existing in enumerate(self._entries):
             if existing.match == entry.match and existing.priority == entry.priority:
                 self._entries[i] = entry
@@ -229,35 +158,13 @@ class FlowTable:
         self.lookups += 1
         if key is None:
             key = FlowKey.from_packet(packet, in_port)
-        if self._microflow_enabled:
-            cached = self._microflow.get(key, None)
-            if cached is not None:
-                self._microflow.move_to_end(key)
-                self.microflow_hits += 1
-                if cached is _MISS:
-                    self.misses += 1
-                    return None
-                cached.hit(packet, now)
-                self.hits += 1
-                return cached
-            self.microflow_misses += 1
-        entry = self._classify(key)
-        if self._microflow_enabled:
-            self._microflow[key] = entry if entry is not None else _MISS
-            if len(self._microflow) > self._microflow_capacity:
-                self._microflow.popitem(last=False)
-        if entry is None:
-            self.misses += 1
-            return None
-        entry.hit(packet, now)
-        self.hits += 1
-        return entry
-
-    def _classify(self, key: FlowKey) -> Optional[FlowEntry]:
-        """The linear priority scan (entries sorted by priority, stable)."""
+        # Entries are sorted by priority (stable), so the first match wins.
         for entry in self._entries:
             if entry.match.matches_key(key):
+                entry.hit(packet, now)
+                self.hits += 1
                 return entry
+        self.misses += 1
         return None
 
     def remove_where(self, predicate: Callable[[FlowEntry], bool]) -> list[FlowEntry]:
@@ -266,7 +173,6 @@ class FlowTable:
         if removed:
             gone = {e.entry_id for e in removed}
             self._entries = [e for e in self._entries if e.entry_id not in gone]
-            self._invalidate_microflow()
         return removed
 
     def remove_matching(self, filter_match: Match, cookie: Optional[int] = None
@@ -290,7 +196,6 @@ class FlowTable:
                 expired.append((entry, reason))
         if expired:
             self._entries = survivors
-            self._invalidate_microflow()
         return expired
 
     def entries_with_cookie(self, cookie: int) -> list[FlowEntry]:

@@ -145,8 +145,8 @@ class FlowStatsReply(Message):
     """Switch -> controller: flow counters.
 
     Carries an OFPST_TABLE-style :class:`TableStats` snapshot alongside
-    the per-flow rows, so lookup and microflow-cache effectiveness reach
-    experiment reports through the same stats plumbing.
+    the per-flow rows, so lookup hit and miss counts reach experiment
+    reports through the same stats plumbing.
     """
 
     datapath_id: int

@@ -1,16 +1,16 @@
 """Runtime invariant checking for the simulation substrate.
 
-PRs 1-2 rebuilt the hot paths (microflow cache, tuple-heap event loop,
-parallel harness); this module is the standing safety net that lets the
-next optimization land without silently corrupting the physics.  An
+The hot paths (tuple-heap event loop, parallel harness) were rebuilt for
+speed; this module is the standing safety net that lets the next
+optimization land without silently corrupting the physics.  An
 :class:`InvariantHarness` owns a set of pluggable checkers and sweeps
 them periodically on the scenario's own clock plus once after the run:
 
 * **packet conservation** — every frame an interface offered to a link
   is delivered, dropped with a counted reason (queue tail, random loss,
   unrouted), or still queued / on the wire;
-* **flow-table / microflow coherence** — every cached verdict equals a
-  fresh linear classifier scan, and the lookup counters tie out;
+* **flow-table coherence** — the lookup counters tie out and entries
+  stay sorted by descending priority;
 * **TCP state-machine legality** — each socket only takes transitions
   in the RFC 793 subset the stack implements (enforced inline via a
   swappable connection class, so disabled runs pay nothing);
@@ -62,10 +62,6 @@ __all__ = [
 #: Relative tolerance for scaled (1/sampling_probability) float counters.
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-6
-
-#: Cap on microflow entries re-classified per sweep, so a full cache
-#: (4096 entries x a long table) cannot turn one check into a stall.
-_MICROFLOW_SAMPLE = 512
 
 
 class InvariantViolation(AssertionError):
@@ -356,7 +352,7 @@ def link_id(link) -> int:
 
 
 class FlowTableCoherenceChecker(InvariantChecker):
-    """Cached microflow verdicts always equal a fresh linear scan."""
+    """Lookup counters tie out and entries stay in priority order."""
 
     name = "flowtable-coherence"
 
@@ -367,34 +363,15 @@ class FlowTableCoherenceChecker(InvariantChecker):
         for name, switch in self.net.switches.items():
             table = switch.table
             _non_negative(self, switch.counters, name, now)
-            counters = (
-                f"lookups={table.lookups} hits={table.hits} "
-                f"misses={table.misses} microflow_hits={table.microflow_hits} "
-                f"microflow_misses={table.microflow_misses} "
-                f"cached={table.microflow_size}",
-            )
             if table.lookups != table.hits + table.misses:
                 self.violation(
                     "lookup counters do not tie out "
                     f"({table.lookups} != {table.hits} + {table.misses})",
-                    now=now, node=name, trace=counters,
-                )
-            if table.microflow_enabled:
-                if table.microflow_hits + table.microflow_misses != table.lookups:
-                    self.violation(
-                        "microflow probe counters do not cover every lookup",
-                        now=now, node=name, trace=counters,
-                    )
-                if table.microflow_size > table.microflow_capacity:
-                    self.violation(
-                        f"microflow cache over capacity "
-                        f"({table.microflow_size} > {table.microflow_capacity})",
-                        now=now, node=name, trace=counters,
-                    )
-            elif table.microflow_hits or table.microflow_misses or table.microflow_size:
-                self.violation(
-                    "microflow cache disabled but its counters moved",
-                    now=now, node=name, trace=counters,
+                    now=now, node=name,
+                    trace=(
+                        f"lookups={table.lookups} hits={table.hits} "
+                        f"misses={table.misses}",
+                    ),
                 )
             priorities = [entry.priority for entry in table]
             if priorities != sorted(priorities, reverse=True):
@@ -402,19 +379,6 @@ class FlowTableCoherenceChecker(InvariantChecker):
                     f"entries not sorted by descending priority: {priorities}",
                     now=now, node=name,
                 )
-            for key, cached in table.microflow_snapshot()[:_MICROFLOW_SAMPLE]:
-                fresh = table.classify_fresh(key)
-                if fresh is not cached:
-                    self.violation(
-                        "cached verdict diverges from fresh classifier scan "
-                        f"for {key}",
-                        now=now,
-                        node=name,
-                        trace=(
-                            f"cached={cached.describe() if cached else None}",
-                            f"fresh={fresh.describe() if fresh else None}",
-                        ),
-                    )
 
 
 # ------------------------------------------------------ monitor accounting

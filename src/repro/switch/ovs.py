@@ -90,11 +90,10 @@ class OpenFlowSwitch(Node):
         costs: WorkloadCosts | None = None,
         buffer_slots: int = 256,
         expiry_period: float = 0.25,
-        microflow_enabled: bool = True,
     ) -> None:
         super().__init__(sim, name)
         self.datapath_id = datapath_id
-        self.table = FlowTable(microflow_enabled=microflow_enabled)
+        self.table = FlowTable()
         self.channel: Optional[ControlChannel] = None
         self.workload = WorkloadMeter(costs)
         self.counters = SwitchCounters()
@@ -125,9 +124,8 @@ class OpenFlowSwitch(Node):
         """Datapath entry: extract the flow key once, tap, look up, act.
 
         The :class:`FlowKey` computed here is the single header
-        extraction of the fast path — taps, monitors, the flow-table
-        scan and the microflow cache all reuse it (OVS's
-        ``flow_extract()`` discipline).
+        extraction of the fast path — taps, monitors and the flow-table
+        scan all reuse it (OVS's ``flow_extract()`` discipline).
         """
         self.counters.packets_in += 1
         in_port = ingress.port_no

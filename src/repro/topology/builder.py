@@ -50,9 +50,9 @@ class Network:
         reference: bool = False,
     ) -> None:
         # ``reference`` swaps every fast path for its reference twin at
-        # once: the pre-overhaul event loop, linear-scan-only flow tables,
-        # one scheduled event per generated arrival.  Results are
-        # byte-identical either way (``repro check``).
+        # once: the pre-overhaul event loop and one scheduled event per
+        # generated arrival.  Results are byte-identical either way
+        # (``repro check``).
         self.reference = reference
         if reference:
             from repro.sim.engine_reference import ReferenceSimulator
@@ -90,10 +90,7 @@ class Network:
         name = name or f"s{dpid}"
         if name in self.switches or name in self.hosts:
             raise ValueError(f"duplicate node name {name!r}")
-        switch = OpenFlowSwitch(
-            self.sim, name, dpid, costs=self.switch_costs,
-            microflow_enabled=not self.reference,
-        )
+        switch = OpenFlowSwitch(self.sim, name, dpid, costs=self.switch_costs)
         channel = ControlChannel(self.sim, latency_s=self.control_latency_s)
         channel.connect(switch, self.controller)
         switch.connect_controller(channel)

@@ -57,9 +57,6 @@ class TestRun:
         for flags in ([], ["--reference"]):
             assert main(["run", "--duration", "10", "--json", *flags]) == 0
             payloads.append(json.loads(capsys.readouterr().out))
-        # The linear-scan reference tables have no microflow cache to hit.
-        assert payloads[0].pop("microflow_hit_rate") > 0
-        assert payloads[1].pop("microflow_hit_rate") == 0
         assert payloads[0] == payloads[1]
 
     def test_sharded_summary_is_topology_wide(self, capsys):
@@ -73,7 +70,6 @@ class TestRun:
             ]) == 0
             payloads.append(json.loads(capsys.readouterr().out))
         assert payloads[1].pop("transport")["epochs"] > 0
-        assert 0 < payloads[0]["microflow_hit_rate"] < 1
         assert payloads[0] == payloads[1]
         assert [case["state"] for case in payloads[0]["cases"]] == ["confirmed"]
 

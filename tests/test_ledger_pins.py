@@ -85,7 +85,9 @@ def test_scenario_result_names():
         assert max(extractor.peak_state_bytes, extractor.state_bytes()) > 0
         assert monitor.windows_closed > 0 and monitor.alerts_emitted >= 1
     assert sum(record.rule_count for record in result.spi.mitigation.records) > 0
-    assert 0.0 <= result.flow_table_stats().microflow_hit_rate <= 1.0
+    # A constant shim: the flow table has no cache, so the ledger's
+    # ``openflow.microflow_hit_ratio`` reads 0 on every row.
+    assert result.flow_table_stats().microflow_hit_rate == 0.0
     timeline = result.timeline()
     assert timeline.time_to_alert is not None
     assert timeline.time_to_mitigation is not None

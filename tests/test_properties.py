@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.net.headers import TCP_ACK, TCP_SYN, TcpHeader
+from repro.net.headers import TCP_SYN, TcpHeader, UdpHeader
 from repro.net.packet import Packet
 from repro.openflow.actions import Output
 from repro.openflow.flowtable import FlowEntry, FlowTable
@@ -24,8 +23,21 @@ MAC = "00:00:00:00:00:01"
 
 # --------------------------------------------------------------------------
 # Model-based flow table testing: the table must agree with a brute-force
-# reference on every lookup after any sequence of installs/removals.
+# reference on every lookup, expiry and counter after any sequence of
+# installs, removals, timeouts and (repeated) lookups.
 # --------------------------------------------------------------------------
+
+
+@dataclass
+class _ReferenceEntry:
+    match: Match
+    priority: int
+    token: int
+    idle_timeout: float
+    hard_timeout: float
+    installed_at: float
+    last_hit_at: float
+    packets: int = 0
 
 
 @dataclass
@@ -33,69 +45,136 @@ class _ReferenceTable:
     """Brute-force reference semantics for FlowTable."""
 
     entries: list = field(default_factory=list)
+    hits: int = 0
+    misses: int = 0
 
-    def install(self, match, priority, token):
-        for i, (m, p, _) in enumerate(self.entries):
-            if m == match and p == priority:
-                self.entries[i] = (match, priority, token)
+    def install(self, match, priority, token, idle, hard, now):
+        new = _ReferenceEntry(match, priority, token, idle, hard, now, now)
+        for i, old in enumerate(self.entries):
+            if old.match == match and old.priority == priority:
+                self.entries[i] = new
                 return
-        self.entries.append((match, priority, token))
+        self.entries.append(new)
 
     def remove(self, filter_match):
         self.entries = [
-            (m, p, t) for m, p, t in self.entries if not filter_match.subsumes(m)
+            e for e in self.entries if not filter_match.subsumes(e.match)
         ]
 
-    def lookup(self, packet, in_port):
+    def expire(self, now):
+        """``(token, reason)`` of every timed-out entry, which then leaves."""
+        gone = []
+        for e in self.entries:
+            if e.hard_timeout and now - e.installed_at >= e.hard_timeout:
+                gone.append((e.token, "hard_timeout"))
+            elif e.idle_timeout and now - e.last_hit_at >= e.idle_timeout:
+                gone.append((e.token, "idle_timeout"))
+        tokens = {token for token, _ in gone}
+        self.entries = [e for e in self.entries if e.token not in tokens]
+        return gone
+
+    def lookup(self, packet, in_port, now):
         best = None
-        for index, (match, priority, token) in enumerate(self.entries):
-            if match.matches(packet, in_port):
-                # Highest priority wins; earliest install breaks ties.
-                if best is None or priority > best[0]:
-                    best = (priority, index, token)
-        return best[2] if best else None
+        for e in self.entries:
+            # Highest priority wins; earliest install breaks ties.
+            if e.match.matches(packet, in_port) and (
+                best is None or e.priority > best.priority
+            ):
+                best = e
+        if best is None:
+            self.misses += 1
+            return None
+        best.packets += 1
+        best.last_hit_at = now
+        self.hits += 1
+        return best
+
+
+_ips = st.integers(min_value=1, max_value=6).map(lambda i: f"10.0.0.{i}")
+_ports = st.sampled_from([80, 443, 1234])
+
+
+@st.composite
+def _packets(draw):
+    src, dst = draw(_ips), draw(_ips)
+    if draw(st.booleans()):
+        header = TcpHeader(draw(_ports), draw(_ports), flags=TCP_SYN)
+        return Packet.tcp_packet(MAC, MAC, src, dst, header)
+    return Packet.udp_packet(MAC, MAC, src, dst, UdpHeader(draw(_ports), draw(_ports)))
 
 
 _matches = st.one_of(
     st.just(Match.any()),
-    st.sampled_from([Match(ip_dst=f"10.0.0.{i}") for i in range(1, 5)]),
-    st.sampled_from([Match(ip_src=f"10.0.0.{i}") for i in range(1, 5)]),
-    st.sampled_from([Match(ip_src="10.0.0.0/24"), Match(ip_dst="10.0.0.0/30")]),
-    st.sampled_from([Match(tp_dst=80), Match(tp_dst=443), Match(ip_proto=6)]),
+    _ips.map(lambda ip: Match(ip_dst=ip)),
+    _ips.map(lambda ip: Match(ip_src=ip)),
+    st.sampled_from([
+        Match(ip_src="10.0.0.0/29"), Match(ip_dst="10.0.0.0/30"),
+        Match(ip_dst="10.0.0.4/31"),
+    ]),
+    st.sampled_from([
+        Match(tp_dst=80), Match(tp_dst=443), Match(ip_proto=6), Match(ip_proto=17),
+        Match(in_port=2),
+    ]),
 )
+
+_timeouts = st.sampled_from([0.0, 0.0, 1.0, 2.5])
 
 _operations = st.lists(
     st.one_of(
-        st.tuples(st.just("install"), _matches, st.integers(min_value=1, max_value=3)),
-        st.tuples(st.just("remove"), _matches, st.just(0)),
+        st.tuples(
+            st.just("install"), _matches, st.integers(min_value=1, max_value=3),
+            _timeouts, _timeouts,
+        ),
+        st.tuples(st.just("remove"), _matches, st.just(0), st.just(0.0), st.just(0.0)),
+        st.tuples(st.just("expire"), st.none(), st.just(0), st.just(0.0), st.just(0.0)),
+        st.tuples(
+            st.just("lookup"), _packets(), st.integers(min_value=1, max_value=2),
+            st.just(0.0), st.just(0.0),
+        ),
     ),
-    max_size=30,
+    max_size=60,
 )
 
 
 class TestFlowTableModel:
-    @given(ops=_operations, dst_last=st.integers(min_value=1, max_value=4),
-           src_last=st.integers(min_value=1, max_value=4))
-    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
-    def test_lookup_agrees_with_reference(self, ops, dst_last, src_last):
+    @given(ops=_operations)
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_lookup_agrees_with_reference(self, ops):
         table = FlowTable()
         reference = _ReferenceTable()
-        for token, (op, match, priority) in enumerate(ops):
+        now = 0.0
+        for token, (op, arg, num, idle, hard) in enumerate(ops):
+            now += 0.5  # so idle and hard timeouts fire mid-sequence
             if op == "install":
-                entry = FlowEntry(match=match, actions=(Output(1),), priority=priority,
-                                  cookie=token)
-                table.install(entry, now=0.0)
-                reference.install(match, priority, token)
+                entry = FlowEntry(
+                    match=arg, actions=(Output(1),), priority=num,
+                    idle_timeout=idle, hard_timeout=hard, cookie=token,
+                )
+                table.install(entry, now=now)
+                reference.install(arg, num, token, idle, hard, now)
+            elif op == "remove":
+                table.remove_matching(arg)
+                reference.remove(arg)
+            elif op == "expire":
+                got = sorted((e.cookie, reason.value) for e, reason in table.expire(now))
+                assert got == sorted(reference.expire(now))
             else:
-                table.remove_matching(match)
-                reference.remove(match)
-        packet = Packet.tcp_packet(
-            MAC, MAC, f"10.0.0.{src_last}", f"10.0.0.{dst_last}",
-            TcpHeader(1234, 80, flags=TCP_SYN),
+                packet, in_port = arg, num
+                for _ in range(2):  # a repeat must count against the entry again
+                    got = table.lookup(packet, in_port, now=now)
+                    want = reference.lookup(packet, in_port, now)
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert got is not None and got.cookie == want.token
+                        assert got.packets == want.packets
+                        assert got.last_hit_at == want.last_hit_at
+        assert sorted((e.cookie, e.packets, e.last_hit_at) for e in table) == sorted(
+            (e.token, e.packets, e.last_hit_at) for e in reference.entries
         )
-        got = table.lookup(packet, 1, now=1.0)
-        expected = reference.lookup(packet, 1)
-        assert (got.cookie if got else None) == expected
+        assert (table.hits, table.misses) == (reference.hits, reference.misses)
+        assert table.lookups == table.hits + table.misses
 
 
 # --------------------------------------------------------------------------

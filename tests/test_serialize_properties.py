@@ -150,8 +150,7 @@ class TestUnknownAndRetiredKeys:
                  "burst_coalescing": True}
         assert config_from_dict(saved) == ScenarioConfig(seed=9)
         for key, value in (("engine", "reference"), ("engine", "calendar"),
-                           ("microflow_cache", False), ("pooling", False),
-                           ("burst_coalescing", False)):
+                           ("pooling", False), ("burst_coalescing", False)):
             with pytest.raises(ValueError) as retired:
                 config_from_dict({**saved, key: value})
             assert repr(key) in str(retired.value)
@@ -159,6 +158,18 @@ class TestUnknownAndRetiredKeys:
         # Retired only at the top level: nested they are plain typos.
         with pytest.raises(ValueError, match="'workload.pooling'"):
             config_from_dict({"workload": {"pooling": True}})
+
+    def test_retired_microflow_cache_loads_at_either_value(self):
+        # Every table is a linear scan now, so a config that asked for one
+        # describes every run, and one that asked for the cache still loads.
+        saved = config_to_dict(ScenarioConfig(seed=9))
+        for value in (True, False):
+            loaded = config_from_dict({**saved, "microflow_cache": value})
+            assert loaded == ScenarioConfig(seed=9)
+        with pytest.raises(ValueError, match="'microflow_cache'"):
+            config_from_dict({**saved, "microflow_cache": "off"})
+        with pytest.raises(ValueError, match="'workload.microflow_cache'"):
+            config_from_dict({"workload": {"microflow_cache": False}})
 
     def test_retired_defense_keys_load_only_at_their_old_defaults(self):
         # Every config save_config wrote while these were fields.

@@ -140,11 +140,10 @@ def test_merged_fingerprint_shape_matches_single_process():
 
 @pytest.mark.parametrize("shards", [1, 2, 3])
 def test_run_record_matches_single_process(shards):
-    # The record's reported-but-unfingerprinted numbers (microflow hit
-    # rate, switch CPU, monitor state) and the flash-crowd counters have
-    # no other oracle: a coordinator that answered from its own replicas
-    # would undercount the former, one that grafted its own slice would
-    # double-count the latter.
+    # The record's reported-but-unfingerprinted numbers (switch CPU,
+    # monitor state) and the flash-crowd counters have no other oracle: a
+    # coordinator that answered from its own replicas would undercount the
+    # former, one that grafted its own slice would double-count the latter.
     config = _config(
         duration_s=4.0,
         flash_crowd=FlashCrowdSpec(
@@ -152,7 +151,7 @@ def test_run_record_matches_single_process(shards):
         ),
     )
     single = run_record(run_scenario(config))
-    assert single.flash_crowd[0] > 0 and 0 < single.microflow_hit_rate < 1
+    assert single.flash_crowd[0] > 0 and single.switch_busy_s > 0
     sharded = run_record(
         run_sharded_scenario(replace(config, shards=shards), inline=True)
     )
