@@ -35,13 +35,12 @@ class MonitorOnlyDefense(Defense):
         net: Network,
         mitigation: Optional[MitigationManager] = None,
         monitor_config: MonitorConfig | None = None,
-        alert_latency_s: float = 0.005,
     ) -> None:
         super().__init__()
         self.net = net
         self.mitigation = mitigation
         self.monitor_config = monitor_config or MonitorConfig()
-        self.bus = AlertBus(net.sim, latency_s=alert_latency_s)
+        self.bus = AlertBus(net.sim)
         self.stats = MonitorOnlyStats()
         self.detections: list[Alert] = []
         self.bus.subscribe(self._on_alert)

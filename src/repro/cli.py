@@ -104,9 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "at any shard count")
     run.add_argument("--reference", action="store_true",
                      help="run every reference twin instead of the fast "
-                          "paths: reference event loop, linear-scan flow "
-                          "tables, one event per generated packet "
-                          "(results identical)")
+                          "paths: reference event loop, one event per "
+                          "generated packet (results identical)")
     run.add_argument("--check-invariants", action="store_true",
                      help="run periodic runtime invariant sweeps; violations "
                           "abort the run with a counterexample trace")

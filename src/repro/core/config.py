@@ -22,16 +22,6 @@ class SpiConfig:
     verification_window_s: float = 1.0
     max_window_extensions: int = 2
 
-    # Mirror rule shape: by default mirror all IP traffic to the victim
-    # so both the TCP and UDP signatures can be scored; set
-    # ``mirror_tcp_only`` for the leanest SYN-flood-only deployment.
-    mirror_priority: int = PRIORITY_MIRROR
-    mirror_tcp_only: bool = False
-    enable_udp_signature: bool = True
-
-    # Management-plane latency (monitor -> correlator alert hop).
-    alert_latency_s: float = 0.005
-
     # Composed subsystem configs.
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
     budget: BudgetConfig = field(default_factory=BudgetConfig)

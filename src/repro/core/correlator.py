@@ -92,11 +92,7 @@ class Correlator:
         self.tracer = tracer
         self.on_verdict = on_verdict
         self.signature = SynFloodSignature(config.signature)
-        self.udp_signature = (
-            UdpFloodSignature(config.udp_signature)
-            if config.enable_udp_signature
-            else None
-        )
+        self.udp_signature = UdpFloodSignature(config.udp_signature)
         self.cases: list[VerificationCase] = []
         self.active: dict[str, VerificationCase] = {}
         self._timers: dict[str, Timer] = {}
@@ -162,7 +158,7 @@ class Correlator:
         self._finalize(case, report)
 
     def _score(self, victim_ip: str) -> Optional[SignatureReport]:
-        """Evaluate every enabled signature and merge the verdicts.
+        """Evaluate both signatures and merge the verdicts.
 
         Any confirmed signature confirms the case; otherwise an
         inconclusive one keeps it open; only unanimous refutation (or no
@@ -173,10 +169,9 @@ class Correlator:
         tcp_evidence = self.dpi.evidence(victim_ip)
         if tcp_evidence is not None:
             reports.append(self.signature.evaluate(tcp_evidence))
-        if self.udp_signature is not None:
-            udp_evidence = self.dpi.udp_evidence(victim_ip)
-            if udp_evidence is not None:
-                reports.append(self.udp_signature.evaluate(udp_evidence))
+        udp_evidence = self.dpi.udp_evidence(victim_ip)
+        if udp_evidence is not None:
+            reports.append(self.udp_signature.evaluate(udp_evidence))
         if not reports:
             return None
         for verdict in (Verdict.CONFIRMED, Verdict.INCONCLUSIVE, Verdict.REFUTED):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from repro.core.budget import InspectionBudget
-from repro.core.config import SPI_MIRROR_COOKIE, SpiConfig
+from repro.core.config import PRIORITY_MIRROR, SPI_MIRROR_COOKIE, SpiConfig
 from repro.core.correlator import Correlator, VerificationCase
 from repro.core.defense import Defense
 from repro.core.signatures import SignatureReport, Verdict
@@ -31,7 +31,7 @@ from repro.mitigation.manager import MitigationManager
 from repro.monitor.alerts import Alert, AlertBus
 from repro.monitor.detectors import AnomalyDetector, EwmaDetector
 from repro.monitor.monitor import TrafficMonitor
-from repro.net.headers import ETHERTYPE_IPV4, PROTO_TCP
+from repro.net.headers import ETHERTYPE_IPV4
 from repro.net.host import Host
 from repro.openflow.actions import Flood, Mirror, Output
 from repro.openflow.match import Match
@@ -61,7 +61,7 @@ class SpiSystem(Defense):
         self.net = net
         self.config = config or SpiConfig()
         self.stats = SpiStats()
-        self.bus = AlertBus(net.sim, latency_s=self.config.alert_latency_s)
+        self.bus = AlertBus(net.sim)
         self.budget = InspectionBudget(self.config.budget)
         self.mitigation = MitigationManager(
             net.controller, self.config.mitigation, net.tracer
@@ -198,11 +198,9 @@ class SpiSystem(Defense):
         )
         forward = (Output(out_port),) if out_port is not None else (Flood(),)
         actions = forward + (Mirror(self._span_port),)
-        match = Match(
-            eth_type=ETHERTYPE_IPV4,
-            ip_dst=victim_ip,
-            ip_proto=PROTO_TCP if self.config.mirror_tcp_only else None,
-        )
+        # All IP traffic to the victim, so both the TCP and the UDP
+        # signature can be scored.
+        match = Match(eth_type=ETHERTYPE_IPV4, ip_dst=victim_ip)
         # Safety timeout: mirrors cannot outlive the worst-case window run.
         worst_case = self.config.verification_window_s * (
             self.config.max_window_extensions + 2
@@ -211,7 +209,7 @@ class SpiSystem(Defense):
             switch.datapath_id,
             match=match,
             actions=actions,
-            priority=self.config.mirror_priority,
+            priority=PRIORITY_MIRROR,
             hard_timeout=worst_case,
             cookie=SPI_MIRROR_COOKIE,
         )

@@ -156,8 +156,8 @@ def _sketch_mode(config: ScenarioConfig, **knobs: Any) -> ScenarioConfig:
 def _check_reference(
     config: ScenarioConfig, seed: int, baseline: str, workers: int
 ) -> str | None:
-    """Every reference twin at once: reference loop, linear-scan flow
-    tables, per-arrival scheduling."""
+    """Every reference twin at once: reference loop and per-arrival
+    scheduling."""
     twin = run_scenario(replace(config, reference=True))
     return _divergence(baseline, fingerprint_json(twin))
 

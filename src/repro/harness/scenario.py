@@ -115,15 +115,13 @@ class ScenarioConfig:
     inspector_switch: str | None = None
     # Attach a time-series probe (figure generation); see harness.probe.
     probe: bool = False
-    probe_period_s: float = 0.5
     # Runtime invariant checking (repro.sim.invariants): periodic sweeps
     # during the run plus a final sweep; violations raise.
     check_invariants: bool = False
-    invariant_period_s: float = 0.5
     # Run every reference twin at once instead of the fast paths: the
-    # pre-overhaul event loop, linear-scan flow tables, one scheduled
-    # event per generated arrival.  It may not change any metric; repro
-    # check verifies exactly that.
+    # pre-overhaul event loop and one scheduled event per generated
+    # arrival.  It may not change any metric; repro check verifies
+    # exactly that.
     reference: bool = False
     # Multi-process domain decomposition (repro.sim.sharded): 1 runs the
     # classic single-process path, N > 1 partitions the topology across
@@ -145,8 +143,6 @@ class ScenarioConfig:
             )
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
-        if self.invariant_period_s <= 0:
-            raise ValueError("invariant period must be positive")
         if self.shards < 1:
             raise ValueError("shard count must be >= 1")
 
@@ -345,17 +341,15 @@ def build_scenario(config: ScenarioConfig) -> ScenarioResult:
     """
     config = effective_config(config)
     build = TOPOLOGIES[config.topology]
-    extra: dict[str, Any] = {"reference": config.reference}
+    extra: dict[str, Any] = {
+        "reference": config.reference, "syn_cookies": config.syn_cookies
+    }
     if config.link_loss_probability > 0:
         from repro.topology.builder import LinkSpec
 
         extra["default_link"] = LinkSpec(
             loss_probability=config.link_loss_probability
         )
-    if config.syn_cookies:
-        from repro.tcp.config import TcpConfig
-
-        extra["tcp_config"] = TcpConfig(syn_cookies=True)
     net, roles = build(seed=config.seed, **config.topology_params, **extra)
     workload = StandardWorkload(net, roles, config.workload)
     edge = _default_edge(net, roles)
@@ -386,16 +380,13 @@ def build_scenario(config: ScenarioConfig) -> ScenarioResult:
     if config.probe:
         from repro.harness.probe import ScenarioProbe
 
-        result.probe = ScenarioProbe(net, workload, period_s=config.probe_period_s)
+        result.probe = ScenarioProbe(net, workload)
 
     if config.check_invariants:
         from repro.sim.invariants import InvariantHarness
 
         result.invariants = InvariantHarness.for_network(
-            net,
-            period_s=config.invariant_period_s,
-            monitors=result.monitors(),
-            spi=result.spi,
+            net, monitors=result.monitors(), spi=result.spi
         )
         result.invariants.start()
 

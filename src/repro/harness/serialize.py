@@ -46,10 +46,14 @@ def canonical_config_json(config: Any) -> str:
 
 _REFERENCE_TWINS = "set 'reference': true to run the reference twins"
 _DEFENSE_TABLE = "the defense table in repro.harness.scenario fixes it"
+_FIXED_PERIOD = "every probe and invariant sweep runs at 0.5 s"
+_WEB_DEFAULTS = "the WebServer and WebClient defaults fix it"
+_CONSTANT = "it is a constant where it is read"
 
-#: Top-level keys of configs saved before these fields were retired, with
-#: the only value each is still accepted at (every config ``save_config``
-#: wrote carries them at these) and what replaced the field.
+#: Dotted paths of keys that configs saved before these fields were
+#: retired carry, with the only value each is still accepted at (every
+#: config ``save_config`` wrote carries them at these) and what replaced
+#: the field.
 _RETIRED_DEFAULTS = {
     # Strategy knobs, collapsed into ``reference``.
     "engine": ("optimized", _REFERENCE_TWINS),
@@ -61,6 +65,20 @@ _RETIRED_DEFAULTS = {
     "flowstats_poll_s": (1.0, _DEFENSE_TABLE),
     "flowstats_pps_threshold": (200.0, _DEFENSE_TABLE),
     "baseline_mitigates": (True, _DEFENSE_TABLE),
+    # Knobs no caller set away from their defaults.
+    "probe_period_s": (0.5, _FIXED_PERIOD),
+    "invariant_period_s": (0.5, _FIXED_PERIOD),
+    "workload.server_port": (80, _WEB_DEFAULTS),
+    "workload.response_bytes": (2000, _WEB_DEFAULTS),
+    "workload.client_think_s": (0.5, _WEB_DEFAULTS),
+    "workload.request_bytes": (200, _WEB_DEFAULTS),
+    "spi.mirror_priority": (200, _CONSTANT),
+    "spi.mirror_tcp_only": (False, "the mirror matches all IP traffic"),
+    "spi.enable_udp_signature": (True, "both signatures always score"),
+    "spi.alert_latency_s": (0.005, "the AlertBus default fixes it"),
+    "spi.monitor.per_destination_cap": (None, "exact maps keep every key"),
+    "spi.mitigation.aggregate_prefix_len": (16, _CONSTANT),
+    "spi.mitigation.shield_pps": (50.0, _CONSTANT),
 }
 
 
@@ -68,26 +86,27 @@ def _build(cls: type, data: dict[str, Any], path: str = "") -> Any:
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs: dict[str, Any] = {}
     for name, value in data.items():
+        key = path + name
         if name in fields:
-            kwargs[name] = _coerce(fields[name], value, f"{path}{name}.")
-        elif cls is ScenarioConfig and name == "microflow_cache":
+            kwargs[name] = _coerce(fields[name], value, f"{key}.")
+        elif key == "microflow_cache":
             # Retired, and either value describes every run: each flow-table
             # lookup is one linear scan, with or without the cache it asked for.
             if not isinstance(value, bool):
                 raise ValueError(
-                    f"config key {name!r} was retired and loads only at true "
+                    f"config key {key!r} was retired and loads only at true "
                     f"or false, not {value!r}"
                 )
-        elif cls is ScenarioConfig and name in _RETIRED_DEFAULTS:
-            default, instead = _RETIRED_DEFAULTS[name]
+        elif key in _RETIRED_DEFAULTS:
+            default, instead = _RETIRED_DEFAULTS[key]
             if value != default:
                 raise ValueError(
-                    f"config key {name!r} was retired and {value!r} is not the "
+                    f"config key {key!r} was retired and {value!r} is not the "
                     f"default {default!r} it is still accepted at; {instead}"
                 )
         else:
             raise ValueError(
-                f"unknown config key {path + name!r}: {cls.__name__} has no "
+                f"unknown config key {key!r}: {cls.__name__} has no "
                 f"field {name!r} (valid fields: {', '.join(sorted(fields))})"
             )
     return cls(**kwargs)

@@ -38,6 +38,11 @@ MITIGATION_COOKIE = 0xD05
 OPERATOR_COOKIE = 0xD06
 PRIORITY_WHITELIST = 320
 PRIORITY_MITIGATION = 300
+#: Width of the covering prefixes ``BLOCK_PREFIX`` installs (a /16).
+AGGREGATE_PREFIX_LEN = 16
+_AGGREGATE_MASK = (0xFFFFFFFF << (32 - AGGREGATE_PREFIX_LEN)) & 0xFFFFFFFF
+#: Token-bucket rate ``SHIELD_VICTIM`` lets through to the victim.
+SHIELD_PPS = 50.0
 
 
 class MitigationMode(enum.Enum):
@@ -56,18 +61,14 @@ class MitigationConfig:
     mode: MitigationMode = MitigationMode.HYBRID
     rule_hard_timeout_s: float = 30.0
     max_source_rules: int = 64
-    aggregate_prefix_len: int = 16
     # A prefix is blockable only if it contains at least this many
     # zero-completion sources (spoofed floods put hundreds in one /16;
     # a handful of unlucky benign clients never reach this density).
     prefix_min_sources: int = 8
-    shield_pps: float = 50.0
 
     def __post_init__(self) -> None:
         if self.rule_hard_timeout_s <= 0:
             raise ValueError("rule timeout must be positive")
-        if not 0 < self.aggregate_prefix_len <= 32:
-            raise ValueError("prefix length must be in (0, 32]")
         if self.max_source_rules < 1:
             raise ValueError("need at least one source rule")
 
@@ -472,16 +473,14 @@ class MitigationManager:
         ``prefix_min_sources`` zero-completion sources and contains no
         whitelisted (verified-good) source.
         """
-        plen = self.config.aggregate_prefix_len
-        mask = (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF if plen else 0
         groups: Counter[int] = Counter()
         for ip in suspects:
-            groups[ip_to_int(ip) & mask] += 1
+            groups[ip_to_int(ip) & _AGGREGATE_MASK] += 1
         prefixes = []
         for network, count in groups.items():
             if count < self.config.prefix_min_sources:
                 continue
-            cidr = f"{int_to_ip(network)}/{plen}"
+            cidr = f"{int_to_ip(network)}/{AGGREGATE_PREFIX_LEN}"
             if any(ip_in_subnet(w, cidr) for w in self.whitelist):
                 continue
             prefixes.append(cidr)
@@ -506,7 +505,7 @@ class MitigationManager:
             self.controller.add_flow(
                 datapath_id,
                 match=Match(eth_type=ETHERTYPE_IPV4, ip_dst=victim_ip),
-                actions=(RateLimit(self.config.shield_pps),) + actions,
+                actions=(RateLimit(SHIELD_PPS),) + actions,
                 priority=PRIORITY_MITIGATION,
                 hard_timeout=self.config.rule_hard_timeout_s,
                 cookie=MITIGATION_COOKIE,

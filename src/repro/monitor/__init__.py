@@ -7,7 +7,7 @@ an :class:`Alert` on the management-plane :class:`AlertBus`, which the
 SPI coordinator in :mod:`repro.core` consumes.
 """
 
-from repro.monitor.window import EntropyAccumulator, SlidingRate, TumblingAccumulator
+from repro.monitor.window import EntropyAccumulator
 from repro.monitor.sketch import (
     CountMinSketch,
     HeavyHitterSketch,
@@ -35,8 +35,6 @@ from repro.monitor.alerts import Alert, AlertBus
 from repro.monitor.monitor import MonitorConfig, TrafficMonitor
 
 __all__ = [
-    "TumblingAccumulator",
-    "SlidingRate",
     "EntropyAccumulator",
     "CountMinSketch",
     "HeavyHitterSketch",

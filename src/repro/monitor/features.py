@@ -64,11 +64,10 @@ class WindowFeatures:
     top_udp_destination: str | None = None
     top_udp_destination_packets: float = 0.0
     per_destination_udp: dict[str, float] = field(default_factory=dict)
-    #: Which feature backend produced this window ("exact" or "sketch").
+    #: Which feature backend produced this window ("exact" or "sketch");
+    #: a sketch window's per-destination maps are its heavy-hitter
+    #: candidates and need not sum to ``syn_count``/``udp_packets``.
     backend: str = "exact"
-    #: True when the per-destination maps were truncated (top-k cap or
-    #: sketch candidates) and may not sum to ``syn_count``/``udp_packets``.
-    per_destination_capped: bool = False
 
     @property
     def duration(self) -> float:
@@ -107,20 +106,6 @@ class _Summary(NamedTuple):
     top_udp_destination: str | None
     top_udp_destination_packets: float
     per_destination_udp: dict[str, float]
-    capped: bool
-
-
-def _scaled_map(
-    counts: dict[str, int], scale: float, cap: int | None
-) -> tuple[dict[str, float], bool]:
-    """Scale a per-destination count dict, optionally keeping only the
-    top ``cap`` entries (count descending, insertion order on ties; the
-    emitted dict preserves the survivors' original insertion order)."""
-    if cap is None or len(counts) <= cap:
-        return {ip: c * scale for ip, c in counts.items()}, False
-    ranked = sorted(enumerate(counts.items()), key=lambda t: (-t[1][1], t[0]))[:cap]
-    ranked.sort(key=lambda t: t[0])
-    return {ip: c * scale for _, (ip, c) in ranked}, True
 
 
 class ExactFeatureBackend:
@@ -176,15 +161,13 @@ class ExactFeatureBackend:
         for dst, c in udp_dst_counts.items():
             counts[dst] = counts.get(dst, 0) + c
 
-    def summarize(self, scale: float, cap: int | None) -> _Summary:
+    def summarize(self, scale: float) -> _Summary:
         dst_counts = self._dst_syns
         # max() iterates in insertion (first-increment) order, matching the
         # Counter-snapshot tie-breaking the detectors were tuned against.
         top_dst = max(dst_counts, key=dst_counts.get) if dst_counts else None
         udp_counts = self._dst_udp
         top_udp = max(udp_counts, key=udp_counts.get) if udp_counts else None
-        per_syns, syn_capped = _scaled_map(dst_counts, scale, cap)
-        per_udp, udp_capped = _scaled_map(udp_counts, scale, cap)
         return _Summary(
             distinct_sources=self.sources.distinct,
             source_entropy=self.sources.entropy(),
@@ -192,13 +175,12 @@ class ExactFeatureBackend:
             top_destination_syns=(
                 dst_counts.get(top_dst, 0) * scale if top_dst else 0.0
             ),
-            per_destination_syns=per_syns,
+            per_destination_syns={ip: c * scale for ip, c in dst_counts.items()},
             top_udp_destination=top_udp,
             top_udp_destination_packets=(
                 udp_counts.get(top_udp, 0) * scale if top_udp else 0.0
             ),
-            per_destination_udp=per_udp,
-            capped=syn_capped or udp_capped,
+            per_destination_udp={ip: c * scale for ip, c in udp_counts.items()},
         )
 
     def reset(self) -> None:
@@ -218,9 +200,9 @@ class ExactFeatureBackend:
 class SketchFeatureBackend:
     """Bounded-memory per-address state built on :mod:`repro.monitor.sketch`.
 
-    Per-destination maps are the heavy-hitter candidate top-k, so they
-    are always reported as capped; distinct sources and entropy come
-    from the HyperLogLog/heavy-hitter estimators.
+    Per-destination maps are the heavy-hitter candidate top-k; distinct
+    sources and entropy come from the HyperLogLog/heavy-hitter
+    estimators.
     """
 
     name = "sketch"
@@ -272,9 +254,9 @@ class SketchFeatureBackend:
         self.syn_dsts.add_bulk(syn_dst_counts)
         self.udp_dsts.add_bulk(udp_dst_counts)
 
-    def summarize(self, scale: float, cap: int | None) -> _Summary:
-        syn_top = self.syn_dsts.top(cap if cap is not None else None)
-        udp_top = self.udp_dsts.top(cap if cap is not None else None)
+    def summarize(self, scale: float) -> _Summary:
+        syn_top = self.syn_dsts.top()
+        udp_top = self.udp_dsts.top()
         top_dst, top_syns = syn_top[0] if syn_top else (None, 0)
         top_udp, top_udp_n = udp_top[0] if udp_top else (None, 0)
         return _Summary(
@@ -286,7 +268,6 @@ class SketchFeatureBackend:
             top_udp_destination=top_udp,
             top_udp_destination_packets=top_udp_n * scale,
             per_destination_udp={ip: c * scale for ip, c in udp_top},
-            capped=True,
         )
 
     def reset(self) -> None:
@@ -325,13 +306,10 @@ class FeatureExtractor:
         sketch_topk: int = 8,
         hll_precision: int = 12,
         sketch_seed: int = DEFAULT_SKETCH_SEED,
-        per_destination_cap: int | None = None,
         track_state_bytes: bool = False,
     ) -> None:
         if not 0 < sampling_probability <= 1:
             raise ValueError("sampling probability must be in (0, 1]")
-        if per_destination_cap is not None and per_destination_cap < 1:
-            raise ValueError("per_destination_cap must be >= 1 (or None)")
         self.sampling_probability = sampling_probability
         self._scale = 1.0 / sampling_probability
         if backend == "exact":
@@ -348,7 +326,6 @@ class FeatureExtractor:
             )
         else:
             raise ValueError(f"unknown feature backend: {backend!r}")
-        self.per_destination_cap = per_destination_cap
         self.track_state_bytes = track_state_bytes
         #: Peak backend state_bytes() sampled at window close (only
         #: populated when ``track_state_bytes`` is set; sampling the
@@ -442,7 +419,7 @@ class FeatureExtractor:
         )
         n_tcp, n_syn, n_synack, n_ack, n_rst, n_fin, n_udp = fold[:7]
         scale = self._scale
-        summary = backend.summarize(scale, self.per_destination_cap)
+        summary = backend.summarize(scale)
         features = WindowFeatures(
             window_start=self._window_start,
             window_end=now,
@@ -463,7 +440,6 @@ class FeatureExtractor:
             top_udp_destination_packets=summary.top_udp_destination_packets,
             per_destination_udp=summary.per_destination_udp,
             backend=backend.name,
-            per_destination_capped=summary.capped,
         )
         self.folded_total += n_batch + self._n_plain
         self.folded_syn_total += n_syn

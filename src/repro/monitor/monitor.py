@@ -34,9 +34,7 @@ class MonitorConfig:
     memory by the sketch geometry (``sketch_width`` x ``sketch_depth``
     counters per count-min sketch, ``2**hll_precision`` HyperLogLog
     registers, ``sketch_topk`` heavy-hitter candidates) regardless of
-    how many distinct sources a flood spoofs.  ``per_destination_cap``
-    truncates the emitted per-destination maps to the top-k entries;
-    ``None`` (the default) keeps the full maps.
+    how many distinct sources a flood spoofs.
     """
 
     window_s: float = 0.5
@@ -48,7 +46,6 @@ class MonitorConfig:
     sketch_topk: int = 8
     hll_precision: int = 12
     sketch_seed: int = DEFAULT_SKETCH_SEED
-    per_destination_cap: int | None = None
     track_state_bytes: bool = False
 
     def __post_init__(self) -> None:
@@ -68,8 +65,6 @@ class MonitorConfig:
             raise ValueError("sketch topk must be >= 1")
         if not 4 <= self.hll_precision <= 16:
             raise ValueError("hll precision must be in [4, 16]")
-        if self.per_destination_cap is not None and self.per_destination_cap < 1:
-            raise ValueError("per_destination_cap must be >= 1 (or None)")
 
 
 class TrafficMonitor:
@@ -98,7 +93,6 @@ class TrafficMonitor:
             sketch_topk=self.config.sketch_topk,
             hll_precision=self.config.hll_precision,
             sketch_seed=self.config.sketch_seed,
-            per_destination_cap=self.config.per_destination_cap,
             track_state_bytes=self.config.track_state_bytes,
         )
         self.packets_seen = 0

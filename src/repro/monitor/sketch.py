@@ -234,19 +234,17 @@ class HeavyHitterSketch:
         """Estimated count for ``key``."""
         return self.cms.estimate(key)
 
-    def top(self, n: int | None = None) -> list[tuple[str, int]]:
-        """Up to ``n`` (default ``topk``) heaviest candidates.
+    def top(self) -> list[tuple[str, int]]:
+        """Up to ``topk`` heaviest candidates.
 
         Ordered by estimated count descending, candidate insertion order
         on ties — mirroring the first-increment tie-break of the exact
         per-destination dicts.
         """
-        if n is None:
-            n = self.topk
         ranked = sorted(
             enumerate(self._candidates.items()), key=lambda t: (-t[1][1], t[0])
         )
-        return [item for _, item in ranked[:n]]
+        return [item for _, item in ranked[:self.topk]]
 
     def reset(self) -> None:
         """Clear counters and candidates for the next window."""

@@ -1,77 +1,14 @@
-"""Windowed accumulators used by the monitors.
+"""The monitors' windowed source-entropy accumulator.
 
-Three small primitives: a tumbling counter bundle (reset every window), a
-sliding rate estimator over a trailing horizon, and an entropy
-accumulator over a categorical key distribution (source IPs).
+:class:`EntropyAccumulator` tracks a categorical key distribution
+(source IPs) over one window and reports its normalized entropy.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import Counter, deque
-
-
-class TumblingAccumulator:
-    """Named counters that reset at every window boundary."""
-
-    def __init__(self) -> None:
-        self._counts: Counter[str] = Counter()
-
-    def add(self, key: str, amount: int = 1) -> None:
-        """Increment ``key`` by ``amount``."""
-        self._counts[key] += amount
-
-    def get(self, key: str) -> int:
-        """Current value of ``key`` (0 if never incremented)."""
-        return self._counts.get(key, 0)
-
-    def snapshot_and_reset(self) -> dict[str, int]:
-        """Return all counters and clear them for the next window."""
-        snapshot = dict(self._counts)
-        self._counts.clear()
-        return snapshot
-
-
-class SlidingRate:
-    """Events-per-second over a trailing horizon.
-
-    Stores ``(timestamp, count)`` pairs in a deque with a running total,
-    so bulk adds are O(1) instead of appending ``count`` copies of the
-    same timestamp; eviction drops whole pairs older than the horizon.
-    Memory is bounded by add-call rate x horizon, independent of the
-    per-call counts.
-    """
-
-    def __init__(self, horizon_s: float) -> None:
-        if horizon_s <= 0:
-            raise ValueError("horizon must be positive")
-        self.horizon_s = horizon_s
-        self._events: deque[tuple[float, int]] = deque()
-        self._total = 0
-
-    def add(self, now: float, count: int = 1) -> None:
-        """Record ``count`` events at time ``now``."""
-        if count > 0:
-            self._events.append((now, count))
-            self._total += count
-        self._evict(now)
-
-    def rate(self, now: float) -> float:
-        """Events per second over the trailing horizon."""
-        self._evict(now)
-        return self._total / self.horizon_s
-
-    def count(self, now: float) -> int:
-        """Events within the trailing horizon."""
-        self._evict(now)
-        return self._total
-
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.horizon_s
-        events = self._events
-        while events and events[0][0] < cutoff:
-            self._total -= events.popleft()[1]
+from collections import Counter
 
 
 class EntropyAccumulator:

@@ -123,21 +123,18 @@ class ControlPlaneServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ApiError as exc:
+                    # Answer a malformed request, then close: after a bad
+                    # Content-Length the stream is at an unknown offset.
+                    await _respond(writer, exc.status, {"error": str(exc)}, b"close")
+                    break
                 if request is None:
                     break
                 method, path, body = request
                 status, payload = await self._route(method, path, body)
-                data = json.dumps(payload, sort_keys=True).encode()
-                writer.write(
-                    b"HTTP/1.1 %d %s\r\n"
-                    b"Content-Type: application/json\r\n"
-                    b"Content-Length: %d\r\n"
-                    b"Connection: keep-alive\r\n\r\n"
-                    % (status, _reason(status).encode(), len(data))
-                )
-                writer.write(data)
-                await writer.drain()
+                await _respond(writer, status, payload, b"keep-alive")
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
@@ -155,6 +152,9 @@ class ControlPlaneServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[tuple[str, str, dict[str, Any]]]:
+        """One request, or ``None`` at end of stream; raises
+        :class:`ApiError` (400) for a body that cannot be read as a
+        JSON object."""
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
@@ -169,16 +169,28 @@ class ControlPlaneServer:
             if ":" in line:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ApiError(
+                400, f"Content-Length {declared!r} is not a non-negative integer"
+            )
         if length > _MAX_BODY:
-            return None
+            raise ApiError(
+                400, f"request body of {length} bytes exceeds {_MAX_BODY}"
+            )
         body: dict[str, Any] = {}
         if length:
             raw = await reader.readexactly(length)
             try:
                 body = json.loads(raw)
-            except json.JSONDecodeError:
-                body = {"_malformed": True}
+            except ValueError:
+                raise ApiError(400, "request body is not valid JSON") from None
+            if not isinstance(body, dict):
+                raise ApiError(400, "request body must be a JSON object")
         path = target.split("?", 1)[0]
         return method.upper(), path, body
 
@@ -198,8 +210,6 @@ class ControlPlaneServer:
     async def _dispatch(
         self, method: str, path: str, body: dict[str, Any]
     ) -> tuple[int, Any]:
-        if body.get("_malformed"):
-            raise ApiError(400, "request body is not valid JSON")
         parts = [p for p in path.split("/") if p]
         if method == "GET" and path == "/healthz":
             return 200, {"ok": True, "sessions": len(self.registry)}
@@ -298,6 +308,21 @@ class ControlPlaneServer:
         if session.state is SessionState.DONE:
             payload["fingerprint"] = session.fingerprint()
         return payload
+
+
+async def _respond(
+    writer: asyncio.StreamWriter, status: int, payload: Any, connection: bytes
+) -> None:
+    data = json.dumps(payload, sort_keys=True).encode()
+    writer.write(
+        b"HTTP/1.1 %d %s\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Content-Length: %d\r\n"
+        b"Connection: %s\r\n\r\n"
+        % (status, _reason(status).encode(), len(data), connection)
+    )
+    writer.write(data)
+    await writer.drain()
 
 
 def _reason(status: int) -> str:

@@ -553,15 +553,7 @@ class MonitorAccountingChecker(InvariantChecker):
         else:
             for dest_map, window_count, label in per_dest:
                 dest_sum = sum(dest_map.values())
-                if features.per_destination_capped:
-                    # Top-k truncation drops mass; the survivors can
-                    # only sum to at most the window count.
-                    if dest_sum > window_count + eps:
-                        bad(
-                            f"capped per-destination {label}s sum to "
-                            f"{dest_sum}, window counted {window_count}"
-                        )
-                elif not math.isclose(
+                if not math.isclose(
                     dest_sum, window_count, rel_tol=_REL_TOL, abs_tol=eps
                 ):
                     bad(
@@ -569,7 +561,7 @@ class MonitorAccountingChecker(InvariantChecker):
                         f"window counted {window_count}"
                     )
         if features.per_destination_syns:
-            # Holds for all modes: the cap keeps the heaviest entries and
+            # Holds for both backends: the exact map holds every key and
             # the sketch top list is led by the reported top destination.
             top = max(features.per_destination_syns.values())
             if not math.isclose(

@@ -8,13 +8,11 @@ stop-and-wait data transfer and the common FIN teardown paths.
 """
 
 from repro.tcp.states import TcpState
-from repro.tcp.config import TcpConfig
 from repro.tcp.socket import Connection, ConnectionStats, ListeningSocket
 from repro.tcp.stack import StackCounters, TcpStack
 
 __all__ = [
     "TcpState",
-    "TcpConfig",
     "Connection",
     "ConnectionStats",
     "ListeningSocket",

@@ -1,55 +1,37 @@
-"""Tunable parameters of the TCP stack.
+"""Constants of the TCP stack.
 
-Defaults are scaled for simulation: timeouts are shorter than Linux's
+Values are scaled for simulation: timeouts are shorter than Linux's
 (e.g. TIME_WAIT is 2x1s rather than 2x60s) so experiments settle within
 seconds of simulated time, but the *relationships* between them — SYN
 retransmission backoff, half-open expiry dominating backlog recycling —
-match a real stack's.
+match a real stack's.  SYN cookies, the one per-stack choice, are a
+:class:`~repro.tcp.stack.TcpStack` keyword.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+# Server side: the resource a SYN flood exhausts.
+DEFAULT_BACKLOG = 128
+HALF_OPEN_TIMEOUT = 3.0
+SYN_ACK_RETRIES = 2
 
+# SYN cookie time slot: a cookie validates within the slot it was issued
+# in and the one before.
+COOKIE_SLOT_S = 64.0
 
-@dataclass(frozen=True)
-class TcpConfig:
-    """Knobs shared by all sockets created on one stack."""
+# Client side.
+SYN_TIMEOUT = 1.0
+SYN_RETRIES = 2
+SYN_BACKOFF = 2.0
 
-    # Server side: the resource a SYN flood exhausts.
-    default_backlog: int = 128
-    half_open_timeout: float = 3.0
-    syn_ack_retries: int = 2
+# Data transfer (stop-and-wait).
+DATA_RTO = 1.0
+DATA_RETRIES = 3
+MSS = 1460
 
-    # SYN cookies (host-side flood defense, compared against SPI in E11):
-    # when enabled and the backlog is full, SYNs are answered with a
-    # stateless cookie SYN-ACK instead of being dropped.
-    syn_cookies: bool = False
-    cookie_slot_s: float = 64.0
+# Teardown.
+MSL = 1.0
 
-    # Client side.
-    syn_timeout: float = 1.0
-    syn_retries: int = 2
-    syn_backoff: float = 2.0
-
-    # Data transfer (stop-and-wait).
-    data_rto: float = 1.0
-    data_retries: int = 3
-    mss: int = 1460
-
-    # Teardown.
-    msl: float = 1.0
-
-    # Port allocation.
-    ephemeral_lo: int = 32768
-    ephemeral_hi: int = 60999
-
-    def __post_init__(self) -> None:
-        if self.default_backlog < 1:
-            raise ValueError("backlog must be >= 1")
-        if self.half_open_timeout <= 0 or self.syn_timeout <= 0:
-            raise ValueError("timeouts must be positive")
-        if self.ephemeral_lo >= self.ephemeral_hi:
-            raise ValueError("ephemeral port range is empty")
-        if self.syn_backoff < 1.0:
-            raise ValueError("backoff factor must be >= 1")
+# Port allocation.
+EPHEMERAL_LO = 32768
+EPHEMERAL_HI = 60999

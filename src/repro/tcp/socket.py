@@ -9,10 +9,21 @@ backlog — the precise resource a SYN flood exhausts — and spawns
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.headers import TCP_ACK, TCP_FIN, TCP_PSH, TCP_RST, TCP_SYN, TcpHeader
+from repro.tcp.config import (
+    DATA_RETRIES,
+    DATA_RTO,
+    HALF_OPEN_TIMEOUT,
+    MSL,
+    MSS,
+    SYN_ACK_RETRIES,
+    SYN_BACKOFF,
+    SYN_RETRIES,
+    SYN_TIMEOUT,
+)
 from repro.tcp.states import TcpState
 
 if TYPE_CHECKING:
@@ -116,12 +127,12 @@ class Connection:
         self.rcv_nxt = (remote_seq + 1) & 0xFFFFFFFF
         self._handshake_tries = 0
         self._send_syn_ack()
-        self._handshake_timer.start(self.stack.config.half_open_timeout)
+        self._handshake_timer.start(HALF_OPEN_TIMEOUT)
 
     def _send_syn(self) -> None:
         self._send_flags(TCP_SYN, seq=self.snd_nxt)
         self._handshake_timer.start(
-            self.stack.config.syn_timeout * (self.stack.config.syn_backoff ** self._handshake_tries)
+            SYN_TIMEOUT * (SYN_BACKOFF ** self._handshake_tries)
         )
 
     def _send_syn_ack(self) -> None:
@@ -129,14 +140,14 @@ class Connection:
 
     def _on_handshake_timeout(self) -> None:
         if self.state is TcpState.SYN_SENT:
-            if self._handshake_tries >= self.stack.config.syn_retries:
+            if self._handshake_tries >= SYN_RETRIES:
                 self._fail("syn-timeout")
                 return
             self._handshake_tries += 1
             self.stats.syn_retransmits += 1
             self._send_syn()
         elif self.state is TcpState.SYN_RECEIVED:
-            if self._handshake_tries >= self.stack.config.syn_ack_retries:
+            if self._handshake_tries >= SYN_ACK_RETRIES:
                 # Half-open entry expires: the backlog slot is recycled.
                 self.stack.counters.half_open_expired += 1
                 self._fail("half-open-timeout", quiet=True)
@@ -144,7 +155,7 @@ class Connection:
             self._handshake_tries += 1
             self.stats.syn_ack_retransmits += 1
             self._send_syn_ack()
-            self._handshake_timer.start(self.stack.config.half_open_timeout)
+            self._handshake_timer.start(HALF_OPEN_TIMEOUT)
 
     # ---------------------------------------------------------------- data
 
@@ -152,9 +163,8 @@ class Connection:
         """Queue application data (stop-and-wait, MSS-sized segments)."""
         if not self.state.open:
             raise RuntimeError(f"cannot send in state {self.state.value}")
-        mss = self.stack.config.mss
-        for start in range(0, len(data), mss):
-            self._send_queue.append(data[start:start + mss])
+        for start in range(0, len(data), MSS):
+            self._send_queue.append(data[start:start + MSS])
         self._pump_data()
 
     def _pump_data(self) -> None:
@@ -162,7 +172,7 @@ class Connection:
             return
         data = self._send_queue.popleft()
         self._inflight = _Unacked(
-            seq=self.snd_nxt, data=data, retries_left=self.stack.config.data_retries
+            seq=self.snd_nxt, data=data, retries_left=DATA_RETRIES
         )
         self.snd_nxt = (self.snd_nxt + len(data)) & 0xFFFFFFFF
         self._transmit_inflight()
@@ -175,7 +185,7 @@ class Connection:
             ack=self.rcv_nxt,
             payload=self._inflight.data,
         )
-        self._retx_timer.start(self.stack.config.data_rto)
+        self._retx_timer.start(DATA_RTO)
 
     def _on_data_timeout(self) -> None:
         if self._inflight is None:
@@ -315,7 +325,7 @@ class Connection:
     def _enter_time_wait(self) -> None:
         self.state = TcpState.TIME_WAIT
         self.stack.sim.schedule(
-            2 * self.stack.config.msl, lambda: self._teardown(notify_closed=True), "tcp.time_wait"
+            2 * MSL, lambda: self._teardown(notify_closed=True), "tcp.time_wait"
         )
 
     # ------------------------------------------------------------ plumbing

@@ -9,7 +9,7 @@ the aggregate counters the monitors and metrics layers read.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.net.headers import PROTO_TCP, TCP_ACK, TCP_RST, TCP_SYN, TcpHeader
@@ -18,7 +18,7 @@ from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.sim.process import Timer
 from repro.sim.rng import SeededRng
-from repro.tcp.config import TcpConfig
+from repro.tcp.config import COOKIE_SLOT_S, DEFAULT_BACKLOG, EPHEMERAL_HI, EPHEMERAL_LO
 from repro.tcp.socket import Connection, ConnKey, ListeningSocket
 
 
@@ -47,15 +47,18 @@ class TcpStack:
     #: default path pays only this one attribute indirection.
     connection_class: type[Connection] = Connection
 
-    def __init__(self, host: Host, rng: SeededRng, config: TcpConfig | None = None) -> None:
+    def __init__(self, host: Host, rng: SeededRng, *, syn_cookies: bool = False) -> None:
         self.host = host
         self.sim = host.sim
         self.rng = rng
-        self.config = config or TcpConfig()
+        # SYN cookies (host-side flood defense, compared against SPI in
+        # E11): when the backlog is full, SYNs are answered with a
+        # stateless cookie SYN-ACK instead of being dropped.
+        self.syn_cookies = syn_cookies
         self.connections: dict[ConnKey, Connection] = {}
         self.listeners: dict[int, ListeningSocket] = {}
         self.counters = StackCounters()
-        self._next_ephemeral = self.config.ephemeral_lo
+        self._next_ephemeral = EPHEMERAL_LO
         self._cookie_secret = rng.randint(0, 2**63).to_bytes(8, "big")
         host.register_protocol(PROTO_TCP, self._on_ip_packet)
 
@@ -71,7 +74,7 @@ class TcpStack:
         if port in self.listeners:
             raise ValueError(f"{self.host.name} already listening on {port}")
         socket = ListeningSocket(
-            self, port, backlog or self.config.default_backlog, on_accept
+            self, port, backlog or DEFAULT_BACKLOG, on_accept
         )
         self.listeners[port] = socket
         return socket
@@ -115,12 +118,12 @@ class TcpStack:
         self.connections.pop(conn.key, None)
 
     def _allocate_port(self, remote_ip: str, remote_port: int) -> int:
-        span = self.config.ephemeral_hi - self.config.ephemeral_lo + 1
+        span = EPHEMERAL_HI - EPHEMERAL_LO + 1
         for _ in range(span):
             candidate = self._next_ephemeral
             self._next_ephemeral += 1
-            if self._next_ephemeral > self.config.ephemeral_hi:
-                self._next_ephemeral = self.config.ephemeral_lo
+            if self._next_ephemeral > EPHEMERAL_HI:
+                self._next_ephemeral = EPHEMERAL_LO
             key = (self.host.ip, candidate, remote_ip, remote_port)
             if key not in self.connections and candidate not in self.listeners:
                 return candidate
@@ -142,7 +145,7 @@ class TcpStack:
             self.counters.syns_received += 1
             listener = self.listeners.get(header.dst_port)
             if listener is not None:
-                if self.config.syn_cookies and listener.backlog_full:
+                if self.syn_cookies and listener.backlog_full:
                     self._send_syn_cookie(header, packet.ip.src_ip)
                     return
                 created = listener.incoming_syn(header, packet.ip.src_ip)
@@ -150,7 +153,7 @@ class TcpStack:
                     self.counters.syn_acks_sent += 1
                 return
         if (
-            self.config.syn_cookies
+            self.syn_cookies
             and header.ack_flag
             and not header.syn
             and not header.rst
@@ -171,7 +174,7 @@ class TcpStack:
         return int.from_bytes(digest[:4], "big")
 
     def _cookie_slot(self) -> int:
-        return int(self.sim.now / self.config.cookie_slot_s)
+        return int(self.sim.now / COOKIE_SLOT_S)
 
     def _send_syn_cookie(self, header: TcpHeader, src_ip: str) -> None:
         """Answer a SYN statelessly: the cookie is our ISN."""

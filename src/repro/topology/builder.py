@@ -23,7 +23,6 @@ from repro.sim.rng import SeededRng
 from repro.sim.trace import Tracer
 from repro.switch.ovs import OpenFlowSwitch
 from repro.switch.workload import WorkloadCosts
-from repro.tcp.config import TcpConfig
 from repro.tcp.stack import TcpStack
 
 
@@ -45,7 +44,7 @@ class Network:
         seed: int = 1,
         default_link: LinkSpec | None = None,
         control_latency_s: float = 0.002,
-        tcp_config: TcpConfig | None = None,
+        syn_cookies: bool = False,
         switch_costs: WorkloadCosts | None = None,
         reference: bool = False,
     ) -> None:
@@ -66,7 +65,7 @@ class Network:
         self.tracer = Tracer(lambda: self.sim.now)
         self.default_link = default_link or LinkSpec()
         self.control_latency_s = control_latency_s
-        self.tcp_config = tcp_config or TcpConfig()
+        self.syn_cookies = syn_cookies
         self.switch_costs = switch_costs
         self.controller = Controller(self.sim, self.tracer)
         self.l2 = L2LearningSwitch()
@@ -117,7 +116,9 @@ class Network:
         host = Host(self.sim, name, ip, mac)
         self.hosts[name] = host
         if with_tcp:
-            self.stacks[name] = TcpStack(host, self.rng.child(f"tcp.{name}"), self.tcp_config)
+            self.stacks[name] = TcpStack(
+                host, self.rng.child(f"tcp.{name}"), syn_cookies=self.syn_cookies
+            )
         return host
 
     def node(self, name: str) -> Node:

@@ -26,13 +26,13 @@ from repro.workload.servers import WebServer
 
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """Mix parameters shared across the experiment suite."""
+    """Mix parameters shared across the experiment suite.
 
-    server_port: int = 80
+    Servers listen on port 80 and every request/response exchange uses
+    the :class:`WebServer` / :class:`WebClient` defaults.
+    """
+
     server_backlog: int = 128
-    response_bytes: int = 2000
-    client_think_s: float = 0.5
-    request_bytes: int = 200
     attack_kind: str = "syn"  # "syn" or "udp"
     attack_rate_pps: float = 200.0
     attack_start_s: float = 5.0
@@ -70,20 +70,14 @@ class StandardWorkload:
         cfg = self.config
         for name in self.roles.servers:
             self.servers[name] = WebServer(
-                self.net.stack(name),
-                port=cfg.server_port,
-                backlog=cfg.server_backlog,
-                response_bytes=cfg.response_bytes,
+                self.net.stack(name), backlog=cfg.server_backlog
             )
         victim_ip = self.victim_ip
         for name in self.roles.clients:
             self.clients[name] = WebClient(
                 self.net.stack(name),
                 server_ip=victim_ip,
-                server_port=cfg.server_port,
                 rng=self.net.rng.child(f"client.{name}"),
-                think_time_s=cfg.client_think_s,
-                request_bytes=cfg.request_bytes,
             )
         per_attacker_rate = (
             cfg.attack_rate_pps / len(self.roles.attackers) if self.roles.attackers else 0.0
@@ -120,7 +114,6 @@ class StandardWorkload:
                     rng,
                     SynFloodConfig(
                         victim_ip=victim_ip,
-                        victim_port=cfg.server_port,
                         rate_pps=per_attacker_rate,
                         spoof=cfg.spoof,
                         spoof_pool_size=cfg.spoof_pool_size,

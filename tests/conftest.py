@@ -8,7 +8,6 @@ from repro.net.host import Host
 from repro.net.link import Link
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
-from repro.tcp.config import TcpConfig
 from repro.tcp.stack import TcpStack
 
 
@@ -36,8 +35,8 @@ class HostPair:
         self.link = Link(sim, self.a.port, self.b.port, **defaults)
         self.a.arp_table[self.b.ip] = self.b.mac
         self.b.arp_table[self.a.ip] = self.a.mac
-        self.stack_a = TcpStack(self.a, rng.child("a"), TcpConfig())
-        self.stack_b = TcpStack(self.b, rng.child("b"), TcpConfig())
+        self.stack_a = TcpStack(self.a, rng.child("a"))
+        self.stack_b = TcpStack(self.b, rng.child("b"))
 
 
 @pytest.fixture

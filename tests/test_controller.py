@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.controller.base import App, Controller
+from repro.controller.discovery import TopologyDiscovery
 from repro.controller.l2 import L2LearningSwitch
-from repro.controller.stats import StatsPoller
 from repro.openflow.match import Match
 from repro.topology.builder import Network
 
@@ -114,7 +114,7 @@ class TestAppDispatch:
         controller.register_app(l2)
         assert controller.app(L2LearningSwitch) is l2
         with pytest.raises(KeyError):
-            controller.app(StatsPoller)
+            controller.app(TopologyDiscovery)
 
     def test_duplicate_datapath_rejected(self, sim):
         from repro.openflow.channel import ControlChannel
@@ -133,35 +133,6 @@ class TestAppDispatch:
         from repro.openflow.messages import EchoReply
 
         controller.handle_message(Ghost(), EchoReply())  # must not raise
-
-
-class TestStatsPoller:
-    def test_snapshots_populated(self, net):
-        poller = StatsPoller(period=0.5)
-        net.controller.register_app(poller)
-        exchange(net)
-        net.run(until=net.sim.now + 2.0)
-        snapshot = poller.snapshots[1]
-        assert snapshot.flow_stats is not None
-        assert snapshot.port_stats is not None
-        assert snapshot.time > 0
-        poller.stop()
-
-    def test_listener_notified(self, net):
-        poller = StatsPoller(period=0.5)
-        net.controller.register_app(poller)
-        seen = []
-        poller.subscribe(lambda dpid, snap: seen.append(dpid))
-        net.run(until=2.0)
-        assert 1 in seen
-        poller.stop()
-
-    def test_poll_counts(self, net):
-        poller = StatsPoller(period=0.5)
-        net.controller.register_app(poller)
-        net.run(until=2.2)
-        assert poller.polls == 4
-        poller.stop()
 
 
 class TestNorthbound:

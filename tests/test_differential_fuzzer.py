@@ -41,14 +41,27 @@ def test_variant_table_is_the_seven_lanes():
 
 # sha256[:12] of each seed's config_to_dict JSON at the commit before the
 # strategy knobs collapsed, with those knobs' keys dropped.  The defense
-# knobs retired since then are re-inserted at the defaults every seed
-# carried.
-_RETIRED_DEFENSE_KNOBS = {
+# knobs and unvaried knobs retired since then are re-inserted, by dotted
+# path, at the defaults every seed carried.
+_RETIRED_KNOBS = {
     "sampled_period_s": 5.0,
     "sampled_duty": 0.2,
     "flowstats_poll_s": 1.0,
     "flowstats_pps_threshold": 200.0,
     "baseline_mitigates": True,
+    "probe_period_s": 0.5,
+    "invariant_period_s": 0.5,
+    "workload.server_port": 80,
+    "workload.response_bytes": 2000,
+    "workload.client_think_s": 0.5,
+    "workload.request_bytes": 200,
+    "spi.mirror_priority": 200,
+    "spi.mirror_tcp_only": False,
+    "spi.enable_udp_signature": True,
+    "spi.alert_latency_s": 0.005,
+    "spi.monitor.per_destination_cap": None,
+    "spi.mitigation.aggregate_prefix_len": 16,
+    "spi.mitigation.shield_pps": 50.0,
 }
 _PARENT_SHAPES = [
     "1b6032f9d172", "af45197dc1e2", "b41237b4ddba", "43cef666c77e",
@@ -89,7 +102,12 @@ class TestGenerator:
         for seed, expected in enumerate(_PARENT_SHAPES):
             data = config_to_dict(generate_scenario(seed))
             del data["reference"]
-            data.update(_RETIRED_DEFENSE_KNOBS)
+            for path, value in _RETIRED_KNOBS.items():
+                *parents, name = path.split(".")
+                node = data
+                for parent in parents:
+                    node = node[parent]
+                node[name] = value
             digest = hashlib.sha256(
                 json.dumps(data, sort_keys=True).encode()
             ).hexdigest()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.net.headers import TCP_SYN, TcpHeader
 from repro.net.link import Link, LinkEnd
-from repro.net.packet import Packet
 from repro.sim.rng import SeededRng
 from repro.workload.attacker import AttackSchedule
 from tests.test_net_link import Sink, make_packet
@@ -86,7 +85,6 @@ class TestLossyLinks:
 
         pair = HostPair.__new__(HostPair)
         from repro.net.host import Host
-        from repro.tcp.config import TcpConfig
         from repro.tcp.stack import TcpStack
 
         pair.sim = sim
@@ -95,8 +93,8 @@ class TestLossyLinks:
         Link(sim, pair.a.port, pair.b.port, loss_probability=0.1, rng=rng.child("wire"))
         pair.a.arp_table[pair.b.ip] = pair.b.mac
         pair.b.arp_table[pair.a.ip] = pair.a.mac
-        pair.stack_a = TcpStack(pair.a, rng.child("a"), TcpConfig())
-        pair.stack_b = TcpStack(pair.b, rng.child("b"), TcpConfig())
+        pair.stack_a = TcpStack(pair.a, rng.child("a"))
+        pair.stack_b = TcpStack(pair.b, rng.child("b"))
         got = []
 
         def on_accept(conn):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.harness import ScenarioConfig, run_scenario
+from repro.harness.probe import ScenarioProbe
+from repro.harness.scenario import build_scenario, finish_scenario
 from repro.workload import WorkloadConfig
 
 PROBED = dict(
@@ -17,6 +19,14 @@ PROBED = dict(
 )
 
 
+def run_probed_every_second():
+    """The probed scenario with a 1 s probe attached in place of the default."""
+    result = build_scenario(ScenarioConfig(defense="none", **{**PROBED, "probe": False}))
+    result.probe = ScenarioProbe(result.net, result.workload, period_s=1.0)
+    result.net.run(until=result.config.duration_s)
+    return finish_scenario(result)
+
+
 class TestProbe:
     def test_probe_disabled_by_default(self):
         config = ScenarioConfig(
@@ -25,8 +35,7 @@ class TestProbe:
         assert run_scenario(config).probe is None
 
     def test_samples_at_requested_period(self):
-        result = run_scenario(ScenarioConfig(defense="none", probe_period_s=1.0, **PROBED))
-        series = result.probe.series
+        series = run_probed_every_second().probe.series
         assert len(series.half_open) == 16  # t=0..15 inclusive
         times = [t for t, _ in series.half_open.samples()]
         assert times[1] - times[0] == pytest.approx(1.0)
@@ -48,15 +57,12 @@ class TestProbe:
         assert result.probe.series.switch_utilization.maximum(5.0, 15.0) > 0.0
 
     def test_csv_export(self):
-        result = run_scenario(ScenarioConfig(defense="none", probe_period_s=1.0, **PROBED))
-        csv = result.probe.series.to_csv()
+        csv = run_probed_every_second().probe.series.to_csv()
         lines = csv.strip().split("\n")
         assert lines[0].startswith("time,half_open")
         assert len(lines) == 17  # header + 16 samples
 
     def test_invalid_period_rejected(self):
-        from repro.harness.probe import ScenarioProbe
-
         with pytest.raises(ValueError):
             config = ScenarioConfig(defense="none", **PROBED)
             result = run_scenario(

@@ -113,9 +113,7 @@ def _assert_window(features, summary, flags) -> None:
     for name, value in _flag_counts(flags).items():
         assert getattr(features, name) == value, name
     for name in summary._fields:
-        if name != "capped":
-            assert getattr(features, name) == getattr(summary, name), name
-    assert features.per_destination_capped == summary.capped
+        assert getattr(features, name) == getattr(summary, name), name
 
 
 class TestSketchTwins:
@@ -225,7 +223,7 @@ class TestFoldTwins:
                     reference.add_udp(s, d)
                 elif _is_syn(fl):
                     reference.add_syn(s, d)
-            _assert_window(features, reference.summarize(1.0, None), flags)
+            _assert_window(features, reference.summarize(1.0), flags)
             reference.reset()
         accounting = fx.accounting()
         assert accounting["backend_syn_adds"] == reference.syn_adds
@@ -248,7 +246,7 @@ class TestFoldTwins:
                 reference.syn_dsts.add(key, amount)
             for key, amount in Counter(d for d, u in zip(dst, udp) if u).items():
                 reference.udp_dsts.add(key, amount)
-            _assert_window(features, reference.summarize(1.0, None), flags)
+            _assert_window(features, reference.summarize(1.0), flags)
             reference.reset()
         accounting = fx.accounting()
         assert accounting["folded_syn"] == accounting["backend_syn_adds"]

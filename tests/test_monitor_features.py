@@ -233,7 +233,6 @@ class TestSketchBackend:
         # Count-min never undercounts the single true destination.
         assert features.top_destination == "10.0.0.2"
         assert features.top_destination_syns >= 200
-        assert features.per_destination_capped is True
         # HLL distinct estimate is near the 40 true sources.
         assert abs(features.distinct_sources - 40) <= 5
         assert 0.0 <= features.source_entropy <= 1.0
@@ -279,47 +278,17 @@ class TestSketchBackend:
 
 
 class TestPerDestinationCap:
-    """PR 7 satellite: per-destination maps stay full-fidelity by default
-    (cap=None) and truncate to the top-k hottest keys when capped."""
+    """Exact per-destination maps keep every key."""
 
     def test_default_uncapped_full_maps(self):
         fx = FeatureExtractor()
         for i in range(20):
             fx.observe(tcp(TCP_SYN, dst_ip=f"10.9.{i}.1"))
+        fx.observe(udp(dst_ip="10.9.0.2"))
         features = fx.close_window(1.0)
         assert len(features.per_destination_syns) == 20
-        assert features.per_destination_capped is False
-
-    def test_cap_keeps_hottest_keys(self):
-        fx = FeatureExtractor(per_destination_cap=2)
-        for _ in range(5):
-            fx.observe(tcp(TCP_SYN, dst_ip="10.9.0.1"))
-        for _ in range(3):
-            fx.observe(tcp(TCP_SYN, dst_ip="10.9.0.2"))
-        fx.observe(tcp(TCP_SYN, dst_ip="10.9.0.3"))
-        features = fx.close_window(1.0)
-        assert features.per_destination_syns == {"10.9.0.1": 5, "10.9.0.2": 3}
-        assert features.per_destination_capped is True
-        assert features.top_destination == "10.9.0.1"
-        assert features.top_destination_syns == 5
-
-    def test_cap_not_exceeded_leaves_map_intact(self):
-        fx = FeatureExtractor(per_destination_cap=8)
-        fx.observe(tcp(TCP_SYN, dst_ip="10.9.0.1"))
-        fx.observe(udp(dst_ip="10.9.0.2"))
-        features = fx.close_window(1.0)
-        assert features.per_destination_syns == {"10.9.0.1": 1}
+        assert sum(features.per_destination_syns.values()) == features.syn_count
         assert features.per_destination_udp == {"10.9.0.2": 1}
-        assert features.per_destination_capped is False
-
-    def test_cap_applies_to_udp_map(self):
-        fx = FeatureExtractor(per_destination_cap=1)
-        for _ in range(4):
-            fx.observe(udp(dst_ip="10.9.0.1"))
-        fx.observe(udp(dst_ip="10.9.0.2"))
-        features = fx.close_window(1.0)
-        assert features.per_destination_udp == {"10.9.0.1": 4}
-        assert features.per_destination_capped is True
 
 
 class TestAccounting:

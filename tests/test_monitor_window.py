@@ -1,54 +1,12 @@
-"""Tests for windowed accumulators and entropy, with property tests."""
+"""Tests for the windowed entropy accumulator, with property tests."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.monitor.window import EntropyAccumulator, SlidingRate, TumblingAccumulator
-
-
-class TestTumblingAccumulator:
-    def test_add_and_get(self):
-        acc = TumblingAccumulator()
-        acc.add("syn")
-        acc.add("syn", 2)
-        assert acc.get("syn") == 3
-        assert acc.get("missing") == 0
-
-    def test_snapshot_resets(self):
-        acc = TumblingAccumulator()
-        acc.add("x")
-        snap = acc.snapshot_and_reset()
-        assert snap == {"x": 1}
-        assert acc.get("x") == 0
-
-
-class TestSlidingRate:
-    def test_rate_over_horizon(self):
-        rate = SlidingRate(horizon_s=2.0)
-        for t in (0.0, 0.5, 1.0, 1.5):
-            rate.add(t)
-        assert rate.rate(now=1.5) == pytest.approx(4 / 2.0)
-
-    def test_eviction(self):
-        rate = SlidingRate(horizon_s=1.0)
-        rate.add(0.0)
-        rate.add(0.9)
-        assert rate.count(now=1.5) == 1
-        assert rate.count(now=2.5) == 0
-
-    def test_bulk_add(self):
-        rate = SlidingRate(horizon_s=1.0)
-        rate.add(0.0, count=5)
-        assert rate.count(0.5) == 5
-
-    def test_invalid_horizon(self):
-        with pytest.raises(ValueError):
-            SlidingRate(horizon_s=0)
+from repro.monitor.window import EntropyAccumulator
 
 
 class TestEntropy:
@@ -109,54 +67,6 @@ class TestEntropy:
         for i in range(n):
             acc.add(f"198.18.0.{i}")
         assert acc.entropy() == pytest.approx(1.0)
-
-
-class TestSlidingRateBulkEquivalence:
-    """PR 7 regression: bulk adds are O(1) — one (timestamp, count) pair —
-    and must stay numerically equivalent to count repeated unit adds."""
-
-    def test_bulk_add_stores_one_pair(self):
-        rate = SlidingRate(horizon_s=5.0)
-        rate.add(1.0, count=10_000)
-        assert len(rate._events) == 1
-        assert rate.count(1.0) == 10_000
-
-    def test_zero_count_stores_nothing(self):
-        rate = SlidingRate(horizon_s=5.0)
-        rate.add(1.0, count=0)
-        assert len(rate._events) == 0
-        assert rate.count(1.0) == 0
-
-    def test_partial_eviction_removes_whole_pairs(self):
-        rate = SlidingRate(horizon_s=1.0)
-        rate.add(0.0, count=3)
-        rate.add(0.8, count=5)
-        assert rate.count(now=1.5) == 5
-        assert rate.count(now=2.5) == 0
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=10.0,
-                          allow_nan=False, allow_infinity=False),
-                st.integers(min_value=0, max_value=200),
-            ),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    def test_bulk_equivalent_to_unit_adds(self, events):
-        """(t, n) bulk adds match n unit adds at t, for rate and count."""
-        events = sorted(events)
-        bulk = SlidingRate(horizon_s=2.0)
-        unit = SlidingRate(horizon_s=2.0)
-        for t, n in events:
-            bulk.add(t, count=n)
-            for _ in range(n):
-                unit.add(t)
-        now = events[-1][0]
-        assert bulk.count(now) == unit.count(now)
-        assert bulk.rate(now) == pytest.approx(unit.rate(now))
 
 
 class TestEntropyEdgeCases:

@@ -2,8 +2,7 @@
 
 Hypothesis builds randomized :class:`ScenarioConfig` trees — including
 the invariant-checking and execution-strategy fields the differential
-oracle flips (``check_invariants``, ``invariant_period_s``,
-``reference``) — and asserts the ``config_to_dict`` → JSON text →
+oracle flips (``check_invariants``, ``reference``) — and asserts the ``config_to_dict`` → JSON text →
 ``config_from_dict`` pipeline reproduces the exact dataclass, the same
 transport the CLI's ``--save``/``--config`` replay and the spawn-pool
 workers rely on for determinism.
@@ -17,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.scenario import FlashCrowdSpec, ScenarioConfig
+from repro.harness.fingerprint import fingerprint_json
+from repro.harness.scenario import FlashCrowdSpec, ScenarioConfig, run_scenario
 from repro.harness.serialize import config_from_dict, config_to_dict
 from repro.harness.sweep import apply_overrides
 from repro.workload.profiles import WorkloadConfig
@@ -34,7 +34,6 @@ def workloads(draw):
         attack_start_s=draw(finite),
         attack_duration_s=draw(st.one_of(finite, st.just(float("inf")))),
         server_backlog=draw(st.integers(1, 512)),
-        request_bytes=draw(st.integers(1, 4000)),
         spoof=draw(st.booleans()),
         spoof_pool_size=draw(st.integers(0, 64)),
     )
@@ -76,7 +75,6 @@ def configs(draw):
             st.tuples(st.sampled_from(("s1", "core", "edge1"))),
         )),
         check_invariants=draw(st.booleans()),
-        invariant_period_s=draw(finite),
         reference=draw(st.booleans()),
     )
     if draw(st.booleans()):
@@ -108,14 +106,13 @@ class TestConfigRoundTrip:
         data = json.loads(json.dumps(config_to_dict(config)))
         rebuilt = config_from_dict(data)
         assert rebuilt.check_invariants == config.check_invariants
-        assert rebuilt.invariant_period_s == config.invariant_period_s
         assert rebuilt.reference == config.reference
 
     def test_legacy_config_without_new_fields_defaults_cleanly(self):
         # Configs saved before the invariant subsystem existed have no
         # check_invariants/reference keys; they must load at the defaults.
         data = config_to_dict(ScenarioConfig())
-        for key in ("check_invariants", "invariant_period_s", "reference"):
+        for key in ("check_invariants", "reference"):
             del data[key]
         rebuilt = config_from_dict(data)
         assert rebuilt.check_invariants is False
@@ -187,3 +184,64 @@ class TestUnknownAndRetiredKeys:
             message = str(retired.value)
             assert repr(key) in message and repr(saved[key]) in message
             assert "defense table" in message and "reference" not in message
+
+    def test_retired_knobs_load_only_at_their_old_defaults(self):
+        # A config saved while these were fields carries all 70 keys.
+        config = ScenarioConfig(topology="single", duration_s=3.0)
+        saved = _with_keys(config_to_dict(config), RETIRED_KNOBS)
+        assert _leaf_count(saved) == 70
+        loaded = config_from_dict(json.loads(json.dumps(saved)))
+        assert loaded == config
+        assert fingerprint_json(run_scenario(loaded)) == fingerprint_json(
+            run_scenario(config)
+        )
+        for path, value in RETIRED_KNOBS.items():
+            moved = 1 if value is None else value + 1
+            with pytest.raises(ValueError) as retired:
+                config_from_dict(_with_keys(saved, {path: moved}))
+            assert repr(path) in str(retired.value)
+        # A retired key is accepted only at its own path.
+        with pytest.raises(ValueError, match="'spi.shield_pps'"):
+            config_from_dict({"spi": {"shield_pps": 50.0}})
+        with pytest.raises(ValueError, match="'workload.probe_period_s'"):
+            config_from_dict({"workload": {"probe_period_s": 0.5}})
+
+
+#: The value every config saved before their retirement carries for the
+#: knobs no caller varied.
+RETIRED_KNOBS = {
+    "probe_period_s": 0.5,
+    "invariant_period_s": 0.5,
+    "workload.server_port": 80,
+    "workload.response_bytes": 2000,
+    "workload.client_think_s": 0.5,
+    "workload.request_bytes": 200,
+    "spi.mirror_priority": 200,
+    "spi.mirror_tcp_only": False,
+    "spi.enable_udp_signature": True,
+    "spi.alert_latency_s": 0.005,
+    "spi.monitor.per_destination_cap": None,
+    "spi.mitigation.aggregate_prefix_len": 16,
+    "spi.mitigation.shield_pps": 50.0,
+}
+
+
+def _with_keys(data: dict, keys: dict) -> dict:
+    """A deep copy of ``data`` with each dotted-path key set."""
+    data = json.loads(json.dumps(data))
+    for path, value in keys.items():
+        *parents, name = path.split(".")
+        node = data
+        for parent in parents:
+            node = node[parent]
+        node[name] = value
+    return data
+
+
+def _leaf_count(data: dict) -> int:
+    """Settable values in a saved config (free-form param dicts are one)."""
+    return sum(
+        _leaf_count(value) if isinstance(value, dict) and not key.endswith("_params")
+        else 1
+        for key, value in data.items()
+    )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
@@ -504,6 +505,32 @@ class TestHttpService:
             "sim_time", "state", "steps", "topology",
         ]
         assert sorted(row["mitigation"]) == ["active_blocks", "whitelist"]
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /sessions HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"POST /sessions HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            b"POST /sessions HTTP/1.1\r\nContent-Length: 6\r\n\r\n[1, 2]",
+            b"POST /sessions HTTP/1.1\r\nContent-Length: 1\r\n\r\n3",
+            b"POST /sessions HTTP/1.1\r\nContent-Length: 1\r\n\r\n{",
+            # Only the head: the server must refuse before reading a body.
+            b"POST /sessions HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
+        ],
+        ids=["non-numeric-length", "negative-length", "json-array",
+             "json-number", "invalid-json", "oversized-body"],
+    )
+    def test_malformed_request_gets_400_then_close(self, live_server, request_bytes):
+        with socket.create_connection(("127.0.0.1", live_server.port), timeout=10) as sock:
+            sock.sendall(request_bytes)
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), response
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]
+        assert live_server.healthz()["ok"] is True
 
 
 def _cfg_dict() -> dict:

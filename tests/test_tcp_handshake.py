@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net.headers import TCP_ACK, TCP_SYN, TcpHeader
-from repro.tcp.config import TcpConfig
+from repro.tcp.config import HALF_OPEN_TIMEOUT, SYN_ACK_RETRIES, SYN_RETRIES
 from repro.tcp.states import TcpState
 
 
@@ -63,7 +63,7 @@ class TestHandshake:
         host_pair.a.arp_table["10.0.0.77"] = "00:00:00:00:00:77"
         conn = host_pair.stack_a.connect("10.0.0.77", 80)
         sim.run(until=30.0)
-        assert conn.stats.syn_retransmits == host_pair.stack_a.config.syn_retries
+        assert conn.stats.syn_retransmits == SYN_RETRIES
 
     def test_ephemeral_ports_unique(self, host_pair, sim):
         host_pair.stack_b.listen(80)
@@ -109,23 +109,21 @@ class TestBacklog:
         assert failures == [] or failures == ["syn-timeout"]
 
     def test_half_open_entries_expire_and_free_slots(self, host_pair, sim):
-        config = host_pair.stack_b.config
         socket = host_pair.stack_b.listen(8080, backlog=5)
         self._flood_syns(host_pair, 5, port=8080)
         sim.run(until=0.5)
         assert socket.backlog_full
         # After retries * timeout the half-open entries are recycled.
-        horizon = config.half_open_timeout * (config.syn_ack_retries + 2)
+        horizon = HALF_OPEN_TIMEOUT * (SYN_ACK_RETRIES + 2)
         sim.run(until=horizon + 1)
         assert socket.half_open_count == 0
         assert host_pair.stack_b.counters.half_open_expired == 5
 
     def test_recovered_backlog_accepts_again(self, host_pair, sim):
-        config = host_pair.stack_b.config
         host_pair.stack_b.listen(80, backlog=3)
         self._flood_syns(host_pair, 3)
         sim.run(until=0.5)
-        horizon = config.half_open_timeout * (config.syn_ack_retries + 2) + 1
+        horizon = HALF_OPEN_TIMEOUT * (SYN_ACK_RETRIES + 2) + 1
         sim.run(until=horizon)
         established = []
         host_pair.stack_a.connect("10.0.0.2", 80, on_established=lambda c: established.append(1))

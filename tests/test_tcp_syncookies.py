@@ -6,7 +6,6 @@ import pytest
 
 from repro.net.headers import TCP_ACK, TCP_SYN, TcpHeader
 from repro.sim.rng import SeededRng
-from repro.tcp.config import TcpConfig
 from repro.tcp.states import TcpState
 from tests.conftest import HostPair
 
@@ -15,7 +14,7 @@ from tests.conftest import HostPair
 def cookie_pair(sim, rng):
     """Host pair where b (the server) runs SYN cookies."""
     pair = HostPair.__new__(HostPair)
-    # Rebuild with a cookie-enabled config on the server side.
+    # Rebuild with SYN cookies on the server side.
     from repro.net.host import Host
     from repro.net.link import Link
     from repro.tcp.stack import TcpStack
@@ -26,8 +25,8 @@ def cookie_pair(sim, rng):
     pair.link = Link(sim, pair.a.port, pair.b.port)
     pair.a.arp_table[pair.b.ip] = pair.b.mac
     pair.b.arp_table[pair.a.ip] = pair.a.mac
-    pair.stack_a = TcpStack(pair.a, rng.child("a"), TcpConfig())
-    pair.stack_b = TcpStack(pair.b, rng.child("b"), TcpConfig(syn_cookies=True))
+    pair.stack_a = TcpStack(pair.a, rng.child("a"))
+    pair.stack_b = TcpStack(pair.b, rng.child("b"), syn_cookies=True)
     return pair
 
 
