@@ -1,4 +1,4 @@
-"""The reconstructed evaluation suite (experiments E1-E7).
+"""The reconstructed evaluation suite (experiments E1-E13).
 
 Each ``run_eN`` function regenerates one table/figure of the
 reconstructed evaluation (see DESIGN.md for the index and EXPERIMENTS.md
@@ -16,17 +16,15 @@ group's :class:`~repro.harness.record.RunRecord` list to its measured
 cells — handed to the one generic :func:`_tabulate`; the worker-side
 reduction is always :func:`~repro.harness.record.run_record` and the
 aggregation happens in the parent from those records, which is why the
-tables are byte-identical whatever the worker count.  E7c and E13b
-build their inputs by hand (no scenario config covers them) and ride
-the generic :func:`run_tasks` layer instead.
+tables are byte-identical whatever the worker count.  E13b feeds a
+feature extractor directly (no simulator runs) and rides the generic
+:func:`run_tasks` layer instead.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence
 
-from repro.core.budget import BudgetConfig
-from repro.core.config import SpiConfig
 from repro.harness.parallel import run_scenarios, run_tasks
 from repro.harness.record import RunRecord, run_record
 from repro.harness.scenario import FlashCrowdSpec, ScenarioConfig
@@ -470,80 +468,6 @@ def run_e7_window_ablation(
     )
 
 
-def _e7c_point(
-    budget: int, n_victims: int, seed: int, check_invariants: bool = False
-) -> dict[str, Any]:
-    """One E7c cell: several victims flooded at once under a shared budget.
-
-    Builds its network directly (no ScenarioConfig covers multi-victim
-    floods), so it rides the generic :func:`run_tasks` layer and wires
-    its own invariant harness when asked (the run_scenario path does
-    this from the config flag).
-    """
-    from repro.core.spi import SpiSystem
-    from repro.monitor.detectors import EwmaDetector
-    from repro.topology.builder import Network
-    from repro.workload.attacker import AttackSchedule, SynFloodAttacker, SynFloodConfig
-    from repro.workload.servers import WebServer
-
-    net = Network(seed=seed)
-    net.add_switch("s1")
-    servers = []
-    for i in range(n_victims):
-        name = f"srv{i + 1}"
-        net.add_host(name)
-        net.link(name, "s1")
-        servers.append(name)
-    for i in range(n_victims):
-        name = f"atk{i + 1}"
-        net.add_host(name)
-        net.link(name, "s1")
-    net.finalize()
-    spi = SpiSystem(
-        net,
-        SpiConfig(budget=BudgetConfig(max_concurrent=budget, max_queue=8)),
-    )
-    spi.deploy_inspector("s1")
-    spi.deploy_monitor("s1", EwmaDetector())
-    web_servers = [WebServer(net.stack(s), backlog=64) for s in servers]
-    attackers = []
-    for i, server in enumerate(web_servers):
-        attacker = SynFloodAttacker(
-            net.hosts[f"atk{i + 1}"],
-            net.rng.child(f"atk{i + 1}"),
-            SynFloodConfig(
-                victim_ip=server.ip,
-                rate_pps=250.0,
-                schedule=AttackSchedule(start_s=5.0),
-            ),
-        )
-        attacker.start()
-        attackers.append(attacker)
-    invariants = None
-    if check_invariants:
-        from repro.sim.invariants import InvariantHarness
-
-        invariants = InvariantHarness.for_network(
-            net, monitors=spi.monitors.values(), spi=spi
-        )
-        invariants.start()
-    net.run(until=40.0)
-    spi.stop()
-    net.stop()
-    if invariants is not None:
-        invariants.final_check()
-    # First mitigation per victim only: rules expire and re-install
-    # for persistent floods, which is not the quantity under test.
-    first_by_victim: dict[str, float] = {}
-    for entry in net.tracer.entries("mitigation.installed"):
-        victim = entry.data.get("victim", "?")
-        first_by_victim.setdefault(victim, entry.time - 5.0)
-    return {
-        "times": list(first_by_victim.values()),
-        "queued": spi.stats.inspections_queued,
-    }
-
-
 def run_e7_budget_ablation(
     budgets: Sequence[int] = (1, 2, 4),
     n_victims: int = 3,
@@ -552,37 +476,50 @@ def run_e7_budget_ablation(
 ) -> Table:
     """E7c: inspection budget ablation under simultaneous victims.
 
-    Several servers are flooded at once; a small budget serializes
-    verification (later victims wait in the queue), a larger budget
+    One switch, ``n_victims`` servers, one 250 pps attacker per server:
+    every victim is flooded at once, so a small budget serializes
+    verification (later victims wait in the queue) and a larger budget
     parallelizes it.  The reported number is the worst-case time to
     mitigation across victims.
     """
-    table = Table(
-        "E7c: inspection budget ablation",
-        ["budget", "victims", "worst_t_mitigate_s", "mean_t_mitigate_s", "queued"],
-    )
-    from repro.harness.scenario import check_invariants_forced
-
-    tasks = [
-        {
-            "budget": budget,
-            "n_victims": n_victims,
-            "seed": seed,
-            "check_invariants": check_invariants_forced(),
-        }
+    groups = [
+        ((budget,), {
+            "topology": "single",
+            "topology_params": {
+                "n_servers": n_victims, "n_clients": 0, "n_attackers": n_victims
+            },
+            "workload.attack_rate_pps": 250.0 * n_victims,
+            "spi.budget.max_concurrent": budget,
+            "duration_s": 40.0,
+        })
         for budget in budgets
     ]
-    rows = run_tasks(_e7c_point, tasks, workers=workers)
-    for budget, row in zip(budgets, rows):
-        times = row["times"]
-        table.add_row(
-            budget,
+
+    def cells(records: Records) -> tuple:
+        (r,) = records
+        # First verdict per victim only: rules expire and re-install for
+        # persistent floods, which is not the quantity under test.  SPI
+        # mitigates inside its verdict, so this is the first install.
+        start = r.config.workload.attack_start_s
+        first: dict[str, float] = {}
+        for verdict_at, victim in sorted(
+            (case.verdict_at, case.victim_ip)
+            for case in r.cases if case.state == "confirmed"
+        ):
+            first.setdefault(victim, verdict_at - start)
+        times = list(first.values())
+        return (
             f"{len(times)}/{n_victims}",
             max(times) if times else None,
-            (sum(times) / len(times)) if times else None,
-            row["queued"],
+            _mean(times),
+            r.counters["spi"]["inspections_queued"],
         )
-    return table
+
+    return _tabulate(
+        "E7c: inspection budget ablation",
+        ["budget", "victims", "worst_t_mitigate_s", "mean_t_mitigate_s", "queued"],
+        groups, (seed,), cells, workers,
+    )
 
 
 def run_e7_sampling_ablation(

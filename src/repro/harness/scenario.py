@@ -43,7 +43,7 @@ from repro.monitor.monitor import TrafficMonitor
 from repro.topology import standard
 from repro.topology.builder import Network
 from repro.topology.standard import Roles
-from repro.workload.flashcrowd import FlashCrowd, FlashCrowdConfig
+from repro.workload.flashcrowd import FlashCrowd, FlashCrowdSpec
 from repro.workload.profiles import StandardWorkload, WorkloadConfig
 
 TOPOLOGIES = {
@@ -70,25 +70,11 @@ def force_check_invariants(enabled: bool = True) -> None:
     _FORCE_CHECK_INVARIANTS = enabled
 
 
-def check_invariants_forced() -> bool:
-    """Whether the process-wide invariant override is active."""
-    return _FORCE_CHECK_INVARIANTS
-
-
 def effective_config(config: "ScenarioConfig") -> "ScenarioConfig":
     """Apply the process-wide invariant override to one config."""
     if _FORCE_CHECK_INVARIANTS and not config.check_invariants:
         return replace(config, check_invariants=True)
     return config
-
-
-@dataclass(frozen=True)
-class FlashCrowdSpec:
-    """Optional flash-crowd phase inside a scenario."""
-
-    start_s: float = 8.0
-    duration_s: float = 6.0
-    connections_per_second: float = 150.0
 
 
 @dataclass(frozen=True)
@@ -368,12 +354,8 @@ def build_scenario(config: ScenarioConfig) -> ScenarioResult:
         result.flash_crowd = FlashCrowd(
             crowd_stacks,
             net.rng.child("flashcrowd"),
-            FlashCrowdConfig(
-                server_ip=workload.victim_ip,
-                start_s=config.flash_crowd.start_s,
-                duration_s=config.flash_crowd.duration_s,
-                connections_per_second=config.flash_crowd.connections_per_second,
-            ),
+            config.flash_crowd,
+            workload.victim_ip,
             burst=not config.reference,
         )
 

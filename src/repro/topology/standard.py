@@ -41,13 +41,23 @@ def _populate(
 
 
 def single_switch(
-    n_clients: int = 3, n_attackers: int = 1, seed: int = 1, **net_kwargs
+    n_clients: int = 3,
+    n_attackers: int = 1,
+    n_servers: int = 1,
+    seed: int = 1,
+    **net_kwargs,
 ) -> tuple[Network, Roles]:
-    """One switch, one server, ``n_clients`` benign hosts, attackers."""
+    """One switch with ``n_servers`` servers, benign hosts and attackers.
+
+    Several servers make several victims: the standard workload aims
+    attacker *i* at server ``i % n_servers`` (experiment E7c).
+    """
+    if n_servers < 1:
+        raise ValueError("need at least one server")
     net = Network(seed=seed, **net_kwargs)
     net.add_switch("s1")
-    roles = Roles(servers=["srv1"])
-    placement = {"srv1": "s1"}
+    roles = Roles(servers=[f"srv{i}" for i in range(1, n_servers + 1)])
+    placement = dict.fromkeys(roles.servers, "s1")
     for i in range(1, n_clients + 1):
         name = f"cli{i}"
         roles.clients.append(name)

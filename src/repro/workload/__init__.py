@@ -9,7 +9,7 @@ from repro.workload.attacker import (
     UdpFloodAttacker,
     UdpFloodConfig,
 )
-from repro.workload.flashcrowd import FlashCrowd, FlashCrowdConfig
+from repro.workload.flashcrowd import FlashCrowd, FlashCrowdSpec
 from repro.workload.profiles import StandardWorkload, WorkloadConfig
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
     "UdpFloodConfig",
     "AttackSchedule",
     "FlashCrowd",
-    "FlashCrowdConfig",
+    "FlashCrowdSpec",
     "StandardWorkload",
     "WorkloadConfig",
 ]

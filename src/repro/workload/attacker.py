@@ -5,7 +5,7 @@ spoofed source addresses from a configurable pool, random source ports
 and sequence numbers, at a configurable rate with optional ramp-up —
 exactly the packet stream ``hping3 -S --flood --rand-source`` produces on
 a testbed.  ``UdpFloodAttacker`` provides the volumetric comparison
-workload.
+workload, drawing its sources the same way.
 
 Both attackers share an allocation-aware fast path (on by default, see
 ``burst=``): instead of one self-rescheduling heap event per Poisson
@@ -128,6 +128,11 @@ class _FloodAttacker:
         self._pending: deque = deque()
         self._burst_events: list = []
         self._t_next = 0.0
+        self._spoof_pool: list[str] = []
+        if config.spoof and config.spoof_pool_size > 0:
+            self._spoof_pool = [
+                rng.random_ipv4(config.spoof_prefix) for _ in range(config.spoof_pool_size)
+            ]
 
     def start(self) -> None:
         """Arm the generator; packets begin at ``schedule.start_s``."""
@@ -245,25 +250,18 @@ class _FloodAttacker:
     def _emit(self, item) -> None:
         raise NotImplementedError
 
+    def _source_ip(self) -> Optional[str]:
+        if not self.config.spoof:
+            return None  # use the host's real address
+        if self._spoof_pool:
+            return self.rng.choice(self._spoof_pool)
+        return self.rng.random_ipv4(self.config.spoof_prefix)
+
 
 class SynFloodAttacker(_FloodAttacker):
     """Raw SYN generator attached to one attacking host."""
 
     _kind = "synflood"
-
-    def __init__(
-        self,
-        host: Host,
-        rng: SeededRng,
-        config: SynFloodConfig,
-        burst: bool = True,
-    ) -> None:
-        super().__init__(host, rng, config, burst=burst)
-        self._spoof_pool: list[str] = []
-        if config.spoof and config.spoof_pool_size > 0:
-            self._spoof_pool = [
-                rng.random_ipv4(config.spoof_prefix) for _ in range(config.spoof_pool_size)
-            ]
 
     def _build_template(self) -> Optional[FloodTemplate]:
         dst_mac = self._resolve_victim_mac()
@@ -324,13 +322,6 @@ class SynFloodAttacker(_FloodAttacker):
         else:
             self.packets_rejected += 1
 
-    def _source_ip(self) -> Optional[str]:
-        if not self.config.spoof:
-            return None  # use the host's real address
-        if self._spoof_pool:
-            return self.rng.choice(self._spoof_pool)
-        return self.rng.random_ipv4(self.config.spoof_prefix)
-
 
 @dataclass(frozen=True)
 class UdpFloodConfig:
@@ -342,6 +333,7 @@ class UdpFloodConfig:
     payload_bytes: int = 512
     spoof: bool = True
     spoof_prefix: str = "198.18."
+    spoof_pool_size: int = 0  # 0 = unbounded random
     schedule: AttackSchedule = field(default_factory=AttackSchedule)
 
     def __post_init__(self) -> None:
@@ -349,6 +341,8 @@ class UdpFloodConfig:
             raise ValueError("rate must be positive")
         if self.payload_bytes < 0:
             raise ValueError("payload must be >= 0 bytes")
+        if self.spoof_pool_size < 0:
+            raise ValueError("spoof pool size must be >= 0")
 
 
 class UdpFloodAttacker(_FloodAttacker):
@@ -372,9 +366,7 @@ class UdpFloodAttacker(_FloodAttacker):
         header = UdpHeader(
             src_port=self.rng.randint(1024, 65535), dst_port=self.config.victim_port
         )
-        src_ip = (
-            self.rng.random_ipv4(self.config.spoof_prefix) if self.config.spoof else None
-        )
+        src_ip = self._source_ip()
         payload = bytes(self.config.payload_bytes)
         sent = self.host.send_udp(self.config.victim_ip, header, payload, src_ip=src_ip)
         if sent:
@@ -388,11 +380,8 @@ class UdpFloodAttacker(_FloodAttacker):
         # rate whenever the schedule multiplier is positive.
         if self.config.schedule.rate_multiplier(t) <= 0.0:
             return None
-        rng = self.rng
-        src_port = rng.randint(1024, 65535)
-        src_ip = (
-            rng.random_ipv4(self.config.spoof_prefix) if self.config.spoof else None
-        )
+        src_port = self.rng.randint(1024, 65535)
+        src_ip = self._source_ip()
         header = UdpHeader(src_port=src_port, dst_port=self.config.victim_port)
         template = self._template
         if template is not None:

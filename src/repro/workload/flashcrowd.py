@@ -19,16 +19,18 @@ from repro.tcp.stack import TcpStack
 from repro.workload.attacker import _BURST_HORIZON_S
 
 
-@dataclass(frozen=True)
-class FlashCrowdConfig:
-    """Flash crowd shape."""
+#: Every crowd connection asks the web port for one short request.
+_SERVER_PORT = 80
+_REQUEST_BYTES = 120
 
-    server_ip: str = ""
-    server_port: int = 80
-    start_s: float = 5.0
-    duration_s: float = 10.0
+
+@dataclass(frozen=True)
+class FlashCrowdSpec:
+    """A flash-crowd phase inside a scenario."""
+
+    start_s: float = 8.0
+    duration_s: float = 6.0
     connections_per_second: float = 150.0
-    request_bytes: int = 120
 
     def __post_init__(self) -> None:
         if self.connections_per_second <= 0:
@@ -49,16 +51,18 @@ class FlashCrowd:
         self,
         stacks: list[TcpStack],
         rng: SeededRng,
-        config: FlashCrowdConfig,
+        spec: FlashCrowdSpec,
+        server_ip: str,
         burst: bool = True,
     ) -> None:
         if not stacks:
             raise ValueError("need at least one crowd host")
-        if not config.server_ip:
+        if not server_ip:
             raise ValueError("server_ip is required")
         self.stacks = stacks
         self.rng = rng
-        self.config = config
+        self.spec = spec
+        self.server_ip = server_ip
         self.connections_started = 0
         self.connections_completed = 0
         self.connections_failed = 0
@@ -68,7 +72,7 @@ class FlashCrowd:
         # round-robin advance so the stack sequence stays in lockstep).
         self.spawn_filter = None
         self._next_stack = 0
-        self._request_payload = b"F" * config.request_bytes
+        self._request_payload = b"F" * _REQUEST_BYTES
         sim = stacks[0].sim
         self._sim = sim
         # Burst coalescing pregenerates ~50 ms of spawn times per wake-up
@@ -84,9 +88,9 @@ class FlashCrowd:
             self._interval = None
             sim.schedule_many(
                 [
-                    (config.start_s, self._begin, "flashcrowd.start"),
+                    (spec.start_s, self._begin, "flashcrowd.start"),
                     (
-                        config.start_s + config.duration_s,
+                        spec.start_s + spec.duration_s,
                         self._end,
                         "flashcrowd.end",
                     ),
@@ -94,13 +98,13 @@ class FlashCrowd:
             )
         else:
             self._interval = Interval.poisson(
-                sim, rng, config.connections_per_second, self._spawn, "flashcrowd"
+                sim, rng, spec.connections_per_second, self._spawn, "flashcrowd"
             )
             sim.schedule_many(
                 [
-                    (config.start_s, self._interval.start, "flashcrowd.start"),
+                    (spec.start_s, self._interval.start, "flashcrowd.start"),
                     (
-                        config.start_s + config.duration_s,
+                        spec.start_s + spec.duration_s,
                         self._interval.stop,
                         "flashcrowd.end",
                     ),
@@ -113,14 +117,14 @@ class FlashCrowd:
         self._running = True
         # Interval.start(initial_delay=0.0) schedules the first arrival at
         # now + (0.0 + gap); 0.0 + gap == gap, so this float matches exactly.
-        first = self._sim.now + self.rng.expovariate(self.config.connections_per_second)
+        first = self._sim.now + self.rng.expovariate(self.spec.connections_per_second)
         self._t_next = first
         self._burst_events = [self._sim.schedule_at(first, self._burst_fire, "flashcrowd")]
 
     def _burst_fire(self) -> None:
         if not self._running:
             return
-        rate = self.config.connections_per_second
+        rate = self.spec.connections_per_second
         rng = self.rng
         t = self._t_next
         horizon = t + _BURST_HORIZON_S
@@ -177,8 +181,8 @@ class FlashCrowd:
             self.connections_failed += 1
 
         stack.connect(
-            self.config.server_ip,
-            self.config.server_port,
+            self.server_ip,
+            _SERVER_PORT,
             on_established=on_established,
             on_failed=on_failed,
         )

@@ -2,8 +2,8 @@
 
 ``StandardWorkload`` is the one-call composition the harness and the
 examples use: given a topology's role assignment, it starts a web server
-on every server host, a request loop on every client host, and a SYN
-flood from every attacker host, all driven by independent child RNG
+on every server host, a request loop on every client host, and a SYN or
+UDP flood from every attacker host, all driven by independent child RNG
 streams.
 """
 
@@ -50,7 +50,13 @@ class WorkloadConfig:
 
 
 class StandardWorkload:
-    """Servers + clients + SYN flood bound to one topology's roles."""
+    """Servers + clients + flood bound to one topology's roles.
+
+    Clients request from the first server.  Attacker *i* floods server
+    ``i % len(servers)``, so one server is the one victim and several
+    servers are flooded round-robin; the attack rate is split evenly
+    over the attackers.
+    """
 
     def __init__(self, net: Network, roles: Roles, config: WorkloadConfig | None = None) -> None:
         self.net = net
@@ -63,7 +69,8 @@ class StandardWorkload:
 
     @property
     def victim_ip(self) -> str:
-        """The (first) server's address."""
+        """The first server's address: the clients' server and the
+        first attacker's victim."""
         return self.net.hosts[self.roles.servers[0]].ip
 
     def _build(self) -> None:
@@ -72,11 +79,10 @@ class StandardWorkload:
             self.servers[name] = WebServer(
                 self.net.stack(name), backlog=cfg.server_backlog
             )
-        victim_ip = self.victim_ip
         for name in self.roles.clients:
             self.clients[name] = WebClient(
                 self.net.stack(name),
-                server_ip=victim_ip,
+                server_ip=self.victim_ip,
                 rng=self.net.rng.child(f"client.{name}"),
             )
         per_attacker_rate = (
@@ -92,8 +98,10 @@ class StandardWorkload:
         # The Network owns the fast/reference switch: a reference network
         # schedules every arrival as its own event.
         burst = not self.net.reference
-        for name in self.roles.attackers:
+        servers = self.roles.servers
+        for i, name in enumerate(self.roles.attackers):
             host = self.net.hosts[name]
+            victim_ip = self.net.hosts[servers[i % len(servers)]].ip
             rng = self.net.rng.child(f"attacker.{name}")
             if cfg.attack_kind == "udp":
                 self.attackers[name] = UdpFloodAttacker(
@@ -104,6 +112,7 @@ class StandardWorkload:
                         rate_pps=per_attacker_rate,
                         payload_bytes=cfg.udp_payload_bytes,
                         spoof=cfg.spoof,
+                        spoof_pool_size=cfg.spoof_pool_size,
                         schedule=schedule,
                     ),
                     burst=burst,
@@ -177,5 +186,5 @@ class StandardWorkload:
         return latencies
 
     def attack_packets_sent(self) -> int:
-        """Total SYNs emitted by all attackers."""
+        """Total flood packets (SYN or UDP) emitted by all attackers."""
         return sum(a.packets_sent for a in self.attackers.values())

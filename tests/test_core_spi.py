@@ -11,7 +11,7 @@ from repro.core.signatures import SynFloodSignatureConfig
 from repro.monitor.detectors import EwmaDetector, StaticThresholdDetector
 from repro.monitor.monitor import MonitorConfig
 from repro.topology import dumbbell, single_switch
-from repro.workload.flashcrowd import FlashCrowd, FlashCrowdConfig
+from repro.workload.flashcrowd import FlashCrowd, FlashCrowdSpec
 from repro.workload.profiles import StandardWorkload, WorkloadConfig
 from repro.workload.servers import WebServer
 
@@ -111,10 +111,8 @@ class TestRefutedAlert:
         crowd = FlashCrowd(
             [net.stack(c) for c in roles.clients],
             net.rng.child("crowd"),
-            FlashCrowdConfig(
-                server_ip=wl.victim_ip, start_s=3.0, duration_s=5.0,
-                connections_per_second=150.0,
-            ),
+            FlashCrowdSpec(start_s=3.0, duration_s=5.0, connections_per_second=150.0),
+            wl.victim_ip,
         )
         wl.start(with_attack=False)
         net.run(until=15.0)
@@ -136,10 +134,8 @@ class TestRefutedAlert:
         FlashCrowd(
             [net.stack(c) for c in roles.clients],
             net.rng.child("crowd"),
-            FlashCrowdConfig(
-                server_ip=wl.victim_ip, start_s=3.0, duration_s=4.0,
-                connections_per_second=150.0,
-            ),
+            FlashCrowdSpec(start_s=3.0, duration_s=4.0, connections_per_second=150.0),
+            wl.victim_ip,
         )
         wl.start()
         net.run(until=25.0)

@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.harness import fuzzer
+from repro.harness.experiments import BASE
 from repro.harness.fuzzer import (
     VARIANTS,
     DifferentialOutcome,
@@ -28,6 +29,7 @@ from repro.harness.fuzzer import (
 )
 from repro.harness.scenario import run_scenario
 from repro.harness.serialize import config_to_dict
+from repro.harness.sweep import apply_overrides
 
 VARIANT_NAMES = [name for name, _check in VARIANTS]
 
@@ -143,18 +145,34 @@ class TestFingerprint:
 _VARIANT_SEED = 10
 
 
+# E7c's budget-1 point, cut to 12 s and given one benign client: three
+# victims flooded at once on one switch, queued by a one-slot budget.
+_MULTI_VICTIM = apply_overrides(BASE, {
+    "topology": "single",
+    "topology_params": {"n_servers": 3, "n_clients": 1, "n_attackers": 3},
+    "workload.attack_rate_pps": 750.0,
+    "spi.budget.max_concurrent": 1,
+    "duration_s": 12.0,
+    "check_invariants": True,
+})
+
+
 @pytest.fixture(scope="module")
 def variant_case():
-    config = generate_scenario(_VARIANT_SEED)
-    return config, fingerprint_json(run_scenario(config))
+    """Each input every variant must reproduce, with its default run's
+    fingerprint: the fuzzed scenario and the multi-victim one."""
+    return [
+        (config, fingerprint_json(run_scenario(config)))
+        for config in (generate_scenario(_VARIANT_SEED), _MULTI_VICTIM)
+    ]
 
 
 @pytest.mark.parametrize("name", VARIANT_NAMES)
 class TestVariants:
     def test_agrees_with_the_default_run(self, name, variant_case):
-        config, baseline = variant_case
         check = dict(VARIANTS)[name]
-        assert check(config, _VARIANT_SEED, baseline, 2) is None
+        for config, baseline in variant_case:
+            assert check(config, _VARIANT_SEED, baseline, 2) is None, config.topology
 
     def test_planted_divergence_names_the_variant(self, name, monkeypatch, capsys):
         from repro.cli import main

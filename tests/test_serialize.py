@@ -69,6 +69,12 @@ class TestRoundtrip:
         save_config(config, path)
         assert load_config(path) == config
 
+    def test_zero_rate_flash_crowd_refused_at_load(self):
+        data = config_to_dict(rich_config())
+        data["flash_crowd"]["connections_per_second"] = 0
+        with pytest.raises(ValueError, match="rate must be positive"):
+            config_from_dict(data)
+
     def test_rebuilt_config_actually_runs(self):
         from repro.harness.scenario import run_scenario
 

@@ -160,6 +160,10 @@ class TestStandardTopologies:
         with pytest.raises(ValueError):
             linear(n_switches=1)
 
+    def test_single_switch_needs_a_server(self):
+        with pytest.raises(ValueError):
+            single_switch(n_servers=0)
+
     def test_tree_switch_count(self):
         net, _ = tree(depth=2, fanout=2)
         assert len(net.switches) == 1 + 2 + 4

@@ -9,7 +9,7 @@ from repro.topology import single_switch
 from repro.workload import (
     AttackSchedule,
     FlashCrowd,
-    FlashCrowdConfig,
+    FlashCrowdSpec,
     StandardWorkload,
     SynFloodAttacker,
     SynFloodConfig,
@@ -197,6 +197,8 @@ class TestAttackers:
             SynFloodConfig(victim_ip="10.0.0.1", rate_pps=0)
         with pytest.raises(ValueError):
             UdpFloodConfig(victim_ip="10.0.0.1", rate_pps=100, payload_bytes=-1)
+        with pytest.raises(ValueError):
+            UdpFloodConfig(victim_ip="10.0.0.1", spoof_pool_size=-1)
 
 
 class TestAttackSchedule:
@@ -262,8 +264,8 @@ class TestFlashCrowd:
         crowd = FlashCrowd(
             [net.stack(c) for c in roles.clients],
             net.rng.child("crowd"),
-            FlashCrowdConfig(server_ip=server.ip, start_s=1.0, duration_s=3.0,
-                             connections_per_second=80),
+            FlashCrowdSpec(start_s=1.0, duration_s=3.0, connections_per_second=80),
+            server.ip,
         )
         net.run(until=8.0)
         assert crowd.connections_started > 150
@@ -273,14 +275,14 @@ class TestFlashCrowd:
     def test_crowd_config_validation(self, rig):
         net, roles = rig
         with pytest.raises(ValueError):
-            FlashCrowdConfig(server_ip="10.0.0.1", connections_per_second=0)
+            FlashCrowdSpec(connections_per_second=0)
         with pytest.raises(ValueError):
-            FlashCrowd([], net.rng, FlashCrowdConfig(server_ip="10.0.0.1"))
+            FlashCrowdSpec(duration_s=0)
+        with pytest.raises(ValueError):
+            FlashCrowd([], net.rng, FlashCrowdSpec(), "10.0.0.1")
         with pytest.raises(ValueError):
             # Missing server is caught at crowd construction.
-            FlashCrowd(
-                [net.stack("cli1")], net.rng, FlashCrowdConfig(server_ip="")
-            )
+            FlashCrowd([net.stack("cli1")], net.rng, FlashCrowdSpec(), "")
 
 
 class TestStandardWorkload:
@@ -304,6 +306,31 @@ class TestStandardWorkload:
         wl = StandardWorkload(net, roles, WorkloadConfig(attack_rate_pps=400))
         rates = [a.config.rate_pps for a in wl.attackers.values()]
         assert rates == [100.0] * 4
+
+    def test_attackers_round_robin_over_servers(self):
+        net, roles = single_switch(n_clients=0, n_attackers=4, n_servers=2)
+        wl = StandardWorkload(net, roles, WorkloadConfig())
+        servers = [net.hosts[name].ip for name in roles.servers]
+        victims = [a.config.victim_ip for a in wl.attackers.values()]
+        assert victims == servers * 2
+        assert wl.victim_ip == servers[0]
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_udp_flood_honours_the_spoof_pool(self, reference):
+        # Both the burst path and the per-arrival reference path.
+        net, roles = single_switch(n_clients=0, n_attackers=1, reference=reference)
+        sources = set()
+        net.hosts["srv1"].add_sniffer(
+            lambda p: sources.add(p.ip.src_ip) if p.udp is not None else None
+        )
+        wl = StandardWorkload(net, roles, WorkloadConfig(
+            attack_kind="udp", attack_rate_pps=400, attack_start_s=0.0,
+            spoof_pool_size=5,
+        ))
+        wl.start()
+        net.run(until=2.0)
+        assert wl.attack_packets_sent() > 400
+        assert 1 < len(sources) <= 5
 
     def test_started_success_rate_no_attempts_is_one(self, rig):
         net, roles = rig
