@@ -8,8 +8,6 @@ synchronous request/reply protocol over a duplex pipe:
 request             reply
 ==================  ====================================================
 ``("epoch", batches, limit)``   ``("ok", (next_time, outbox))``
-``("stop_workload",)``          ``("ok", (next_time, outbox))``
-``("reconfig", target, params)``  ``("ok", applied)``
 ``("finish", duration)``        ``("ok", report)``
 ``("close",)``                  *(none; the worker exits)*
 ==================  ====================================================
@@ -43,7 +41,7 @@ import multiprocessing
 import pickle
 import time
 import traceback
-from typing import Any, Optional
+from typing import Any
 
 __all__ = [
     "ShardWorkerError",
@@ -100,32 +98,24 @@ def _unpack_request(request: tuple) -> tuple:
 
 
 def _pack_reply(tag: str, result: Any) -> Any:
-    """Encode the outbox of an epoch/stop_workload reply."""
-    if tag in ("epoch", "stop_workload"):
-        from repro.sim.sharded.codec import encode_batch
+    """Encode the outbox of an epoch reply; finish reports pass through."""
+    if tag != "epoch":
+        return result
+    from repro.sim.sharded.codec import encode_batch
 
-        next_time, outbox = result
-        return (next_time, encode_batch(outbox))
-    return result
+    next_time, outbox = result
+    return (next_time, encode_batch(outbox))
 
 
-def _unpack_reply(value: Any) -> tuple[Any, int, int]:
-    """Decode a packed outbox; returns (reply, records, bytes).
+def _unpack_reply(tag: str, value: Any) -> tuple[Any, int, int]:
+    """Decode an epoch reply's packed outbox; returns (reply, records, bytes)."""
+    if tag != "epoch":
+        return value, 0, 0
+    from repro.sim.sharded.codec import decode_batch
 
-    Only epoch/stop_workload replies carry one (``(next_time, blob)``);
-    reconfig and finish replies pass through.
-    """
-    if (
-        type(value) is tuple
-        and len(value) == 2
-        and isinstance(value[1], (bytes, bytearray))
-    ):
-        from repro.sim.sharded.codec import decode_batch
-
-        next_time, blob = value
-        outbox = decode_batch(blob)
-        return (next_time, outbox), len(outbox), len(blob)
-    return value, 0, 0
+    next_time, blob = value
+    outbox = decode_batch(blob)
+    return (next_time, outbox), len(outbox), len(blob)
 
 
 def _dispatch(runtime, request: tuple) -> Any:
@@ -136,18 +126,6 @@ def _dispatch(runtime, request: tuple) -> Any:
         runtime.ingest(batches)
         runtime.run_until(limit)
         return (runtime.next_time(), runtime.take_outbox())
-    if tag == "stop_workload":
-        runtime.stop_workload()
-        return (runtime.next_time(), runtime.take_outbox())
-    if tag == "reconfig":
-        # One leg of a coordinator-driven retune broadcast: the
-        # coordinator already validated the mutation against the shared
-        # config, so this shard applies it to its own live monitors.
-        # Imported lazily like the codec (see _pack_request).
-        from repro.service.reconfig import apply_reconfig
-
-        _tag, target, params = request
-        return apply_reconfig(runtime.result, target, params, broadcast=True)
     if tag == "finish":
         return runtime.finish(request[1])
     raise ValueError(f"unknown shard request {tag!r}")
@@ -195,6 +173,8 @@ class ShardWorker:
         self.batch_bytes_out = 0
         self.batch_records_in = 0
         self.batch_bytes_in = 0
+        #: Tag of the request awaiting its reply (selects the decoder).
+        self._asked = ""
         ctx = multiprocessing.get_context("spawn")
         self.conn, child = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
@@ -217,6 +197,7 @@ class ShardWorker:
 
     def send(self, request: tuple) -> None:
         """Issue one protocol request (reply collected via :meth:`recv`)."""
+        self._asked = request[0]
         request, records, total = _pack_request(request)
         self.batch_records_out += records
         self.batch_bytes_out += total
@@ -235,7 +216,7 @@ class ShardWorker:
             raise ShardWorkerError(self.shard, stage, detail, remote_tb)
         if tag != "ok":
             raise ShardWorkerError(self.shard, stage, f"bad reply {tag!r}")
-        value, records, total = _unpack_reply(rest[0])
+        value, records, total = _unpack_reply(self._asked, rest[0])
         self.batch_records_in += records
         self.batch_bytes_in += total
         return value
@@ -307,7 +288,7 @@ class InlineShardWorker:
         request = _unpack_request(pickle.loads(pickle.dumps(request)))
         result = _pack_reply(request[0], _dispatch(self.runtime, request))
         result, records_in, bytes_in = _unpack_reply(
-            pickle.loads(pickle.dumps(result))
+            request[0], pickle.loads(pickle.dumps(result))
         )
         self.batch_records_in += records_in
         self.batch_bytes_in += bytes_in

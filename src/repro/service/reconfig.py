@@ -76,32 +76,9 @@ def _manager(result: ScenarioResult):
 
 
 def apply_reconfig(
-    result: ScenarioResult, target: str, params: dict[str, Any], *,
-    broadcast: bool = False,
+    result: ScenarioResult, target: str, params: dict[str, Any]
 ) -> dict[str, Any]:
-    """Apply one reconfiguration to a live scenario; returns what changed.
-
-    On a sharded session ``result`` is the coordinator shard's live
-    scenario: mitigation and SPI/budget state is centralized there, so
-    those targets work unchanged.  Monitors (and their detectors)
-    execute on the shards that own their switches, so retuning them
-    requires mutating *every* shard's scenario — the epoch coordinator
-    does exactly that (:meth:`~repro.sim.sharded.coordinator.ShardedRun
-    .schedule_reconfig` applies the retune coordinator-side and ships
-    the same mutation to each worker through the barrier protocol),
-    passing ``broadcast=True`` to mark the call as one leg of that
-    fan-out.  A bare coordinator-side call would only reach inert
-    replicas, so it is rejected rather than silently ignored.
-    """
-    if (
-        target in ("detector", "monitor")
-        and not broadcast
-        and getattr(result, "is_sharded", False)
-    ):
-        raise ValueError(
-            f"target {target!r} is not reconfigurable on a sharded session: "
-            "monitors run on worker shards the coordinator cannot mutate"
-        )
+    """Apply one reconfiguration to a live scenario; returns what changed."""
     if target == "detector":
         _retune_detectors(_monitors(result, "retunable monitors"), params)
         return dict(params)

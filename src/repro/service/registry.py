@@ -38,7 +38,6 @@ class SessionRegistry:
     ) -> Session:
         """Register a new PENDING session and return it."""
         session_id = f"s{self._next_id}"
-        self._next_id += 1
         session = Session(
             session_id,
             config,
@@ -46,6 +45,7 @@ class SessionRegistry:
             slice_events=slice_events,
             drain_grace_s=drain_grace_s,
         )
+        self._next_id += 1
         self._sessions[session_id] = session
         return session
 

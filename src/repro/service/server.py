@@ -33,6 +33,7 @@ import json
 from typing import Any, Optional
 
 from repro.harness.serialize import config_from_dict
+from repro.service.reconfig import RECONFIG_TARGETS
 from repro.service.registry import SessionRegistry
 from repro.service.session import IllegalTransition, Session, SessionState
 
@@ -241,20 +242,24 @@ class ControlPlaneServer:
     # -------------------------------------------------------------- handlers
 
     def _create_session(self, body: dict[str, Any]) -> dict[str, Any]:
+        # Everything is validated before the registry sees the session,
+        # so a malformed body answers 400 and registers nothing.
         try:
             config = config_from_dict(body.get("config") or {})
         except (TypeError, ValueError) as exc:
             raise ApiError(400, f"bad scenario config: {exc}") from None
-        session = self.registry.create(
-            config,
-            slice_s=float(body.get("slice_s", self.slice_s)),
-            slice_events=int(body.get("slice_events", self.slice_events)),
-            drain_grace_s=float(body.get("drain_grace_s", 2.0)),
-        )
-        for spec in body.get("reconfigs", []):
-            session.schedule_reconfig(
-                spec["target"], dict(spec.get("params", {})), at=spec.get("at")
-            )
+        try:
+            slicing = {
+                "slice_s": float(body.get("slice_s", self.slice_s)),
+                "slice_events": int(body.get("slice_events", self.slice_events)),
+                "drain_grace_s": float(body.get("drain_grace_s", 2.0)),
+            }
+        except (TypeError, ValueError) as exc:
+            raise ApiError(400, f"bad slice settings: {exc}") from None
+        reconfigs = _reconfig_specs(body.get("reconfigs", []))
+        session = self.registry.create(config, **slicing)
+        for target, params, at in reconfigs:
+            session.schedule_reconfig(target, params, at=at)
         if body.get("start", True):
             try:
                 self._launch(session)
@@ -323,6 +328,34 @@ async def _respond(
     )
     writer.write(data)
     await writer.drain()
+
+
+def _reconfig_specs(
+    specs: Any,
+) -> list[tuple[str, dict[str, Any], Optional[float]]]:
+    """Check a launch body's ``reconfigs`` list; returns (target, params, at)."""
+    if not isinstance(specs, list):
+        raise ApiError(400, "reconfigs must be a list of {target, params, at}")
+    checked = []
+    for spec in specs:
+        if not isinstance(spec, dict) or "target" not in spec:
+            raise ApiError(400, f"reconfig entry {spec!r} names no target")
+        if spec["target"] not in RECONFIG_TARGETS:
+            raise ApiError(
+                400,
+                f"unknown reconfig target {spec['target']!r}; "
+                f"choose from {RECONFIG_TARGETS}",
+            )
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise ApiError(400, f"reconfig params {params!r} are not an object")
+        at = spec.get("at")
+        try:
+            at = None if at is None else float(at)
+        except (TypeError, ValueError):
+            raise ApiError(400, f"reconfig time {at!r} is not a number") from None
+        checked.append((spec["target"], dict(params), at))
+    return checked
 
 
 def _reason(status: int) -> str:

@@ -92,6 +92,11 @@ class Session:
             raise ValueError("slice event budget must be >= 1")
         if drain_grace_s < 0:
             raise ValueError("drain grace must be >= 0")
+        if config.shards > 1:
+            raise ValueError(
+                f"a session runs in one process, got shards={config.shards}; "
+                "run a sharded scenario in batch with `repro run --shards`"
+            )
         self.id = session_id
         self.config = config
         self.slice_s = slice_s
@@ -99,11 +104,6 @@ class Session:
         self.drain_grace_s = drain_grace_s
         self.state = SessionState.PENDING
         self.result: Optional[ScenarioResult] = None
-        #: Epoch coordinator when the config asks for ``shards > 1``.
-        #: ``result`` then starts as the coordinator shard's live
-        #: scenario (reconfig events and mitigation APIs act on it) and
-        #: is swapped for the merged ShardedResult at finish.
-        self._sharded = None
         self.error: Optional[str] = None
         #: Applied/rejected reconfigurations, in application order.
         self.reconfig_log: list[dict[str, Any]] = []
@@ -123,13 +123,7 @@ class Session:
         """Build the scenario and enter ``RUNNING``."""
         self._transition(SessionState.RUNNING)
         try:
-            if self.config.shards > 1:
-                from repro.sim.sharded.coordinator import ShardedRun
-
-                self._sharded = ShardedRun(self.config)
-                self.result = self._sharded.coordinator.result
-            else:
-                self.result = build_scenario(self.config)
+            self.result = build_scenario(self.config)
             for at, target, params in self._queued:
                 self._schedule_on_clock(at, target, params)
             self._queued.clear()
@@ -146,17 +140,10 @@ class Session:
         or ``slice_events`` executed events.  When the configured end of
         the run (or the drain deadline) is reached, the scenario is
         finished and the session turns ``DONE``.
-
-        A sharded session advances whole lookahead epochs up to the
-        slice boundary; the event budget is not enforced across worker
-        processes (epochs are already bounded to ``lookahead`` seconds
-        of simulated time each).
         """
         if self.state not in (SessionState.RUNNING, SessionState.DRAINING):
             raise IllegalTransition(self.state, SessionState.RUNNING)
         assert self.result is not None
-        if self._sharded is not None:
-            return self._step_sharded()
         sim = self.result.net.sim
         target = min(sim.now + self.slice_s, self._end_s)
         before = sim.events_executed
@@ -169,20 +156,6 @@ class Session:
         self.steps += 1
         hit_budget = sim.events_executed - before >= self.slice_events
         if not hit_budget and target >= self._end_s:
-            self._finish()
-        return self.state
-
-    def _step_sharded(self) -> SessionState:
-        assert self._sharded is not None
-        target = min(self._sharded.now + self.slice_s, self._end_s)
-        try:
-            self._sharded.advance(target)
-        except Exception as exc:  # incl. ShardWorkerError after teardown
-            self.state = SessionState.FAILED
-            self.error = f"{type(exc).__name__}: {exc}"
-            return self.state
-        self.steps += 1
-        if target >= self._end_s:
             self._finish()
         return self.state
 
@@ -210,16 +183,8 @@ class Session:
         grace = self.drain_grace_s if grace_s is None else float(grace_s)
         if grace < 0:
             raise ValueError("drain grace must be >= 0")
-        sim = self.result.net.sim
-        if self._sharded is not None:
-            # All shards stop generating at the current barrier (their
-            # clocks agree with the coordinator's between epochs).
-            self._sharded.stop_workload()
-        else:
-            self.result.workload.stop()
-        self._end_s = min(self._end_s, sim.now + grace)
-        if self._sharded is not None:
-            self._sharded.set_duration(self._end_s)
+        self.result.workload.stop()
+        self._end_s = min(self._end_s, self.result.net.sim.now + grace)
         self.result.net.tracer.emit(
             "service.drain",
             f"session={self.id} grace={grace:g}s end={self._end_s:g}",
@@ -230,10 +195,7 @@ class Session:
     def _finish(self) -> None:
         assert self.result is not None
         try:
-            if self._sharded is not None:
-                self.result = self._sharded.finalize()
-            else:
-                finish_scenario(self.result)
+            finish_scenario(self.result)
         except Exception as exc:
             self.state = SessionState.FAILED
             self.error = f"{type(exc).__name__}: {exc}"
@@ -278,42 +240,6 @@ class Session:
     ) -> None:
         assert self.result is not None
         result = self.result
-        if self._sharded is not None and target in ("detector", "monitor"):
-            # Monitors execute on the worker shards that own their
-            # switches, so these targets cannot ride the coordinator's
-            # simulation clock: the epoch coordinator cuts an epoch just
-            # below ``at`` and broadcasts the retune to every shard
-            # before events at ``at`` run.  The callback reproduces the
-            # exact log entry and trace events the in-process path
-            # records.
-            def record(
-                when: float, applied: Optional[dict[str, Any]], detail: Optional[str]
-            ) -> None:
-                entry: dict[str, Any] = {
-                    "at": when, "target": target, "params": dict(params),
-                }
-                if detail is None:
-                    entry["applied"] = applied
-                    entry["status"] = "applied"
-                    result.net.tracer.emit(
-                        "service.reconfig",
-                        f"session={self.id} target={target} params={params!r}",
-                        session=self.id,
-                        target=target,
-                    )
-                else:
-                    entry["status"] = "rejected"
-                    entry["detail"] = detail
-                    result.net.tracer.emit(
-                        "service.reconfig_rejected",
-                        f"session={self.id} target={target}: {detail}",
-                        session=self.id,
-                        target=target,
-                    )
-                self.reconfig_log.append(entry)
-
-            self._sharded.schedule_reconfig(at, target, dict(params), record)
-            return
 
         def apply() -> None:
             sim_now = result.net.sim.now

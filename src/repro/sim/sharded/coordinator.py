@@ -20,19 +20,18 @@ The synchronization protocol is classic conservative parallel DES
    ever receives a message in its past.
 
 Shard 0 lives in the coordinator process (the controller, correlator,
-mitigation manager and every alert subscriber run there, and the
-service layer reconfigures it directly); shards ``1..n-1`` are spawned
-:class:`~repro.harness.shards.ShardWorker` processes, or
-``InlineShardWorker`` stand-ins when ``inline=True``.  A worker failure
-anywhere surfaces as :class:`~repro.harness.shards.ShardWorkerError`
-after the surviving siblings are torn down.
+mitigation manager and every alert subscriber run there); shards
+``1..n-1`` are spawned :class:`~repro.harness.shards.ShardWorker`
+processes, or ``InlineShardWorker`` stand-ins when ``inline=True``.
+A worker failure anywhere surfaces as
+:class:`~repro.harness.shards.ShardWorkerError` after the surviving
+siblings are torn down.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.harness.fingerprint import fingerprint, graft_workload
 from repro.harness.scenario import ScenarioConfig, ScenarioResult, effective_config
@@ -59,8 +58,6 @@ class ShardedResult:
     (:func:`repro.harness.fingerprint.owned_rows`) and the
     ``fingerprint_data`` assembled from them.
     """
-
-    is_sharded = True
 
     def __init__(
         self,
@@ -107,10 +104,6 @@ class ShardedRun:
         self.config = config
         self.duration = config.duration_s
         self.coordinator = ShardRuntime(config, 0)
-        # Gates bare coordinator-side mutations that cannot reach worker
-        # replicas; detector/monitor retunes go through
-        # :meth:`schedule_reconfig`, which broadcasts to every shard.
-        self.coordinator.result.is_sharded = True
         self.lookahead = self.coordinator.lookahead
         self.result: Optional[ShardedResult] = None
         #: Barrier rounds run so far (telemetry; benchmarks report it).
@@ -123,10 +116,6 @@ class ShardedRun:
             [] for _ in range(config.shards)
         ]
         self._next = [math.inf] * config.shards
-        # Barrier-aligned retune broadcasts: (at, seq, target, params,
-        # callback) ordered by time then registration.
-        self._reconfigs: list[tuple] = []
-        self._reconfig_seq = 0
         try:
             config_data = config_to_dict(config)
             for shard in range(1, config.shards):
@@ -169,8 +158,9 @@ class ShardedRun:
         for dest, records in by_dest.items():
             self._pending[dest].append((src, records))
 
-    def _exchange(self, request_for, stage: str) -> None:
-        """One barrier round: dispatch everywhere, then collect everywhere.
+    def _exchange(self, batches: list, limit: float, stage: str) -> None:
+        """One barrier round: every shard ingests ``batches[shard]`` and
+        runs to ``limit``; dispatch everywhere, then collect everywhere.
 
         Workers receive their requests before the coordinator's own
         (in-process) turn runs, so worker epochs overlap the
@@ -178,14 +168,9 @@ class ShardedRun:
         """
         try:
             for worker in self.workers:
-                worker.send(request_for(worker.shard))
-            tag = request_for(0)[0]
-            if tag == "epoch":
-                _tag, batches, limit = request_for(0)
-                self.coordinator.ingest(batches)
-                self.coordinator.run_until(limit)
-            else:
-                self.coordinator.stop_workload()
+                worker.send(("epoch", batches[worker.shard], limit))
+            self.coordinator.ingest(batches[0])
+            self.coordinator.run_until(limit)
             self._next[0] = self.coordinator.next_time()
             self._route(0, self.coordinator.take_outbox())
             for worker in self.workers:
@@ -208,7 +193,7 @@ class ShardedRun:
             limit = max(limit, lbts)
         batches = self._pending
         self._pending = [[] for _ in range(self.config.shards)]
-        self._exchange(lambda shard: ("epoch", batches[shard], limit), "epoch")
+        self._exchange(batches, limit, "epoch")
         self.epochs += 1
         return True
 
@@ -216,91 +201,17 @@ class ShardedRun:
         """Advance every idle clock to ``target`` (no events remain there)."""
         if self.now >= target:
             return
-        self._exchange(lambda shard: ("epoch", [], target), "pin")
-
-    # ------------------------------------------------------------ reconfig
-
-    def schedule_reconfig(
-        self,
-        at: float,
-        target: str,
-        params: dict,
-        callback: Optional[Callable] = None,
-    ) -> None:
-        """Register a retune to broadcast to every shard at time ``at``.
-
-        Detector/monitor retunes cannot ride the coordinator's
-        simulation clock — the monitors execute on the worker shards
-        that own their switches — so they are applied at an epoch
-        barrier instead: :meth:`advance` cuts its epochs just below
-        ``at``, applies the mutation to the coordinator's scenario
-        (shard 0's monitors live here, and validation is atomic), ships
-        the same ``("reconfig", target, params)`` request to every
-        worker, then resumes.  The retune is therefore in effect before
-        any event at time ``>= at`` executes, on every shard.  Times in
-        the past clamp to the current barrier.  ``callback(at, applied,
-        detail)`` reports the outcome — ``applied`` is the change dict
-        on success, ``detail`` the rejection message otherwise.
-        """
-        heapq.heappush(
-            self._reconfigs,
-            (max(at, self.now), self._reconfig_seq, target, dict(params), callback),
-        )
-        self._reconfig_seq += 1
-
-    def _broadcast_reconfig(self, target: str, params: dict) -> None:
-        """One barrier round applying a validated retune on every worker."""
-        try:
-            for worker in self.workers:
-                worker.send(("reconfig", target, params))
-            for worker in self.workers:
-                worker.recv("reconfig")
-        except BaseException:
-            shutdown_workers(self.workers)
-            raise
-
-    def _apply_due_reconfigs(self, target: float) -> None:
-        """Run up to and apply every registered retune at times ``<= target``."""
-        from repro.service.reconfig import apply_reconfig
-
-        while self._reconfigs and self._reconfigs[0][0] <= target:
-            at, _seq, tgt, params, callback = heapq.heappop(self._reconfigs)
-            cut = math.nextafter(at, -math.inf)
-            while self._run_epoch(cut):
-                pass
-            self._pin(cut)
-            try:
-                applied = apply_reconfig(
-                    self.coordinator.result, tgt, params, broadcast=True
-                )
-            except (ValueError, KeyError) as exc:
-                # Validation rejected the retune before any mutation, on
-                # the same config every shard shares — nothing to ship.
-                if callback is not None:
-                    callback(at, None, str(exc))
-                continue
-            self._broadcast_reconfig(tgt, params)
-            if callback is not None:
-                callback(at, applied, None)
+        self._exchange([[] for _ in range(self.config.shards)], target, "pin")
 
     # ------------------------------------------------------------- driving
 
     def advance(self, target: float) -> float:
         """Run every shard's events up to ``target`` (inclusive); pin clocks."""
         target = min(target, self.duration)
-        self._apply_due_reconfigs(target)
         while self._run_epoch(target):
             pass
         self._pin(target)
         return self.now
-
-    def stop_workload(self) -> None:
-        """Stop traffic generators on every shard at the current barrier."""
-        self._exchange(lambda shard: ("stop_workload",), "stop_workload")
-
-    def set_duration(self, duration: float) -> None:
-        """Shorten the run (service drain moves the end of the session)."""
-        self.duration = min(self.duration, duration)
 
     def finalize(self) -> ShardedResult:
         """Close every shard, collect the slices, release the workers."""

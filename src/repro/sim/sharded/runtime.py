@@ -287,14 +287,6 @@ class ShardRuntime:
 
     # ------------------------------------------------------------ control
 
-    def stop_workload(self) -> None:
-        """Drain support: stop owned generators at the epoch boundary.
-
-        Every shard applies this at the same pinned clock (the barrier
-        time), mirroring what ``Session.drain`` does single-process.
-        """
-        self.result.workload.stop()
-
     def finish(self, duration: float) -> dict[str, Any]:
         """Pin the clock to ``duration``, close the scenario, report.
 

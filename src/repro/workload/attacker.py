@@ -95,7 +95,7 @@ class _FloodAttacker:
 
     Subclasses define ``_kind`` plus three hooks: ``_build_template()``
     (may return ``None`` to keep per-packet sends), ``_craft(t)`` (draws
-    the per-packet randomness in the legacy order and returns a finished
+    one arrival's randomness for both paths and returns a finished
     packet, a fallback send tuple, or ``None`` for a suppressed arrival)
     and ``_emit(item)`` (puts one crafted item on the wire).
     """
@@ -242,7 +242,11 @@ class _FloodAttacker:
             return None
 
     def _fire(self) -> None:
-        raise NotImplementedError
+        """One per-arrival send: ``_template`` is never built on this path,
+        so ``_craft`` hands back the ``(src_ip, header)`` send tuple."""
+        item = self._craft(self.host.sim.now)
+        if item is not None:
+            self._emit(item)
 
     def _craft(self, t: float):
         raise NotImplementedError
@@ -272,27 +276,7 @@ class SynFloodAttacker(_FloodAttacker):
             self.config.victim_port, PROTO_TCP,
         )
 
-    def _fire(self) -> None:
-        multiplier = self.config.schedule.rate_multiplier(self.host.sim.now)
-        if multiplier <= 0.0:
-            return
-        if multiplier < 1.0 and self.rng.random() > multiplier:
-            return  # thinning realizes the ramp
-        header = TcpHeader(
-            src_port=self.rng.randint(1024, 65535),
-            dst_port=self.config.victim_port,
-            seq=self.rng.randint(0, 0xFFFFFFFF),
-            flags=TCP_SYN,
-        )
-        src_ip = self._source_ip()
-        sent = self.host.send_tcp(self.config.victim_ip, header, src_ip=src_ip)
-        if sent:
-            self.packets_sent += 1
-        else:
-            self.packets_rejected += 1
-
     def _craft(self, t: float):
-        # Draw order mirrors _fire exactly: thinning, src_port, seq, source.
         multiplier = self.config.schedule.rate_multiplier(t)
         if multiplier <= 0.0:
             return None
@@ -360,23 +344,8 @@ class UdpFloodAttacker(_FloodAttacker):
             payload=bytes(self.config.payload_bytes),
         )
 
-    def _fire(self) -> None:
-        if self.config.schedule.rate_multiplier(self.host.sim.now) <= 0.0:
-            return
-        header = UdpHeader(
-            src_port=self.rng.randint(1024, 65535), dst_port=self.config.victim_port
-        )
-        src_ip = self._source_ip()
-        payload = bytes(self.config.payload_bytes)
-        sent = self.host.send_udp(self.config.victim_ip, header, payload, src_ip=src_ip)
-        if sent:
-            self.packets_sent += 1
-        else:
-            self.packets_rejected += 1
-
     def _craft(self, t: float):
-        # Draw order mirrors _fire exactly: src_port, then spoofed source.
-        # Note: deliberately no thinning draw — the UDP flood fires at full
+        # Deliberately no thinning draw — the UDP flood fires at full
         # rate whenever the schedule multiplier is positive.
         if self.config.schedule.rate_multiplier(t) <= 0.0:
             return None

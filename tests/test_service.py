@@ -117,6 +117,11 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             Session("s1", _config(), drain_grace_s=-1.0)
 
+    def test_sharded_config_is_refused(self):
+        # A session is one process; sharded runs are batch-only.
+        with pytest.raises(ValueError, match="shards"):
+            Session("s1", _config(shards=2))
+
 
 # ----------------------------------------------------- slicing determinism
 
@@ -505,6 +510,26 @@ class TestHttpService:
             "sim_time", "state", "steps", "topology",
         ]
         assert sorted(row["mitigation"]) == ["active_blocks", "whitelist"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"reconfigs": [{"params": {}}]},
+            {"reconfigs": [{"target": "nope"}]},
+            {"slice_s": [1]},
+            {"reconfigs": "detector"},
+            {"config": {"shards": 2}},
+        ],
+        ids=["reconfig-without-target", "unknown-target", "non-numeric-slice",
+             "reconfigs-not-a-list", "sharded-config"],
+    )
+    def test_malformed_create_is_400_and_registers_nothing(self, body):
+        server = ControlPlaneServer()
+        server.registry.create(_config())
+        body = {**body, "config": {**_cfg_dict(), **body.get("config", {})}}
+        status, reply = asyncio.run(server._route("POST", "/sessions", body))
+        assert status == 400, reply
+        assert len(server.registry) == 1
 
     @pytest.mark.parametrize(
         "request_bytes",

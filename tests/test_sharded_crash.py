@@ -3,9 +3,8 @@
 A sharded run is only as robust as its worst worker.  These tests kill
 and sabotage real spawn-started worker processes and assert the
 coordinator converts every failure mode into a structured
-:class:`ShardWorkerError` (naming the shard and protocol stage), tears
-the surviving siblings down, and — at the service layer — lands the
-session in ``FAILED`` instead of hanging the server.
+:class:`ShardWorkerError` (naming the shard and protocol stage) and
+tears the surviving siblings down.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 from repro.harness.scenario import ScenarioConfig
 from repro.harness.serialize import config_to_dict
 from repro.harness.shards import ShardWorker, ShardWorkerError, shutdown_workers
-from repro.service.session import Session, SessionState
 from repro.sim.sharded import ShardedRun
 from repro.workload.profiles import WorkloadConfig
 
@@ -56,23 +54,6 @@ def test_killed_worker_raises_structured_error_and_tears_down_siblings():
     # Sibling teardown: every worker process is gone.
     assert _wait_dead(processes)
     run.close()
-
-
-def test_session_with_dead_worker_fails_cleanly():
-    session = Session("crash", _config(shards=2), slice_s=0.5)
-    session.start()
-    assert session.step() is SessionState.RUNNING
-    (worker,) = session._sharded.workers
-    worker.process.kill()
-    worker.process.join(timeout=5.0)
-    state = session.step()
-    assert state is SessionState.FAILED
-    assert session.error is not None and "ShardWorkerError" in session.error
-    assert "shard 1" in session.error
-    # Terminal: no further lifecycle moves are legal.
-    with pytest.raises(Exception):
-        session.drain()
-    assert _wait_dead([worker.process])
 
 
 def test_remote_exception_carries_traceback_home():

@@ -19,7 +19,7 @@ import pytest
 from repro.harness.fuzzer import fingerprint_json
 from repro.harness.record import run_record
 from repro.harness.scenario import FlashCrowdSpec, ScenarioConfig, run_scenario
-from repro.sim.sharded import ShardedRun, run_sharded_scenario
+from repro.sim.sharded import ShardedResult, ShardedRun, run_sharded_scenario
 from repro.workload.profiles import WorkloadConfig
 
 
@@ -98,7 +98,7 @@ def test_parity_with_real_worker_processes():
 
 def test_run_scenario_dispatches_on_shards():
     result = run_scenario(_config(shards=2, duration_s=1.5))
-    assert result.is_sharded
+    assert isinstance(result, ShardedResult)
     assert result.fingerprint_data is not None
     # Delegated accessors answer from the coordinator's scenario.
     assert result.config.shards == 2
@@ -163,3 +163,32 @@ def test_shard_count_validation():
         _config(shards=0)
     with pytest.raises(ValueError):
         ShardedRun(_config(shards=-1))
+
+
+def test_grafted_accessors_answer_topology_wide():
+    # Worker shards ship their client ledgers and attacker counters
+    # home at finish; windowed accessors on the merged result must
+    # equal the single-process run exactly — including windows that
+    # slice mid-run, which per-shard scalar aggregates could not serve.
+    config = _config(duration_s=4.0)
+    single = run_scenario(config)
+    sharded = run_sharded_scenario(replace(config, shards=2), inline=True)
+    for start, end in ((None, None), (0.0, 1.0), (1.0, 4.0), (0.5, 2.5)):
+        if start is None:
+            assert sharded.success_rate() == pytest.approx(single.success_rate())
+            assert sharded.mean_latency() == pytest.approx(single.mean_latency())
+        else:
+            assert sharded.success_rate(start, end) == pytest.approx(
+                single.success_rate(start, end)
+            )
+            assert sharded.mean_latency(start, end) == pytest.approx(
+                single.mean_latency(start, end)
+            )
+    assert (
+        sharded.workload.attack_packets_sent()
+        == single.workload.attack_packets_sent()
+    )
+    assert sharded.buffer_evictions() == single.buffer_evictions()
+    assert sharded.inspected_fraction() == pytest.approx(
+        single.inspected_fraction()
+    )

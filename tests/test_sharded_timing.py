@@ -11,8 +11,8 @@ straight at those edges:
 * simultaneous cross-shard arrivals (monitors on different shards
   publishing alerts at identical simulated times);
 * operator mutations landing mid-epoch at off-grid times;
-* drain (stop + grace) issued from a slice barrier, which must pin
-  every shard clock to the same instant regardless of shard count.
+* advancing to arbitrary targets, which must pin every shard clock to
+  the same instant.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import pytest
 
 from repro.harness.fuzzer import fingerprint, fingerprint_json
 from repro.harness.scenario import ScenarioConfig, build_scenario, finish_scenario, run_scenario
-from repro.service.session import Session, SessionState
 from repro.sim.sharded import ShardedRun, run_sharded_scenario
 from repro.workload.profiles import WorkloadConfig
 
@@ -131,30 +130,9 @@ def test_mid_epoch_operator_block_matches_single_process():
         assert sharded == single, f"shards={shards} diverged after the block"
 
 
-def test_drain_from_a_slice_barrier_is_shard_count_invariant():
-    # Stop-the-workload is broadcast from a pinned barrier and the grace
-    # window shortens the duration; both must commute with sharding.
-    prints = []
-    for shards in (1, 2, 4):
-        session = Session(
-            f"drain-{shards}", _config(shards=shards, duration_s=30.0), slice_s=0.5
-        )
-        session.start()
-        for _ in range(4):  # advance to the t=2.0 barrier
-            session.step()
-        assert session.sim_time == pytest.approx(2.0)
-        end = session.drain(1.25)
-        assert end == pytest.approx(3.25)
-        while session.state is SessionState.DRAINING:
-            session.step()
-        assert session.state is SessionState.DONE
-        prints.append(session.fingerprint())
-    assert prints[0] == prints[1] == prints[2]
-
-
 def test_advance_pins_every_clock_to_the_target():
-    # Between epochs all shard clocks must agree exactly — the service
-    # relies on this to schedule reconfig events "at the barrier".
+    # Between epochs all shard clocks must agree exactly: a run
+    # advanced in pieces lands every shard on each target.
     run = ShardedRun(_config(shards=3), inline=True)
     try:
         for target in (0.7, 1.3, 1.9):
