@@ -9,15 +9,13 @@ mitigation time measured by the harness includes control-plane RTTs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.openflow.actions import Action
 from repro.openflow.channel import ControlChannel
 from repro.openflow.match import Match
 from repro.openflow.messages import (
-    FeaturesReply,
-    FeaturesRequest,
     FlowMod,
     FlowModCommand,
     FlowRemoved,
@@ -26,8 +24,6 @@ from repro.openflow.messages import (
     Message,
     PacketIn,
     PacketOut,
-    PortStatsReply,
-    PortStatsRequest,
 )
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
@@ -66,12 +62,6 @@ class App:
 
     def on_flow_stats(self, dp: DatapathHandle, msg: FlowStatsReply) -> None:
         """A flow-stats reply arrived."""
-
-    def on_port_stats(self, dp: DatapathHandle, msg: PortStatsReply) -> None:
-        """A port-stats reply arrived."""
-
-    def on_features(self, dp: DatapathHandle, msg: FeaturesReply) -> None:
-        """A features reply arrived."""
 
 
 class Controller:
@@ -139,18 +129,6 @@ class Controller:
                 waiter(message)
             for app in self.apps:
                 app.on_flow_stats(dp, message)
-        elif isinstance(message, PortStatsReply):
-            waiter = self._stats_waiters.pop(message.xid, None)
-            if waiter is not None:
-                waiter(message)
-            for app in self.apps:
-                app.on_port_stats(dp, message)
-        elif isinstance(message, FeaturesReply):
-            waiter = self._stats_waiters.pop(message.xid, None)
-            if waiter is not None:
-                waiter(message)
-            for app in self.apps:
-                app.on_features(dp, message)
 
     # ---------------------------------------------------------- northbound
 
@@ -202,19 +180,6 @@ class Controller:
             PacketOut(buffer_id=buffer_id, actions=actions, in_port=in_port)
         )
 
-    def packet_out_packet(
-        self,
-        datapath_id: int,
-        packet,
-        actions: tuple[Action, ...],
-        in_port: int = 0,
-    ) -> None:
-        """Emit a controller-crafted packet (discovery probes, ARP proxies)."""
-        dp = self.datapath(datapath_id)
-        dp.channel.to_switch(
-            PacketOut(buffer_id=0, actions=actions, in_port=in_port, packet=packet)
-        )
-
     def request_flow_stats(
         self,
         datapath_id: int,
@@ -223,31 +188,6 @@ class Controller:
     ) -> int:
         """Ask a datapath for flow counters; returns the xid."""
         request = FlowStatsRequest(filter_match=filter_match or Match.any())
-        if callback is not None:
-            self._stats_waiters[request.xid] = callback
-        self.datapath(datapath_id).channel.to_switch(request)
-        return request.xid
-
-    def request_port_stats(
-        self,
-        datapath_id: int,
-        port_no: Optional[int] = None,
-        callback: Optional[Callable[[PortStatsReply], None]] = None,
-    ) -> int:
-        """Ask a datapath for port counters; returns the xid."""
-        request = PortStatsRequest(port_no=port_no)
-        if callback is not None:
-            self._stats_waiters[request.xid] = callback
-        self.datapath(datapath_id).channel.to_switch(request)
-        return request.xid
-
-    def request_features(
-        self,
-        datapath_id: int,
-        callback: Optional[Callable[[FeaturesReply], None]] = None,
-    ) -> int:
-        """Ask a datapath to describe itself; returns the xid."""
-        request = FeaturesRequest()
         if callback is not None:
             self._stats_waiters[request.xid] = callback
         self.datapath(datapath_id).channel.to_switch(request)

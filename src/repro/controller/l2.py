@@ -34,13 +34,7 @@ class L2LearningSwitch(App):
     def on_switch_join(self, dp: DatapathHandle) -> None:
         self.mac_tables.setdefault(dp.datapath_id, {})
 
-    LLDP_ETHERTYPE = 0x88CC
-
     def on_packet_in(self, dp: DatapathHandle, msg: PacketIn) -> bool:
-        if msg.packet.eth.ethertype == self.LLDP_ETHERTYPE:
-            # Discovery probes are link-local: never learn, flood or
-            # forward them; leave them to the discovery app.
-            return False
         table = self.mac_tables.setdefault(dp.datapath_id, {})
         table[msg.packet.eth.src_mac] = msg.in_port
         dst = msg.packet.eth.dst_mac

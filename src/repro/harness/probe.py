@@ -1,10 +1,10 @@
 """Scenario probes: periodic time-series sampling during a run.
 
 Tables answer "how much"; the paper's figures answer "when".  A
-``ScenarioProbe`` samples the observable state every tick — victim
-half-open backlog occupancy, benign success over the trailing window,
-switch CPU utilization, flood drop rate — producing the series a figure
-plots (e.g. the E4 service-collapse-and-recovery curve).
+``ScenarioProbe`` samples the observable state every tick — half-open
+backlog occupancy summed over every victim, benign success over the
+trailing window, switch CPU utilization, flood drop rate — producing the
+series a figure plots (e.g. the E4 service-collapse-and-recovery curve).
 """
 
 from __future__ import annotations
@@ -71,9 +71,11 @@ class ScenarioProbe:
 
     def _sample(self) -> None:
         now = self.net.sim.now
-        server = next(iter(self.workload.servers.values()))
-        self.series.half_open.append(now, float(server.half_open))
-        self.series.backlog_drops.append(now, float(server.backlog_drops))
+        servers = self.workload.servers.values()
+        self.series.half_open.append(now, float(sum(s.half_open for s in servers)))
+        self.series.backlog_drops.append(
+            now, float(sum(s.backlog_drops for s in servers))
+        )
         window_start = max(0.0, now - self.success_window_s)
         self.series.success_rate.append(
             now, self.workload.client_success_rate(window_start, now)

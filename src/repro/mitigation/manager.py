@@ -169,11 +169,6 @@ class MitigationManager:
         self._whitelist_meta: dict[str, WhitelistEntry] = {}
         self._operator_blocks: dict[tuple[str, Optional[str]], BlockEntry] = {}
         self._victim_macs: dict[str, str] = {}
-        # Optional rule-placement scope: when set (e.g. to the discovery
-        # app's edge datapaths), rules install only on these switches
-        # instead of every datapath — all traffic ingresses at an edge,
-        # so blocking there suffices and core tables stay lean.
-        self.scope_datapaths: Optional[set[int]] = None
 
     # ------------------------------------------------------------- public
 
@@ -277,7 +272,7 @@ class MitigationManager:
             origin="operator",
         )
         match = Match(eth_type=ETHERTYPE_IPV4, ip_src=src_ip, ip_dst=victim_ip)
-        for datapath_id in self._target_datapaths():
+        for datapath_id in self.controller.datapaths:
             self.controller.add_flow(
                 datapath_id,
                 match=match,
@@ -428,13 +423,8 @@ class MitigationManager:
 
     # ----------------------------------------------------------- internals
 
-    def _target_datapaths(self) -> list[int]:
-        if self.scope_datapaths is None:
-            return list(self.controller.datapaths)
-        return [d for d in self.controller.datapaths if d in self.scope_datapaths]
-
     def _install_everywhere(self, match: Match, actions: tuple, priority: int) -> None:
-        for datapath_id in self._target_datapaths():
+        for datapath_id in self.controller.datapaths:
             self.controller.add_flow(
                 datapath_id,
                 match=match,
@@ -530,7 +520,7 @@ class MitigationManager:
 
         actions: dict[int, tuple] = {}
         victim_mac = self._victim_mac(victim_ip, l2)
-        for datapath_id in self._target_datapaths():
+        for datapath_id in self.controller.datapaths:
             port = l2.port_for(datapath_id, victim_mac) if (l2 and victim_mac) else None
             actions[datapath_id] = (Output(port),) if port is not None else (Flood(),)
         return actions

@@ -39,8 +39,6 @@ from repro.net.packet import Packet, parse_packet
 from repro.net.link import Link, LinkEnd, LinkStats
 from repro.net.node import Interface, Node
 from repro.net.host import Host
-from repro.net.arp import ArpMessage, ArpService
-from repro.net.ping import PingResult, PingService
 from repro.net.pcap import PcapTap, PcapWriter, read_pcap
 
 __all__ = [
@@ -77,10 +75,6 @@ __all__ = [
     "Interface",
     "Node",
     "Host",
-    "ArpService",
-    "ArpMessage",
-    "PingService",
-    "PingResult",
     "PcapWriter",
     "PcapTap",
     "read_pcap",

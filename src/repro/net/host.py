@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.net.addresses import validate_ip, validate_mac
-from repro.net.headers import IcmpHeader, TcpHeader, UdpHeader
+from repro.net.headers import TcpHeader, UdpHeader
 from repro.net.packet import Packet
 from repro.net.node import Interface, Node
 from repro.sim.engine import Simulator
@@ -25,7 +25,11 @@ class Host(Node):
 
     Protocol modules (the TCP stack, UDP apps, attack generators) register
     handlers per IP protocol number via :meth:`register_protocol`; inbound
-    packets addressed to this host are dispatched to them.
+    packets addressed to this host are dispatched to them.  Outbound IP
+    packets take their destination MAC from the static ``arp_table``
+    (filled by :meth:`repro.topology.builder.Network.finalize`) or
+    ``gateway_mac``; a miss on both drops the packet and counts it in
+    ``arp_failures``.
     """
 
     def __init__(self, sim: Simulator, name: str, ip: str, mac: str) -> None:
@@ -41,9 +45,6 @@ class Host(Node):
         self.rx_count = 0
         self.tx_count = 0
         self.arp_failures = 0
-        # Set by repro.net.arp.ArpService when dynamic resolution is on;
-        # IP sends then queue through it instead of the static table.
-        self.arp_service = None
 
     def register_protocol(self, protocol: int, handler: PacketHandler) -> None:
         """Attach a handler for one IP protocol number."""
@@ -104,28 +105,11 @@ class Host(Node):
         )
         return self._transmit_ip(dst_ip, packet)
 
-    def send_icmp(self, dst_ip: str, icmp: IcmpHeader, payload: bytes = b"") -> bool:
-        """Build and transmit an ICMP message."""
-        packet = Packet.icmp_packet(
-            src_mac=self.mac,
-            dst_mac=self.PLACEHOLDER_MAC,
-            src_ip=self.ip,
-            dst_ip=dst_ip,
-            icmp=icmp,
-            payload=payload,
-            created_at=self.sim.now,
-        )
-        return self._transmit_ip(dst_ip, packet)
-
     def _transmit_ip(self, dst_ip: str, packet: Packet) -> bool:
         """Frame and transmit an IP packet, resolving the destination MAC.
 
-        With an attached :class:`~repro.net.arp.ArpService`, resolution
-        (and queueing during it) is delegated there; otherwise the static
-        table answers or the packet is dropped and counted.
+        The static table answers, or the packet is dropped and counted.
         """
-        if self.arp_service is not None:
-            return self.arp_service.send_ip_packet(packet)
         try:
             dst_mac = self.resolve_mac(dst_ip)
         except KeyError:

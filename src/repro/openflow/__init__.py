@@ -3,8 +3,8 @@
 Implements the slice of OpenFlow that the paper's detection apps exercise
 on Open vSwitch: the 12-tuple match, prioritized flow tables with idle and
 hard timeouts and per-entry counters, the PacketIn / PacketOut / FlowMod /
-FlowRemoved / stats message vocabulary, and a latency-modelled control
-channel between each datapath and the controller.
+FlowRemoved / FlowStatsRequest / FlowStatsReply message vocabulary, and a
+latency-modelled control channel between each datapath and the controller.
 """
 
 from repro.openflow.match import Match
@@ -19,10 +19,6 @@ from repro.openflow.actions import (
 )
 from repro.openflow.flowtable import FlowEntry, FlowTable, RemovedReason, TableStats
 from repro.openflow.messages import (
-    BarrierReply,
-    BarrierRequest,
-    EchoReply,
-    EchoRequest,
     FlowMod,
     FlowModCommand,
     FlowRemoved,
@@ -32,8 +28,6 @@ from repro.openflow.messages import (
     PacketIn,
     PacketInReason,
     PacketOut,
-    PortStatsReply,
-    PortStatsRequest,
 )
 from repro.openflow.channel import ChannelStats, ControlChannel
 
@@ -59,12 +53,6 @@ __all__ = [
     "FlowRemoved",
     "FlowStatsRequest",
     "FlowStatsReply",
-    "PortStatsRequest",
-    "PortStatsReply",
-    "EchoRequest",
-    "EchoReply",
-    "BarrierRequest",
-    "BarrierReply",
     "ControlChannel",
     "ChannelStats",
 ]

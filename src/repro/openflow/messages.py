@@ -63,19 +63,15 @@ class PacketIn(Message):
 
 @dataclass
 class PacketOut(Message):
-    """Controller -> switch: emit a (possibly buffered) packet."""
+    """Controller -> switch: release a buffered packet."""
 
     buffer_id: int
     actions: tuple[Action, ...]
     in_port: int = 0
-    packet: Optional[Packet] = None
     xid: int = field(default_factory=next_xid)
 
     def wire_size(self) -> int:
-        size = self.HEADER_BYTES + 8 + 8 * len(self.actions)
-        if self.packet is not None:
-            size += self.packet.size_bytes
-        return size
+        return self.HEADER_BYTES + 8 + 8 * len(self.actions)
 
 
 class FlowModCommand(enum.Enum):
@@ -159,85 +155,3 @@ class FlowStatsReply(Message):
         return self.HEADER_BYTES + 88 * len(self.entries) + (
             24 if self.table_stats is not None else 0
         )
-
-
-@dataclass
-class PortStatsRequest(Message):
-    """Controller -> switch: dump port counters."""
-
-    port_no: Optional[int] = None  # None = all ports
-    xid: int = field(default_factory=next_xid)
-
-    def wire_size(self) -> int:
-        return self.HEADER_BYTES + 8
-
-
-@dataclass
-class PortStatsEntry:
-    """One row of a port-stats reply."""
-
-    port_no: int
-    rx_packets: int
-    tx_packets: int
-    rx_bytes: int = 0
-    tx_bytes: int = 0
-    tx_dropped: int = 0
-
-
-@dataclass
-class PortStatsReply(Message):
-    """Switch -> controller: port counters."""
-
-    datapath_id: int
-    entries: list[PortStatsEntry]
-    xid: int = 0
-
-    def wire_size(self) -> int:
-        return self.HEADER_BYTES + 104 * len(self.entries)
-
-
-@dataclass
-class EchoRequest(Message):
-    """Liveness probe."""
-
-    xid: int = field(default_factory=next_xid)
-
-
-@dataclass
-class EchoReply(Message):
-    """Liveness response."""
-
-    xid: int = 0
-
-
-@dataclass
-class BarrierRequest(Message):
-    """Ask the switch to finish all preceding messages first."""
-
-    xid: int = field(default_factory=next_xid)
-
-
-@dataclass
-class BarrierReply(Message):
-    """All messages before the barrier have been processed."""
-
-    xid: int = 0
-
-
-@dataclass
-class FeaturesRequest(Message):
-    """Controller -> switch: describe yourself (datapath id, ports)."""
-
-    xid: int = field(default_factory=next_xid)
-
-
-@dataclass
-class FeaturesReply(Message):
-    """Switch -> controller: datapath id and physical port numbers."""
-
-    datapath_id: int
-    ports: list[int] = field(default_factory=list)
-    xid: int = 0
-
-    def wire_size(self) -> int:
-        return self.HEADER_BYTES + 24 + 48 * len(self.ports)

@@ -211,9 +211,9 @@ class Simulator:
         Equivalent to calling :meth:`schedule` once per entry, in order
         (sequence numbers — and therefore FIFO ties — are identical), but
         with the validation and heap-push overhead amortized across the
-        batch.  Links and the periodic traffic processes (ping trains,
-        flood on/off schedules, flash-crowd windows) use this for the
-        multi-event scheduling they do per callback.
+        batch.  Links and the periodic traffic processes (flood on/off
+        schedules, flash-crowd windows) use this for the multi-event
+        scheduling they do per callback.
         """
         now = self._now
         for delay, _fn, _label in items:

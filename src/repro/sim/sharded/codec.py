@@ -5,11 +5,11 @@ data.  Live :class:`~repro.net.packet.Packet` objects never cross:
 frames are serialized to their canonical wire bytes (``Packet.to_bytes``,
 which packs a flood frame here if nothing read it earlier) and re-parsed
 on the owning shard — the same byte-exact round trip the fast-path tests
-already assert.  OpenFlow messages that embed a packet (``PacketIn`` /
-``PacketOut``) are rebuilt field-by-field with their original ``xid``
-(passing ``xid`` explicitly skips the ``default_factory``, so decoding
-consumes nothing from the xid counter); every other message type is
-plain data and is shipped whole.
+already assert.  ``PacketIn``, the one OpenFlow message that embeds a
+packet, is rebuilt field-by-field with its original ``xid`` (passing
+``xid`` explicitly skips the ``default_factory``, so decoding consumes
+nothing from the xid counter); every other message type is plain data
+and is shipped whole.
 
 A boundary record is the tuple::
 
@@ -34,7 +34,7 @@ import pickle
 from typing import Any
 
 from repro.net.packet import Packet, parse_packet
-from repro.openflow.messages import Message, PacketIn, PacketOut
+from repro.openflow.messages import Message, PacketIn
 
 __all__ = [
     "KIND_LINK",
@@ -80,14 +80,8 @@ def encode_message(message: Message) -> tuple[str, Any]:
                 message.xid,
             ),
         )
-    if isinstance(message, PacketOut):
-        raw = None if message.packet is None else message.packet.to_bytes()
-        return (
-            "packet-out",
-            (message.buffer_id, message.actions, message.in_port, raw, message.xid),
-        )
-    # FlowMod / FlowRemoved / stats requests and replies / Features are
-    # plain dataclasses over plain data; ship them whole.
+    # PacketOut / FlowMod / FlowRemoved / flow-stats requests and replies
+    # are plain dataclasses over plain data; ship them whole.
     return ("pickled", message)
 
 
@@ -102,15 +96,6 @@ def decode_message(encoded: tuple[str, Any]) -> Message:
             in_port=in_port,
             packet=parse_packet(raw),
             reason=reason,
-            xid=xid,
-        )
-    if tag == "packet-out":
-        buffer_id, actions, in_port, raw, xid = body
-        return PacketOut(
-            buffer_id=buffer_id,
-            actions=actions,
-            in_port=in_port,
-            packet=None if raw is None else parse_packet(raw),
             xid=xid,
         )
     return body

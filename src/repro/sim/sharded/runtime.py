@@ -10,8 +10,8 @@ topology, addresses, schedules and rng states.  The runtime then:
   assignment locally (pure, so all shards agree);
 * *deactivates* everything the shard does not own — foreign switches'
   background tasks, foreign clients/attackers, foreign monitors, and on
-  workers the centralized subsystems (flow-stats poller, tap DPI,
-  discovery) that live with the controller on the coordinator;
+  workers the coordinator-only defenses (flow-stats poller, tap DPI)
+  that live with the controller on the coordinator;
 * installs boundary stubs on the three cross-shard surfaces: cut-link
   ends export serialized frames, remote switches' control channels
   export OpenFlow messages (switch->controller toward the coordinator,
@@ -196,8 +196,6 @@ class ShardRuntime:
             # Centralized subsystems run with the controller only.
             if result.defense.coordinator_only:
                 result.defense.stop()
-            if net.discovery is not None:
-                net.discovery.stop()
         if result.invariants is not None:
             from repro.sim.invariants import LinkConservationChecker, link_id
 

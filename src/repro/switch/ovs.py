@@ -4,9 +4,9 @@ Data path: every ingress packet is looked up in the flow table; hits have
 their action list applied (forward / flood / mirror / drop / police /
 punt); misses are buffered and punted to the controller as PacketIn.
 
-Control path: FlowMod, PacketOut, stats, echo and barrier messages from
-the controller are applied in arrival order, each charged to the
-workload meter.
+Control path: FlowMod, PacketOut and flow-stats messages from the
+controller are applied in arrival order, each charged to the workload
+meter.
 
 Passive taps (:meth:`attach_tap`) model sFlow-style sampling agents the
 distributed monitors use; they see ingress packets without perturbing
@@ -33,12 +33,6 @@ from repro.openflow.actions import (
 from repro.openflow.channel import ControlChannel
 from repro.openflow.flowtable import FlowEntry, FlowTable, RemovedReason
 from repro.openflow.messages import (
-    BarrierReply,
-    BarrierRequest,
-    EchoReply,
-    EchoRequest,
-    FeaturesReply,
-    FeaturesRequest,
     FlowMod,
     FlowModCommand,
     FlowRemoved,
@@ -49,9 +43,6 @@ from repro.openflow.messages import (
     PacketIn,
     PacketInReason,
     PacketOut,
-    PortStatsEntry,
-    PortStatsReply,
-    PortStatsRequest,
 )
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicTask
@@ -235,22 +226,6 @@ class OpenFlowSwitch(Node):
             self._handle_packet_out(message)
         elif isinstance(message, FlowStatsRequest):
             self._handle_flow_stats(message)
-        elif isinstance(message, PortStatsRequest):
-            self._handle_port_stats(message)
-        elif isinstance(message, EchoRequest):
-            self._reply(EchoReply(xid=message.xid))
-        elif isinstance(message, BarrierRequest):
-            self._reply(BarrierReply(xid=message.xid))
-        elif isinstance(message, FeaturesRequest):
-            self._reply(
-                FeaturesReply(
-                    datapath_id=self.datapath_id,
-                    ports=sorted(
-                        no for no, iface in self.interfaces.items() if iface.connected
-                    ),
-                    xid=message.xid,
-                )
-            )
 
     def _handle_flow_mod(self, mod: FlowMod) -> None:
         self.workload.charge_flow_mod()
@@ -294,15 +269,10 @@ class OpenFlowSwitch(Node):
     def _handle_packet_out(self, out: PacketOut) -> None:
         self.workload.charge_packet_out()
         self.counters.packet_outs += 1
-        packet: Optional[Packet]
-        in_port = out.in_port
-        if out.packet is not None:
-            packet = out.packet
-        else:
-            buffered = self._buffers.pop(out.buffer_id, None)
-            if buffered is None:
-                return
-            packet, in_port = buffered
+        buffered = self._buffers.pop(out.buffer_id, None)
+        if buffered is None:
+            return
+        packet, in_port = buffered
         self.apply_actions(packet, in_port, out.actions)
 
     def _handle_flow_stats(self, request: FlowStatsRequest) -> None:
@@ -326,27 +296,6 @@ class OpenFlowSwitch(Node):
                 table_stats=self.table.stats(),
                 xid=request.xid,
             )
-        )
-
-    def _handle_port_stats(self, request: PortStatsRequest) -> None:
-        self.workload.charge_stats()
-        rows = []
-        for port_no, interface in sorted(self.interfaces.items()):
-            if request.port_no is not None and port_no != request.port_no:
-                continue
-            link = interface.link
-            stats = link.stats_for(interface) if link is not None else None
-            rows.append(
-                PortStatsEntry(
-                    port_no=port_no,
-                    rx_packets=interface.rx_packets,
-                    tx_packets=interface.tx_packets,
-                    tx_bytes=stats.bytes_sent if stats else 0,
-                    tx_dropped=stats.packets_dropped if stats else 0,
-                )
-            )
-        self._reply(
-            PortStatsReply(datapath_id=self.datapath_id, entries=rows, xid=request.xid)
         )
 
     def _reply(self, message: Message) -> None:

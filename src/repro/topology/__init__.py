@@ -1,12 +1,5 @@
 """Topology construction: the GENI-slice builder and standard shapes."""
 
-from repro.topology.analysis import (
-    CoverageReport,
-    fabric_summary,
-    path_coverage,
-    recommend_monitor_placement,
-    switch_graph,
-)
 from repro.topology.builder import LinkSpec, Network
 from repro.topology.standard import (
     dumbbell,
@@ -28,9 +21,4 @@ __all__ = [
     "tree",
     "fat_tree",
     "random_tree",
-    "switch_graph",
-    "path_coverage",
-    "CoverageReport",
-    "recommend_monitor_placement",
-    "fabric_summary",
 ]

@@ -70,7 +70,6 @@ class Network:
         self.controller = Controller(self.sim, self.tracer)
         self.l2 = L2LearningSwitch()
         self.controller.register_app(self.l2)
-        self.discovery = None  # created on demand by enable_discovery()
         self.hosts: dict[str, Host] = {}
         self.switches: dict[str, OpenFlowSwitch] = {}
         self.stacks: dict[str, TcpStack] = {}
@@ -192,30 +191,18 @@ class Network:
 
     # ----------------------------------------------------------- finalize
 
-    def finalize(self, static_arp: bool = True) -> None:
+    def finalize(self) -> None:
         """Seal the topology; call once it is complete.
 
-        With ``static_arp`` (the default, matching a GENI slice's known
-        membership) every host's ARP table is pre-populated.  Pass
-        ``False`` when hosts run a dynamic
-        :class:`repro.net.arp.ArpService` instead.
+        Every host's ARP table is pre-populated with every other host, as
+        on a GENI slice whose membership is known up front.
         """
-        if static_arp:
-            entries = {host.ip: host.mac for host in self.hosts.values()}
-            for host in self.hosts.values():
-                host.arp_table.update(
-                    {ip: mac for ip, mac in entries.items() if ip != host.ip}
-                )
+        entries = {host.ip: host.mac for host in self.hosts.values()}
+        for host in self.hosts.values():
+            host.arp_table.update(
+                {ip: mac for ip, mac in entries.items() if ip != host.ip}
+            )
         self._finalized = True
-
-    def enable_discovery(self, period_s: float = 2.0):
-        """Register the LLDP-style topology-discovery controller app."""
-        if self.discovery is None:
-            from repro.controller.discovery import TopologyDiscovery
-
-            self.discovery = TopologyDiscovery(period_s=period_s)
-            self.controller.register_app(self.discovery)
-        return self.discovery
 
     def run(self, until: float, max_events: int | None = None) -> float:
         """Advance the shared simulator clock.
@@ -256,5 +243,3 @@ class Network:
         """Stop background tasks on all components (end of scenario)."""
         for switch in self.switches.values():
             switch.stop()
-        if self.discovery is not None:
-            self.discovery.stop()

@@ -233,11 +233,8 @@ class _FloodAttacker:
 
     def _resolve_victim_mac(self) -> Optional[str]:
         """Victim's next-hop MAC, or None when the fast path must stand down."""
-        host = self.host
-        if host.arp_service is not None:
-            return None  # dynamic ARP: keep per-packet sends + their failures
         try:
-            return host.resolve_mac(self.config.victim_ip)
+            return self.host.resolve_mac(self.config.victim_ip)
         except KeyError:
             return None
 

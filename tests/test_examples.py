@@ -16,7 +16,7 @@ EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples").glob("*.
 
 
 def test_examples_found():
-    assert len(EXAMPLES) >= 9
+    assert len(EXAMPLES) >= 8
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=[p.stem for p in EXAMPLES])

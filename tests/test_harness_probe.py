@@ -46,6 +46,20 @@ class TestProbe:
         assert series.half_open.maximum(0.0, 5.0) == 0.0
         assert series.half_open.maximum(5.0, 10.0) == 32.0
 
+    def test_every_victim_is_summed(self):
+        two_victims = dict(
+            PROBED,
+            topology_params={"n_clients": 2, "n_attackers": 2, "n_servers": 2},
+            workload=WorkloadConfig(attack_rate_pps=800, attack_start_s=5.0,
+                                    server_backlog=32, attack_duration_s=1000),
+        )
+        result = run_scenario(ScenarioConfig(defense="none", **two_victims))
+        servers = list(result.workload.servers.values())
+        assert len(servers) == 2
+        series = result.probe.series
+        assert series.half_open.maximum(5.0, 15.0) == 64.0
+        assert series.backlog_drops.maximum() == sum(s.backlog_drops for s in servers)
+
     def test_rule_drops_grow_only_with_mitigation(self):
         undefended = run_scenario(ScenarioConfig(defense="none", **PROBED))
         defended = run_scenario(ScenarioConfig(defense="spi", **PROBED))

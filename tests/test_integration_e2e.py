@@ -164,58 +164,3 @@ class TestCrossTopology:
         result = run_scenario(config)
         assert result.spi.stats.confirmed == 1, f"flood missed on {topology}"
         assert result.success_rate(12.0, 20.0) > 0.7
-
-
-class TestDynamicArpIntegration:
-    """The full SPI pipeline on a slice running real ARP resolution."""
-
-    def test_attack_detected_and_mitigated_with_dynamic_arp(self):
-        from repro.core import SpiConfig, SpiSystem
-        from repro.monitor import EwmaDetector
-        from repro.net.arp import ArpService
-        from repro.topology.builder import Network
-        from repro.workload import (
-            AttackSchedule,
-            SynFloodAttacker,
-            SynFloodConfig,
-            WebClient,
-            WebServer,
-        )
-
-        net = Network(seed=11)
-        net.add_switch("s1")
-        for name in ("srv", "cli", "atk"):
-            net.add_host(name)
-            net.link(name, "s1")
-        net.finalize(static_arp=False)
-        # Hosts resolve each other dynamically.
-        for name in ("srv", "cli", "atk"):
-            ArpService(net.hosts[name])
-
-        server = WebServer(net.stack("srv"), backlog=32)
-        client = WebClient(
-            net.stack("cli"), server_ip=server.ip, rng=net.rng.child("c")
-        )
-        attacker = SynFloodAttacker(
-            net.hosts["atk"], net.rng.child("a"),
-            SynFloodConfig(victim_ip=server.ip, rate_pps=300,
-                           schedule=AttackSchedule(start_s=5.0)),
-        )
-        spi = SpiSystem(net, SpiConfig())
-        spi.deploy_inspector("s1")
-        spi.deploy_monitor("s1", EwmaDetector())
-
-        client.start()
-        attacker.start()
-        net.run(until=20.0)
-
-        # ARP actually resolved something (the fabric worked).
-        assert net.hosts["cli"].arp_table == {}  # no static entries
-        assert client.stats.successes(0, 5.0) >= 1
-        # The spoofed flood's backscatter ARP requests went unanswered.
-        srv_arp = net.hosts["srv"]
-        assert srv_arp.arp_failures == 0  # sends went through the ARP queue
-        # Detection and mitigation still work end to end.
-        assert spi.stats.confirmed == 1
-        assert spi.mitigation.is_active(server.ip)
-        assert client.stats.successes(12.0, 20.0) >= 1

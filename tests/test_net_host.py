@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.headers import PROTO_TCP, PROTO_UDP, TCP_SYN, IcmpHeader, TcpHeader, UdpHeader
+from repro.net.headers import PROTO_TCP, PROTO_UDP, TCP_SYN, TcpHeader, UdpHeader
 from repro.net.host import Host
 from repro.net.link import Link
 
@@ -76,14 +76,6 @@ class TestDemux:
 
         stray = Packet.tcp_packet(a.mac, b.mac, "10.0.0.1", "10.0.0.250", TcpHeader(3, 4))
         a.send_packet(stray)
-        sim.run()
-        assert len(got) == 1
-
-    def test_icmp_send(self, pair, sim):
-        a, b = pair
-        got = []
-        b.register_protocol(1, got.append)
-        a.send_icmp(b.ip, IcmpHeader(8, identifier=1))
         sim.run()
         assert len(got) == 1
 

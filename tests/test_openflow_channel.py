@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.openflow.channel import ControlChannel
-from repro.openflow.messages import EchoReply, EchoRequest, PacketIn
+from repro.openflow.messages import FlowStatsReply, FlowStatsRequest, PacketIn
 from repro.switch.workload import WorkloadCosts, WorkloadMeter
 
 
@@ -33,8 +33,8 @@ class TestControlChannel:
         channel = ControlChannel(sim, latency_s=0.01)
         switch, controller = FakeSwitch(sim), Recorder(sim)
         channel.connect(switch, controller)
-        channel.to_controller(EchoRequest())
-        channel.to_switch(EchoReply())
+        channel.to_controller(FlowStatsReply(datapath_id=1, entries=[]))
+        channel.to_switch(FlowStatsRequest())
         sim.run()
         assert controller.received[0][0] == pytest.approx(0.01, abs=1e-4)
         assert switch.received[0][0] == pytest.approx(0.01, abs=1e-4)
@@ -43,8 +43,8 @@ class TestControlChannel:
         channel = ControlChannel(sim, latency_s=0.005, bandwidth_bps=1e5)
         switch, controller = FakeSwitch(sim), Recorder(sim)
         channel.connect(switch, controller)
-        first = EchoRequest()
-        second = EchoRequest()
+        first = FlowStatsReply(datapath_id=1, entries=[], xid=1)
+        second = FlowStatsReply(datapath_id=1, entries=[], xid=2)
         channel.to_controller(first)
         channel.to_controller(second)
         sim.run()
@@ -72,9 +72,9 @@ class TestControlChannel:
         channel = ControlChannel(sim, latency_s=0.001)
         switch, controller = FakeSwitch(sim), Recorder(sim)
         channel.connect(switch, controller)
-        channel.to_controller(EchoRequest())
-        channel.to_controller(EchoRequest())
-        channel.to_switch(EchoReply())
+        channel.to_controller(FlowStatsReply(datapath_id=1, entries=[]))
+        channel.to_controller(FlowStatsReply(datapath_id=1, entries=[]))
+        channel.to_switch(FlowStatsRequest())
         sim.run()
         assert channel.stats.to_controller_msgs == 2
         assert channel.stats.to_switch_msgs == 1
@@ -82,8 +82,8 @@ class TestControlChannel:
 
     def test_unconnected_channel_drops_silently(self, sim):
         channel = ControlChannel(sim)
-        channel.to_controller(EchoRequest())
-        channel.to_switch(EchoReply())
+        channel.to_controller(FlowStatsReply(datapath_id=1, entries=[]))
+        channel.to_switch(FlowStatsRequest())
         sim.run()  # nothing to deliver, nothing raised
 
     def test_validation(self, sim):

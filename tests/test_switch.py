@@ -13,18 +13,12 @@ from repro.openflow.channel import ControlChannel
 from repro.openflow.flowtable import RemovedReason
 from repro.openflow.match import Match
 from repro.openflow.messages import (
-    BarrierReply,
-    BarrierRequest,
-    EchoReply,
-    EchoRequest,
     FlowMod,
     FlowModCommand,
     FlowRemoved,
     FlowStatsReply,
     FlowStatsRequest,
     PacketIn,
-    PortStatsReply,
-    PortStatsRequest,
 )
 from repro.switch.ovs import OpenFlowSwitch
 
@@ -195,18 +189,6 @@ class TestControlPath:
         assert len(got) == 1
         assert switch.counters.packet_outs == 1
 
-    def test_packet_out_with_inline_packet(self, fabric, sim):
-        from repro.openflow.messages import PacketOut
-
-        switch, hosts, _ = fabric
-        got = []
-        hosts[1].add_sniffer(got.append)
-        switch.handle_message(
-            PacketOut(buffer_id=0, actions=(Output(2),), packet=syn(hosts[0], hosts[1]))
-        )
-        sim.run(until=1.0)
-        assert len(got) == 1
-
     def test_delete_removes_and_notifies(self, fabric, sim):
         switch, hosts, controller = fabric
         switch.handle_message(
@@ -248,25 +230,6 @@ class TestControlPath:
         assert len(replies[0].entries) == 1
         assert replies[0].entries[0].packets == 1
         assert replies[0].entries[0].cookie == 42
-
-    def test_port_stats_reply(self, fabric, sim):
-        switch, hosts, controller = fabric
-        hosts[0].send_packet(syn(hosts[0], hosts[1]))
-        sim.run(until=0.1)
-        switch.handle_message(PortStatsRequest())
-        sim.run(until=1.0)
-        replies = controller.of_type(PortStatsReply)
-        assert len(replies) == 1
-        rows = {r.port_no: r for r in replies[0].entries}
-        assert rows[1].rx_packets == 1
-
-    def test_echo_and_barrier(self, fabric, sim):
-        switch, _, controller = fabric
-        switch.handle_message(EchoRequest(xid=77))
-        switch.handle_message(BarrierRequest(xid=88))
-        sim.run(until=1.0)
-        assert controller.of_type(EchoReply)[0].xid == 77
-        assert controller.of_type(BarrierReply)[0].xid == 88
 
     def test_buffer_eviction_when_full(self, sim):
         switch = OpenFlowSwitch(sim, "s1", datapath_id=1, buffer_slots=2)
