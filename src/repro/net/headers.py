@@ -1,19 +1,25 @@
 """Wire-format protocol headers: Ethernet, IPv4, TCP, UDP, ICMP.
 
-Each header is an immutable dataclass with ``pack()`` / ``unpack()`` that
-round-trip through genuine network byte order, including the Internet
+Each header is an immutable named tuple with ``pack()`` / ``unpack()``
+that round-trip through genuine network byte order, including the Internet
 checksum for IPv4/TCP/UDP/ICMP.  The DPI engine in ``repro.inspection``
 operates on these bytes, so inspection cost and fidelity match what a real
 monitor attached to an OVS SPAN port would see.
+
+Named tuples, like :class:`~repro.net.flowkey.FlowKey`, because every
+simulated frame is built from them and every mirrored frame re-parsed into
+them: hot paths build them in C with ``tuple.__new__(Header, (...))``
+(every field, in declaration order), not the generated keyword ``__new__``.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-from dataclasses import dataclass, replace
+from socket import inet_ntoa
+from typing import NamedTuple
 
-from repro.net.addresses import bytes_to_mac, int_to_ip, ip_to_int, mac_to_bytes
+from repro.net.addresses import bytes_to_mac, ip_to_int, mac_to_bytes
 
 ETHERTYPE_IPV4 = 0x0800
 
@@ -26,6 +32,8 @@ TCP_SYN = 0x02
 TCP_RST = 0x04
 TCP_PSH = 0x08
 TCP_ACK = 0x10
+
+_new = tuple.__new__
 
 
 class HeaderError(ValueError):
@@ -54,8 +62,11 @@ def internet_checksum(data: bytes) -> int:
     return (~total) & 0xFFFF
 
 
-@dataclass(frozen=True)
-class EthernetHeader:
+#: destination MAC, source MAC, ethertype.
+_ETH = struct.Struct("!6s6sH")
+
+
+class EthernetHeader(NamedTuple):
     """Ethernet II frame header (no VLAN tag)."""
 
     src_mac: str
@@ -66,29 +77,32 @@ class EthernetHeader:
 
     def pack(self) -> bytes:
         """Serialize to 14 bytes of wire format."""
-        return mac_to_bytes(self.dst_mac) + mac_to_bytes(self.src_mac) + struct.pack(
-            "!H", self.ethertype
-        )
+        return _ETH.pack(mac_to_bytes(self.dst_mac), mac_to_bytes(self.src_mac), self.ethertype)
 
     @classmethod
     def unpack(cls, raw: bytes) -> tuple["EthernetHeader", bytes]:
         """Parse a frame; returns the header and the remaining payload."""
         if len(raw) < cls.LENGTH:
             raise HeaderError(f"Ethernet frame too short: {len(raw)} bytes")
-        dst = bytes_to_mac(raw[0:6])
-        src = bytes_to_mac(raw[6:12])
-        (ethertype,) = struct.unpack("!H", raw[12:14])
-        return cls(src_mac=src, dst_mac=dst, ethertype=ethertype), raw[14:]
+        dst, src, ethertype = _ETH.unpack_from(raw)
+        return _new(cls, (bytes_to_mac(src), bytes_to_mac(dst), ethertype)), raw[14:]
 
 
 #: version/IHL, TOS, total length, id, flags+fragment, TTL, protocol,
-#: checksum, then both addresses as 32-bit integers.
-_IPV4 = struct.Struct("!BBHHHBBHII")
+#: checksum, then both addresses: as 32-bit integers to pack (the
+#: memoized ``ip_to_int`` is the cheapest strict encoder), as raw
+#: 4-byte fields to parse (``inet_ntoa`` formats them in C).
+_IPV4_OUT = struct.Struct("!BBHHHBBHII")
+_IPV4_IN = struct.Struct("!BBHHHBBH4s4s")
 
 
-@dataclass(frozen=True)
-class IPv4Header:
-    """IPv4 header without options (IHL fixed at 5)."""
+class IPv4Header(NamedTuple):
+    """IPv4 header.
+
+    ``pack`` writes no options (IHL 5); ``unpack`` accepts any IHL and
+    drops the options it skips, so the header it returns re-packs to the
+    20-byte form.
+    """
 
     src_ip: str
     dst_ip: str
@@ -101,72 +115,72 @@ class IPv4Header:
     LENGTH = 20
 
     def pack(self) -> bytes:
-        """Serialize to 20 bytes with a valid header checksum."""
-        version_ihl = (4 << 4) | 5
-        without_checksum = _IPV4.pack(
-            version_ihl,
-            self.dscp << 2,
-            self.total_length,
-            self.identification,
-            0,  # flags + fragment offset: never fragmented in this model
-            self.ttl,
-            self.protocol,
-            0,  # checksum placeholder
-            ip_to_int(self.src_ip),
-            ip_to_int(self.dst_ip),
+        """Serialize to 20 bytes; the checksum is summed from the fields
+        (flags, fragment offset and ECN are zero), so it packs once."""
+        src = ip_to_int(self.src_ip)
+        dst = ip_to_int(self.dst_ip)
+        tos = self.dscp << 2
+        total = (
+            (0x4500 | tos) + self.total_length + self.identification
+            + ((self.ttl << 8) | self.protocol)
+            + (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
         )
-        checksum = internet_checksum(without_checksum)
-        return without_checksum[:10] + struct.pack("!H", checksum) + without_checksum[12:]
+        total = (total & 0xFFFF) + (total >> 16)
+        total = (total & 0xFFFF) + (total >> 16)
+        return _IPV4_OUT.pack(
+            0x45, tos, self.total_length, self.identification, 0,
+            self.ttl, self.protocol, ~total & 0xFFFF, src, dst,
+        )
 
     @classmethod
     def unpack(cls, raw: bytes) -> tuple["IPv4Header", bytes]:
-        """Parse and checksum-verify; returns header and L4 payload."""
+        """Parse and checksum-verify; returns the header and the L4 bytes.
+
+        The L4 bytes start after ``4 * IHL`` (options are skipped and not
+        kept) and end at ``total_length``, so link-layer padding is cut.
+        """
         if len(raw) < cls.LENGTH:
             raise HeaderError(f"IPv4 header too short: {len(raw)} bytes")
-        head = raw[:20]
-        (
-            version_ihl,
-            dscp_ecn,
-            total_length,
-            identification,
-            _flags_frag,
-            ttl,
-            protocol,
-            _checksum,
-            src,
-            dst,
-        ) = _IPV4.unpack(head)
+        (version_ihl, tos, total_length, identification, _flags_frag,
+         ttl, protocol, _checksum, src, dst) = _IPV4_IN.unpack_from(raw)
         if version_ihl >> 4 != 4:
             raise HeaderError(f"not IPv4 (version={version_ihl >> 4})")
-        if internet_checksum(head) != 0:
+        header_length = (version_ihl & 0x0F) * 4
+        if header_length < cls.LENGTH:
+            raise HeaderError(f"bad IPv4 IHL {header_length // 4} (minimum is 5)")
+        if len(raw) < header_length:
+            raise HeaderError(f"IPv4 header too short: {len(raw)} bytes < {header_length}")
+        if total_length < header_length:
+            raise HeaderError(f"IPv4 total length {total_length} < IHL {header_length // 4}")
+        if internet_checksum(raw[:header_length]) != 0:
             raise HeaderError("IPv4 header checksum mismatch")
-        header = cls(
-            src_ip=int_to_ip(src),
-            dst_ip=int_to_ip(dst),
-            protocol=protocol,
-            total_length=total_length,
-            ttl=ttl,
-            identification=identification,
-            dscp=dscp_ecn >> 2,
-        )
-        return header, raw[20:]
+        header = _new(cls, (
+            inet_ntoa(src), inet_ntoa(dst), protocol, total_length, ttl,
+            identification, tos >> 2,
+        ))
+        return header, raw[header_length:total_length]
 
     def decrement_ttl(self) -> "IPv4Header":
         """New header with TTL reduced by one (router forwarding)."""
         if self.ttl <= 0:
             raise HeaderError("TTL already zero")
-        return replace(self, ttl=self.ttl - 1)
+        return self._replace(ttl=self.ttl - 1)
+
+
+#: source, destination, zero, protocol, L4 length.
+_PSEUDO = struct.Struct("!IIxBH")
 
 
 def _pseudo_header(src_ip: str, dst_ip: str, protocol: int, length: int) -> bytes:
     """IPv4 pseudo-header used by TCP/UDP checksums."""
-    return struct.pack(
-        "!IIBBH", ip_to_int(src_ip), ip_to_int(dst_ip), 0, protocol, length
-    )
+    return _PSEUDO.pack(ip_to_int(src_ip), ip_to_int(dst_ip), protocol, length)
 
 
-@dataclass(frozen=True)
-class TcpHeader:
+#: ports, seq, ack, data offset, flags, window, checksum, urgent pointer.
+_TCP = struct.Struct("!HHIIBBHHH")
+
+
+class TcpHeader(NamedTuple):
     """TCP header without options (data offset fixed at 5)."""
 
     src_port: int
@@ -209,21 +223,16 @@ class TcpHeader:
 
     def pack(self, src_ip: str, dst_ip: str, payload: bytes = b"") -> bytes:
         """Serialize with a valid checksum over the IPv4 pseudo-header."""
-        without_checksum = struct.pack(
-            "!HHIIBBHHH",
-            self.src_port,
-            self.dst_port,
-            self.seq & 0xFFFFFFFF,
-            self.ack & 0xFFFFFFFF,
-            5 << 4,
-            self.flags,
-            self.window,
-            0,
-            0,
+        src_port, dst_port, seq, ack, flags, window = self
+        seq &= 0xFFFFFFFF
+        ack &= 0xFFFFFFFF
+        pseudo = _pseudo_header(src_ip, dst_ip, PROTO_TCP, self.LENGTH + len(payload))
+        checksum = internet_checksum(
+            pseudo + _TCP.pack(src_port, dst_port, seq, ack, 5 << 4, flags, window, 0, 0)
+            + payload
         )
-        pseudo = _pseudo_header(src_ip, dst_ip, PROTO_TCP, len(without_checksum) + len(payload))
-        checksum = internet_checksum(pseudo + without_checksum + payload)
-        return without_checksum[:16] + struct.pack("!H", checksum) + without_checksum[18:] + payload
+        head = _TCP.pack(src_port, dst_port, seq, ack, 5 << 4, flags, window, checksum, 0)
+        return head + payload
 
     @classmethod
     def unpack(cls, raw: bytes, src_ip: str, dst_ip: str, verify: bool = True
@@ -232,7 +241,7 @@ class TcpHeader:
         if len(raw) < cls.LENGTH:
             raise HeaderError(f"TCP header too short: {len(raw)} bytes")
         src_port, dst_port, seq, ack, offset_byte, flags, window, _checksum, _urgent = (
-            struct.unpack("!HHIIBBHHH", raw[:20])
+            _TCP.unpack_from(raw)
         )
         data_offset = (offset_byte >> 4) * 4
         if data_offset < 20 or data_offset > len(raw):
@@ -241,14 +250,15 @@ class TcpHeader:
             pseudo = _pseudo_header(src_ip, dst_ip, PROTO_TCP, len(raw))
             if internet_checksum(pseudo + raw) != 0:
                 raise HeaderError("TCP checksum mismatch")
-        header = cls(
-            src_port=src_port, dst_port=dst_port, seq=seq, ack=ack, flags=flags, window=window
-        )
+        header = _new(cls, (src_port, dst_port, seq, ack, flags, window))
         return header, raw[data_offset:]
 
 
-@dataclass(frozen=True)
-class UdpHeader:
+#: ports, length, checksum.
+_UDP = struct.Struct("!HHHH")
+
+
+class UdpHeader(NamedTuple):
     """UDP header."""
 
     src_port: int
@@ -259,12 +269,13 @@ class UdpHeader:
     def pack(self, src_ip: str, dst_ip: str, payload: bytes = b"") -> bytes:
         """Serialize with a valid checksum over the IPv4 pseudo-header."""
         length = self.LENGTH + len(payload)
-        without_checksum = struct.pack("!HHHH", self.src_port, self.dst_port, length, 0)
         pseudo = _pseudo_header(src_ip, dst_ip, PROTO_UDP, length)
-        checksum = internet_checksum(pseudo + without_checksum + payload)
+        checksum = internet_checksum(
+            pseudo + _UDP.pack(self.src_port, self.dst_port, length, 0) + payload
+        )
         if checksum == 0:
             checksum = 0xFFFF
-        return without_checksum[:6] + struct.pack("!H", checksum) + payload
+        return _UDP.pack(self.src_port, self.dst_port, length, checksum) + payload
 
     @classmethod
     def unpack(cls, raw: bytes, src_ip: str, dst_ip: str, verify: bool = True
@@ -272,18 +283,21 @@ class UdpHeader:
         """Parse (and optionally checksum-verify); returns header + payload."""
         if len(raw) < cls.LENGTH:
             raise HeaderError(f"UDP header too short: {len(raw)} bytes")
-        src_port, dst_port, length, checksum = struct.unpack("!HHHH", raw[:8])
+        src_port, dst_port, length, checksum = _UDP.unpack_from(raw)
         if length < cls.LENGTH or length > len(raw):
             raise HeaderError(f"bad UDP length {length}")
         if verify and checksum != 0:
             pseudo = _pseudo_header(src_ip, dst_ip, PROTO_UDP, length)
             if internet_checksum(pseudo + raw[:length]) != 0:
                 raise HeaderError("UDP checksum mismatch")
-        return cls(src_port=src_port, dst_port=dst_port), raw[8:length]
+        return _new(cls, (src_port, dst_port)), raw[8:length]
 
 
-@dataclass(frozen=True)
-class IcmpHeader:
+#: type, code, checksum, identifier, sequence.
+_ICMP = struct.Struct("!BBHHH")
+
+
+class IcmpHeader(NamedTuple):
     """ICMP header (echo request/reply shapes)."""
 
     icmp_type: int
@@ -297,18 +311,18 @@ class IcmpHeader:
 
     def pack(self, payload: bytes = b"") -> bytes:
         """Serialize with a valid ICMP checksum."""
-        without_checksum = struct.pack(
-            "!BBHHH", self.icmp_type, self.code, 0, self.identifier, self.sequence
+        icmp_type, code, identifier, sequence = self
+        checksum = internet_checksum(
+            _ICMP.pack(icmp_type, code, 0, identifier, sequence) + payload
         )
-        checksum = internet_checksum(without_checksum + payload)
-        return without_checksum[:2] + struct.pack("!H", checksum) + without_checksum[4:] + payload
+        return _ICMP.pack(icmp_type, code, checksum, identifier, sequence) + payload
 
     @classmethod
     def unpack(cls, raw: bytes, verify: bool = True) -> tuple["IcmpHeader", bytes]:
         """Parse (and optionally checksum-verify); returns header + payload."""
         if len(raw) < cls.LENGTH:
             raise HeaderError(f"ICMP header too short: {len(raw)} bytes")
-        icmp_type, code, _checksum, identifier, sequence = struct.unpack("!BBHHH", raw[:8])
+        icmp_type, code, _checksum, identifier, sequence = _ICMP.unpack_from(raw)
         if verify and internet_checksum(raw) != 0:
             raise HeaderError("ICMP checksum mismatch")
-        return cls(icmp_type=icmp_type, code=code, identifier=identifier, sequence=sequence), raw[8:]
+        return _new(cls, (icmp_type, code, identifier, sequence)), raw[8:]

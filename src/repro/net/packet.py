@@ -34,6 +34,8 @@ from repro.net.headers import (
 
 _packet_ids = itertools.count(1)
 
+_new = tuple.__new__  # headers are built positionally: every field, in order
+
 # Fields whose mutation changes the wire image / flow identity; assigning
 # any of them drops the serialization, size and flow-key memos.
 _WIRE_FIELDS = frozenset({"eth", "ip", "tcp", "udp", "icmp", "payload"})
@@ -63,9 +65,10 @@ class Packet:
     _fkobj: Optional[tuple] = field(default=None, repr=False, compare=False)
     _size: Optional[int] = field(default=None, repr=False, compare=False)
 
-    # Hand-written so construction writes slots directly: routing every
-    # dataclass-generated assignment through the memo-invalidating
-    # __setattr__ below costs ~2x on the per-packet hot path.
+    # Hand-written so construction writes the instance dict through
+    # ``object.__setattr__``: routing every dataclass-generated assignment
+    # through the memo-invalidating __setattr__ below costs ~2x on the
+    # per-packet hot path.
     def __init__(
         self,
         eth: EthernetHeader,
@@ -111,10 +114,8 @@ class Packet:
     ) -> "Packet":
         """Build a full Ethernet/IPv4/TCP packet with correct lengths."""
         total_length = IPv4Header.LENGTH + TcpHeader.LENGTH + len(payload)
-        ip = IPv4Header(
-            src_ip=src_ip, dst_ip=dst_ip, protocol=PROTO_TCP, total_length=total_length, ttl=ttl
-        )
-        eth = EthernetHeader(src_mac=src_mac, dst_mac=dst_mac, ethertype=ETHERTYPE_IPV4)
+        ip = _new(IPv4Header, (src_ip, dst_ip, PROTO_TCP, total_length, ttl, 0, 0))
+        eth = _new(EthernetHeader, (src_mac, dst_mac, ETHERTYPE_IPV4))
         return cls(eth=eth, ip=ip, tcp=tcp, payload=payload, created_at=created_at)
 
     @classmethod
@@ -131,10 +132,8 @@ class Packet:
     ) -> "Packet":
         """Build a full Ethernet/IPv4/UDP packet with correct lengths."""
         total_length = IPv4Header.LENGTH + UdpHeader.LENGTH + len(payload)
-        ip = IPv4Header(
-            src_ip=src_ip, dst_ip=dst_ip, protocol=PROTO_UDP, total_length=total_length, ttl=ttl
-        )
-        eth = EthernetHeader(src_mac=src_mac, dst_mac=dst_mac, ethertype=ETHERTYPE_IPV4)
+        ip = _new(IPv4Header, (src_ip, dst_ip, PROTO_UDP, total_length, ttl, 0, 0))
+        eth = _new(EthernetHeader, (src_mac, dst_mac, ETHERTYPE_IPV4))
         return cls(eth=eth, ip=ip, udp=udp, payload=payload, created_at=created_at)
 
     @classmethod
@@ -151,10 +150,8 @@ class Packet:
     ) -> "Packet":
         """Build a full Ethernet/IPv4/ICMP packet with correct lengths."""
         total_length = IPv4Header.LENGTH + IcmpHeader.LENGTH + len(payload)
-        ip = IPv4Header(
-            src_ip=src_ip, dst_ip=dst_ip, protocol=PROTO_ICMP, total_length=total_length, ttl=ttl
-        )
-        eth = EthernetHeader(src_mac=src_mac, dst_mac=dst_mac, ethertype=ETHERTYPE_IPV4)
+        ip = _new(IPv4Header, (src_ip, dst_ip, PROTO_ICMP, total_length, ttl, 0, 0))
+        eth = _new(EthernetHeader, (src_mac, dst_mac, ETHERTYPE_IPV4))
         return cls(eth=eth, ip=ip, icmp=icmp, payload=payload, created_at=created_at)
 
     @property
@@ -253,11 +250,7 @@ class FloodTemplate:
     """
 
     __slots__ = ("dst_ip", "dst_port", "protocol", "_l4_field",
-                 "_total_length", "_ip_headers", "_proto_state")
-
-    #: Bound on the per-source header memo (random-source floods draw tens
-    #: of thousands of distinct addresses; each entry is tiny but not free).
-    _SRC_CACHE_LIMIT = 1 << 16
+                 "_total_length", "_proto_state")
 
     def __init__(
         self, src_mac: str, dst_mac: str, dst_ip: str, dst_port: int,
@@ -273,10 +266,9 @@ class FloodTemplate:
         self.dst_port = dst_port
         self.protocol = protocol
         self._total_length = IPv4Header.LENGTH + l4_length + len(payload)
-        self._ip_headers: dict[str, IPv4Header] = {}
         # Every field that is the same for all packets of this shape.
         prototype = Packet(
-            eth=EthernetHeader(src_mac=src_mac, dst_mac=dst_mac, ethertype=ETHERTYPE_IPV4),
+            eth=_new(EthernetHeader, (src_mac, dst_mac, ETHERTYPE_IPV4)),
             payload=payload, packet_id=0,
         )
         self._proto_state = dict(
@@ -288,18 +280,12 @@ class FloodTemplate:
 
         ``l4_header.dst_port`` must be the template's ``dst_port``.
         """
-        ip_header = self._ip_headers.get(src_ip)
-        if ip_header is None:
-            ip_header = IPv4Header(
-                src_ip=src_ip, dst_ip=self.dst_ip, protocol=self.protocol,
-                total_length=self._total_length,
-            )
-            if len(self._ip_headers) < self._SRC_CACHE_LIMIT:
-                self._ip_headers[src_ip] = ip_header
         # One C-level dict copy installed wholesale (same trick as
         # Packet.copy): measurably cheaper than a setattr per field.
         state = dict(self._proto_state)
-        state["ip"] = ip_header
+        state["ip"] = _new(IPv4Header, (
+            src_ip, self.dst_ip, self.protocol, self._total_length, 64, 0, 0,
+        ))
         state[self._l4_field] = l4_header
         state["packet_id"] = next(_packet_ids)
         state["created_at"] = created_at
@@ -312,15 +298,15 @@ def parse_packet(raw: bytes, verify: bool = True) -> Packet:
     """Parse wire bytes back into a :class:`Packet`.
 
     This is the DPI entry point: the inspector receives mirrored frames as
-    bytes and reconstructs the header stack, verifying checksums unless
-    ``verify`` is False.
+    bytes and reconstructs the header stack.  The IPv4 header checksum is
+    always verified; ``verify=False`` skips only the TCP/UDP/ICMP
+    checksums.  IPv4 options are skipped and dropped.
     """
     eth, rest = EthernetHeader.unpack(raw)
     if eth.ethertype != ETHERTYPE_IPV4:
         return Packet(eth, payload=rest)
     ip, l4 = IPv4Header.unpack(rest)
     protocol = ip.protocol
-    l4 = l4[: max(0, ip.total_length - IPv4Header.LENGTH)] if ip.total_length else l4
     _check_l4_length(protocol, l4)
     tcp = udp = icmp = None
     try:

@@ -26,6 +26,8 @@ from repro.tcp.config import (
 )
 from repro.tcp.states import TcpState
 
+_new = tuple.__new__  # headers are built positionally: every field, in order
+
 if TYPE_CHECKING:
     from repro.tcp.stack import TcpStack
 
@@ -331,9 +333,7 @@ class Connection:
     # ------------------------------------------------------------ plumbing
 
     def _send_flags(self, flags: int, seq: int, ack: int = 0, payload: bytes = b"") -> None:
-        header = TcpHeader(
-            src_port=self.local_port, dst_port=self.remote_port, seq=seq, ack=ack, flags=flags
-        )
+        header = _new(TcpHeader, (self.local_port, self.remote_port, seq, ack, flags, 65535))
         if payload:
             self.stats.bytes_sent += len(payload)
         self.stack.transmit(self.remote_ip, header, payload)

@@ -21,6 +21,8 @@ from repro.sim.rng import SeededRng
 from repro.tcp.config import COOKIE_SLOT_S, DEFAULT_BACKLOG, EPHEMERAL_HI, EPHEMERAL_LO
 from repro.tcp.socket import Connection, ConnKey, ListeningSocket
 
+_new = tuple.__new__  # headers are built positionally: every field, in order
+
 
 @dataclass
 class StackCounters:
@@ -180,13 +182,10 @@ class TcpStack:
         """Answer a SYN statelessly: the cookie is our ISN."""
         self.counters.cookies_sent += 1
         cookie = self._cookie(src_ip, header.src_port, header.dst_port, self._cookie_slot())
-        reply = TcpHeader(
-            src_port=header.dst_port,
-            dst_port=header.src_port,
-            seq=cookie,
-            ack=(header.seq + 1) & 0xFFFFFFFF,
-            flags=TCP_SYN | TCP_ACK,
-        )
+        reply = _new(TcpHeader, (
+            header.dst_port, header.src_port, cookie,
+            (header.seq + 1) & 0xFFFFFFFF, TCP_SYN | TCP_ACK, 65535,
+        ))
         self.host.send_tcp(src_ip, reply)
 
     def _accept_cookie_ack(self, header: TcpHeader, src_ip: str) -> bool:
@@ -223,13 +222,10 @@ class TcpStack:
         self.counters.rsts_sent += 1
         inbound = packet.tcp
         ack = (inbound.seq + (1 if inbound.syn or inbound.fin else 0) + len(packet.payload)) & 0xFFFFFFFF
-        header = TcpHeader(
-            src_port=inbound.dst_port,
-            dst_port=inbound.src_port,
-            seq=inbound.ack if inbound.ack_flag else 0,
-            ack=ack,
-            flags=TCP_RST | TCP_ACK,
-        )
+        header = _new(TcpHeader, (
+            inbound.dst_port, inbound.src_port,
+            inbound.ack if inbound.ack_flag else 0, ack, TCP_RST | TCP_ACK, 65535,
+        ))
         self.host.send_tcp(packet.ip.src_ip, header)
 
     # ------------------------------------------------------------ outbound

@@ -34,6 +34,8 @@ from repro.net.packet import FloodTemplate
 from repro.sim.process import Interval
 from repro.sim.rng import SeededRng
 
+_new = tuple.__new__  # headers are built positionally: every field, in order
+
 #: Seconds of Poisson arrivals pre-generated per burst event.
 _BURST_HORIZON_S = 0.05
 
@@ -283,8 +285,7 @@ class SynFloodAttacker(_FloodAttacker):
         src_port = rng.randint(1024, 65535)
         seq = rng.randint(0, 0xFFFFFFFF)
         src_ip = self._source_ip()
-        header = TcpHeader(src_port=src_port, dst_port=self.config.victim_port,
-                           seq=seq, flags=TCP_SYN)
+        header = _new(TcpHeader, (src_port, self.config.victim_port, seq, 0, TCP_SYN, 65535))
         template = self._template
         if template is not None:
             return template.stamp(
@@ -348,7 +349,7 @@ class UdpFloodAttacker(_FloodAttacker):
             return None
         src_port = self.rng.randint(1024, 65535)
         src_ip = self._source_ip()
-        header = UdpHeader(src_port=src_port, dst_port=self.config.victim_port)
+        header = _new(UdpHeader, (src_port, self.config.victim_port))
         template = self._template
         if template is not None:
             return template.stamp(

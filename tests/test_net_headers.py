@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from repro.net.headers import (
     UdpHeader,
     internet_checksum,
 )
+from repro.net.packet import FloodTemplate, Packet, parse_packet
 
 ports = st.integers(min_value=0, max_value=65535)
 seqs = st.integers(min_value=0, max_value=2**32 - 1)
@@ -201,3 +205,150 @@ class TestIcmp:
     def test_too_short_rejected(self):
         with pytest.raises(HeaderError):
             IcmpHeader.unpack(b"\x08\x00")
+
+
+MAC_A = "00:00:00:00:00:01"
+MAC_B = "00:00:00:00:00:02"
+
+# (header, every field by keyword, exact repr): the contract callers rely
+# on, whatever the headers are built from.
+CONTRACT = [
+    (
+        EthernetHeader(MAC_A, MAC_B),
+        dict(src_mac=MAC_A, dst_mac=MAC_B, ethertype=ETHERTYPE_IPV4),
+        "EthernetHeader(src_mac='00:00:00:00:00:01', dst_mac='00:00:00:00:00:02',"
+        " ethertype=2048)",
+    ),
+    (
+        IPv4Header("10.0.0.1", "10.0.0.2", PROTO_TCP),
+        dict(src_ip="10.0.0.1", dst_ip="10.0.0.2", protocol=PROTO_TCP,
+             total_length=20, ttl=64, identification=0, dscp=0),
+        "IPv4Header(src_ip='10.0.0.1', dst_ip='10.0.0.2', protocol=6, total_length=20,"
+        " ttl=64, identification=0, dscp=0)",
+    ),
+    (
+        TcpHeader(1, 80, flags=TCP_SYN),
+        dict(src_port=1, dst_port=80, seq=0, ack=0, flags=TCP_SYN, window=65535),
+        "TcpHeader(src_port=1, dst_port=80, seq=0, ack=0, flags=2, window=65535)",
+    ),
+    (
+        UdpHeader(5353, 53),
+        dict(src_port=5353, dst_port=53),
+        "UdpHeader(src_port=5353, dst_port=53)",
+    ),
+    (
+        IcmpHeader(IcmpHeader.ECHO_REQUEST, identifier=7, sequence=3),
+        dict(icmp_type=8, code=0, identifier=7, sequence=3),
+        "IcmpHeader(icmp_type=8, code=0, identifier=7, sequence=3)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "header,fields,text", CONTRACT, ids=[type(h).__name__ for h, _, _ in CONTRACT]
+)
+class TestHeaderContract:
+    def test_fields_are_read_only(self, header, fields, text):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(header, name, 0)
+
+    def test_hashable_and_equal_to_itself_rebuilt(self, header, fields, text):
+        rebuilt = type(header)(**fields)
+        assert rebuilt == header
+        assert hash(rebuilt) == hash(header)
+        assert {header: 1}[rebuilt] == 1
+
+    def test_pickle_round_trips(self, header, fields, text):
+        clone = pickle.loads(pickle.dumps(header))
+        assert clone == header and type(clone) is type(header)
+
+    def test_repr_text(self, header, fields, text):
+        assert repr(header) == text
+
+
+def test_decrement_ttl_returns_a_new_header():
+    header = IPv4Header("10.0.0.1", "10.0.0.2", PROTO_TCP, ttl=9)
+    lower = header.decrement_ttl()
+    assert lower is not header
+    assert header.ttl == 9
+    assert lower == IPv4Header("10.0.0.1", "10.0.0.2", PROTO_TCP, ttl=8)
+
+
+def _with_ipv4_options(frame: bytes, options: bytes) -> bytes:
+    """``frame`` with ``options`` spliced after its 20-byte IPv4 header;
+    IHL, total length and the header checksum are rewritten to match."""
+    eth, ip, l4 = frame[:14], bytearray(frame[14:34]), frame[34:]
+    header_length = 20 + len(options)
+    ip[0] = (4 << 4) | (header_length // 4)
+    struct.pack_into("!H", ip, 2, header_length + len(l4))
+    struct.pack_into("!H", ip, 10, 0)
+    head = bytes(ip) + options
+    checksum = internet_checksum(head)
+    return eth + head[:10] + struct.pack("!H", checksum) + head[12:] + l4
+
+
+class TestIPv4HeaderLength:
+    """The parse honours IHL: options are skipped, short IHLs rejected."""
+
+    def _syn(self) -> Packet:
+        return Packet.tcp_packet(
+            MAC_A, MAC_B, "10.0.0.1", "10.0.0.2", TcpHeader(1234, 80, seq=7, flags=TCP_SYN),
+            b"hi",
+        )
+
+    def test_nop_option_frame_parses(self):
+        packet = self._syn()
+        raw = _with_ipv4_options(packet.to_bytes(), b"\x01" * 4)
+        parsed = parse_packet(raw)
+        assert parsed.tcp == packet.tcp
+        assert parsed.payload == b"hi"
+        assert parsed.ip.src_ip == "10.0.0.1" and parsed.ip.total_length == 24 + 22
+        assert parse_packet(raw, verify=False).tcp == packet.tcp
+
+    def test_ihl_below_five_rejected(self):
+        raw = bytearray(self._syn().to_bytes())
+        raw[14] = (4 << 4) | 4
+        with pytest.raises(HeaderError, match="IHL"):
+            parse_packet(bytes(raw))
+        with pytest.raises(HeaderError, match="IHL"):
+            IPv4Header.unpack(bytes(raw[14:]))
+
+    def test_total_length_below_header_length_rejected(self):
+        raw = _with_ipv4_options(self._syn().to_bytes(), b"\x01" * 4)
+        ip = bytearray(raw[14:38])
+        struct.pack_into("!H", ip, 2, 22)
+        struct.pack_into("!H", ip, 10, 0)
+        struct.pack_into("!H", ip, 10, internet_checksum(bytes(ip)))
+        with pytest.raises(HeaderError, match="total length"):
+            IPv4Header.unpack(bytes(ip) + raw[38:])
+
+    def test_ihl_past_the_frame_rejected(self):
+        raw = bytearray(IPv4Header("10.0.0.1", "10.0.0.2", PROTO_TCP).pack())
+        raw[0] = (4 << 4) | 15
+        with pytest.raises(HeaderError, match="too short"):
+            IPv4Header.unpack(bytes(raw))
+
+
+def _flip_frames() -> list[bytes]:
+    """A stamped SYN flood frame and a UDP frame with a payload."""
+    syn = FloodTemplate(MAC_A, MAC_B, "10.0.0.2", 80, PROTO_TCP).stamp(
+        "198.18.7.9", TcpHeader(40000, 80, seq=0x1234ABCD, flags=TCP_SYN), 0.0
+    )
+    udp = Packet.udp_packet(
+        MAC_A, MAC_B, "10.0.0.1", "10.0.0.2", UdpHeader(5353, 53), b"query bytes!"
+    )
+    return [syn.to_bytes(), udp.to_bytes()]
+
+
+@pytest.mark.parametrize("raw", _flip_frames(), ids=["syn", "udp"])
+def test_any_single_bit_flip_past_ethernet_is_rejected(raw):
+    """Every bit of the IPv4 header and the L4 segment is covered by a
+    check: one flipped bit anywhere past the Ethernet header must make
+    the parse raise ``HeaderError``."""
+    parse_packet(raw)  # the clean frame parses
+    for bit in range(14 * 8, len(raw) * 8):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        with pytest.raises(HeaderError):
+            parse_packet(bytes(flipped))

@@ -185,12 +185,10 @@ class TestTruncatedFrames:
     def test_dpi_engine_counts_truncated_frame_as_parse_error(self, ):
         # A frame whose payload claims more than is on the wire: the
         # parse slices L4 to total_length and must reject it cleanly.
-        from dataclasses import replace as dc_replace
-
         from repro.net.headers import HeaderError
 
         p = tcp_packet(b"x" * 20)
-        p.ip = dc_replace(p.ip, total_length=p.ip.total_length)  # rebuild memo path
+        p.ip = p.ip._replace(total_length=p.ip.total_length)  # rebuild memo path
         raw = p.to_bytes()[:40]
         with pytest.raises(HeaderError):
             parse_packet(raw, verify=False)
