@@ -8,20 +8,21 @@ integer / byte forms the wire codecs need.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
+from socket import AF_INET, inet_pton
 
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
+
+# Two ASCII hex digits per octet: ``int(part, 16)`` alone would also take
+# a sign, surrounding whitespace or non-ASCII digits.
+_MAC = re.compile(r"[0-9a-fA-F]{2}(?::[0-9a-fA-F]{2}){5}")
 
 
 def validate_mac(mac: str) -> str:
     """Return the MAC lower-cased, raising ``ValueError`` if malformed."""
-    parts = mac.split(":")
-    if len(parts) != 6:
+    if _MAC.fullmatch(mac) is None:
         raise ValueError(f"malformed MAC address {mac!r}")
-    for part in parts:
-        if len(part) != 2:
-            raise ValueError(f"malformed MAC address {mac!r}")
-        int(part, 16)
     return mac.lower()
 
 
@@ -42,32 +43,25 @@ def bytes_to_mac(raw: bytes) -> str:
 
 
 def validate_ip(ip: str) -> str:
-    """Return ``ip`` unchanged, raising ``ValueError`` if malformed."""
-    parts = ip.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"malformed IPv4 address {ip!r}")
-    for part in parts:
-        value = int(part)
-        if not 0 <= value <= 255:
-            raise ValueError(f"malformed IPv4 address {ip!r}")
+    """Return ``ip`` unchanged, raising ``ValueError`` unless it is a
+    canonical dotted quad (the form ``ip_to_int`` accepts)."""
+    ip_to_int(ip)
     return ip
 
 
-@lru_cache(maxsize=65536)
 def ip_to_int(ip: str) -> int:
-    """Convert dotted-quad to a 32-bit integer (memoized: the address
-    population of a scenario is bounded, and hot paths convert the same
-    strings millions of times)."""
-    total = 0
-    parts = ip.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"malformed IPv4 address {ip!r}")
-    for part in parts:
-        value = int(part)
-        if not 0 <= value <= 255:
-            raise ValueError(f"malformed IPv4 address {ip!r}")
-        total = (total << 8) | value
-    return total
+    """Convert a dotted quad to a 32-bit integer, raising ``ValueError``
+    if malformed.
+
+    ``inet_pton`` is strict: four decimal octets, no leading zeros, sign,
+    whitespace or non-ASCII digits.  Nothing is memoized: a spoofing
+    attacker chooses the address population, so a cache keyed on it would
+    grow with the attack instead of with the topology.
+    """
+    try:
+        return int.from_bytes(inet_pton(AF_INET, ip), "big")
+    except (OSError, TypeError, ValueError):
+        raise ValueError(f"malformed IPv4 address {ip!r}") from None
 
 
 def int_to_ip(value: int) -> str:

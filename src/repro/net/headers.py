@@ -90,7 +90,7 @@ class EthernetHeader(NamedTuple):
 
 #: version/IHL, TOS, total length, id, flags+fragment, TTL, protocol,
 #: checksum, then both addresses: as 32-bit integers to pack (the
-#: memoized ``ip_to_int`` is the cheapest strict encoder), as raw
+#: checksum sums them, and the strict ``ip_to_int`` yields them), as raw
 #: 4-byte fields to parse (``inet_ntoa`` formats them in C).
 _IPV4_OUT = struct.Struct("!BBHHHBBHII")
 _IPV4_IN = struct.Struct("!BBHHHBBH4s4s")

@@ -41,7 +41,7 @@ _new = tuple.__new__  # headers are built positionally: every field, in order
 _WIRE_FIELDS = frozenset({"eth", "ip", "tcp", "udp", "icmp", "payload"})
 
 
-@dataclass(init=False)
+@dataclass(init=False, slots=True)
 class Packet:
     """A frame in flight: Ethernet + optional IPv4 + optional L4 header.
 
@@ -49,7 +49,8 @@ class Packet:
     :class:`~repro.net.flowkey.FlowKey`; the memos are dropped
     automatically when a header or the payload is reassigned, so mirror
     copies, pcap export and the DPI re-parse share one serialization
-    without ever observing stale bytes.
+    without ever observing stale bytes.  Fields live in slots, so a
+    packet carries no per-instance ``__dict__``.
     """
 
     eth: EthernetHeader
@@ -65,10 +66,11 @@ class Packet:
     _fkobj: Optional[tuple] = field(default=None, repr=False, compare=False)
     _size: Optional[int] = field(default=None, repr=False, compare=False)
 
-    # Hand-written so construction writes the instance dict through
+    # Hand-written so construction writes the slots through
     # ``object.__setattr__``: routing every dataclass-generated assignment
     # through the memo-invalidating __setattr__ below costs ~2x on the
-    # per-packet hot path.
+    # per-packet hot path.  Every slot is written, memos included: an
+    # unwritten slot raises on read.
     def __init__(
         self,
         eth: EthernetHeader,
@@ -190,11 +192,19 @@ class Packet:
         serialization memo: mirroring then exporting/inspecting a frame
         packs its bytes once, not once per consumer.
         """
-        clone = Packet.__new__(Packet)
-        # One C-level dict copy instead of a setattr per field (~2x).
-        state = dict(self.__dict__)
-        state["packet_id"] = next(_packet_ids)
-        object.__setattr__(clone, "__dict__", state)
+        clone = object.__new__(_Unguarded)
+        clone.eth = self.eth
+        clone.ip = self.ip
+        clone.tcp = self.tcp
+        clone.udp = self.udp
+        clone.icmp = self.icmp
+        clone.payload = self.payload
+        clone.packet_id = next(_packet_ids)
+        clone.created_at = self.created_at
+        clone._wire = self._wire
+        clone._fkobj = self._fkobj
+        clone._size = self._size
+        clone.__class__ = Packet
         return clone
 
     def to_bytes(self) -> bytes:
@@ -238,59 +248,74 @@ class Packet:
         return f"ETH {self.eth.src_mac} -> {self.eth.dst_mac} type=0x{self.eth.ethertype:04x}"
 
 
+class _Unguarded:
+    """``Packet``'s slot layout without its memo-dropping ``__setattr__``.
+
+    ``copy`` and ``stamp`` fill every slot of one with plain attribute
+    stores, then retype it to ``Packet`` (``__class__`` assignment is
+    allowed because the layouts are identical): about a quarter of the
+    cost of writing the slots through ``object.__setattr__``, and these
+    two run once per forwarded or flood frame.
+    """
+
+    __slots__ = Packet.__slots__
+
+
 class FloodTemplate:
     """One immutable flood shape (MACs, victim, protocol, payload).
 
-    ``stamp()`` fills in what varies per packet — spoofed source and the
-    L4 header — on a copy of a prototype ``__dict__``.  ``_size`` is
-    warm at birth because every link reads it; ``_wire`` is left unset,
-    so a flood frame is serialized by ``to_bytes()`` the first time DPI,
-    pcap or the shard codec reads it, and never if nobody does (most of
-    a flood is forwarded or dropped unread).
+    ``stamp()`` builds a packet from the shared Ethernet header and
+    payload plus what varies per packet — spoofed source and the L4
+    header.  ``_size`` is warm at birth because every link reads it;
+    ``_wire`` is left unset, so a flood frame is serialized by
+    ``to_bytes()`` the first time DPI, pcap or the shard codec reads it,
+    and never if nobody does (most of a flood is forwarded or dropped
+    unread).
     """
 
-    __slots__ = ("dst_ip", "dst_port", "protocol", "_l4_field",
-                 "_total_length", "_proto_state")
+    __slots__ = ("dst_ip", "dst_port", "protocol", "_is_udp",
+                 "_total_length", "_size", "_eth", "_payload")
 
     def __init__(
         self, src_mac: str, dst_mac: str, dst_ip: str, dst_port: int,
         protocol: int, payload: bytes = b"",
     ) -> None:
         if protocol == PROTO_TCP:
-            self._l4_field, l4_length = "tcp", TcpHeader.LENGTH
+            self._is_udp, l4_length = False, TcpHeader.LENGTH
         elif protocol == PROTO_UDP:
-            self._l4_field, l4_length = "udp", UdpHeader.LENGTH
+            self._is_udp, l4_length = True, UdpHeader.LENGTH
         else:
             raise ValueError(f"flood templates are TCP or UDP, got protocol {protocol}")
         self.dst_ip = dst_ip
         self.dst_port = dst_port
         self.protocol = protocol
         self._total_length = IPv4Header.LENGTH + l4_length + len(payload)
-        # Every field that is the same for all packets of this shape.
-        prototype = Packet(
-            eth=_new(EthernetHeader, (src_mac, dst_mac, ETHERTYPE_IPV4)),
-            payload=payload, packet_id=0,
-        )
-        self._proto_state = dict(
-            prototype.__dict__, _size=EthernetHeader.LENGTH + self._total_length
-        )
+        self._size = EthernetHeader.LENGTH + self._total_length
+        self._eth = _new(EthernetHeader, (src_mac, dst_mac, ETHERTYPE_IPV4))
+        self._payload = payload
 
     def stamp(self, src_ip: str, l4_header: TcpHeader | UdpHeader, created_at: float) -> Packet:
         """A finished packet, field-identical to ``tcp_packet``/``udp_packet``.
 
         ``l4_header.dst_port`` must be the template's ``dst_port``.
         """
-        # One C-level dict copy installed wholesale (same trick as
-        # Packet.copy): measurably cheaper than a setattr per field.
-        state = dict(self._proto_state)
-        state["ip"] = _new(IPv4Header, (
+        packet = object.__new__(_Unguarded)
+        packet.eth = self._eth
+        packet.ip = _new(IPv4Header, (
             src_ip, self.dst_ip, self.protocol, self._total_length, 64, 0, 0,
         ))
-        state[self._l4_field] = l4_header
-        state["packet_id"] = next(_packet_ids)
-        state["created_at"] = created_at
-        packet = Packet.__new__(Packet)
-        object.__setattr__(packet, "__dict__", state)
+        if self._is_udp:
+            packet.tcp, packet.udp = None, l4_header
+        else:
+            packet.tcp, packet.udp = l4_header, None
+        packet.icmp = None
+        packet.payload = self._payload
+        packet.packet_id = next(_packet_ids)
+        packet.created_at = created_at
+        packet._wire = None
+        packet._fkobj = None
+        packet._size = self._size
+        packet.__class__ = Packet
         return packet
 
 

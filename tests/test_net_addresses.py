@@ -32,6 +32,15 @@ class TestMac:
         with pytest.raises(ValueError):
             validate_mac(bad)
 
+    # ``int(part, 16)`` takes each of these octets; a MAC octet is two hex digits.
+    @pytest.mark.parametrize(
+        "bad", ["+a:bb:cc:dd:ee:ff", " a:bb:cc:dd:ee:ff", "aa:bb:cc:dd:ee:f ", "aa:bb:cc:dd:ee:-f",
+                "aa:bb:cc:dd:ee:\u0661\u0661", "aa:bb:cc:dd:ee:ff\n"]
+    )
+    def test_validate_requires_two_hex_digits_per_octet(self, bad):
+        with pytest.raises(ValueError):
+            validate_mac(bad)
+
     def test_bytes_to_mac_wrong_length(self):
         with pytest.raises(ValueError):
             bytes_to_mac(b"\x00\x01\x02")
@@ -50,6 +59,22 @@ class TestIp:
     def test_validate_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             validate_ip(bad)
+
+    # ``int()`` takes each of these octets; only the canonical dotted quad
+    # matches the address a packet header carries.
+    @pytest.mark.parametrize(
+        "bad", [" 1.2.3.4", "1_0.0.0.1", "+1.2.3.4", "\u0661.2.3.4", "010.0.0.1", "1.2.3.4\n",
+                "1.2.3.4\x00"]
+    )
+    def test_validate_and_convert_reject_non_canonical(self, bad):
+        with pytest.raises(ValueError):
+            validate_ip(bad)
+        with pytest.raises(ValueError):
+            ip_to_int(bad)
+
+    def test_ip_to_int_rejects_non_strings_as_value_error(self):
+        with pytest.raises(ValueError):
+            ip_to_int(None)
 
     def test_int_to_ip_range_check(self):
         with pytest.raises(ValueError):

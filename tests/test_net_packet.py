@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +21,7 @@ from repro.net.headers import (
     UdpHeader,
 )
 from repro.net.flowkey import FlowKey
-from repro.net.packet import Packet, parse_packet
+from repro.net.packet import FloodTemplate, Packet, parse_packet
 
 MAC_A = "00:00:00:00:00:01"
 MAC_B = "00:00:00:00:00:02"
@@ -237,6 +240,73 @@ class TestWireMemo:
         assert FlowKey.from_packet(p) is key
         p.tcp = TcpHeader(999, 80, flags=TCP_SYN)
         assert FlowKey.from_packet(p).tp_src == 999
+
+
+_FIELDS = tuple(f.name for f in dataclasses.fields(Packet))
+_MEMOS = ("_wire", "_fkobj", "_size")
+
+
+def _state(packet: Packet, skip=("packet_id",)) -> dict:
+    return {name: getattr(packet, name) for name in _FIELDS if name not in skip}
+
+
+def _warm(packet: Packet) -> Packet:
+    """Fill all three memos."""
+    packet.to_bytes()
+    FlowKey.from_packet(packet, in_port=2)
+    assert packet.size_bytes
+    assert all(getattr(packet, name) is not None for name in _MEMOS)
+    return packet
+
+
+class TestSlotsContract:
+    """A packet keeps its fields in slots; building, copying, stamping,
+    pickling and reassigning behave as they did with an instance dict."""
+
+    def test_no_instance_dict(self):
+        p = tcp_packet(b"x")
+        assert not hasattr(p, "__dict__")
+        assert set(Packet.__slots__) == set(_FIELDS)
+
+    def test_copy_is_field_equal_apart_from_id(self):
+        p = _warm(tcp_packet(b"data"))
+        q = p.copy()
+        assert q.packet_id != p.packet_id
+        assert _state(q) == _state(p)
+        assert q._wire is p._wire and q._fkobj is p._fkobj
+
+    @pytest.mark.parametrize("protocol", [PROTO_TCP, PROTO_UDP])
+    def test_stamp_is_field_equal_to_builder_apart_from_id(self, protocol):
+        template = FloodTemplate(MAC_A, MAC_B, "10.0.0.2", 80, protocol, payload=b"pl")
+        if protocol == PROTO_TCP:
+            l4 = TcpHeader(4321, 80, seq=9, flags=TCP_SYN)
+            built = Packet.tcp_packet(MAC_A, MAC_B, "198.18.0.7", "10.0.0.2", l4, b"pl",
+                                      created_at=1.25)
+        else:
+            l4 = UdpHeader(4321, 80)
+            built = Packet.udp_packet(MAC_A, MAC_B, "198.18.0.7", "10.0.0.2", l4, b"pl",
+                                      created_at=1.25)
+        stamped = template.stamp("198.18.0.7", l4, 1.25)
+        assert stamped.packet_id != built.packet_id
+        skip = ("packet_id", "_size")
+        assert _state(stamped, skip) == _state(built, skip)
+        assert stamped._size == built.size_bytes  # warm at birth, and right
+
+    def test_pickle_round_trip_keeps_every_field(self):
+        p = _warm(tcp_packet(b"data"))
+        q = pickle.loads(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
+        assert _state(q, skip=()) == _state(p, skip=())
+
+    @pytest.mark.parametrize("name", ["eth", "ip", "payload"])
+    def test_reassigning_a_wire_field_drops_every_memo(self, name):
+        p = _warm(tcp_packet(b"data"))
+        setattr(p, name, getattr(p, name))
+        assert all(getattr(p, memo) is None for memo in _MEMOS)
+
+    def test_reassigning_other_fields_keeps_the_memos(self):
+        p = _warm(tcp_packet(b"data"))
+        p.created_at = 3.0
+        assert all(getattr(p, memo) is not None for memo in _MEMOS)
 
 
 class TestFlowKeyExtraction:
