@@ -93,9 +93,8 @@ class DpiEngine:
         self.stats.frames_received += 1
         self.stats.bytes_received += frame.size_bytes
         try:
-            # Usually the first reader of a mirrored frame's bytes, so this
-            # is where it is packed; ``to_bytes()`` memoizes on the frame,
-            # so a pcap tap on the same hop shares the serialization.
+            # Usually the only reader of a mirrored frame's bytes, so this
+            # is where it is packed.
             parsed = parse_packet(frame.to_bytes())
         except HeaderError:
             self.stats.parse_errors += 1

@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 
 from repro.controller.base import Controller
 from repro.controller.l2 import L2LearningSwitch
-from repro.net.addresses import ip_in_subnet, ip_to_int, int_to_ip
+from repro.net.addresses import int_to_ip, ip_in_subnet, ip_to_int, validate_ip
 from repro.net.headers import ETHERTYPE_IPV4
 from repro.openflow.actions import Drop, Output, RateLimit
 from repro.openflow.match import Match
@@ -334,7 +334,9 @@ class MitigationManager:
 
         ``duration_s=None`` is permanent; a positive duration expires the
         entry.  An active operator block for the source is lifted.
+        ``src_ip`` must be one dotted-quad address, not a prefix.
         """
+        validate_ip(src_ip)
         if duration_s is not None and duration_s <= 0:
             raise ValueError("whitelist duration must be positive (or None)")
         now = self.controller.sim.now

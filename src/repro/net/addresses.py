@@ -71,13 +71,28 @@ def int_to_ip(value: int) -> str:
     return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
 
 
+# An address, then optionally ``/`` and one or two ASCII digits: ``int()``
+# alone would also take a sign, whitespace, underscores or non-ASCII digits.
+_CIDR = re.compile(r"([^/]*)(?:/([0-9]{1,2}))?")
+
+
+def parse_cidr(cidr: str) -> tuple[int, int]:
+    """Parse ``"a.b.c.d"`` or ``"a.b.c.d/len"`` to (network, mask) ints.
+
+    A bare address is a /32.  The length is one or two ASCII digits in
+    0–32; anything else raises ``ValueError``.  Host bits are masked off.
+    """
+    parsed = _CIDR.fullmatch(cidr)
+    if parsed is None:
+        raise ValueError(f"malformed CIDR {cidr!r}")
+    prefix = int(parsed[2] or 32)
+    if prefix > 32:
+        raise ValueError(f"bad prefix length in {cidr!r}")
+    mask = (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF
+    return ip_to_int(parsed[1]) & mask, mask
+
+
 def ip_in_subnet(ip: str, cidr: str) -> bool:
     """True if ``ip`` falls within ``cidr`` (e.g. ``"10.0.0.0/24"``)."""
-    network, _, prefix_str = cidr.partition("/")
-    prefix = int(prefix_str) if prefix_str else 32
-    if not 0 <= prefix <= 32:
-        raise ValueError(f"bad prefix length in {cidr!r}")
-    if prefix == 0:
-        return True
-    mask = (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF
-    return (ip_to_int(ip) & mask) == (ip_to_int(network) & mask)
+    network, mask = parse_cidr(cidr)
+    return ip_to_int(ip) & mask == network

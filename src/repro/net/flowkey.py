@@ -52,35 +52,27 @@ class FlowKey(NamedTuple):
     def from_packet(cls, packet: "Packet", in_port: int = 0) -> "FlowKey":
         """Extract the key from structured headers (the single parse point).
 
-        The result is memoized on the packet (invalidated on any header
-        reassignment), so re-extracting the key for the same hop — switch
-        ingress, then mirror, then DPI — costs one attribute probe.
+        Called once per ingress hop; nothing is cached on the packet.
         """
-        memo = packet._fkobj
-        if memo is not None and memo[0] == in_port:
-            return memo[1]
         eth = packet.eth
         ip = packet.ip
         # Positional ``tuple.__new__`` in field order: the generated
         # keyword ``__new__`` is a Python frame per key.
         if ip is None:
-            key = _new_key(cls, (
+            return _new_key(cls, (
                 in_port, eth.src_mac, eth.dst_mac, eth.ethertype,
                 None, None, None, None, None, None, None,
             ))
-        else:
-            l4 = packet.tcp or packet.udp
-            src_ip = ip.src_ip
-            dst_ip = ip.dst_ip
-            key = _new_key(cls, (
-                in_port, eth.src_mac, eth.dst_mac, eth.ethertype,
-                src_ip, dst_ip, ip.protocol,
-                None if l4 is None else l4.src_port,
-                None if l4 is None else l4.dst_port,
-                ip_to_int(src_ip), ip_to_int(dst_ip),
-            ))
-        object.__setattr__(packet, "_fkobj", (in_port, key))
-        return key
+        l4 = packet.tcp or packet.udp
+        src_ip = ip.src_ip
+        dst_ip = ip.dst_ip
+        return _new_key(cls, (
+            in_port, eth.src_mac, eth.dst_mac, eth.ethertype,
+            src_ip, dst_ip, ip.protocol,
+            None if l4 is None else l4.src_port,
+            None if l4 is None else l4.dst_port,
+            ip_to_int(src_ip), ip_to_int(dst_ip),
+        ))
 
     def conn_key(self) -> tuple[str, int, int]:
         """(src_ip, src_port, dst_port): the DPI half-open connection key."""

@@ -61,14 +61,10 @@ class Host(Node):
 
     def resolve_mac(self, dst_ip: str) -> str:
         """Destination MAC for ``dst_ip`` via static ARP, else gateway."""
-        mac = self.arp_table.get(dst_ip)
-        if mac is not None:
-            return mac
-        if self.gateway_mac is not None:
-            return self.gateway_mac
-        raise KeyError(f"{self.name}: no ARP entry or gateway for {dst_ip}")
-
-    PLACEHOLDER_MAC = "00:00:00:00:00:00"
+        mac = self.arp_table.get(dst_ip, self.gateway_mac)
+        if mac is None:
+            raise KeyError(f"{self.name}: no ARP entry or gateway for {dst_ip}")
+        return mac
 
     def send_tcp(
         self, dst_ip: str, tcp: TcpHeader, payload: bytes = b"", src_ip: str | None = None
@@ -79,46 +75,31 @@ class Host(Node):
         toward spoofed source addresses — are dropped and counted, as a
         real stack's failed ARP resolution would do.
         """
-        packet = Packet.tcp_packet(
-            src_mac=self.mac,
-            dst_mac=self.PLACEHOLDER_MAC,
-            src_ip=src_ip or self.ip,
-            dst_ip=dst_ip,
-            tcp=tcp,
-            payload=payload,
-            created_at=self.sim.now,
-        )
-        return self._transmit_ip(dst_ip, packet)
+        dst_mac = self._next_hop_mac(dst_ip)
+        if dst_mac is None:
+            return False
+        return self.send_packet(Packet.tcp_packet(
+            self.mac, dst_mac, src_ip or self.ip, dst_ip, tcp, payload
+        ))
 
     def send_udp(
         self, dst_ip: str, udp: UdpHeader, payload: bytes = b"", src_ip: str | None = None
     ) -> bool:
         """Build and transmit a UDP datagram (``src_ip`` override = spoofing)."""
-        packet = Packet.udp_packet(
-            src_mac=self.mac,
-            dst_mac=self.PLACEHOLDER_MAC,
-            src_ip=src_ip or self.ip,
-            dst_ip=dst_ip,
-            udp=udp,
-            payload=payload,
-            created_at=self.sim.now,
-        )
-        return self._transmit_ip(dst_ip, packet)
-
-    def _transmit_ip(self, dst_ip: str, packet: Packet) -> bool:
-        """Frame and transmit an IP packet, resolving the destination MAC.
-
-        The static table answers, or the packet is dropped and counted.
-        """
-        try:
-            dst_mac = self.resolve_mac(dst_ip)
-        except KeyError:
-            self.arp_failures += 1
+        dst_mac = self._next_hop_mac(dst_ip)
+        if dst_mac is None:
             return False
-        packet.eth = type(packet.eth)(
-            src_mac=self.mac, dst_mac=dst_mac, ethertype=packet.eth.ethertype
-        )
-        return self.send_packet(packet)
+        return self.send_packet(Packet.udp_packet(
+            self.mac, dst_mac, src_ip or self.ip, dst_ip, udp, payload
+        ))
+
+    def _next_hop_mac(self, dst_ip: str) -> Optional[str]:
+        """``resolve_mac`` without the raise: a miss is counted in
+        ``arp_failures`` and answers ``None``."""
+        mac = self.arp_table.get(dst_ip, self.gateway_mac)
+        if mac is None:
+            self.arp_failures += 1
+        return mac
 
     def send_packet(self, packet: Packet) -> bool:
         """Transmit a pre-built packet out of the host port."""

@@ -14,10 +14,8 @@ them.
 
 from __future__ import annotations
 
-import itertools
 import struct
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.net.headers import (
     ETHERTYPE_IPV4,
@@ -32,75 +30,73 @@ from repro.net.headers import (
     UdpHeader,
 )
 
-_packet_ids = itertools.count(1)
+_new = tuple.__new__  # built positionally: every field, in order
 
-_new = tuple.__new__  # headers are built positionally: every field, in order
-
-# Fields whose mutation changes the wire image / flow identity; assigning
-# any of them drops the serialization, size and flow-key memos.
-_WIRE_FIELDS = frozenset({"eth", "ip", "tcp", "udp", "icmp", "payload"})
+_TCP_TOTAL = IPv4Header.LENGTH + TcpHeader.LENGTH
+_UDP_TOTAL = IPv4Header.LENGTH + UdpHeader.LENGTH
+_ICMP_TOTAL = IPv4Header.LENGTH + IcmpHeader.LENGTH
 
 
-@dataclass(init=False, slots=True)
-class Packet:
+def _frame_size(ip, tcp, udp, icmp, payload: bytes) -> int:
+    """Bytes ``to_bytes()`` produces for these fields (no IPv4 options)."""
+    size = EthernetHeader.LENGTH + len(payload)
+    if ip is not None:
+        size += IPv4Header.LENGTH
+        if tcp is not None:
+            size += TcpHeader.LENGTH
+        elif udp is not None:
+            size += UdpHeader.LENGTH
+        elif icmp is not None:
+            size += IcmpHeader.LENGTH
+    return size
+
+
+class _PacketFields(NamedTuple):
+    eth: EthernetHeader
+    ip: Optional[IPv4Header]
+    tcp: Optional[TcpHeader]
+    udp: Optional[UdpHeader]
+    icmp: Optional[IcmpHeader]
+    payload: bytes
+    size_bytes: int
+
+
+class Packet(_PacketFields):
     """A frame in flight: Ethernet + optional IPv4 + optional L4 header.
 
-    The frame memoizes its wire serialization, size and
-    :class:`~repro.net.flowkey.FlowKey`; the memos are dropped
-    automatically when a header or the payload is reassigned, so mirror
-    copies, pcap export and the DPI re-parse share one serialization
-    without ever observing stale bytes.  Fields live in slots, so a
-    packet carries no per-instance ``__dict__``.
+    An immutable value, like the headers it holds: a frame is never
+    edited in flight, so switches forward, flood and mirror the same
+    object, and assigning a field raises ``AttributeError``.
+    ``size_bytes`` (the wire size every link reads) is computed once,
+    when the frame is built; ``Packet(...)``, ``_replace`` and ``_make``
+    all derive it from the other fields.
     """
 
-    eth: EthernetHeader
-    ip: Optional[IPv4Header] = None
-    tcp: Optional[TcpHeader] = None
-    udp: Optional[UdpHeader] = None
-    icmp: Optional[IcmpHeader] = None
-    payload: bytes = b""
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    created_at: float = 0.0
-    _wire: Optional[bytes] = field(default=None, repr=False, compare=False)
-    # (in_port, FlowKey) pair memoized by FlowKey.from_packet.
-    _fkobj: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _size: Optional[int] = field(default=None, repr=False, compare=False)
+    __slots__ = ()
 
-    # Hand-written so construction writes the slots through
-    # ``object.__setattr__``: routing every dataclass-generated assignment
-    # through the memo-invalidating __setattr__ below costs ~2x on the
-    # per-packet hot path.  Every slot is written, memos included: an
-    # unwritten slot raises on read.
-    def __init__(
-        self,
+    def __new__(
+        cls,
         eth: EthernetHeader,
         ip: Optional[IPv4Header] = None,
         tcp: Optional[TcpHeader] = None,
         udp: Optional[UdpHeader] = None,
         icmp: Optional[IcmpHeader] = None,
         payload: bytes = b"",
-        packet_id: Optional[int] = None,
-        created_at: float = 0.0,
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "eth", eth)
-        set_(self, "ip", ip)
-        set_(self, "tcp", tcp)
-        set_(self, "udp", udp)
-        set_(self, "icmp", icmp)
-        set_(self, "payload", payload)
-        set_(self, "packet_id", next(_packet_ids) if packet_id is None else packet_id)
-        set_(self, "created_at", created_at)
-        set_(self, "_wire", None)
-        set_(self, "_fkobj", None)
-        set_(self, "_size", None)
+    ) -> "Packet":
+        return _new(cls, (eth, ip, tcp, udp, icmp, payload,
+                          _frame_size(ip, tcp, udp, icmp, payload)))
 
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        if name in _WIRE_FIELDS:
-            object.__setattr__(self, "_wire", None)
-            object.__setattr__(self, "_fkobj", None)
-            object.__setattr__(self, "_size", None)
+    def __getnewargs__(self) -> tuple:
+        return self[:6]  # pickle rebuilds through __new__
+
+    @classmethod
+    def _make(cls, iterable) -> "Packet":
+        """From the six fields before ``size_bytes``, which is derived."""
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> "Packet":
+        """A new packet with ``changes`` applied and its size recomputed."""
+        return Packet(**dict(zip(self._fields[:6], self), **changes))
 
     @classmethod
     def tcp_packet(
@@ -112,13 +108,14 @@ class Packet:
         tcp: TcpHeader,
         payload: bytes = b"",
         ttl: int = 64,
-        created_at: float = 0.0,
     ) -> "Packet":
         """Build a full Ethernet/IPv4/TCP packet with correct lengths."""
-        total_length = IPv4Header.LENGTH + TcpHeader.LENGTH + len(payload)
-        ip = _new(IPv4Header, (src_ip, dst_ip, PROTO_TCP, total_length, ttl, 0, 0))
-        eth = _new(EthernetHeader, (src_mac, dst_mac, ETHERTYPE_IPV4))
-        return cls(eth=eth, ip=ip, tcp=tcp, payload=payload, created_at=created_at)
+        total_length = _TCP_TOTAL + len(payload)
+        return _new(cls, (
+            _new(EthernetHeader, (src_mac, dst_mac, ETHERTYPE_IPV4)),
+            _new(IPv4Header, (src_ip, dst_ip, PROTO_TCP, total_length, ttl, 0, 0)),
+            tcp, None, None, payload, EthernetHeader.LENGTH + total_length,
+        ))
 
     @classmethod
     def udp_packet(
@@ -130,13 +127,14 @@ class Packet:
         udp: UdpHeader,
         payload: bytes = b"",
         ttl: int = 64,
-        created_at: float = 0.0,
     ) -> "Packet":
         """Build a full Ethernet/IPv4/UDP packet with correct lengths."""
-        total_length = IPv4Header.LENGTH + UdpHeader.LENGTH + len(payload)
-        ip = _new(IPv4Header, (src_ip, dst_ip, PROTO_UDP, total_length, ttl, 0, 0))
-        eth = _new(EthernetHeader, (src_mac, dst_mac, ETHERTYPE_IPV4))
-        return cls(eth=eth, ip=ip, udp=udp, payload=payload, created_at=created_at)
+        total_length = _UDP_TOTAL + len(payload)
+        return _new(cls, (
+            _new(EthernetHeader, (src_mac, dst_mac, ETHERTYPE_IPV4)),
+            _new(IPv4Header, (src_ip, dst_ip, PROTO_UDP, total_length, ttl, 0, 0)),
+            None, udp, None, payload, EthernetHeader.LENGTH + total_length,
+        ))
 
     @classmethod
     def icmp_packet(
@@ -148,32 +146,14 @@ class Packet:
         icmp: IcmpHeader,
         payload: bytes = b"",
         ttl: int = 64,
-        created_at: float = 0.0,
     ) -> "Packet":
         """Build a full Ethernet/IPv4/ICMP packet with correct lengths."""
-        total_length = IPv4Header.LENGTH + IcmpHeader.LENGTH + len(payload)
-        ip = _new(IPv4Header, (src_ip, dst_ip, PROTO_ICMP, total_length, ttl, 0, 0))
-        eth = _new(EthernetHeader, (src_mac, dst_mac, ETHERTYPE_IPV4))
-        return cls(eth=eth, ip=ip, icmp=icmp, payload=payload, created_at=created_at)
-
-    @property
-    def size_bytes(self) -> int:
-        """Frame size on the wire, used for link transmission timing (memoized)."""
-        size = self._size
-        if size is not None:
-            return size
-        size = EthernetHeader.LENGTH
-        if self.ip is not None:
-            size += IPv4Header.LENGTH
-        if self.tcp is not None:
-            size += TcpHeader.LENGTH
-        elif self.udp is not None:
-            size += UdpHeader.LENGTH
-        elif self.icmp is not None:
-            size += IcmpHeader.LENGTH
-        size += len(self.payload)
-        object.__setattr__(self, "_size", size)
-        return size
+        total_length = _ICMP_TOTAL + len(payload)
+        return _new(cls, (
+            _new(EthernetHeader, (src_mac, dst_mac, ETHERTYPE_IPV4)),
+            _new(IPv4Header, (src_ip, dst_ip, PROTO_ICMP, total_length, ttl, 0, 0)),
+            None, None, icmp, payload, EthernetHeader.LENGTH + total_length,
+        ))
 
     @property
     def src_ip(self) -> str | None:
@@ -185,38 +165,8 @@ class Packet:
         """IPv4 destination if present."""
         return self.ip.dst_ip if self.ip is not None else None
 
-    def copy(self) -> "Packet":
-        """Shallow per-header copy with a fresh packet id (for mirroring).
-
-        Headers and payload are immutable, so the copy inherits the
-        serialization memo: mirroring then exporting/inspecting a frame
-        packs its bytes once, not once per consumer.
-        """
-        clone = object.__new__(_Unguarded)
-        clone.eth = self.eth
-        clone.ip = self.ip
-        clone.tcp = self.tcp
-        clone.udp = self.udp
-        clone.icmp = self.icmp
-        clone.payload = self.payload
-        clone.packet_id = next(_packet_ids)
-        clone.created_at = self.created_at
-        clone._wire = self._wire
-        clone._fkobj = self._fkobj
-        clone._size = self._size
-        clone.__class__ = Packet
-        return clone
-
     def to_bytes(self) -> bytes:
-        """Serialize the whole frame to wire format (memoized).
-
-        The packed frame is cached until a header or the payload is
-        reassigned, so mirror/pcap/DPI touches of the same frame share
-        one serialization.
-        """
-        cached = self._wire
-        if cached is not None:
-            return cached
+        """Serialize the whole frame to wire format."""
         parts = [self.eth.pack()]
         if self.ip is not None:
             parts.append(self.ip.pack())
@@ -230,9 +180,7 @@ class Packet:
                 parts.append(self.payload)
         else:
             parts.append(self.payload)
-        raw = b"".join(parts)
-        object.__setattr__(self, "_wire", raw)
-        return raw
+        return b"".join(parts)
 
     def describe(self) -> str:
         """One-line human-readable summary for traces."""
@@ -248,75 +196,51 @@ class Packet:
         return f"ETH {self.eth.src_mac} -> {self.eth.dst_mac} type=0x{self.eth.ethertype:04x}"
 
 
-class _Unguarded:
-    """``Packet``'s slot layout without its memo-dropping ``__setattr__``.
-
-    ``copy`` and ``stamp`` fill every slot of one with plain attribute
-    stores, then retype it to ``Packet`` (``__class__`` assignment is
-    allowed because the layouts are identical): about a quarter of the
-    cost of writing the slots through ``object.__setattr__``, and these
-    two run once per forwarded or flood frame.
-    """
-
-    __slots__ = Packet.__slots__
-
-
 class FloodTemplate:
     """One immutable flood shape (MACs, victim, protocol, payload).
 
     ``stamp()`` builds a packet from the shared Ethernet header and
     payload plus what varies per packet — spoofed source and the L4
-    header.  ``_size`` is warm at birth because every link reads it;
-    ``_wire`` is left unset, so a flood frame is serialized by
-    ``to_bytes()`` the first time DPI, pcap or the shard codec reads it,
-    and never if nobody does (most of a flood is forwarded or dropped
-    unread).
+    header — with the size fixed by the template.  No bytes are made:
+    a flood frame is serialized by ``to_bytes()`` when DPI, pcap or the
+    shard codec reads it, and never if nobody does (most of a flood is
+    forwarded or dropped unread).
     """
 
     __slots__ = ("dst_ip", "dst_port", "protocol", "_is_udp",
-                 "_total_length", "_size", "_eth", "_payload")
+                 "_total_length", "_size_bytes", "_eth", "_payload")
 
     def __init__(
         self, src_mac: str, dst_mac: str, dst_ip: str, dst_port: int,
         protocol: int, payload: bytes = b"",
     ) -> None:
         if protocol == PROTO_TCP:
-            self._is_udp, l4_length = False, TcpHeader.LENGTH
+            self._is_udp, total = False, _TCP_TOTAL
         elif protocol == PROTO_UDP:
-            self._is_udp, l4_length = True, UdpHeader.LENGTH
+            self._is_udp, total = True, _UDP_TOTAL
         else:
             raise ValueError(f"flood templates are TCP or UDP, got protocol {protocol}")
         self.dst_ip = dst_ip
         self.dst_port = dst_port
         self.protocol = protocol
-        self._total_length = IPv4Header.LENGTH + l4_length + len(payload)
-        self._size = EthernetHeader.LENGTH + self._total_length
+        self._total_length = total + len(payload)
+        self._size_bytes = EthernetHeader.LENGTH + self._total_length
         self._eth = _new(EthernetHeader, (src_mac, dst_mac, ETHERTYPE_IPV4))
         self._payload = payload
 
-    def stamp(self, src_ip: str, l4_header: TcpHeader | UdpHeader, created_at: float) -> Packet:
-        """A finished packet, field-identical to ``tcp_packet``/``udp_packet``.
+    def stamp(self, src_ip: str, l4_header: TcpHeader | UdpHeader) -> Packet:
+        """A finished packet, equal to what ``tcp_packet``/``udp_packet`` build.
 
         ``l4_header.dst_port`` must be the template's ``dst_port``.
         """
-        packet = object.__new__(_Unguarded)
-        packet.eth = self._eth
-        packet.ip = _new(IPv4Header, (
+        ip = _new(IPv4Header, (
             src_ip, self.dst_ip, self.protocol, self._total_length, 64, 0, 0,
         ))
         if self._is_udp:
-            packet.tcp, packet.udp = None, l4_header
-        else:
-            packet.tcp, packet.udp = l4_header, None
-        packet.icmp = None
-        packet.payload = self._payload
-        packet.packet_id = next(_packet_ids)
-        packet.created_at = created_at
-        packet._wire = None
-        packet._fkobj = None
-        packet._size = self._size
-        packet.__class__ = Packet
-        return packet
+            return _new(Packet, (self._eth, ip, None, l4_header, None,
+                                 self._payload, self._size_bytes))
+        return _new(Packet, (self._eth, ip, l4_header, None, None,
+                             self._payload, self._size_bytes))
 
 
 def parse_packet(raw: bytes, verify: bool = True) -> Packet:
@@ -349,7 +273,6 @@ def parse_packet(raw: bytes, verify: bool = True) -> Packet:
         # Mirrored frames can arrive mangled in arbitrary ways; the DPI
         # engine must see a HeaderError, never a codec-internal error.
         raise HeaderError(f"malformed L4 bytes (proto={protocol}): {exc}") from exc
-    # Built once with every header: no memo to invalidate on a fresh frame.
     return Packet(eth, ip, tcp, udp, icmp, payload)
 
 

@@ -151,9 +151,8 @@ class FlowTable:
         """Highest-priority matching entry, updating counters.
 
         ``key`` is the ingress :class:`FlowKey` if the caller already
-        extracted it (the switch datapath does); when omitted it is
-        derived here, so the classic ``lookup(packet, port, now)``
-        signature keeps working.
+        extracted it (the switch datapath does, once per hop); when
+        omitted it is extracted here.
         """
         self.lookups += 1
         if key is None:

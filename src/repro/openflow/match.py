@@ -15,23 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from repro.net.addresses import ip_in_subnet, ip_to_int
+from repro.net.addresses import parse_cidr
 from repro.net.flowkey import FlowKey
 from repro.net.packet import Packet
 
 # Field names the dataclass machinery reports for specificity/subsumes;
 # compiled prefix attributes are deliberately not dataclass fields.
 _IP_FIELDS = ("ip_src", "ip_dst")
-
-
-def _compile_prefix(field_value: str) -> tuple[int, int]:
-    """Parse ``"a.b.c.d"`` or ``"a.b.c.d/len"`` to (network, mask) ints."""
-    network, _, prefix_str = field_value.partition("/")
-    prefix = int(prefix_str) if prefix_str else 32
-    if not 0 <= prefix <= 32:
-        raise ValueError(f"bad prefix length in {field_value!r}")
-    mask = (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF if prefix else 0
-    return ip_to_int(network) & mask, mask
 
 
 @dataclass(frozen=True)
@@ -52,8 +42,8 @@ class Match:
         # Precompile the IP constraints (frozen dataclass: go around the
         # immutability guard).  A Match is built once and consulted per
         # packet, so all string parsing happens here.
-        src = _compile_prefix(self.ip_src) if self.ip_src is not None else None
-        dst = _compile_prefix(self.ip_dst) if self.ip_dst is not None else None
+        src = parse_cidr(self.ip_src) if self.ip_src is not None else None
+        dst = parse_cidr(self.ip_dst) if self.ip_dst is not None else None
         object.__setattr__(self, "_src_prefix", src)
         object.__setattr__(self, "_dst_prefix", dst)
 
@@ -136,10 +126,7 @@ class Match:
 
 def _prefix_subsumes(mine: str, theirs: str) -> bool:
     """Does my (possibly CIDR) field cover their (possibly CIDR) field?"""
-    mine_net, _, mine_len = mine.partition("/")
-    theirs_net, _, theirs_len = theirs.partition("/")
-    mine_prefix = int(mine_len) if mine_len else 32
-    theirs_prefix = int(theirs_len) if theirs_len else 32
-    if theirs_prefix < mine_prefix:
-        return False
-    return ip_in_subnet(theirs_net, f"{mine_net}/{mine_prefix}")
+    mine_net, mine_mask = parse_cidr(mine)
+    theirs_net, theirs_mask = parse_cidr(theirs)
+    # Prefix masks: theirs is at least as long iff it is numerically >= mine.
+    return theirs_mask >= mine_mask and theirs_net & mine_mask == mine_net

@@ -168,7 +168,7 @@ class OpenFlowSwitch(Node):
             return
         self.workload.charge_forward()
         self.counters.packets_forwarded += 1
-        interface.send(packet.copy())
+        interface.send(packet)
 
     def _flood(self, packet: Packet, in_port: int) -> None:
         self.counters.packets_flooded += 1
@@ -176,7 +176,7 @@ class OpenFlowSwitch(Node):
             if port_no == in_port or not interface.connected:
                 continue
             self.workload.charge_forward()
-            interface.send(packet.copy())
+            interface.send(packet)
 
     def _mirror(self, packet: Packet, port_no: int) -> None:
         interface = self.interfaces.get(port_no)
@@ -185,7 +185,7 @@ class OpenFlowSwitch(Node):
         self.workload.charge_mirror(packet.size_bytes)
         self.counters.packets_mirrored += 1
         self.counters.bytes_mirrored += packet.size_bytes
-        interface.send(packet.copy())
+        interface.send(packet)
 
     def _punt(self, packet: Packet, in_port: int, reason: PacketInReason) -> None:
         if self.channel is None:

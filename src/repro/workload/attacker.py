@@ -16,10 +16,11 @@ the packet stream is byte-identical — crafts the packets through a
 if and when something reads them), and fans the emissions out through
 one ``schedule_at_many`` batch sharing a single bound-method callback.
 Overdrawing the attacker's RNG past the attack end is harmless: the
-stream is an exclusive ``rng.child`` nobody else reads.  When the host
-routes through an ARP service, or MAC resolution fails, crafting falls
-back to the per-packet ``send_tcp``/``send_udp`` path (same draws, same
-counters) so ARP semantics are preserved.
+stream is an exclusive ``rng.child`` nobody else reads.  When the
+victim's MAC does not resolve (no static ARP entry, no gateway), crafting
+falls back to the per-packet ``send_tcp``/``send_udp`` path (same draws,
+same counters), so every such send is counted in the host's
+``arp_failures``.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class _FloodAttacker:
         self.rng = rng
         self.config = config
         self.packets_sent = 0
-        self.packets_rejected = 0  # NIC-level drops (link queue full)
+        # Sends the host refused: link queue full, or no MAC for the victim.
+        self.packets_rejected = 0
         self._burst = burst
         self._interval: Optional[Interval] = None
         self._running = False
@@ -289,7 +291,7 @@ class SynFloodAttacker(_FloodAttacker):
         template = self._template
         if template is not None:
             return template.stamp(
-                src_ip if src_ip is not None else self.host.ip, header, t
+                src_ip if src_ip is not None else self.host.ip, header
             )
         return (src_ip, header)
 
@@ -353,7 +355,7 @@ class UdpFloodAttacker(_FloodAttacker):
         template = self._template
         if template is not None:
             return template.stamp(
-                src_ip if src_ip is not None else self.host.ip, header, t
+                src_ip if src_ip is not None else self.host.ip, header
             )
         return (src_ip, header)
 

@@ -12,9 +12,18 @@ from repro.net.addresses import (
     ip_in_subnet,
     ip_to_int,
     mac_to_bytes,
+    parse_cidr,
     validate_ip,
     validate_mac,
 )
+
+#: Prefix lengths ``int()`` would take (or an empty one it would read as
+#: /32) that are not one or two ASCII digits in 0-32.
+MALFORMED_CIDRS = [
+    "10.0.0.0/ 8", "10.0.0.0/+8", "10.0.0.0/\u0668", "10.0.0.0/0_8",
+    "10.0.0.0/8\n", "10.0.0.0/", "10.0.0.0/33", "10.0.0.0/008",
+    "10.0.0.0/-1", "10.0.0.0/8/8", "10.0.0.0 /8",
+]
 
 
 class TestMac:
@@ -114,6 +123,22 @@ class TestSubnet:
     def test_bad_prefix_length(self):
         with pytest.raises(ValueError):
             ip_in_subnet("10.0.0.1", "10.0.0.0/33")
+
+    @pytest.mark.parametrize("cidr", MALFORMED_CIDRS)
+    def test_malformed_cidr_rejected(self, cidr):
+        with pytest.raises(ValueError):
+            parse_cidr(cidr)
+        with pytest.raises(ValueError):
+            ip_in_subnet("10.0.0.1", cidr)
+
+    @pytest.mark.parametrize("cidr,network,mask", [
+        ("10.1.2.3", 0x0A010203, 0xFFFFFFFF),
+        ("10.1.2.3/8", 0x0A000000, 0xFF000000),
+        ("10.1.2.3/08", 0x0A000000, 0xFF000000),
+        ("10.1.2.3/0", 0, 0),
+    ])
+    def test_parse_cidr_masks_host_bits(self, cidr, network, mask):
+        assert parse_cidr(cidr) == (network, mask)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=32))
     def test_every_ip_is_in_its_own_prefix(self, value, prefix):

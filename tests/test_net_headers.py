@@ -333,7 +333,7 @@ class TestIPv4HeaderLength:
 def _flip_frames() -> list[bytes]:
     """A stamped SYN flood frame and a UDP frame with a payload."""
     syn = FloodTemplate(MAC_A, MAC_B, "10.0.0.2", 80, PROTO_TCP).stamp(
-        "198.18.7.9", TcpHeader(40000, 80, seq=0x1234ABCD, flags=TCP_SYN), 0.0
+        "198.18.7.9", TcpHeader(40000, 80, seq=0x1234ABCD, flags=TCP_SYN)
     )
     udp = Packet.udp_packet(
         MAC_A, MAC_B, "10.0.0.1", "10.0.0.2", UdpHeader(5353, 53), b"query bytes!"

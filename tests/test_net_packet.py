@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.net.addresses import int_to_ip
 from repro.net.headers import (
+    ETHERTYPE_IPV4,
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
@@ -17,6 +18,7 @@ from repro.net.headers import (
     TCP_SYN,
     EthernetHeader,
     IcmpHeader,
+    IPv4Header,
     TcpHeader,
     UdpHeader,
 )
@@ -50,9 +52,6 @@ class TestBuilders:
         p = Packet.icmp_packet(MAC_A, MAC_B, "10.0.0.1", "10.0.0.2", IcmpHeader(8), b"ping")
         assert p.icmp is not None and p.ip.protocol == PROTO_ICMP
 
-    def test_packet_ids_are_unique(self):
-        assert tcp_packet().packet_id != tcp_packet().packet_id
-
     def test_size_bytes(self):
         p = tcp_packet(b"abcd")
         assert p.size_bytes == 14 + 20 + 20 + 4
@@ -83,16 +82,9 @@ class TestFlowKey:
 
 
 class TestCopyForward:
-    def test_copy_gets_new_id_same_headers(self):
-        p = tcp_packet(b"x")
-        q = p.copy()
-        assert q.packet_id != p.packet_id
-        assert q.tcp == p.tcp and q.ip == p.ip and q.payload == p.payload
-
     def test_forwarded_decrements_ttl(self):
         p = tcp_packet()
-        q = p.copy()
-        q.ip = p.ip.decrement_ttl()
+        q = p._replace(ip=p.ip.decrement_ttl())
         assert q.ip.ttl == p.ip.ttl - 1
         assert p.ip.ttl == 64  # original untouched
 
@@ -190,123 +182,77 @@ class TestTruncatedFrames:
         # parse slices L4 to total_length and must reject it cleanly.
         from repro.net.headers import HeaderError
 
-        p = tcp_packet(b"x" * 20)
-        p.ip = p.ip._replace(total_length=p.ip.total_length)  # rebuild memo path
-        raw = p.to_bytes()[:40]
+        raw = tcp_packet(b"x" * 20).to_bytes()[:40]
         with pytest.raises(HeaderError):
             parse_packet(raw, verify=False)
 
 
 class TestWireMemo:
-    """to_bytes() is cached and invalidated by header mutation."""
-
-    def test_repeat_serialization_is_identical_object(self):
-        p = tcp_packet(b"data")
-        first = p.to_bytes()
-        assert p.to_bytes() is first  # memo: same bytes object, no re-pack
-
-    def test_copy_shares_the_memo(self):
-        p = tcp_packet(b"data")
-        raw = p.to_bytes()
-        assert p.copy().to_bytes() is raw
+    """A changed frame is a new value: its bytes show the change and the
+    frame it was made from keeps its own."""
 
     def test_forwarded_invalidates_and_reflects_ttl(self):
         p = tcp_packet(b"data")
         before = p.to_bytes()
-        q = p.copy()
-        q.ip = p.ip.decrement_ttl()  # an L3 hop's TTL rewrite on the copy
+        q = p._replace(ip=p.ip.decrement_ttl())  # an L3 hop's TTL rewrite
         after = q.to_bytes()
-        assert after is not before
+        assert after != before
         assert parse_packet(after).ip.ttl == 63
-        assert p.to_bytes() is before  # the original keeps its memo
+        assert p.to_bytes() == before
 
     def test_header_mutation_invalidates(self):
         p = tcp_packet(b"data")
         stale = p.to_bytes()
-        p.tcp = TcpHeader(1234, 80, seq=2, flags=TCP_ACK)
-        fresh = p.to_bytes()
+        with pytest.raises(AttributeError):
+            p.tcp = TcpHeader(1234, 80, seq=2, flags=TCP_ACK)
+        fresh = p._replace(tcp=TcpHeader(1234, 80, seq=2, flags=TCP_ACK)).to_bytes()
         assert fresh != stale
         assert parse_packet(fresh).tcp.ack_flag
 
     def test_payload_mutation_invalidates(self):
         p = tcp_packet(b"aaaa")
-        p.to_bytes()
-        p.payload = b"bbbb"
-        assert parse_packet(p.to_bytes()).payload == b"bbbb"
-
-    def test_flow_key_is_cached_and_invalidated(self):
-        p = tcp_packet()
-        key = FlowKey.from_packet(p)
-        assert FlowKey.from_packet(p) is key
-        p.tcp = TcpHeader(999, 80, flags=TCP_SYN)
-        assert FlowKey.from_packet(p).tp_src == 999
-
-
-_FIELDS = tuple(f.name for f in dataclasses.fields(Packet))
-_MEMOS = ("_wire", "_fkobj", "_size")
-
-
-def _state(packet: Packet, skip=("packet_id",)) -> dict:
-    return {name: getattr(packet, name) for name in _FIELDS if name not in skip}
-
-
-def _warm(packet: Packet) -> Packet:
-    """Fill all three memos."""
-    packet.to_bytes()
-    FlowKey.from_packet(packet, in_port=2)
-    assert packet.size_bytes
-    assert all(getattr(packet, name) is not None for name in _MEMOS)
-    return packet
+        q = p._replace(payload=b"bbbb")
+        assert parse_packet(q.to_bytes()).payload == b"bbbb"
+        assert p._replace(payload=b"bb").size_bytes == p.size_bytes - 2
 
 
 class TestSlotsContract:
-    """A packet keeps its fields in slots; building, copying, stamping,
-    pickling and reassigning behave as they did with an instance dict."""
+    """A packet is a tuple of its fields: no instance dict, pickles and
+    stamps equal to what the builders make, and no field can be set."""
 
     def test_no_instance_dict(self):
         p = tcp_packet(b"x")
         assert not hasattr(p, "__dict__")
-        assert set(Packet.__slots__) == set(_FIELDS)
-
-    def test_copy_is_field_equal_apart_from_id(self):
-        p = _warm(tcp_packet(b"data"))
-        q = p.copy()
-        assert q.packet_id != p.packet_id
-        assert _state(q) == _state(p)
-        assert q._wire is p._wire and q._fkobj is p._fkobj
+        assert Packet.__slots__ == ()
+        assert Packet._fields == (
+            "eth", "ip", "tcp", "udp", "icmp", "payload", "size_bytes",
+        )
 
     @pytest.mark.parametrize("protocol", [PROTO_TCP, PROTO_UDP])
     def test_stamp_is_field_equal_to_builder_apart_from_id(self, protocol):
         template = FloodTemplate(MAC_A, MAC_B, "10.0.0.2", 80, protocol, payload=b"pl")
         if protocol == PROTO_TCP:
             l4 = TcpHeader(4321, 80, seq=9, flags=TCP_SYN)
-            built = Packet.tcp_packet(MAC_A, MAC_B, "198.18.0.7", "10.0.0.2", l4, b"pl",
-                                      created_at=1.25)
+            built = Packet.tcp_packet(MAC_A, MAC_B, "198.18.0.7", "10.0.0.2", l4, b"pl")
         else:
             l4 = UdpHeader(4321, 80)
-            built = Packet.udp_packet(MAC_A, MAC_B, "198.18.0.7", "10.0.0.2", l4, b"pl",
-                                      created_at=1.25)
-        stamped = template.stamp("198.18.0.7", l4, 1.25)
-        assert stamped.packet_id != built.packet_id
-        skip = ("packet_id", "_size")
-        assert _state(stamped, skip) == _state(built, skip)
-        assert stamped._size == built.size_bytes  # warm at birth, and right
+            built = Packet.udp_packet(MAC_A, MAC_B, "198.18.0.7", "10.0.0.2", l4, b"pl")
+        stamped = template.stamp("198.18.0.7", l4)
+        assert type(stamped) is Packet
+        assert stamped == built  # every field, size_bytes included
 
     def test_pickle_round_trip_keeps_every_field(self):
-        p = _warm(tcp_packet(b"data"))
+        p = tcp_packet(b"data")
         q = pickle.loads(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
-        assert _state(q, skip=()) == _state(p, skip=())
+        assert type(q) is Packet and q == p
 
-    @pytest.mark.parametrize("name", ["eth", "ip", "payload"])
-    def test_reassigning_a_wire_field_drops_every_memo(self, name):
-        p = _warm(tcp_packet(b"data"))
-        setattr(p, name, getattr(p, name))
-        assert all(getattr(p, memo) is None for memo in _MEMOS)
-
-    def test_reassigning_other_fields_keeps_the_memos(self):
-        p = _warm(tcp_packet(b"data"))
-        p.created_at = 3.0
-        assert all(getattr(p, memo) is not None for memo in _MEMOS)
+    @pytest.mark.parametrize("name", Packet._fields)
+    def test_reassigning_a_field_raises(self, name):
+        p = tcp_packet(b"data")
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(p, name))
+        with pytest.raises(AttributeError):
+            p.packet_id = 1  # nor can a new attribute be added
 
 
 class TestFlowKeyExtraction:
@@ -330,3 +276,123 @@ class TestFlowKeyExtraction:
         key = FlowKey.from_packet(p, in_port=1)
         assert key.tp_src is None and key.ip_proto == PROTO_ICMP
         assert key.ip_src == "10.0.0.1" and key.ip_dst == "10.0.0.2"
+
+
+# ------------------------------------------------------ the value contract
+
+_macs = st.binary(min_size=6, max_size=6).map(lambda b: ":".join(f"{x:02x}" for x in b))
+_ips = st.integers(0, 2**32 - 1).map(int_to_ip)
+_u16 = st.integers(0, 0xFFFF)
+_u32 = st.integers(0, 2**32 - 1)
+_payloads = st.binary(max_size=64)
+_tcp_headers = st.builds(TcpHeader, _u16, _u16, _u32, _u32, st.integers(0, 0xFF), _u16)
+_udp_headers = st.builds(UdpHeader, _u16, _u16)
+_icmp_headers = st.builds(
+    IcmpHeader, st.integers(0, 0xFF), st.integers(0, 0xFF), _u16, _u16
+)
+_ttls = st.integers(0, 0xFF)
+
+
+@st.composite
+def _built(draw) -> Packet:
+    """``tcp_packet`` / ``udp_packet`` / ``icmp_packet``."""
+    builder, l4 = draw(st.sampled_from([
+        (Packet.tcp_packet, _tcp_headers),
+        (Packet.udp_packet, _udp_headers),
+        (Packet.icmp_packet, _icmp_headers),
+    ]))
+    return builder(draw(_macs), draw(_macs), draw(_ips), draw(_ips), draw(l4),
+                   draw(_payloads), draw(_ttls))
+
+
+@st.composite
+def _stamped(draw) -> Packet:
+    protocol = draw(st.sampled_from([PROTO_TCP, PROTO_UDP]))
+    dst_port = draw(_u16)
+    template = FloodTemplate(draw(_macs), draw(_macs), draw(_ips), dst_port,
+                             protocol, draw(_payloads))
+    if protocol == PROTO_TCP:
+        l4 = draw(_tcp_headers)._replace(dst_port=dst_port)
+    else:
+        l4 = UdpHeader(draw(_u16), dst_port)
+    return template.stamp(draw(_ips), l4)
+
+
+@st.composite
+def _constructed(draw) -> Packet:
+    """``Packet(...)`` with any layer stack a wire frame can carry."""
+    payload = draw(_payloads)
+    kind = draw(st.sampled_from(["l2", "ip", "tcp", "udp", "icmp"]))
+    if kind == "l2":
+        ethertype = draw(_u16.filter(lambda t: t != ETHERTYPE_IPV4))
+        return Packet(EthernetHeader(draw(_macs), draw(_macs), ethertype), payload=payload)
+    protocol, l4, length = {
+        "ip": (draw(st.integers(0, 0xFF).filter(
+            lambda p: p not in (PROTO_TCP, PROTO_UDP, PROTO_ICMP))), None, 0),
+        "tcp": (PROTO_TCP, draw(_tcp_headers), TcpHeader.LENGTH),
+        "udp": (PROTO_UDP, draw(_udp_headers), UdpHeader.LENGTH),
+        "icmp": (PROTO_ICMP, draw(_icmp_headers), IcmpHeader.LENGTH),
+    }[kind]
+    ip = IPv4Header(draw(_ips), draw(_ips), protocol, 20 + length + len(payload),
+                    draw(_ttls), draw(_u16), draw(st.integers(0, 63)))
+    layers = {kind: l4} if l4 is not None else {}
+    return Packet(EthernetHeader(draw(_macs), draw(_macs)), ip, payload=payload, **layers)
+
+
+@st.composite
+def _replaced(draw) -> Packet:
+    """``_replace`` of a built packet: new payload (lengths kept right), TTL, MACs."""
+    p = draw(_built())
+    payload = draw(_payloads)
+    ip = p.ip._replace(
+        total_length=p.ip.total_length - len(p.payload) + len(payload), ttl=draw(_ttls)
+    )
+    return p._replace(eth=EthernetHeader(draw(_macs), draw(_macs)), ip=ip, payload=payload)
+
+
+_PATHS = {
+    "constructor": _constructed(),
+    "builders": _built(),
+    "stamp": _stamped(),
+    "parse_packet": st.one_of(_constructed(), _built()).map(
+        lambda p: parse_packet(p.to_bytes())
+    ),
+    "_replace": _replaced(),
+    "_make": _built().map(lambda p: Packet._make(p[:6])),
+}
+_each_path = pytest.mark.parametrize("path", list(_PATHS))
+
+
+class TestValueContract:
+    """Every way to make a packet yields the same kind of value."""
+
+    @_each_path
+    @given(data=st.data())
+    def test_size_is_the_wire_length(self, path, data):
+        p = data.draw(_PATHS[path])
+        assert type(p) is Packet
+        assert p.size_bytes == len(p.to_bytes())
+
+    @_each_path
+    @given(data=st.data())
+    def test_wire_round_trip_is_equal(self, path, data):
+        p = data.draw(_PATHS[path])
+        assert parse_packet(p.to_bytes()) == p
+
+    @_each_path
+    @given(data=st.data())
+    def test_pickle_round_trip_is_equal(self, path, data):
+        p = data.draw(_PATHS[path])
+        q = pickle.loads(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(q) is Packet and q == p
+
+    @_each_path
+    @given(data=st.data(), name=st.sampled_from(Packet._fields))
+    def test_assigning_any_field_raises(self, path, data, name):
+        p = data.draw(_PATHS[path])
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(p, name))
+
+    def test_replace_cannot_set_the_size(self):
+        with pytest.raises(TypeError):
+            tcp_packet(b"x")._replace(size_bytes=1)

@@ -16,6 +16,7 @@ from repro.net.headers import (
 )
 from repro.net.packet import Packet
 from repro.openflow.match import Match
+from tests.test_net_addresses import MALFORMED_CIDRS
 
 MAC_A = "00:00:00:00:00:01"
 MAC_B = "00:00:00:00:00:02"
@@ -93,6 +94,13 @@ class TestSpecificityDescribe:
     def test_describe(self):
         assert Match.any().describe() == "*"
         assert "ip_dst=10.0.0.2" in Match(ip_dst="10.0.0.2").describe()
+
+
+@pytest.mark.parametrize("field", ["ip_src", "ip_dst"])
+@pytest.mark.parametrize("cidr", MALFORMED_CIDRS)
+def test_malformed_cidr_rejected_at_construction(field, cidr):
+    with pytest.raises(ValueError):
+        Match(**{field: cidr})
 
 
 class TestSubsumes:

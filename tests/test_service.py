@@ -198,6 +198,18 @@ class TestReconfigDeterminism:
         assert entry["status"] == "rejected"
         assert "no_such_knob" in entry["detail"]
 
+    @pytest.mark.parametrize("src_ip", ["bogus", "10.0.0.0/16"])
+    def test_bad_whitelist_is_rejected_and_the_run_finishes(self, src_ip):
+        # Accepted, the entry would reach ip_in_subnet/Match when
+        # mitigation fires and fail the session there.
+        session = Session("s1", _config(duration_s=8.0))
+        session.schedule_reconfig("whitelist", {"src_ip": src_ip}, at=1.0)
+        session.run_to_completion()
+        assert session.state is SessionState.DONE
+        (entry,) = session.reconfig_log
+        assert entry["status"] == "rejected"
+        assert session.summary()["detections"] >= 1
+
     def test_unknown_target_rejected_at_schedule_time(self):
         session = Session("s1", _config())
         with pytest.raises(ValueError, match="unknown reconfig target"):
@@ -308,6 +320,16 @@ class TestOperatorBlockApis:
         manager.add_whitelist("10.0.0.1")
         with pytest.raises(ValueError, match="whitelisted"):
             manager.block_source("10.0.0.1")
+        finish_scenario(result)
+
+    @pytest.mark.parametrize("src_ip", ["bogus", "10.0.0.0/16", "10.0.0.1 "])
+    def test_whitelist_accepts_only_an_address(self, src_ip):
+        result, manager = self._running_scenario()
+        manager.block_source("10.9.9.9")
+        with pytest.raises(ValueError, match="malformed IPv4"):
+            manager.add_whitelist(src_ip)
+        assert not manager.whitelist_entries()
+        assert any(b.ip == "10.9.9.9" for b in manager.active_blocks())
         finish_scenario(result)
 
     def test_whitelist_lifts_existing_block_and_expires(self):
