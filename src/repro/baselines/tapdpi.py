@@ -25,7 +25,6 @@ from repro.core.defense import Defense
 from repro.core.signatures import SignatureReport, SynFloodSignature, SynFloodSignatureConfig, Verdict
 from repro.inspection.tracker import HandshakeTracker
 from repro.mitigation.manager import MitigationManager
-from repro.net.flowkey import FlowKey
 from repro.net.headers import TCP_ACK, TCP_SYN
 from repro.net.packet import Packet
 from repro.sim.process import PeriodicTask
@@ -101,7 +100,7 @@ class TapDpi(Defense):
 
     # --------------------------------------------------------------- tap
 
-    def _tap(self, packet: Packet, in_port: int, key: FlowKey) -> None:
+    def _tap(self, packet: Packet) -> None:
         self.stats.packets_seen += 1
         if self.switch.sim.now % self.period_s >= self._on_s:
             return  # off-phase (never, at duty fraction 1)
@@ -115,14 +114,14 @@ class TapDpi(Defense):
         flags = packet.tcp.flags
         if not (flags & TCP_SYN or flags & TCP_ACK):
             return
-        dst = key.ip_dst
+        dst = packet.ip.dst_ip
         tracker = self._trackers.get(dst)
         if tracker is None:
             if not (flags & TCP_SYN and not flags & TCP_ACK):
                 return  # only start tracking a destination on a fresh SYN
             tracker = HandshakeTracker(dst, self.switch.sim.now)
             self._trackers[dst] = tracker
-        tracker.observe(packet, self.switch.sim.now, key=key)
+        tracker.observe(packet, self.switch.sim.now)
 
     # --------------------------------------------------------- evaluation
 

@@ -235,9 +235,9 @@ class _ShadowPairExtractor:
         self.sketch = sketch
         self.windows: list[tuple[Any, Any, int, int]] = []
 
-    def observe(self, packet, key=None) -> None:
-        self.exact.observe(packet, key)
-        self.sketch.observe(packet, key)
+    def observe(self, packet) -> None:
+        self.exact.observe(packet)
+        self.sketch.observe(packet)
 
     def close_window(self, now):
         syn_before = self.exact.folded_syn_total

@@ -14,7 +14,6 @@ from typing import Callable, Optional
 
 from repro.inspection.tracker import HandshakeEvidence, HandshakeTracker
 from repro.inspection.udp import UdpEvidence, UdpTracker
-from repro.net.flowkey import FlowKey
 from repro.net.headers import HeaderError
 from repro.net.host import Host
 from repro.net.packet import Packet, parse_packet
@@ -104,16 +103,13 @@ class DpiEngine:
             observer(parsed)
         if parsed.ip is None:
             return
-        # One key extraction for both trackers (the DPI-side twin of the
-        # switch's single ingress extraction).
-        key = FlowKey.from_packet(parsed)
         if parsed.tcp is not None:
-            tracker = self._trackers.get(key.ip_dst)
+            tracker = self._trackers.get(parsed.ip.dst_ip)
             if tracker is not None:
                 self.stats.frames_tracked += 1
-                tracker.observe(parsed, self.host.sim.now, key=key)
+                tracker.observe(parsed, self.host.sim.now)
         elif parsed.udp is not None:
-            udp_tracker = self._udp_trackers.get(key.ip_dst)
+            udp_tracker = self._udp_trackers.get(parsed.ip.dst_ip)
             if udp_tracker is not None:
                 self.stats.frames_tracked += 1
-                udp_tracker.observe(parsed, self.host.sim.now, key=key)
+                udp_tracker.observe(parsed, self.host.sim.now)

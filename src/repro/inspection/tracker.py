@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.flowkey import FlowKey
 from repro.net.headers import TCP_ACK, TCP_RST, TCP_SYN
 from repro.net.packet import Packet
 
@@ -108,23 +107,14 @@ class HandshakeTracker:
         # 4-tuples with an outstanding (unacknowledged) SYN.
         self._pending: set[tuple[str, int, int]] = set()
 
-    def observe(self, packet: Packet, now: float, key: FlowKey | None = None) -> None:
-        """Feed one mirrored frame addressed to the victim.
-
-        ``key`` is the frame's :class:`FlowKey` when the DPI engine has
-        already extracted it; the half-open connection key is then taken
-        from the shared extraction instead of re-deriving the tuple.
-        """
+    def observe(self, packet: Packet, now: float) -> None:
+        """Feed one mirrored frame addressed to the victim."""
         if packet.tcp is None or packet.ip is None or packet.ip.dst_ip != self.victim_ip:
             return
         self._evidence.window_end = now
         header = packet.tcp
-        if key is not None:
-            src_ip = key.ip_src or ""
-            conn_key = key.conn_key()
-        else:
-            src_ip = packet.ip.src_ip
-            conn_key = (src_ip, header.src_port, header.dst_port)
+        src_ip = packet.ip.src_ip
+        conn_key = (src_ip, header.src_port, header.dst_port)
         source = self._evidence.sources.get(src_ip)
         if source is None:
             source = SourceEvidence(src_ip=src_ip, first_seen=now)

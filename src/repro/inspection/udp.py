@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.net.flowkey import FlowKey
 from repro.net.packet import Packet
 
 
@@ -68,7 +67,7 @@ class UdpTracker:
             victim_ip=victim_ip, window_start=started_at, window_end=started_at
         )
 
-    def observe(self, packet: Packet, now: float, key: FlowKey | None = None) -> None:
+    def observe(self, packet: Packet, now: float) -> None:
         """Feed one mirrored frame addressed to the victim."""
         if packet.udp is None or packet.ip is None or packet.ip.dst_ip != self.victim_ip:
             return
@@ -76,12 +75,8 @@ class UdpTracker:
         ev.window_end = now
         ev.packet_total += 1
         ev.byte_total += packet.size_bytes
-        if key is not None:
-            ev.source_counts[key.ip_src] += 1
-            ev.port_counts[key.tp_dst] += 1
-        else:
-            ev.source_counts[packet.ip.src_ip] += 1
-            ev.port_counts[packet.udp.dst_port] += 1
+        ev.source_counts[packet.ip.src_ip] += 1
+        ev.port_counts[packet.udp.dst_port] += 1
 
     def snapshot(self, now: float) -> UdpEvidence:
         """The evidence so far (window end stamped to ``now``)."""

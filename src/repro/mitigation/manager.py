@@ -258,9 +258,12 @@ class MitigationManager:
         duration makes it *temporary* — both the rules and the manager's
         view expire together.  With ``victim_ip`` the drop is scoped to
         one destination, otherwise all traffic from the source drops.
+        ``src_ip`` may be a CIDR prefix; a block covering any whitelisted
+        address is refused.
         """
-        if src_ip in self.whitelist:
-            raise ValueError(f"{src_ip!r} is whitelisted; remove it first")
+        for ip in sorted(self.whitelist):
+            if ip_in_subnet(ip, src_ip):
+                raise ValueError(f"{src_ip!r} covers whitelisted {ip!r}; remove it first")
         if duration_s is not None and duration_s <= 0:
             raise ValueError("block duration must be positive (or None)")
         now = self.controller.sim.now
@@ -333,8 +336,9 @@ class MitigationManager:
         """Add ``src_ip`` to the never-block whitelist.
 
         ``duration_s=None`` is permanent; a positive duration expires the
-        entry.  An active operator block for the source is lifted.
-        ``src_ip`` must be one dotted-quad address, not a prefix.
+        entry.  Every active operator block covering the source, address
+        or prefix, is lifted.  ``src_ip`` must be one dotted-quad address,
+        not a prefix.
         """
         validate_ip(src_ip)
         if duration_s is not None and duration_s <= 0:
@@ -346,7 +350,7 @@ class MitigationManager:
             expires_at=None if duration_s is None else now + duration_s,
             origin="operator",
         )
-        for key in [k for k in self._operator_blocks if k[0] == src_ip]:
+        for key in [k for k in self._operator_blocks if ip_in_subnet(src_ip, k[0])]:
             self.unblock_source(*key)
         self.whitelist.add(src_ip)
         self._whitelist_meta[src_ip] = entry

@@ -31,7 +31,6 @@ from itertools import compress
 from typing import NamedTuple
 
 from repro import kernels
-from repro.net.flowkey import FlowKey
 from repro.net.headers import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN
 from repro.net.packet import Packet
 from repro.monitor.sketch import HeavyHitterSketch, SketchSourceStats
@@ -367,14 +366,11 @@ class FeatureExtractor:
         self.sampling_probability = sampling_probability
         self._scale = 1.0 / sampling_probability
 
-    def observe(self, packet: Packet, key: FlowKey | None = None) -> None:
+    def observe(self, packet: Packet) -> None:
         """Feed one sampled packet (header inspection only).
 
-        ``key`` is the ingress :class:`FlowKey` when the caller (the
-        monitor's switch tap) already has it; addresses are then read
-        from the shared key instead of re-derived from the headers.
-        Only primitive header fields are copied into the batch — never
-        the packet itself, which may return to a pool after forwarding.
+        Only primitive header fields are copied into the batch, never
+        the packet itself, so a window holds no frames alive.
         """
         self.packets_observed += 1
         ip = packet.ip
@@ -389,12 +385,8 @@ class FeatureExtractor:
         else:
             self._n_plain += 1
             return
-        if key is not None:
-            self._b_src.append(key.ip_src)
-            self._b_dst.append(key.ip_dst)
-        else:
-            self._b_src.append(ip.src_ip)
-            self._b_dst.append(ip.dst_ip)
+        self._b_src.append(ip.src_ip)
+        self._b_dst.append(ip.dst_ip)
 
     def close_window(self, now: float) -> WindowFeatures:
         """Fold the batch through the backend, summarize, and reset.

@@ -18,7 +18,6 @@ from repro.monitor.features import (
     FeatureExtractor,
     WindowFeatures,
 )
-from repro.net.flowkey import FlowKey
 from repro.net.packet import Packet
 from repro.sim.process import PeriodicTask
 from repro.sim.rng import SeededRng
@@ -109,14 +108,14 @@ class TrafficMonitor:
 
     # ----------------------------------------------------------- sampling
 
-    def _tap(self, packet: Packet, in_port: int, key: FlowKey) -> None:
+    def _tap(self, packet: Packet) -> None:
         self.packets_seen += 1
         if (
             self.config.sampling_probability >= 1.0
             or self.rng.random() < self.config.sampling_probability
         ):
             self.packets_sampled += 1
-            self.extractor.observe(packet, key)
+            self.extractor.observe(packet)
 
     # ----------------------------------------------------------- windows
 

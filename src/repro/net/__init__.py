@@ -34,7 +34,6 @@ from repro.net.headers import (
     UdpHeader,
     internet_checksum,
 )
-from repro.net.flowkey import FlowKey
 from repro.net.packet import Packet, parse_packet
 from repro.net.link import Link, LinkEnd, LinkStats
 from repro.net.node import Interface, Node
@@ -66,7 +65,6 @@ __all__ = [
     "TcpHeader",
     "UdpHeader",
     "internet_checksum",
-    "FlowKey",
     "Packet",
     "parse_packet",
     "Link",

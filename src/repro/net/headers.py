@@ -6,8 +6,8 @@ checksum for IPv4/TCP/UDP/ICMP.  The DPI engine in ``repro.inspection``
 operates on these bytes, so inspection cost and fidelity match what a real
 monitor attached to an OVS SPAN port would see.
 
-Named tuples, like :class:`~repro.net.flowkey.FlowKey`, because every
-simulated frame is built from them and every mirrored frame re-parsed into
+Named tuples, like the :class:`~repro.net.packet.Packet` that holds them,
+because every simulated frame is built from them and every mirrored frame re-parsed into
 them: hot paths build them in C with ``tuple.__new__(Header, (...))``
 (every field, in declaration order), not the generated keyword ``__new__``.
 """

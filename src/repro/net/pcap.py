@@ -93,7 +93,7 @@ class PcapTap:
     def on_switch(cls, switch, path: str, snaplen: int = 65535) -> "PcapTap":
         """Create a file-backed capture of every packet entering ``switch``."""
         tap = cls(PcapWriter.to_file(path, snaplen=snaplen), lambda: switch.sim.now)
-        switch.attach_tap(lambda packet, in_port, key: tap._capture(packet))
+        switch.attach_tap(tap._capture)
         return tap
 
     def _capture(self, packet: Packet) -> None:

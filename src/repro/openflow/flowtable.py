@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.net.flowkey import FlowKey
 from repro.net.packet import Packet
 from repro.openflow.actions import Action, Drop, RateLimit
 from repro.openflow.match import Match
@@ -141,25 +140,12 @@ class FlowTable:
         self._entries.sort(key=lambda e: -e.priority)
         return entry
 
-    def lookup(
-        self,
-        packet: Packet,
-        in_port: int,
-        now: float,
-        key: Optional[FlowKey] = None,
-    ) -> Optional[FlowEntry]:
-        """Highest-priority matching entry, updating counters.
-
-        ``key`` is the ingress :class:`FlowKey` if the caller already
-        extracted it (the switch datapath does, once per hop); when
-        omitted it is extracted here.
-        """
+    def lookup(self, packet: Packet, in_port: int, now: float) -> Optional[FlowEntry]:
+        """Highest-priority matching entry, updating counters."""
         self.lookups += 1
-        if key is None:
-            key = FlowKey.from_packet(packet, in_port)
         # Entries are sorted by priority (stable), so the first match wins.
         for entry in self._entries:
-            if entry.match.matches_key(key):
+            if entry.match.matches(packet, in_port):
                 entry.hit(packet, now)
                 self.hits += 1
                 return entry

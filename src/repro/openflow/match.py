@@ -1,13 +1,16 @@
 """The OpenFlow 1.0 twelve-tuple match (minus VLAN fields).
 
 ``None`` in a field means wildcard.  IP fields accept either an exact
-address (``"10.0.0.5"``) or a CIDR prefix (``"10.0.0.0/24"``), which is
-how the SPI coordinator scopes a mirror rule to a victim aggregate.
+address (``"10.0.0.5"`` or ``"10.0.0.5/32"``) or a CIDR prefix
+(``"10.0.0.0/24"``), which is how the SPI coordinator scopes a mirror
+rule to a victim aggregate.
 
-IP constraints are compiled to (network-int, mask) pairs once at
-``Match`` construction; the per-packet check is then two integer ANDs
-against the :class:`~repro.net.flowkey.FlowKey` the switch extracted at
-ingress, never a string parse.
+Each IP field is compiled once, at construction, and stored in canonical
+text, so two spellings of one rule compare equal.  An exact address is
+then compared as a string against the packet's own (canonical) address;
+only a true prefix converts the packet's address to an integer, for two
+ANDs.  :meth:`Match.matches` reads the packet's headers directly: the
+packet is the flow key.
 """
 
 from __future__ import annotations
@@ -15,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from repro.net.addresses import parse_cidr
-from repro.net.flowkey import FlowKey
+from repro.net.addresses import int_to_ip, ip_to_int, parse_cidr
 from repro.net.packet import Packet
 
-# Field names the dataclass machinery reports for specificity/subsumes;
-# compiled prefix attributes are deliberately not dataclass fields.
+# Field names whose values are (possibly CIDR) address text.
 _IP_FIELDS = ("ip_src", "ip_dst")
 
 
@@ -39,61 +40,70 @@ class Match:
     tp_dst: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # Precompile the IP constraints (frozen dataclass: go around the
-        # immutability guard).  A Match is built once and consulted per
-        # packet, so all string parsing happens here.
-        src = parse_cidr(self.ip_src) if self.ip_src is not None else None
-        dst = parse_cidr(self.ip_dst) if self.ip_dst is not None else None
-        object.__setattr__(self, "_src_prefix", src)
-        object.__setattr__(self, "_dst_prefix", dst)
+        # A Match is built once and consulted per packet, so all address
+        # parsing happens here (frozen dataclass: go around the guard).
+        # ``_ip_src_prefix`` is (network, mask) for a true prefix and None
+        # for one address, which is matched by its canonical text alone.
+        for name in _IP_FIELDS:
+            text = getattr(self, name)
+            prefix = None
+            if text is not None:
+                network, mask = parse_cidr(text)
+                text = int_to_ip(network)
+                if mask != 0xFFFFFFFF:
+                    text = f"{text}/{mask.bit_count()}"
+                    prefix = (network, mask)
+                object.__setattr__(self, name, text)
+            object.__setattr__(self, f"_{name}_prefix", prefix)
 
     @classmethod
     def any(cls) -> "Match":
         """The all-wildcard match (table-miss rules)."""
         return cls()
 
-    def specificity(self) -> int:
-        """Number of constrained fields; used for human-readable dumps."""
-        return sum(1 for f in fields(self) if getattr(self, f.name) is not None)
+    def matches(self, packet: Packet, in_port: int) -> bool:
+        """True if ``packet`` arriving on ``in_port`` satisfies the match.
 
-    def matches_key(self, key: FlowKey) -> bool:
-        """True if the flow identified by ``key`` satisfies the match.
-
-        This is the canonical matching path: the switch extracts one
-        :class:`FlowKey` per ingress packet and every rule in the linear
-        scan tests against it.
+        The one matching path: every rule in the flow table's linear scan
+        tests the ingress packet's headers here.
         """
-        if self.in_port is not None and key.in_port != self.in_port:
+        if self.in_port is not None and in_port != self.in_port:
             return False
-        if self.eth_src is not None and key.eth_src != self.eth_src:
+        if self.eth_src is not None and packet.eth.src_mac != self.eth_src:
             return False
-        if self.eth_dst is not None and key.eth_dst != self.eth_dst:
+        if self.eth_dst is not None and packet.eth.dst_mac != self.eth_dst:
             return False
-        if self.eth_type is not None and key.eth_type != self.eth_type:
+        if self.eth_type is not None and packet.eth.ethertype != self.eth_type:
             return False
-        src_prefix = self._src_prefix
-        dst_prefix = self._dst_prefix
-        if src_prefix is not None or dst_prefix is not None or self.ip_proto is not None:
-            if key.ip_src_int is None:
+        ip = packet.ip
+        if ip is None:
+            return (self.ip_src is None and self.ip_dst is None and self.ip_proto is None
+                    and self.tp_src is None and self.tp_dst is None)
+        if self.ip_src is not None:
+            prefix = self._ip_src_prefix
+            if prefix is None:
+                if ip.src_ip != self.ip_src:
+                    return False
+            elif ip_to_int(ip.src_ip) & prefix[1] != prefix[0]:
                 return False
-            if src_prefix is not None and key.ip_src_int & src_prefix[1] != src_prefix[0]:
+        if self.ip_dst is not None:
+            prefix = self._ip_dst_prefix
+            if prefix is None:
+                if ip.dst_ip != self.ip_dst:
+                    return False
+            elif ip_to_int(ip.dst_ip) & prefix[1] != prefix[0]:
                 return False
-            if dst_prefix is not None and key.ip_dst_int & dst_prefix[1] != dst_prefix[0]:
-                return False
-            if self.ip_proto is not None and key.ip_proto != self.ip_proto:
-                return False
+        if self.ip_proto is not None and ip.protocol != self.ip_proto:
+            return False
         if self.tp_src is not None or self.tp_dst is not None:
-            if key.tp_src is None:
+            l4 = packet.tcp or packet.udp
+            if l4 is None:
                 return False
-            if self.tp_src is not None and key.tp_src != self.tp_src:
+            if self.tp_src is not None and l4.src_port != self.tp_src:
                 return False
-            if self.tp_dst is not None and key.tp_dst != self.tp_dst:
+            if self.tp_dst is not None and l4.dst_port != self.tp_dst:
                 return False
         return True
-
-    def matches(self, packet: Packet, in_port: int) -> bool:
-        """True if ``packet`` arriving on ``in_port`` satisfies the match."""
-        return self.matches_key(FlowKey.from_packet(packet, in_port))
 
     def subsumes(self, other: "Match") -> bool:
         """True if every packet matching ``other`` also matches ``self``.

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.net.flowkey import FlowKey
 from repro.net.packet import Packet
 from repro.net.node import Interface, Node
 from repro.openflow.actions import (
@@ -48,8 +47,8 @@ from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicTask
 from repro.switch.workload import WorkloadCosts, WorkloadMeter
 
-# Taps receive (packet, in_port, flow_key).
-FlowTap = Callable[[Packet, int, FlowKey], None]
+# A tap receives each ingress packet, which carries every header it reads.
+FlowTap = Callable[[Packet], None]
 
 
 @dataclass
@@ -102,29 +101,24 @@ class OpenFlowSwitch(Node):
         self.channel = channel
 
     def attach_tap(self, tap: FlowTap) -> None:
-        """Register a passive per-ingress-packet observer (sFlow agent).
-
-        The tap receives the ingress :class:`FlowKey` extracted once by
-        the datapath as its third argument.
-        """
+        """Register a passive per-ingress-packet observer (sFlow agent)."""
         self._taps.append(tap)
 
     # ---------------------------------------------------------- data path
 
     def on_packet(self, packet: Packet, ingress: Interface) -> None:
-        """Datapath entry: extract the flow key once, tap, look up, act.
+        """Datapath entry: tap, look up, act.
 
-        The :class:`FlowKey` computed here is the single header
-        extraction of the fast path — taps, monitors and the flow-table
-        scan all reuse it (OVS's ``flow_extract()`` discipline).
+        The packet is an immutable value holding every header field, so
+        it is its own flow key: taps and the flow-table scan read it
+        directly and nothing is extracted per hop.
         """
         self.counters.packets_in += 1
-        in_port = ingress.port_no
-        key = FlowKey.from_packet(packet, in_port)
         for tap in self._taps:
-            tap(packet, in_port, key)
+            tap(packet)
+        in_port = ingress.port_no
         self.workload.charge_lookup()
-        entry = self.table.lookup(packet, in_port, self.sim.now, key=key)
+        entry = self.table.lookup(packet, in_port, self.sim.now)
         if entry is None:
             self._punt(packet, in_port, PacketInReason.NO_MATCH)
         elif entry.drops:

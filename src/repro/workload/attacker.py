@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.net.addresses import validate_ip
 from repro.net.headers import PROTO_TCP, PROTO_UDP, TCP_SYN, TcpHeader, UdpHeader
 from repro.net.host import Host
 from repro.net.packet import FloodTemplate
@@ -74,6 +75,15 @@ class AttackSchedule:
         return 1.0
 
 
+def _check_spoof_prefix(prefix: str) -> None:
+    """Refuse a prefix (``"198.018."``) whose draws are not canonical IPv4:
+    drawn octets are 1–254, so one draw stands for all."""
+    try:
+        validate_ip(SeededRng(0).random_ipv4(prefix))
+    except ValueError:
+        raise ValueError(f"spoof prefix {prefix!r} draws malformed IPv4 addresses") from None
+
+
 @dataclass(frozen=True)
 class SynFloodConfig:
     """SYN flood parameters."""
@@ -91,6 +101,7 @@ class SynFloodConfig:
             raise ValueError("rate must be positive")
         if self.spoof_pool_size < 0:
             raise ValueError("spoof pool size must be >= 0")
+        _check_spoof_prefix(self.spoof_prefix)
 
 
 class _FloodAttacker:
@@ -327,6 +338,7 @@ class UdpFloodConfig:
             raise ValueError("payload must be >= 0 bytes")
         if self.spoof_pool_size < 0:
             raise ValueError("spoof pool size must be >= 0")
+        _check_spoof_prefix(self.spoof_prefix)
 
 
 class UdpFloodAttacker(_FloodAttacker):

@@ -22,7 +22,6 @@ from repro.net.headers import (
     TcpHeader,
     UdpHeader,
 )
-from repro.net.flowkey import FlowKey
 from repro.net.packet import FloodTemplate, Packet, parse_packet
 
 MAC_A = "00:00:00:00:00:01"
@@ -56,29 +55,6 @@ class TestBuilders:
         p = tcp_packet(b"abcd")
         assert p.size_bytes == 14 + 20 + 20 + 4
         assert len(p.to_bytes()) == p.size_bytes
-
-
-def _five(packet: Packet) -> tuple:
-    key = FlowKey.from_packet(packet)
-    return (key.ip_src, key.tp_src, key.ip_dst, key.tp_dst, key.ip_proto)
-
-
-class TestFlowKey:
-    def test_tcp_flow_key(self):
-        assert _five(tcp_packet()) == ("10.0.0.1", 1234, "10.0.0.2", 80, PROTO_TCP)
-
-    def test_udp_flow_key(self):
-        p = Packet.udp_packet(MAC_A, MAC_B, "10.0.0.1", "10.0.0.2", UdpHeader(5, 6))
-        assert _five(p) == ("10.0.0.1", 5, "10.0.0.2", 6, PROTO_UDP)
-
-    def test_icmp_flow_key_uses_protocol(self):
-        p = Packet.icmp_packet(MAC_A, MAC_B, "10.0.0.1", "10.0.0.2", IcmpHeader(8))
-        assert _five(p) == ("10.0.0.1", None, "10.0.0.2", None, PROTO_ICMP)
-
-    def test_l2_only_flow_key(self):
-        key = FlowKey.from_packet(Packet(eth=EthernetHeader(MAC_A, MAC_B, 0x86DD)))
-        assert (key.eth_src, key.eth_dst, key.eth_type) == (MAC_A, MAC_B, 0x86DD)
-        assert key.ip_src is None and key.ip_proto is None
 
 
 class TestCopyForward:
@@ -253,29 +229,6 @@ class TestSlotsContract:
             setattr(p, name, getattr(p, name))
         with pytest.raises(AttributeError):
             p.packet_id = 1  # nor can a new attribute be added
-
-
-class TestFlowKeyExtraction:
-    def test_tcp_key_fields(self):
-        key = FlowKey.from_packet(tcp_packet(), in_port=7)
-        assert key.in_port == 7
-        assert key.ip_src == "10.0.0.1" and key.ip_dst == "10.0.0.2"
-        assert key.tp_src == 1234 and key.tp_dst == 80
-        assert key.ip_proto == PROTO_TCP
-        assert key.ip_src_int == (10 << 24) + 1
-        assert key.conn_key() == ("10.0.0.1", 1234, 80)
-
-    def test_l2_key_fields(self):
-        p = Packet(eth=EthernetHeader(MAC_A, MAC_B, 0x0806), payload=b"arp")
-        key = FlowKey.from_packet(p, in_port=3)
-        assert key.ip_src is None and key.ip_src_int is None
-        assert key.eth_src == MAC_A and key.eth_dst == MAC_B
-
-    def test_icmp_key_has_no_ports(self):
-        p = Packet.icmp_packet(MAC_A, MAC_B, "10.0.0.1", "10.0.0.2", IcmpHeader(8))
-        key = FlowKey.from_packet(p, in_port=1)
-        assert key.tp_src is None and key.ip_proto == PROTO_ICMP
-        assert key.ip_src == "10.0.0.1" and key.ip_dst == "10.0.0.2"
 
 
 # ------------------------------------------------------ the value contract

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields as dataclass_fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,9 +16,11 @@ from repro.net.headers import (
     TcpHeader,
     UdpHeader,
 )
+from repro.net.addresses import int_to_ip, ip_in_subnet, ip_to_int
 from repro.net.packet import Packet
 from repro.openflow.match import Match
 from tests.test_net_addresses import MALFORMED_CIDRS
+from tests.test_net_packet import _built, _constructed
 
 MAC_A = "00:00:00:00:00:01"
 MAC_B = "00:00:00:00:00:02"
@@ -86,11 +90,93 @@ class TestMatching:
         assert not match.matches(tcp_packet(dport=443), 1)
 
 
-class TestSpecificityDescribe:
-    def test_specificity_counts_fields(self):
-        assert Match.any().specificity() == 0
-        assert Match(ip_src="1.2.3.4", tp_dst=80).specificity() == 2
+class TestCanonicalText:
+    @pytest.mark.parametrize("spelling, canonical", [
+        ("10.0.0.5", "10.0.0.5"),
+        ("10.0.0.5/32", "10.0.0.5"),
+        ("10.0.0.7/24", "10.0.0.0/24"),
+        ("10.0.0.0/24", "10.0.0.0/24"),
+        ("10.1.2.3/0", "0.0.0.0/0"),
+    ])
+    def test_ip_fields_store_canonical_text(self, spelling, canonical):
+        match = Match(ip_src=spelling, ip_dst=spelling)
+        assert match.ip_src == match.ip_dst == canonical
+        assert match == Match(ip_src=canonical, ip_dst=canonical)
+        assert hash(match) == hash(Match(ip_src=canonical, ip_dst=canonical))
 
+
+def _oracle(fields: dict, packet: Packet, in_port: int) -> bool:
+    """Field-by-field reading of match fields as spelled, CIDR via ``ip_in_subnet``."""
+    eth, ip = packet.eth, packet.ip
+    l4 = (packet.tcp or packet.udp) if ip is not None else None
+    checks = {
+        "in_port": lambda v: in_port == v,
+        "eth_src": lambda v: eth.src_mac == v,
+        "eth_dst": lambda v: eth.dst_mac == v,
+        "eth_type": lambda v: eth.ethertype == v,
+        "ip_src": lambda v: ip is not None and ip_in_subnet(ip.src_ip, v),
+        "ip_dst": lambda v: ip is not None and ip_in_subnet(ip.dst_ip, v),
+        "ip_proto": lambda v: ip is not None and ip.protocol == v,
+        "tp_src": lambda v: l4 is not None and l4.src_port == v,
+        "tp_dst": lambda v: l4 is not None and l4.dst_port == v,
+    }
+    return all(
+        checks[name](value) for name, value in fields.items() if value is not None
+    )
+
+
+@st.composite
+def _match_fields(draw, packet: Packet, swapped) -> dict:
+    """Match fields the packet meets, each wildcard or spelled one of
+    several ways, except ``swapped``, set to a value the packet misses."""
+    eth, ip = packet.eth, packet.ip
+    l4 = (packet.tcp or packet.udp) if ip is not None else None
+
+    def address(own) -> tuple[list, list]:
+        if own is None:  # no IP layer: any address misses
+            return [], ["10.0.0.1", "10.0.0.0/8"]
+        length = draw(st.integers(1, 32))
+        n = ip_to_int(own)
+        covering = [own, f"{own}/32", f"{own}/{length}", f"{int_to_ip(n ^ 1)}/31",
+                    f"{int_to_ip(n)}/0"]
+        return covering, [int_to_ip(n ^ 1), f"{int_to_ip(n ^ (1 << (32 - length)))}/{length}"]
+
+    def mac(own: str) -> tuple[list, list]:
+        return [own], [own[:-1] + ("1" if own.endswith("0") else "0")]
+
+    def number(own, other=0) -> tuple[list, list]:
+        return ([], [other]) if own is None else ([own], [own ^ 1])
+
+    choices = {
+        "in_port": number(1),
+        "eth_src": mac(eth.src_mac),
+        "eth_dst": mac(eth.dst_mac),
+        "eth_type": number(eth.ethertype),
+        "ip_src": address(ip and ip.src_ip),
+        "ip_dst": address(ip and ip.dst_ip),
+        "ip_proto": number(ip and ip.protocol, 6),
+        "tp_src": number(l4 and l4.src_port, 80),
+        "tp_dst": number(l4 and l4.dst_port, 80),
+    }
+    fields = {
+        name: draw(st.sampled_from([None, *covering]))
+        for name, (covering, _) in choices.items()
+    }
+    if swapped is not None:
+        fields[swapped] = draw(st.sampled_from(choices[swapped][1]))
+    return fields
+
+
+@pytest.mark.parametrize("swapped", [None, *(f.name for f in dataclass_fields(Match))])
+@given(data=st.data())
+def test_matches_agrees_with_field_oracle(swapped, data):
+    """Exact, /32, prefix, protocol and port fields against a plain reading."""
+    packet = data.draw(st.one_of(_built(), _constructed()))
+    fields = data.draw(_match_fields(packet, swapped))
+    assert Match(**fields).matches(packet, 1) == _oracle(fields, packet, 1)
+
+
+class TestSpecificityDescribe:
     def test_describe(self):
         assert Match.any().describe() == "*"
         assert "ip_dst=10.0.0.2" in Match(ip_dst="10.0.0.2").describe()

@@ -59,6 +59,17 @@ class TestLookup:
         assert len(table) == 1
         assert table.lookup(packet(), 1, now=1.0) is replacement
 
+    @pytest.mark.parametrize("first, second", [
+        ("10.0.0.5", "10.0.0.5/32"),
+        ("10.0.0.7/24", "10.0.0.0/24"),
+    ])
+    def test_two_spellings_of_one_rule_replace(self, first, second):
+        table = FlowTable()
+        table.install(entry(match=Match(ip_src=first)), now=0.0)
+        replacement = table.install(entry(match=Match(ip_src=second)), now=1.0)
+        assert len(table) == 1
+        assert table.entries_with_cookie(0) == [replacement]
+
     def test_table_full(self):
         table = FlowTable(max_entries=1)
         table.install(entry(), now=0.0)

@@ -318,8 +318,20 @@ class TestOperatorBlockApis:
     def test_whitelist_blocks_blocking(self):
         result, manager = self._running_scenario()
         manager.add_whitelist("10.0.0.1")
-        with pytest.raises(ValueError, match="whitelisted"):
-            manager.block_source("10.0.0.1")
+        # An address, its /32 or a prefix covering it: none may drop it.
+        for src_ip in ("10.0.0.1", "10.0.0.1/32", "10.0.0.0/16"):
+            with pytest.raises(ValueError, match="whitelisted"):
+                manager.block_source(src_ip)
+        assert not manager.active_blocks()
+        manager.block_source("10.1.0.0/16")  # a prefix that misses it is fine
+        finish_scenario(result)
+
+    def test_whitelist_lifts_covering_prefix_block(self):
+        result, manager = self._running_scenario()
+        manager.block_source("10.9.0.0/16")
+        manager.block_source("10.8.0.0/16")
+        manager.add_whitelist("10.9.9.9")
+        assert [b.ip for b in manager.active_blocks()] == ["10.8.0.0/16"]
         finish_scenario(result)
 
     @pytest.mark.parametrize("src_ip", ["bogus", "10.0.0.0/16", "10.0.0.1 "])

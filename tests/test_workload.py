@@ -200,6 +200,17 @@ class TestAttackers:
         with pytest.raises(ValueError):
             UdpFloodConfig(victim_ip="10.0.0.1", spoof_pool_size=-1)
 
+    @pytest.mark.parametrize("config", [SynFloodConfig, UdpFloodConfig])
+    @pytest.mark.parametrize("prefix", ["198.018.", "300.", "198.18.x.", "1.2.3.-4", " 198."])
+    def test_spoof_prefix_must_draw_valid_addresses(self, config, prefix):
+        with pytest.raises(ValueError, match="spoof prefix"):
+            config(victim_ip="10.0.0.1", spoof_prefix=prefix)
+
+    @pytest.mark.parametrize("config", [SynFloodConfig, UdpFloodConfig])
+    @pytest.mark.parametrize("prefix", ["", "198.18.", "198.18", "10.0.0.5", "0."])
+    def test_spoof_prefix_accepts_canonical_octets(self, config, prefix):
+        assert config(victim_ip="10.0.0.1", spoof_prefix=prefix).spoof_prefix == prefix
+
 
 class TestAttackSchedule:
     def test_ramp_longer_than_duration_never_reaches_full_rate(self):
