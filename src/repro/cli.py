@@ -509,16 +509,12 @@ def _command_ctl(args: argparse.Namespace) -> int:
             print(json.dumps(outcome, indent=2, sort_keys=True))
             return 0
         if args.action in ("block", "unblock", "whitelist", "unwhitelist"):
-            body = {"src_ip": args.src_ip}
+            params = {"src_ip": args.src_ip}
             if getattr(args, "victim", None) is not None:
-                body["victim_ip"] = args.victim
+                params["victim_ip"] = args.victim
             if getattr(args, "duration_s", None) is not None:
-                body["duration_s"] = args.duration_s
-            if args.at is not None:
-                body["at"] = args.at
-            outcome = client.request(
-                "POST", f"/sessions/{args.session}/{args.action}", body
-            )
+                params["duration_s"] = args.duration_s
+            outcome = client.retune(args.session, args.action, params, at=args.at)
             print(json.dumps(outcome, indent=2, sort_keys=True))
             return 0
         if args.action == "drain":

@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 
 from repro.controller.base import Controller
 from repro.controller.l2 import L2LearningSwitch
-from repro.net.addresses import int_to_ip, ip_in_subnet, ip_to_int, validate_ip
+from repro.net.addresses import canonical_cidr, int_to_ip, ip_in_subnet, ip_to_int
 from repro.net.headers import ETHERTYPE_IPV4
 from repro.openflow.actions import Drop, Output, RateLimit
 from repro.openflow.match import Match
@@ -73,9 +73,25 @@ class MitigationConfig:
             raise ValueError("need at least one source rule")
 
 
+def _check_duration(duration_s: object, what: str) -> None:
+    """Refuse an operator duration that is neither None nor a positive number."""
+    if duration_s is not None and not (isinstance(duration_s, (int, float)) and duration_s > 0):
+        raise ValueError(f"{what} duration must be a positive number (or None), got {duration_s!r}")
+
+
+def _operator_match(src_ip: object, victim_ip: object) -> Match:
+    """The drop rule an operator block installs.  Its canonical
+    ``(ip_src, ip_dst)`` text keys the block, so every spelling of one
+    address or prefix names the same block."""
+    if src_ip is None:
+        raise ValueError("an operator block needs a source address or prefix")
+    return Match(eth_type=ETHERTYPE_IPV4, ip_src=src_ip, ip_dst=victim_ip)
+
+
 @dataclass(frozen=True)
 class BlockEntry:
-    """One active block (source or prefix) with its expiry."""
+    """One active block (source or prefix) with its expiry; ``ip`` and
+    ``victim_ip`` are canonical text."""
 
     ip: str
     victim_ip: Optional[str]
@@ -163,10 +179,8 @@ class MitigationManager:
         self.tracer = tracer if tracer is not None else controller.tracer
         self.records: list[MitigationRecord] = []
         self.active: dict[str, MitigationRecord] = {}
-        self.whitelist: set[str] = set()
-        # Expiry/origin metadata for whitelist members and operator
-        # blocks; inspection-only for verdict-driven entries.
-        self._whitelist_meta: dict[str, WhitelistEntry] = {}
+        # Never-block members by canonical address, with expiry and origin.
+        self.whitelist: dict[str, WhitelistEntry] = {}
         self._operator_blocks: dict[tuple[str, Optional[str]], BlockEntry] = {}
         self._victim_macs: dict[str, str] = {}
 
@@ -191,8 +205,7 @@ class MitigationManager:
         now = self.controller.sim.now
         for ip in completed_sources:
             if ip not in self.whitelist:
-                self.whitelist.add(ip)
-                self._whitelist_meta[ip] = WhitelistEntry(
+                self.whitelist[ip] = WhitelistEntry(
                     ip=ip, added_at=now, expires_at=None, origin="verified-good"
                 )
         record = MitigationRecord(
@@ -200,11 +213,14 @@ class MitigationManager:
         )
         mode = self.config.mode
         if mode in (MitigationMode.HYBRID, MitigationMode.BLOCK_SOURCES):
-            self._block_sources(
-                victim_ip, attackers[: self.config.max_source_rules], record
+            self._drop_from(
+                victim_ip, attackers[: self.config.max_source_rules],
+                record.blocked_sources,
             )
         if mode in (MitigationMode.HYBRID, MitigationMode.BLOCK_PREFIX):
-            self._block_prefixes(victim_ip, suspects, record)
+            self._drop_from(
+                victim_ip, self._covering_prefixes(suspects), record.blocked_prefixes
+            )
         if mode is MitigationMode.SHIELD_VICTIM:
             self._shield(victim_ip, record)
         self.records.append(record)
@@ -232,11 +248,9 @@ class MitigationManager:
         record = self.active.pop(victim_ip, None)
         if record is None:
             return
-        for datapath_id in self.controller.datapaths:
-            self.controller.delete_flows(
-                datapath_id, Match(eth_type=ETHERTYPE_IPV4, ip_dst=victim_ip),
-                cookie=MITIGATION_COOKIE,
-            )
+        self._delete_everywhere(
+            Match(eth_type=ETHERTYPE_IPV4, ip_dst=victim_ip), MITIGATION_COOKIE
+        )
         self.tracer.emit("mitigation.lifted", f"victim={victim_ip}", victim=victim_ip)
 
     def is_active(self, victim_ip: str) -> bool:
@@ -259,13 +273,16 @@ class MitigationManager:
         view expire together.  With ``victim_ip`` the drop is scoped to
         one destination, otherwise all traffic from the source drops.
         ``src_ip`` may be a CIDR prefix; a block covering any whitelisted
-        address is refused.
+        address is refused.  The block is keyed by its rule's canonical
+        text, so any spelling of the same address or prefix replaces or
+        lifts it.
         """
+        match = _operator_match(src_ip, victim_ip)
+        _check_duration(duration_s, "block")
+        src_ip, victim_ip = match.ip_src, match.ip_dst
         for ip in sorted(self.whitelist):
             if ip_in_subnet(ip, src_ip):
                 raise ValueError(f"{src_ip!r} covers whitelisted {ip!r}; remove it first")
-        if duration_s is not None and duration_s <= 0:
-            raise ValueError("block duration must be positive (or None)")
         now = self.controller.sim.now
         entry = BlockEntry(
             ip=src_ip,
@@ -274,16 +291,10 @@ class MitigationManager:
             expires_at=None if duration_s is None else now + duration_s,
             origin="operator",
         )
-        match = Match(eth_type=ETHERTYPE_IPV4, ip_src=src_ip, ip_dst=victim_ip)
-        for datapath_id in self.controller.datapaths:
-            self.controller.add_flow(
-                datapath_id,
-                match=match,
-                actions=(Drop(),),
-                priority=PRIORITY_MITIGATION,
-                hard_timeout=0.0 if duration_s is None else duration_s,
-                cookie=OPERATOR_COOKIE,
-            )
+        self._install_everywhere(
+            match, (Drop(),), PRIORITY_MITIGATION,
+            0.0 if duration_s is None else duration_s, OPERATOR_COOKIE,
+        )
         key = (src_ip, victim_ip)
         self._operator_blocks[key] = entry
         if duration_s is not None:
@@ -303,16 +314,13 @@ class MitigationManager:
         return entry
 
     def unblock_source(self, src_ip: str, victim_ip: Optional[str] = None) -> bool:
-        """Lift an operator block; returns False when none was active."""
-        entry = self._operator_blocks.pop((src_ip, victim_ip), None)
-        if entry is None:
+        """Lift an operator block spelled any way; returns False when none
+        was active."""
+        match = _operator_match(src_ip, victim_ip)
+        src_ip, victim_ip = match.ip_src, match.ip_dst
+        if self._operator_blocks.pop((src_ip, victim_ip), None) is None:
             return False
-        for datapath_id in self.controller.datapaths:
-            self.controller.delete_flows(
-                datapath_id,
-                Match(eth_type=ETHERTYPE_IPV4, ip_src=src_ip, ip_dst=victim_ip),
-                cookie=OPERATOR_COOKIE,
-            )
+        self._delete_everywhere(match, OPERATOR_COOKIE)
         self.tracer.emit(
             "mitigation.unblocked",
             f"src={src_ip} victim={victim_ip or '*'}",
@@ -337,12 +345,14 @@ class MitigationManager:
 
         ``duration_s=None`` is permanent; a positive duration expires the
         entry.  Every active operator block covering the source, address
-        or prefix, is lifted.  ``src_ip`` must be one dotted-quad address,
-        not a prefix.
+        or prefix, is lifted.  ``src_ip`` must be one address (a bare
+        dotted quad or its /32), not a prefix.
         """
-        validate_ip(src_ip)
-        if duration_s is not None and duration_s <= 0:
-            raise ValueError("whitelist duration must be positive (or None)")
+        ip = canonical_cidr(src_ip)
+        if "/" in ip:
+            raise ValueError(f"malformed IPv4 address {src_ip!r}: a whitelist entry is one address")
+        src_ip = ip
+        _check_duration(duration_s, "whitelist")
         now = self.controller.sim.now
         entry = WhitelistEntry(
             ip=src_ip,
@@ -352,8 +362,7 @@ class MitigationManager:
         )
         for key in [k for k in self._operator_blocks if ip_in_subnet(src_ip, k[0])]:
             self.unblock_source(*key)
-        self.whitelist.add(src_ip)
-        self._whitelist_meta[src_ip] = entry
+        self.whitelist[src_ip] = entry
         if duration_s is not None:
             self.controller.sim.schedule(
                 duration_s,
@@ -370,17 +379,12 @@ class MitigationManager:
         return entry
 
     def remove_whitelist(self, src_ip: str) -> bool:
-        """Drop a whitelist member; returns False when absent."""
-        if src_ip not in self.whitelist:
-            return False
-        self.whitelist.discard(src_ip)
-        self._whitelist_meta.pop(src_ip, None)
-        return True
+        """Drop a whitelist member spelled any way; returns False when absent."""
+        return self.whitelist.pop(canonical_cidr(src_ip), None) is not None
 
     def _expire_whitelist(self, src_ip: str, entry: WhitelistEntry) -> None:
-        if self._whitelist_meta.get(src_ip) is entry:
-            self.whitelist.discard(src_ip)
-            del self._whitelist_meta[src_ip]
+        if self.whitelist.get(src_ip) is entry:
+            del self.whitelist[src_ip]
 
     # ------------------------------------------------------- introspection
 
@@ -408,17 +412,7 @@ class MitigationManager:
 
     def whitelist_entries(self) -> list[WhitelistEntry]:
         """Every whitelist member with its expiry, sorted by address."""
-        now = self.controller.sim.now
-        entries = []
-        for ip in sorted(self.whitelist):
-            meta = self._whitelist_meta.get(ip)
-            if meta is None:
-                # Pre-API member (e.g. seeded directly on the set).
-                meta = WhitelistEntry(
-                    ip=ip, added_at=now, expires_at=None, origin="verified-good"
-                )
-            entries.append(meta)
-        return entries
+        return [self.whitelist[ip] for ip in sorted(self.whitelist)]
 
     def _expire_record(self, victim_ip: str, record: MitigationRecord) -> None:
         if self.active.get(victim_ip) is record:
@@ -429,38 +423,32 @@ class MitigationManager:
 
     # ----------------------------------------------------------- internals
 
-    def _install_everywhere(self, match: Match, actions: tuple, priority: int) -> None:
+    def _install_everywhere(
+        self, match: Match, actions: tuple, priority: int, hard_timeout: float, cookie: int
+    ) -> None:
         for datapath_id in self.controller.datapaths:
             self.controller.add_flow(
                 datapath_id,
                 match=match,
                 actions=actions,
                 priority=priority,
-                hard_timeout=self.config.rule_hard_timeout_s,
-                cookie=MITIGATION_COOKIE,
+                hard_timeout=hard_timeout,
+                cookie=cookie,
             )
 
-    def _block_sources(
-        self, victim_ip: str, attackers: list[str], record: MitigationRecord
-    ) -> None:
-        for src in attackers:
+    def _delete_everywhere(self, match: Match, cookie: int) -> None:
+        for datapath_id in self.controller.datapaths:
+            self.controller.delete_flows(datapath_id, match, cookie=cookie)
+
+    def _drop_from(self, victim_ip: str, sources: list[str], blocked: list[str]) -> None:
+        """Install a verdict drop rule per source or prefix, noting each in ``blocked``."""
+        for src in sources:
             self._install_everywhere(
                 Match(eth_type=ETHERTYPE_IPV4, ip_src=src, ip_dst=victim_ip),
-                actions=(Drop(),),
-                priority=PRIORITY_MITIGATION,
+                (Drop(),), PRIORITY_MITIGATION,
+                self.config.rule_hard_timeout_s, MITIGATION_COOKIE,
             )
-            record.blocked_sources.append(src)
-
-    def _block_prefixes(
-        self, victim_ip: str, suspects: list[str], record: MitigationRecord
-    ) -> None:
-        for prefix in self._covering_prefixes(suspects):
-            self._install_everywhere(
-                Match(eth_type=ETHERTYPE_IPV4, ip_src=prefix, ip_dst=victim_ip),
-                actions=(Drop(),),
-                priority=PRIORITY_MITIGATION,
-            )
-            record.blocked_prefixes.append(prefix)
+            blocked.append(src)
 
     def _covering_prefixes(self, suspects: list[str]) -> list[str]:
         """Dense suspect prefixes safe to block.

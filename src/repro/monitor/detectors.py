@@ -24,25 +24,24 @@ from typing import Callable, Optional, Sequence
 from repro.monitor.features import WindowFeatures
 
 
-def _positive(name: str) -> Callable[[float], None]:
+def _bounded(name: str, ok: Callable[[float], bool], rule: str) -> Callable[[float], None]:
+    """A retune validator: ``ValueError`` unless ``value`` is a number ``ok`` accepts."""
     def check(value: float) -> None:
-        if value <= 0:
-            raise ValueError(f"{name} must be positive")
+        if not (isinstance(value, (int, float)) and ok(value)):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
     return check
+
+
+def _positive(name: str) -> Callable[[float], None]:
+    return _bounded(name, lambda value: value > 0, "a positive number")
 
 
 def _non_negative(name: str) -> Callable[[float], None]:
-    def check(value: float) -> None:
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0")
-    return check
+    return _bounded(name, lambda value: value >= 0, "a number >= 0")
 
 
 def _unit_interval(name: str) -> Callable[[float], None]:
-    def check(value: float) -> None:
-        if not 0 < value <= 1:
-            raise ValueError(f"{name} must be in (0, 1]")
-    return check
+    return _bounded(name, lambda value: 0 < value <= 1, "a number in (0, 1]")
 
 
 @dataclass(frozen=True)

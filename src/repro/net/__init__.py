@@ -38,7 +38,6 @@ from repro.net.packet import Packet, parse_packet
 from repro.net.link import Link, LinkEnd, LinkStats
 from repro.net.node import Interface, Node
 from repro.net.host import Host
-from repro.net.pcap import PcapTap, PcapWriter, read_pcap
 
 __all__ = [
     "BROADCAST_MAC",
@@ -73,7 +72,4 @@ __all__ = [
     "Interface",
     "Node",
     "Host",
-    "PcapWriter",
-    "PcapTap",
-    "read_pcap",
 ]

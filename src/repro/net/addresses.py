@@ -80,9 +80,10 @@ def parse_cidr(cidr: str) -> tuple[int, int]:
     """Parse ``"a.b.c.d"`` or ``"a.b.c.d/len"`` to (network, mask) ints.
 
     A bare address is a /32.  The length is one or two ASCII digits in
-    0–32; anything else raises ``ValueError``.  Host bits are masked off.
+    0–32; anything else, a non-string included, raises ``ValueError``.
+    Host bits are masked off.
     """
-    parsed = _CIDR.fullmatch(cidr)
+    parsed = _CIDR.fullmatch(cidr) if isinstance(cidr, str) else None
     if parsed is None:
         raise ValueError(f"malformed CIDR {cidr!r}")
     prefix = int(parsed[2] or 32)
@@ -90,6 +91,19 @@ def parse_cidr(cidr: str) -> tuple[int, int]:
         raise ValueError(f"bad prefix length in {cidr!r}")
     mask = (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF
     return ip_to_int(parsed[1]) & mask, mask
+
+
+def canonical_cidr(cidr: str) -> str:
+    """The one spelling of an address or prefix: ``"a.b.c.d"`` for a /32,
+    ``"a.b.c.d/len"`` with the host bits cleared otherwise.
+
+    Flow-rule matches and the mitigation state keyed on them both spell
+    addresses this way, so ``"10.0.0.1/32"`` and ``"10.0.0.1"`` name one
+    rule, and ``"10.9.9.9/16"`` is ``"10.9.0.0/16"``.
+    """
+    network, mask = parse_cidr(cidr)
+    text = int_to_ip(network)
+    return text if mask == 0xFFFFFFFF else f"{text}/{mask.bit_count()}"
 
 
 def ip_in_subnet(ip: str, cidr: str) -> bool:

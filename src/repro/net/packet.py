@@ -202,7 +202,7 @@ class FloodTemplate:
     ``stamp()`` builds a packet from the shared Ethernet header and
     payload plus what varies per packet — spoofed source and the L4
     header — with the size fixed by the template.  No bytes are made:
-    a flood frame is serialized by ``to_bytes()`` when DPI, pcap or the
+    a flood frame is serialized by ``to_bytes()`` when DPI or the
     shard codec reads it, and never if nobody does (most of a flood is
     forwarded or dropped unread).
     """

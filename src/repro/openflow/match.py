@@ -5,8 +5,9 @@ address (``"10.0.0.5"`` or ``"10.0.0.5/32"``) or a CIDR prefix
 (``"10.0.0.0/24"``), which is how the SPI coordinator scopes a mirror
 rule to a victim aggregate.
 
-Each IP field is compiled once, at construction, and stored in canonical
-text, so two spellings of one rule compare equal.  An exact address is
+Each IP field is compiled once, at construction, and stored in the
+canonical text of :func:`~repro.net.addresses.canonical_cidr`, so two
+spellings of one rule compare equal.  An exact address is
 then compared as a string against the packet's own (canonical) address;
 only a true prefix converts the packet's address to an integer, for two
 ANDs.  :meth:`Match.matches` reads the packet's headers directly: the
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from repro.net.addresses import int_to_ip, ip_to_int, parse_cidr
+from repro.net.addresses import canonical_cidr, ip_to_int, parse_cidr
 from repro.net.packet import Packet
 
 # Field names whose values are (possibly CIDR) address text.
@@ -48,11 +49,9 @@ class Match:
             text = getattr(self, name)
             prefix = None
             if text is not None:
-                network, mask = parse_cidr(text)
-                text = int_to_ip(network)
-                if mask != 0xFFFFFFFF:
-                    text = f"{text}/{mask.bit_count()}"
-                    prefix = (network, mask)
+                text = canonical_cidr(text)
+                if "/" in text:
+                    prefix = parse_cidr(text)
                 object.__setattr__(self, name, text)
             object.__setattr__(self, f"_{name}_prefix", prefix)
 

@@ -111,42 +111,6 @@ class ServiceClient:
             body["at"] = at
         return self.request("POST", f"/sessions/{session_id}/retune", body)
 
-    def block(
-        self,
-        session_id: str,
-        src_ip: str,
-        *,
-        victim_ip: Optional[str] = None,
-        duration_s: Optional[float] = None,
-    ) -> dict[str, Any]:
-        body: dict[str, Any] = {"src_ip": src_ip}
-        if victim_ip is not None:
-            body["victim_ip"] = victim_ip
-        if duration_s is not None:
-            body["duration_s"] = duration_s
-        return self.request("POST", f"/sessions/{session_id}/block", body)
-
-    def unblock(
-        self, session_id: str, src_ip: str, *, victim_ip: Optional[str] = None
-    ) -> dict[str, Any]:
-        body: dict[str, Any] = {"src_ip": src_ip}
-        if victim_ip is not None:
-            body["victim_ip"] = victim_ip
-        return self.request("POST", f"/sessions/{session_id}/unblock", body)
-
-    def whitelist(
-        self, session_id: str, src_ip: str, *, duration_s: Optional[float] = None
-    ) -> dict[str, Any]:
-        body: dict[str, Any] = {"src_ip": src_ip}
-        if duration_s is not None:
-            body["duration_s"] = duration_s
-        return self.request("POST", f"/sessions/{session_id}/whitelist", body)
-
-    def unwhitelist(self, session_id: str, src_ip: str) -> dict[str, Any]:
-        return self.request(
-            "POST", f"/sessions/{session_id}/unwhitelist", {"src_ip": src_ip}
-        )
-
     def drain(
         self, session_id: str, grace_s: Optional[float] = None
     ) -> dict[str, Any]:

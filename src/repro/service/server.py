@@ -15,11 +15,11 @@ Routes (all bodies JSON)::
     GET    /sessions                  session summaries
     POST   /sessions                  create (and by default start) one
     GET    /sessions/{id}             one session's summary
-    POST   /sessions/{id}/retune      schedule {target, params[, at]}
-    POST   /sessions/{id}/block       operator block {src_ip, ...}
-    POST   /sessions/{id}/unblock     lift an operator block
-    POST   /sessions/{id}/whitelist   add whitelist entry {src_ip, ...}
-    POST   /sessions/{id}/unwhitelist remove a whitelist entry
+    POST   /sessions/{id}/start       start a pending session
+    POST   /sessions/{id}/retune      schedule {target, params[, at]} for
+                                      any of the eight reconfig targets:
+                                      detector, monitor, budget, spi,
+                                      block, unblock, whitelist, unwhitelist
     POST   /sessions/{id}/drain       graceful wind-down [{grace_s}]
     GET    /sessions/{id}/result      summary + fingerprint (DONE only)
     DELETE /sessions/{id}             forget a terminal session
@@ -276,23 +276,8 @@ class ControlPlaneServer:
             self._launch(session)
             return session.summary()
         if action == "retune":
-            scheduled = session.schedule_reconfig(
-                body.get("target", "detector"),
-                dict(body.get("params", {})),
-                at=body.get("at"),
-            )
-            return {"scheduled": scheduled, "session": session.id}
-        if action in ("block", "unblock", "whitelist", "unwhitelist"):
-            if "src_ip" not in body:
-                raise ApiError(400, f"{action} requires src_ip")
-            params = {
-                k: body[k]
-                for k in ("src_ip", "victim_ip", "duration_s")
-                if k in body
-            }
-            scheduled = session.schedule_reconfig(
-                action, params, at=body.get("at")
-            )
+            [(target, params, at)] = _reconfig_specs([{"target": "detector", **body}])
+            scheduled = session.schedule_reconfig(target, params, at=at)
             return {"scheduled": scheduled, "session": session.id}
         if action == "drain":
             end = session.drain(grace_s=body.get("grace_s"))
@@ -333,7 +318,8 @@ async def _respond(
 def _reconfig_specs(
     specs: Any,
 ) -> list[tuple[str, dict[str, Any], Optional[float]]]:
-    """Check a launch body's ``reconfigs`` list; returns (target, params, at)."""
+    """Check a list of ``{target, params, at}`` reconfigs (a launch body's
+    ``reconfigs``, or one ``/retune`` body); returns (target, params, at)."""
     if not isinstance(specs, list):
         raise ApiError(400, "reconfigs must be a list of {target, params, at}")
     checked = []

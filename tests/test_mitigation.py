@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mitigation.manager import (
     MITIGATION_COOKIE,
+    OPERATOR_COOKIE,
     MitigationConfig,
     MitigationManager,
     MitigationMode,
 )
+from repro.net.addresses import int_to_ip
 from repro.net.headers import TCP_SYN, TcpHeader
 from repro.topology.builder import Network
 
@@ -18,6 +22,10 @@ VICTIM_NAME = "victim"
 
 @pytest.fixture
 def net():
+    return _network()
+
+
+def _network():
     network = Network(seed=1)
     network.add_switch("s1")
     network.add_switch("s2")
@@ -56,7 +64,7 @@ class TestBlockSources:
 
     def test_whitelisted_source_never_blocked(self, net):
         m = manager(net, mode=MitigationMode.BLOCK_SOURCES)
-        m.whitelist.add("10.0.0.50")
+        m.add_whitelist("10.0.0.50")
         record = m.mitigate(net.hosts[VICTIM_NAME].ip, ["10.0.0.50", "203.0.113.1"])
         assert record.blocked_sources == ["203.0.113.1"]
 
@@ -99,7 +107,7 @@ class TestBlockPrefix:
 
     def test_prefix_containing_whitelisted_source_spared(self, net):
         m = manager(net, mode=MitigationMode.BLOCK_PREFIX, prefix_min_sources=4)
-        m.whitelist.add("198.18.0.200")
+        m.add_whitelist("198.18.0.200")
         suspects = [f"198.18.0.{i}" for i in range(1, 11)]
         record = m.mitigate(net.hosts[VICTIM_NAME].ip, [], suspect_sources=suspects)
         assert record.blocked_prefixes == []
@@ -227,3 +235,66 @@ class TestRecordExpiry:
         net.run(until=6.0)  # expiry timer fires on an already-lifted record
         assert not m.is_active(victim_ip)
         assert net.tracer.count("mitigation.expired") == 0
+
+
+class TestOperatorSpelling:
+    """Blocks and whitelist entries are keyed by canonical text: any
+    spelling of one address or prefix names one entry."""
+
+    @pytest.mark.parametrize(
+        "blocked, lifted",
+        [
+            (("10.9.9.9/32", None), ("10.9.9.9", None)),
+            (("10.7.0.0/16", "10.0.0.100/32"), ("10.7.0.0/16", "10.0.0.100")),
+        ],
+        ids=["source", "victim"],
+    )
+    def test_block_lifts_under_the_bare_spelling(self, net, blocked, lifted):
+        m = manager(net)
+        m.block_source(*blocked)
+        assert m.unblock_source(*lifted) is True
+        assert m.active_blocks() == []
+
+    def test_two_spellings_list_one_block(self, net):
+        m = manager(net)
+        m.block_source("10.9.9.9")
+        m.block_source("10.9.9.9/32")
+        assert [b.ip for b in m.active_blocks()] == ["10.9.9.9"]
+
+    def test_remove_whitelist_under_the_slash_32_spelling(self, net):
+        m = manager(net)
+        m.add_whitelist("10.0.0.1")
+        assert m.remove_whitelist("10.0.0.1/32") is True
+        assert m.whitelist_entries() == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        address=st.integers(0, 2**32 - 1),
+        length=st.integers(0, 32),
+        host_bits=st.integers(0, 2**32 - 1),
+        scoped=st.booleans(),
+        data=st.data(),
+    )
+    def test_any_spelling_lifts_any_other(self, address, length, host_bits, scoped, data):
+        mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+        network = address & mask
+        canonical = int_to_ip(network) + ("" if length == 32 else f"/{length}")
+        spellings = [
+            canonical,
+            f"{int_to_ip(network)}/{length}",
+            f"{int_to_ip(network | host_bits & ~mask & 0xFFFFFFFF)}/{length}",
+        ]
+        victims = ["10.0.0.100", "10.0.0.100/32"] if scoped else [None]
+        net = _network()
+        m = manager(net)
+        for spelling in spellings:
+            m.block_source(spelling, victim_ip=data.draw(st.sampled_from(victims)))
+        (entry,) = m.active_blocks()
+        assert (entry.ip, entry.victim_ip) == (canonical, victims[0])
+        net.run(until=0.1)
+        assert len(net.switches["s1"].table.entries_with_cookie(OPERATOR_COOKIE)) == 1
+        lifted_as = data.draw(st.sampled_from(spellings))
+        assert m.unblock_source(lifted_as, victim_ip=data.draw(st.sampled_from(victims)))
+        assert m.active_blocks() == []
+        net.run(until=0.2)
+        assert net.switches["s1"].table.entries_with_cookie(OPERATOR_COOKIE) == []

@@ -210,6 +210,26 @@ class TestReconfigDeterminism:
         assert entry["status"] == "rejected"
         assert session.summary()["detections"] >= 1
 
+    @pytest.mark.parametrize(
+        "target, params",
+        [
+            ("block", {"src_ip": 5}),
+            ("block", {"src_ip": "10.9.9.9", "duration_s": "x"}),
+            ("block", {"src_ip": "10.9.9.9", "victim_ip": 7}),
+            # What `repro ctl retune --param k=abc` sends: non-JSON text
+            # stays a string.
+            ("detector", {"k": "x"}),
+        ],
+        ids=["numeric-src", "text-duration", "numeric-victim", "text-k"],
+    )
+    def test_wrong_typed_param_is_rejected_and_the_run_finishes(self, target, params):
+        session = Session("s1", _config(duration_s=6.0))
+        session.schedule_reconfig(target, params, at=1.0)
+        session.run_to_completion()
+        assert session.state is SessionState.DONE, session.summary()["error"]
+        (entry,) = session.reconfig_log
+        assert entry["status"] == "rejected"
+
     def test_unknown_target_rejected_at_schedule_time(self):
         session = Session("s1", _config())
         with pytest.raises(ValueError, match="unknown reconfig target"):
@@ -564,6 +584,51 @@ class TestHttpService:
         status, reply = asyncio.run(server._route("POST", "/sessions", body))
         assert status == 400, reply
         assert len(server.registry) == 1
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"target": "nope"}, {"params": [["k", 4.0]]}, {"params": {"k": 4.0}, "at": "soon"}],
+        ids=["unknown-target", "params-not-an-object", "non-numeric-at"],
+    )
+    def test_retune_body_is_checked_like_a_launch_reconfig(self, body):
+        server = ControlPlaneServer()
+        session = server.registry.create(_config())
+        status, reply = asyncio.run(
+            server._route("POST", f"/sessions/{session.id}/retune", body)
+        )
+        assert status == 400, reply
+        assert session._queued == []
+
+    @pytest.mark.parametrize("action", ["block", "unblock", "whitelist", "unwhitelist"])
+    def test_every_mutation_goes_through_retune(self, action):
+        server = ControlPlaneServer()
+        session = server.registry.create(_config())
+        body = {"src_ip": "10.9.9.9"}
+        status, _ = asyncio.run(server._route("POST", f"/sessions/{session.id}/{action}", body))
+        assert status == 404
+        status, reply = asyncio.run(server._route(
+            "POST", f"/sessions/{session.id}/retune", {"target": action, "params": body}
+        ))
+        assert status == 200, reply
+        assert reply["scheduled"] == {"target": action, "params": body, "at": 0.0}
+
+    def test_ctl_block_and_unblock_under_two_spellings(self, live_server, capsys):
+        from repro.cli import main
+
+        client = live_server
+        session = client.create_session({**_cfg_dict(), "duration_s": 8.0}, start=False)
+        ctl = ["ctl", "--port", str(client.port)]
+        assert main([*ctl, "block", session["id"], "10.9.9.9/32", "--at", "2"]) == 0
+        assert main([*ctl, "unblock", session["id"], "10.9.9.9", "--at", "3"]) == 0
+        assert main([*ctl, "start", session["id"]]) == 0
+        capsys.readouterr()
+        _wait_terminal(client, session["id"])
+        log = client.result(session["id"])["reconfig_log"]
+        assert [(e["target"], e["status"]) for e in log] == [
+            ("block", "applied"), ("unblock", "applied"),
+        ]
+        assert log[0]["applied"]["ip"] == "10.9.9.9"
+        assert log[1]["applied"]["lifted"] is True
 
     @pytest.mark.parametrize(
         "request_bytes",

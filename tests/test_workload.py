@@ -201,7 +201,7 @@ class TestAttackers:
             UdpFloodConfig(victim_ip="10.0.0.1", spoof_pool_size=-1)
 
     @pytest.mark.parametrize("config", [SynFloodConfig, UdpFloodConfig])
-    @pytest.mark.parametrize("prefix", ["198.018.", "300.", "198.18.x.", "1.2.3.-4", " 198."])
+    @pytest.mark.parametrize("prefix", ["198.018.", "300.", "198.18.x.", "1.2.3.-4", " 198.", "1.2.3.4.5", "1..2."])
     def test_spoof_prefix_must_draw_valid_addresses(self, config, prefix):
         with pytest.raises(ValueError, match="spoof prefix"):
             config(victim_ip="10.0.0.1", spoof_prefix=prefix)
