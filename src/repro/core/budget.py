@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 
+from repro.monitor.detectors import retune_number
+
 
 @dataclass(frozen=True)
 class BudgetConfig:
@@ -99,9 +101,9 @@ class InspectionBudget:
         """
         updates: dict[str, int] = {}
         if max_concurrent is not None:
-            updates["max_concurrent"] = int(max_concurrent)
+            updates["max_concurrent"] = retune_number("max_concurrent", max_concurrent, integral=True)
         if max_queue is not None:
-            updates["max_queue"] = int(max_queue)
+            updates["max_queue"] = retune_number("max_queue", max_queue, integral=True)
         if updates:
             self.config = replace(self.config, **updates)
         return self.config

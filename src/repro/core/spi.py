@@ -29,7 +29,7 @@ from repro.core.signatures import SignatureReport, Verdict
 from repro.inspection.dpi import DpiEngine
 from repro.mitigation.manager import MitigationManager
 from repro.monitor.alerts import Alert, AlertBus
-from repro.monitor.detectors import AnomalyDetector, EwmaDetector
+from repro.monitor.detectors import AnomalyDetector, EwmaDetector, retune_number
 from repro.monitor.monitor import TrafficMonitor
 from repro.net.headers import ETHERTYPE_IPV4
 from repro.net.host import Host
@@ -133,9 +133,11 @@ class SpiSystem(Defense):
         """
         updates: dict[str, Any] = {}
         if verification_window_s is not None:
-            updates["verification_window_s"] = float(verification_window_s)
+            updates["verification_window_s"] = retune_number("verification_window_s", verification_window_s)
         if max_window_extensions is not None:
-            updates["max_window_extensions"] = int(max_window_extensions)
+            updates["max_window_extensions"] = retune_number(
+                "max_window_extensions", max_window_extensions, integral=True
+            )
         if updates:
             self.config = replace(self.config, **updates)
             if self.correlator is not None:

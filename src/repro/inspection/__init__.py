@@ -1,18 +1,18 @@
 """Deep packet inspection substrate.
 
-The inspector host hangs off an OVS SPAN port; mirrored frames reach it
-as real wire bytes, are re-parsed (checksums verified), and fed to a
-handshake tracker that accumulates per-source evidence: which sources
-complete their 3-way handshakes and which leave connections half-open.
+The inspector host hangs off an OVS SPAN port.  Each mirrored frame is
+an immutable value equal to what its wire bytes parse back into, so the
+engine reads the frame it is handed and feeds it to a handshake tracker
+that counts, per source, the 3-way handshakes begun, completed and
+reset: which sources complete and which leave connections half-open.
 """
 
 from repro.inspection.dpi import DpiEngine, DpiStats
-from repro.inspection.tracker import HandshakeEvidence, HandshakeTracker, SourceEvidence
+from repro.inspection.tracker import HandshakeEvidence, HandshakeTracker
 
 __all__ = [
     "DpiEngine",
     "DpiStats",
     "HandshakeTracker",
     "HandshakeEvidence",
-    "SourceEvidence",
 ]

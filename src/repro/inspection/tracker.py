@@ -5,48 +5,39 @@ client's SYN and — only if the handshake is completing — that client's
 final ACK on the same 4-tuple.  A source that keeps sending SYNs and
 never ACKs is leaving half-open connections behind: the defining
 signature constituent of a SYN flood.
+
+Evidence is counters keyed by source address, not an object per source:
+a spoofed flood brings a new source with nearly every SYN, so what the
+window holds per source is what it costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.net.addresses import ip_to_int
 from repro.net.headers import TCP_ACK, TCP_RST, TCP_SYN
 from repro.net.packet import Packet
 
 
 @dataclass
-class SourceEvidence:
-    """What inspection learned about one source address."""
-
-    src_ip: str
-    syns: int = 0
-    completions: int = 0
-    resets: int = 0
-    first_seen: float = 0.0
-    last_seen: float = 0.0
-
-    @property
-    def abandoned(self) -> int:
-        """Handshakes begun and never completed."""
-        return max(0, self.syns - self.completions)
-
-    @property
-    def completion_ratio(self) -> float:
-        """Fraction of this source's handshakes that completed."""
-        return self.completions / self.syns if self.syns else 1.0
-
-
-@dataclass
 class HandshakeEvidence:
-    """Aggregate verdict input for one victim's inspection window."""
+    """Aggregate verdict input for one victim's inspection window.
+
+    ``syns`` holds every source seen, in first-seen order, with its
+    handshakes begun: a source seen only through an ACK or an RST is
+    there with zero.  ``completions`` and ``resets`` hold only the
+    sources that have some.
+    """
 
     victim_ip: str
     window_start: float
     window_end: float
     syn_total: int = 0
     completion_total: int = 0
-    sources: dict[str, SourceEvidence] = field(default_factory=dict)
+    syns: dict[str, int] = field(default_factory=dict)
+    completions: dict[str, int] = field(default_factory=dict)
+    resets: dict[str, int] = field(default_factory=dict)
 
     @property
     def duration(self) -> float:
@@ -56,7 +47,7 @@ class HandshakeEvidence:
     @property
     def source_count(self) -> int:
         """Distinct source addresses observed."""
-        return len(self.sources)
+        return len(self.syns)
 
     @property
     def completion_ratio(self) -> float:
@@ -72,9 +63,8 @@ class HandshakeEvidence:
         :meth:`suspect_sources` instead.
         """
         return [
-            ip
-            for ip, ev in self.sources.items()
-            if ev.syns >= min_syns and ev.completions == 0
+            ip for ip, n in self.syns.items()
+            if n >= min_syns and not self.completions.get(ip)
         ]
 
     def suspect_sources(self, below_syns: int) -> list[str]:
@@ -85,14 +75,13 @@ class HandshakeEvidence:
         spoofed flood; the mitigation manager aggregates them.
         """
         return [
-            ip
-            for ip, ev in self.sources.items()
-            if ev.completions == 0 and ev.syns < below_syns
+            ip for ip, n in self.syns.items()
+            if n < below_syns and not self.completions.get(ip)
         ]
 
     def completed_sources(self) -> list[str]:
         """Sources that completed at least one handshake (whitelist feed)."""
-        return [ip for ip, ev in self.sources.items() if ev.completions > 0]
+        return [ip for ip in self.syns if self.completions.get(ip)]
 
 
 class HandshakeTracker:
@@ -100,41 +89,41 @@ class HandshakeTracker:
 
     def __init__(self, victim_ip: str, started_at: float) -> None:
         self.victim_ip = victim_ip
-        self.started_at = started_at
         self._evidence = HandshakeEvidence(
             victim_ip=victim_ip, window_start=started_at, window_end=started_at
         )
-        # 4-tuples with an outstanding (unacknowledged) SYN.
-        self._pending: set[tuple[str, int, int]] = set()
+        # 4-tuples with an outstanding (unacknowledged) SYN, one int each:
+        # source address << 32 | source port << 16 | destination port.
+        self._pending: set[int] = set()
 
     def observe(self, packet: Packet, now: float) -> None:
         """Feed one mirrored frame addressed to the victim."""
-        if packet.tcp is None or packet.ip is None or packet.ip.dst_ip != self.victim_ip:
-            return
-        self._evidence.window_end = now
         header = packet.tcp
-        src_ip = packet.ip.src_ip
-        conn_key = (src_ip, header.src_port, header.dst_port)
-        source = self._evidence.sources.get(src_ip)
-        if source is None:
-            source = SourceEvidence(src_ip=src_ip, first_seen=now)
-            self._evidence.sources[src_ip] = source
-        source.last_seen = now
+        ip = packet.ip
+        if header is None or ip is None or ip.dst_ip != self.victim_ip:
+            return
+        evidence = self._evidence
+        src_ip = ip.src_ip
+        syns = evidence.syns
+        conn_key = ip_to_int(src_ip) << 32 | header.src_port << 16 | header.dst_port
         flags = header.flags
         if flags & TCP_SYN and not flags & TCP_ACK:
-            if conn_key not in self._pending:
-                self._pending.add(conn_key)
-                source.syns += 1
-                self._evidence.syn_total += 1
             # A repeated SYN on the same tuple is a retransmission, not
             # a new handshake; it contributes no fresh evidence.
-        elif flags & TCP_RST:
-            source.resets += 1
+            if conn_key not in self._pending:
+                self._pending.add(conn_key)
+                syns[src_ip] = syns.get(src_ip, 0) + 1
+                evidence.syn_total += 1
+            return
+        syns.setdefault(src_ip, 0)
+        if flags & TCP_RST:
+            evidence.resets[src_ip] = evidence.resets.get(src_ip, 0) + 1
             self._pending.discard(conn_key)
         elif flags & TCP_ACK and conn_key in self._pending:
             self._pending.discard(conn_key)
-            source.completions += 1
-            self._evidence.completion_total += 1
+            completions = evidence.completions
+            completions[src_ip] = completions.get(src_ip, 0) + 1
+            evidence.completion_total += 1
 
     def snapshot(self, now: float) -> HandshakeEvidence:
         """The evidence accumulated so far (window end stamped to ``now``)."""

@@ -72,7 +72,6 @@ class UdpTracker:
         if packet.udp is None or packet.ip is None or packet.ip.dst_ip != self.victim_ip:
             return
         ev = self._evidence
-        ev.window_end = now
         ev.packet_total += 1
         ev.byte_total += packet.size_bytes
         ev.source_counts[packet.ip.src_ip] += 1

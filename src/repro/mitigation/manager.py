@@ -25,6 +25,7 @@ from typing import Iterable, Optional
 
 from repro.controller.base import Controller
 from repro.controller.l2 import L2LearningSwitch
+from repro.monitor.detectors import retune_number
 from repro.net.addresses import canonical_cidr, int_to_ip, ip_in_subnet, ip_to_int
 from repro.net.headers import ETHERTYPE_IPV4
 from repro.openflow.actions import Drop, Output, RateLimit
@@ -75,7 +76,7 @@ class MitigationConfig:
 
 def _check_duration(duration_s: object, what: str) -> None:
     """Refuse an operator duration that is neither None nor a positive number."""
-    if duration_s is not None and not (isinstance(duration_s, (int, float)) and duration_s > 0):
+    if duration_s is not None and not retune_number(f"{what} duration", duration_s) > 0:
         raise ValueError(f"{what} duration must be a positive number (or None), got {duration_s!r}")
 
 

@@ -24,10 +24,23 @@ from typing import Callable, Optional, Sequence
 from repro.monitor.features import WindowFeatures
 
 
+def retune_number(name: str, value: object, integral: bool = False) -> float:
+    """``value`` as a runtime retune takes it: an ``int`` or ``float``, never
+    text (``"0.5"``) or a ``bool``, and for an ``integral`` knob without a
+    fractional part (``2.5``).  Anything else raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _bounded(name: str, ok: Callable[[float], bool], rule: str) -> Callable[[float], None]:
     """A retune validator: ``ValueError`` unless ``value`` is a number ``ok`` accepts."""
     def check(value: float) -> None:
-        if not (isinstance(value, (int, float)) and ok(value)):
+        if not ok(retune_number(name, value)):
             raise ValueError(f"{name} must be {rule}, got {value!r}")
     return check
 

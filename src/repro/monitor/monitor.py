@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.monitor.alerts import Alert, AlertBus
-from repro.monitor.detectors import AnomalyDetector
+from repro.monitor.detectors import AnomalyDetector, retune_number
 from repro.monitor.features import (
     DEFAULT_SKETCH_SEED,
     FeatureExtractor,
@@ -164,9 +164,9 @@ class TrafficMonitor:
         """
         updates: dict[str, float] = {}
         if sampling_probability is not None:
-            updates["sampling_probability"] = float(sampling_probability)
+            updates["sampling_probability"] = retune_number("sampling_probability", sampling_probability)
         if holddown_s is not None:
-            updates["holddown_s"] = float(holddown_s)
+            updates["holddown_s"] = retune_number("holddown_s", holddown_s)
         if updates:
             self.config = replace(self.config, **updates)
             if "sampling_probability" in updates:

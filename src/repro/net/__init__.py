@@ -1,9 +1,9 @@
 """Network substrate: addresses, wire-format headers, links, nodes, hosts.
 
-Replaces the GENI/Mininet data plane of the original paper.  Headers are
-packed to and parsed from real bytes so the deep-packet-inspection engine
-exercises a genuine wire-format parse path rather than peeking at Python
-objects.
+Replaces the GENI/Mininet data plane of the original paper.  Headers
+pack to and parse from real wire bytes, and a packet is an immutable
+value equal to its bytes' parse, so the DPI engine reads the mirrored
+frame itself; the shard codec packs and parses frames between processes.
 """
 
 from repro.net.addresses import (

@@ -35,8 +35,8 @@ def mac_to_bytes(mac: str) -> bytes:
 
 @lru_cache(maxsize=4096)
 def bytes_to_mac(raw: bytes) -> str:
-    """Unpack 6 bytes into a colon-separated MAC string (memoized: DPI
-    re-parses every inspected frame's Ethernet header)."""
+    """Unpack 6 bytes into a colon-separated MAC string (memoized: the
+    shard codec parses the Ethernet header of every frame it carries)."""
     if len(raw) != 6:
         raise ValueError(f"MAC must be 6 bytes, got {len(raw)}")
     return ":".join(f"{b:02x}" for b in raw)

@@ -2,14 +2,14 @@
 
 Each header is an immutable named tuple with ``pack()`` / ``unpack()``
 that round-trip through genuine network byte order, including the Internet
-checksum for IPv4/TCP/UDP/ICMP.  The DPI engine in ``repro.inspection``
-operates on these bytes, so inspection cost and fidelity match what a real
-monitor attached to an OVS SPAN port would see.
+checksum for IPv4/TCP/UDP/ICMP.  The round trip is the identity, so the
+DPI engine in ``repro.inspection`` reads these values as a SPAN-port
+monitor reads the fields off the wire; the shard codec packs them.
 
 Named tuples, like the :class:`~repro.net.packet.Packet` that holds them,
-because every simulated frame is built from them and every mirrored frame re-parsed into
-them: hot paths build them in C with ``tuple.__new__(Header, (...))``
-(every field, in declaration order), not the generated keyword ``__new__``.
+because every simulated frame is built from them: hot paths build them in
+C with ``tuple.__new__(Header, (...))`` (every field, in declaration
+order), not the generated keyword ``__new__``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """The packet container that flows through links, switches and hosts.
 
-A :class:`Packet` carries the structured headers (for efficient flow-table
-matching inside the simulated OVS) *and* can serialize itself to wire bytes
-(for the DPI path).  ``parse_packet`` is the inverse, used by the inspector
-to prove the bytes genuinely round-trip.
+A :class:`Packet` carries the structured headers (for flow-table matching
+and DPI inside the simulated network) *and* can serialize itself to wire
+bytes.  ``parse_packet`` is the inverse, and ``parse_packet(p.to_bytes())
+== p`` for every constructor, so readers of the headers read the packet
+itself; only the shard codec packs and parses, between processes.
 
 ``Packet.to_bytes()`` is the only code that produces wire bytes.  Flood
 generators build their packets through a :class:`FloodTemplate` (one frame
@@ -202,9 +203,8 @@ class FloodTemplate:
     ``stamp()`` builds a packet from the shared Ethernet header and
     payload plus what varies per packet — spoofed source and the L4
     header — with the size fixed by the template.  No bytes are made:
-    a flood frame is serialized by ``to_bytes()`` when DPI or the
-    shard codec reads it, and never if nobody does (most of a flood is
-    forwarded or dropped unread).
+    a flood frame is serialized by ``to_bytes()`` only when the shard
+    codec carries it to another process, and never in a one-process run.
     """
 
     __slots__ = ("dst_ip", "dst_port", "protocol", "_is_udp",
@@ -246,8 +246,8 @@ class FloodTemplate:
 def parse_packet(raw: bytes, verify: bool = True) -> Packet:
     """Parse wire bytes back into a :class:`Packet`.
 
-    This is the DPI entry point: the inspector receives mirrored frames as
-    bytes and reconstructs the header stack.  The IPv4 header checksum is
+    The shard codec's entry point: a frame crossing to another process
+    travels as bytes and is rebuilt here.  The IPv4 header checksum is
     always verified; ``verify=False`` skips only the TCP/UDP/ICMP
     checksums.  IPv4 options are skipped and dropped.
     """
@@ -270,8 +270,8 @@ def parse_packet(raw: bytes, verify: bool = True) -> Packet:
     except HeaderError:
         raise
     except (struct.error, IndexError, ValueError) as exc:
-        # Mirrored frames can arrive mangled in arbitrary ways; the DPI
-        # engine must see a HeaderError, never a codec-internal error.
+        # Bytes can arrive mangled in arbitrary ways; a caller must see
+        # a HeaderError, never a codec-internal error.
         raise HeaderError(f"malformed L4 bytes (proto={protocol}): {exc}") from exc
     return Packet(eth, ip, tcp, udp, icmp, payload)
 

@@ -28,8 +28,10 @@ from math import log
 @lru_cache(maxsize=256)
 def _parse_prefix(prefix: str) -> tuple[str, int]:
     """``(leading dotted octets, octets still to draw)`` of an address prefix."""
-    have = [p for p in prefix.split(".") if p != ""]
-    return ".".join(have[:4]), 4 - len(have)
+    have = prefix.removesuffix(".").split(".") if prefix else []
+    if len(have) > 4 or "" in have:
+        raise ValueError(f"malformed IPv4 prefix {prefix!r}")
+    return ".".join(have), 4 - len(have)
 
 
 class SeededRng:
@@ -94,6 +96,8 @@ class SeededRng:
         With ``prefix`` (e.g. ``"10.0."``), only the missing octets are
         randomized — handy for spoofed-source generation inside or outside
         a victim's network.  Each missing octet is ``randint(1, 254)``.
+        A malformed prefix (more than four octets, or an empty one)
+        raises ``ValueError``.
         """
         head, need = _parse_prefix(prefix)
         getrandbits = self._getrandbits

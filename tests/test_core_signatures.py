@@ -9,7 +9,7 @@ from repro.core.signatures import (
     SynFloodSignatureConfig,
     Verdict,
 )
-from repro.inspection.tracker import HandshakeEvidence, SourceEvidence
+from repro.inspection.tracker import HandshakeEvidence
 
 
 def evidence(syns, completions, sources=None, duration=1.0, victim="10.0.0.1"):
@@ -21,7 +21,9 @@ def evidence(syns, completions, sources=None, duration=1.0, victim="10.0.0.1"):
     if sources is None:
         sources = {"198.18.0.1": (syns, completions)}
     for ip, (s, c) in sources.items():
-        ev.sources[ip] = SourceEvidence(src_ip=ip, syns=s, completions=c)
+        ev.syns[ip] = s
+        if c:
+            ev.completions[ip] = c
     return ev
 
 

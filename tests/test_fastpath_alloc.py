@@ -125,7 +125,8 @@ class TestUdpFloodTemplate:
 
 
 class TestBytesOnDemand:
-    """Unread flood frames are never packed; read frames are packed once."""
+    """A one-process run packs no frame: DPI reads the mirrored frame itself,
+    so the inspected frames are read but never serialized."""
 
     @pytest.mark.parametrize("attack_kind,detector", [("syn", "ewma"), ("udp", "udp-rate")])
     def test_only_inspected_frames_are_packed(self, monkeypatch, attack_kind, detector):
@@ -143,7 +144,7 @@ class TestBytesOnDemand:
         attack_packets = sum(a.packets_sent for a in result.workload.attackers.values())
         inspected = result.spi.dpi.stats.frames_received
         assert 0 < inspected < attack_packets / 2  # the mirror window is selective
-        assert len(packs) == inspected
+        assert len(packs) == 0
 
 
 def _syn_flood_config(reference: bool) -> ScenarioConfig:
@@ -162,7 +163,7 @@ def _syn_flood_config(reference: bool) -> ScenarioConfig:
 
 
 def _udp_flood_config(reference: bool) -> ScenarioConfig:
-    """UDP volumetric flood under SPI: most mirrored frames are re-parsed."""
+    """UDP volumetric flood under SPI: most attack frames are mirrored."""
     return ScenarioConfig(
         topology="linear",
         topology_params={"n_switches": 2, "clients_per_switch": 1, "n_attackers": 2},

@@ -50,3 +50,39 @@ def test_memory_held_after_a_flood_does_not_grow_with_spoofed_sources():
     finally:
         tracemalloc.stop()
     assert abs(many - few) < 256 * 1024, (few, many)
+
+
+
+def test_a_handshake_tracker_holds_at_most_200_bytes_per_spoofed_source():
+    """Inspection state is counters per source: 20 k spoofed SYNs, each
+    from its own address, leave at most 200 B per source in the tracker.
+
+    The frames are built before the trace starts, so the bytes counted
+    are the tracker's own: the address text belongs to the frame, and
+    the tracker keys its counters by that same string.
+    """
+    from repro.inspection.tracker import HandshakeTracker
+    from repro.net.headers import TCP_SYN, TcpHeader
+    from repro.net.packet import Packet
+
+    mac, victim, sources = "00:00:00:00:00:01", "10.0.0.1", 20_000
+    frames = [
+        Packet.tcp_packet(
+            mac, mac, f"198.18.{i >> 8}.{i & 0xFF}", victim,
+            TcpHeader(1024 + i, 80, flags=TCP_SYN),
+        )
+        for i in range(sources)
+    ]
+    tracker = HandshakeTracker(victim, 0.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, frame in enumerate(frames):
+            tracker.observe(frame, i * 1e-4)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tracker.snapshot(2.0).source_count == sources
+    assert held / sources <= 200, held / sources

@@ -230,6 +230,38 @@ class TestReconfigDeterminism:
         (entry,) = session.reconfig_log
         assert entry["status"] == "rejected"
 
+    @pytest.mark.parametrize(
+        "target, params",
+        [
+            ("monitor", {"sampling_probability": "0.5"}),
+            ("monitor", {"sampling_probability": True}),
+            ("monitor", {"holddown_s": "1"}),
+            ("budget", {"max_concurrent": 2.7}),
+            ("budget", {"max_concurrent": True}),
+            ("budget", {"max_queue": "4"}),
+            ("spi", {"verification_window_s": "0.5"}),
+            ("spi", {"max_window_extensions": 1.5}),
+            ("spi", {"max_window_extensions": True}),
+            ("detector", {"k": True}),
+            ("block", {"src_ip": "10.9.9.9", "duration_s": True}),
+        ],
+        ids=[
+            "monitor-text-p", "monitor-bool-p", "monitor-text-holddown",
+            "budget-fractional-slots", "budget-bool-slots", "budget-text-queue",
+            "spi-text-window", "spi-fractional-extensions", "spi-bool-extensions",
+            "detector-bool-k", "block-bool-duration",
+        ],
+    )
+    def test_retune_takes_numbers_only(self, target, params):
+        # One rule for every target: text and bool are refused, not
+        # coerced, and an integer knob refuses a fractional value.
+        session = Session("s1", _config(duration_s=6.0))
+        session.schedule_reconfig(target, params, at=1.0)
+        session.run_to_completion()
+        assert session.state is SessionState.DONE, session.summary()["error"]
+        (entry,) = session.reconfig_log
+        assert entry["status"] == "rejected", entry
+
     def test_unknown_target_rejected_at_schedule_time(self):
         session = Session("s1", _config())
         with pytest.raises(ValueError, match="unknown reconfig target"):

@@ -12,7 +12,7 @@ from repro.core.signatures import (
     UdpFloodSignature,
     Verdict,
 )
-from repro.inspection.tracker import HandshakeEvidence, SourceEvidence
+from repro.inspection.tracker import HandshakeEvidence
 
 
 def evidence_from(sources: dict[str, tuple[int, int]], duration=1.0) -> HandshakeEvidence:
@@ -22,7 +22,9 @@ def evidence_from(sources: dict[str, tuple[int, int]], duration=1.0) -> Handshak
         completion_total=sum(c for _, c in sources.values()),
     )
     for ip, (s, c) in sources.items():
-        ev.sources[ip] = SourceEvidence(src_ip=ip, syns=s, completions=c)
+        ev.syns[ip] = s
+        if c:
+            ev.completions[ip] = c
     return ev
 
 

@@ -84,12 +84,17 @@ class TestSeededRng:
         rng = SeededRng(1)
         assert rng.random_ipv4("1.2.3.4") == "1.2.3.4"
 
+    @pytest.mark.parametrize("prefix", ["1.2.3.4.5", "1..2.", ".10.", "1.2.3.4.."])
+    def test_random_ipv4_refuses_a_malformed_prefix(self, prefix):
+        with pytest.raises(ValueError, match="malformed IPv4 prefix"):
+            SeededRng(1).random_ipv4(prefix)
+
 
 def _stdlib_ipv4(rnd: random.Random, prefix: str) -> str:
     """The spoofed-address draw written against the stdlib calls."""
     have = [p for p in prefix.split(".") if p != ""]
     octets = have + [str(rnd.randint(1, 254)) for _ in range(4 - len(have))]
-    return ".".join(octets[:4])
+    return ".".join(octets)
 
 
 # One call of the draw layer: (method, args) on SeededRng, and the same
@@ -108,7 +113,7 @@ _calls = st.one_of(
     st.integers(min_value=1, max_value=300).map(
         lambda n: ("choice", (list(range(n)),))
     ),
-    st.sampled_from(["", "10.", "198.18.", "10.0.0.7", "1.2.3.4.5"]).map(
+    st.sampled_from(["", "10.", "198.18.", "10.0.0.7", "1.2.3.4."]).map(
         lambda p: ("random_ipv4", (p,))
     ),
     st.floats(min_value=1e-3, max_value=1e5).map(lambda r: ("expovariate", (r,))),
