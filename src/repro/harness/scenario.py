@@ -356,7 +356,6 @@ def build_scenario(config: ScenarioConfig) -> ScenarioResult:
             net.rng.child("flashcrowd"),
             config.flash_crowd,
             workload.victim_ip,
-            burst=not config.reference,
         )
 
     if config.probe:

@@ -4,9 +4,10 @@ One :class:`ControlPlaneServer` hosts a :class:`SessionRegistry` behind
 a hand-rolled HTTP/1.1 endpoint (``asyncio.start_server``; no external
 web framework, per the repo's no-new-dependencies rule).  Each running
 session gets a driver task that alternates one bounded simulation slice
-with ``await asyncio.sleep(0)``, so control requests — status, retunes,
-blocks, drains — interleave with simulation instead of waiting for a
-scenario to finish.
+with ``await asyncio.sleep(0)`` (and, every ``_HANDOFF_EVERY_S`` of wall
+time, a short real pause that lets other threads of the process take the
+GIL), so control requests — status, retunes, blocks, drains — interleave
+with simulation instead of waiting for a scenario to finish.
 
 Routes (all bodies JSON)::
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from typing import Any, Optional
 
 from repro.harness.serialize import config_from_dict
@@ -38,6 +40,11 @@ from repro.service.registry import SessionRegistry
 from repro.service.session import IllegalTransition, Session, SessionState
 
 _MAX_BODY = 1 << 20  # a config is a few KB; 1 MiB is already generous
+
+#: Wall seconds a driver runs slices back to back before it pauses for
+#: :data:`_HANDOFF_S`, so the threads it shares the GIL with get to run.
+_HANDOFF_EVERY_S = 0.02
+_HANDOFF_S = 0.001
 
 
 class ApiError(Exception):
@@ -113,9 +120,20 @@ class ControlPlaneServer:
     async def _drive(self, session: Session) -> None:
         # One bounded slice per loop turn: every await is an opening for
         # queued HTTP requests (and other sessions' drivers) to run.
+        # Those zero-length awaits release the GIL only for the poll's
+        # microseconds: too short for another thread of this process (an
+        # in-process client) to take it, yet each release restarts that
+        # thread's forced-switch timer, so it would starve until the
+        # session ends.  A 1 ms pause every 20 ms of slices hands it over.
+        clock = time.perf_counter
+        held_since = clock()
         while session.state in (SessionState.RUNNING, SessionState.DRAINING):
             session.step()
-            await asyncio.sleep(0)
+            if clock() - held_since < _HANDOFF_EVERY_S:
+                await asyncio.sleep(0)
+            else:
+                await asyncio.sleep(_HANDOFF_S)
+                held_since = clock()
 
     # ----------------------------------------------------------------- http
 

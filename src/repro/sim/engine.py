@@ -211,9 +211,8 @@ class Simulator:
         Equivalent to calling :meth:`schedule` once per entry, in order
         (sequence numbers — and therefore FIFO ties — are identical), but
         with the validation and heap-push overhead amortized across the
-        batch.  Links and the periodic traffic processes (flood on/off
-        schedules, flash-crowd windows) use this for the multi-event
-        scheduling they do per callback.
+        batch.  Links use this for the two events they schedule per
+        transmission.
         """
         now = self._now
         for delay, _fn, _label in items:
@@ -236,8 +235,9 @@ class Simulator:
     ) -> list[Event]:
         """Schedule a batch of ``(time, fn, label)`` entries at absolute times.
 
-        The batched counterpart of :meth:`schedule_at`, used by the burst
-        coalescing fast path: pre-generated arrival times must be re-entered
+        The batched counterpart of :meth:`schedule_at`, used by the
+        coalesced arrival process (:class:`repro.sim.process.Interval`):
+        pre-generated arrival times must be re-entered
         verbatim (going through a delay would re-round ``now + (t - now)``
         and shift event times off the reference trajectory).  Sequence
         numbers are assigned in iteration order, exactly like the equivalent

@@ -2,15 +2,20 @@
 
 These mirror the idioms a Ryu/POX application would use on a real
 controller: one-shot timers (``Timer``), fixed-rate polling loops
-(``PeriodicTask``) and jittered inter-arrival processes (``Interval``).
+(``PeriodicTask``) and the one Poisson arrival process (``Interval``)
+every traffic generator draws its arrivals from.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.rng import SeededRng
+
+#: Seconds of arrivals one coalesced burst event pre-generates.
+_BURST_HORIZON_S = 0.05
 
 
 class Timer:
@@ -103,69 +108,116 @@ class PeriodicTask:
 
 
 class Interval:
-    """A stochastic arrival process: call ``fn`` with random spacing.
+    """The one Poisson arrival process: ``fn(item)`` at ``rate`` per second.
 
-    Used by traffic generators.  ``gap_fn`` draws the next inter-arrival
-    time; exponential gaps give a Poisson process, constant gaps a CBR
-    stream (the shape hping3 produces with ``-i``).
+    ``draw(t)`` pre-draws the randomness of the arrival due at ``t`` and
+    returns the item ``fn`` receives when the arrival falls due, or
+    ``None`` to suppress it; without ``draw`` the item is the arrival
+    time.  Per arrival the gap to the next one is drawn first, then
+    ``draw``, so the rng stream and the delivered ``(time, item)``
+    sequence do not depend on which twin runs.
+
+    The simulator picks the twin.  On :class:`Simulator` the process
+    coalesces: one burst event pre-generates ``_BURST_HORIZON_S`` of
+    arrivals and schedules them in a single ``schedule_at_many`` batch
+    (the window's arrivals share one bound callback, the next burst entry
+    comes last, a suppressed arrival gets no event) and then delivers its
+    own arrival.  On the reference simulator every arrival is its own
+    event.  Either way the process keeps the events it has scheduled and
+    counts how many have run, so :meth:`stop` cancels exactly the rest.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        gap_fn: Callable[[], float],
-        fn: Callable[[], None],
+        rng: SeededRng,
+        rate: float,
+        fn: Callable[[object], None],
         label: str = "",
+        draw: Callable[[float], object] | None = None,
     ) -> None:
+        if rate <= 0:
+            raise ValueError("rate must be positive")
         self._sim = sim
-        self._gap_fn = gap_fn
+        self._rng = rng
+        self._rate = rate
         self._fn = fn
         self._label = label
-        self._event: Event | None = None
-        self._running = False
-        self.arrivals = 0
-
-    @classmethod
-    def poisson(
-        cls, sim: Simulator, rng: SeededRng, rate: float, fn: Callable[[], None], label: str = ""
-    ) -> "Interval":
-        """Poisson arrivals at ``rate`` events per simulated second."""
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        return cls(sim, lambda: rng.expovariate(rate), fn, label)
-
-    @classmethod
-    def constant(
-        cls, sim: Simulator, rate: float, fn: Callable[[], None], label: str = ""
-    ) -> "Interval":
-        """Constant-bit-rate arrivals at ``rate`` events per second."""
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        gap = 1.0 / rate
-        return cls(sim, lambda: gap, fn, label)
+        self._draw = draw or _arrival_time
+        self.coalesced = isinstance(sim, Simulator)
+        self._events: list[Event] = []
+        self._ran = 0
+        self._items: deque = deque()
+        self._t_next = 0.0
 
     @property
     def running(self) -> bool:
         """True while arrivals continue."""
-        return self._running
+        return bool(self._events)
 
-    def start(self, initial_delay: float = 0.0) -> None:
-        """Begin the arrival process after ``initial_delay`` seconds."""
-        if self._running:
+    def start(self, at: float = 0.0) -> None:
+        """Begin arrivals at absolute time ``at`` (now, if that has passed).
+
+        The first arrival falls one gap after it.
+        """
+        if self._events:
             return
-        self._running = True
-        self._event = self._sim.schedule(initial_delay + self._gap_fn(), self._arrive, self._label)
+        sim = self._sim
+        self._t_next = max(sim.now, at) + self._rng.expovariate(self._rate)
+        step = self._burst if self.coalesced else self._arrive
+        self._events = [sim.schedule_at(self._t_next, step, self._label)]
+        self._ran = 0
 
     def stop(self) -> None:
-        """Halt the arrival process."""
-        self._running = False
-        if self._event is not None and not self._event.cancelled:
-            self._sim.cancel(self._event)
-        self._event = None
+        """Halt arrivals: cancel every scheduled entry that has not run."""
+        cancel = self._sim.cancel
+        for event in self._events[self._ran:]:
+            cancel(event)
+        self._events = []
+        self._items.clear()
 
     def _arrive(self) -> None:
-        if not self._running:
-            return
-        self._event = self._sim.schedule(self._gap_fn(), self._arrive, self._label)
-        self.arrivals += 1
-        self._fn()
+        """Reference twin: one event per arrival, scheduling the next first."""
+        t = self._t_next
+        self._t_next = t_next = t + self._rng.expovariate(self._rate)
+        self._events = [self._sim.schedule_at(t_next, self._arrive, self._label)]
+        item = self._draw(t)
+        if item is not None:
+            self._fn(item)
+
+    def _burst(self) -> None:
+        """Fast path: pre-generate a window, then deliver the arrival due now."""
+        t = self._t_next
+        horizon = t + _BURST_HORIZON_S
+        expovariate = self._rng.expovariate
+        rate = self._rate
+        draw = self._draw
+        push_item = self._items.append
+        deliver = self._deliver
+        label = self._label
+        entries: list = []
+        append = entries.append
+        gap = expovariate(rate)
+        first = draw(t)
+        t += gap
+        while t <= horizon:
+            gap = expovariate(rate)
+            item = draw(t)
+            if item is not None:
+                push_item(item)
+                append((t, deliver, label))
+            t += gap
+        self._t_next = t
+        append((t, self._burst, label))
+        self._events = self._sim.schedule_at_many(entries)
+        self._ran = 0
+        if first is not None:
+            self._fn(first)
+
+    def _deliver(self) -> None:
+        self._ran += 1
+        self._fn(self._items.popleft())
+
+
+def _arrival_time(t: float) -> float:
+    return t

@@ -7,25 +7,24 @@ exactly the packet stream ``hping3 -S --flood --rand-source`` produces on
 a testbed.  ``UdpFloodAttacker`` provides the volumetric comparison
 workload, drawing its sources the same way.
 
-Both attackers share an allocation-aware fast path (on by default, see
-``burst=``): instead of one self-rescheduling heap event per Poisson
-arrival, a *burst event* pre-generates ~50 ms of arrivals at a time —
-drawing gaps and per-packet randomness in exactly the legacy order, so
-the packet stream is byte-identical — crafts the packets through a
-:class:`repro.net.packet.FloodTemplate` (fields only; bytes are packed
-if and when something reads them), and fans the emissions out through
-one ``schedule_at_many`` batch sharing a single bound-method callback.
-Overdrawing the attacker's RNG past the attack end is harmless: the
-stream is an exclusive ``rng.child`` nobody else reads.  When the
-victim's MAC does not resolve (no static ARP entry, no gateway), crafting
-falls back to the per-packet ``send_tcp``/``send_udp`` path (same draws,
-same counters), so every such send is counted in the host's
+Arrivals come from the one Poisson process, :class:`repro.sim.process.Interval`,
+with ``_craft`` as its ``draw`` and ``_emit`` as its callback; the
+simulator picks the twin.  On the fast simulator arrivals are
+pre-generated a burst at a time (overdrawing the attacker's RNG past the
+attack end is harmless: the stream is an exclusive ``rng.child`` nobody
+else reads) and crafted through a :class:`repro.net.packet.FloodTemplate`
+(fields only; bytes are packed if and when something reads them), built
+at the first draw, once the static ARP tables are final.  The reference
+twin never builds a template: every arrival is its own event and goes
+out through the per-packet ``send_tcp``/``send_udp`` path, with the same
+draws and the same packets.  When the victim's MAC does not resolve (no
+static ARP entry, no gateway), the fast path falls back to that
+per-packet path too, so every such send is counted in the host's
 ``arp_failures``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,13 +37,10 @@ from repro.sim.rng import SeededRng
 
 _new = tuple.__new__  # headers are built positionally: every field, in order
 
-#: Seconds of Poisson arrivals pre-generated per burst event.
-_BURST_HORIZON_S = 0.05
-
 
 @dataclass(frozen=True)
 class AttackSchedule:
-    """When the attack runs (relative to simulation start).
+    """When the attack runs, in absolute simulated time.
 
     ``pulse_on_s``/``pulse_off_s`` turn the flood into a pulsing (on-off)
     attack — the classic evasion against duty-cycled inspection, used in
@@ -106,24 +102,18 @@ class SynFloodConfig:
 
 
 class _FloodAttacker:
-    """Shared flood machinery: legacy Interval path + burst fast path.
+    """Shared flood machinery around one :class:`Interval` arrival process.
 
     Subclasses define ``_kind`` plus three hooks: ``_build_template()``
     (may return ``None`` to keep per-packet sends), ``_craft(t)`` (draws
-    one arrival's randomness for both paths and returns a finished
-    packet, a fallback send tuple, or ``None`` for a suppressed arrival)
-    and ``_emit(item)`` (puts one crafted item on the wire).
+    one arrival's randomness and returns a finished packet, a per-packet
+    send tuple, or ``None`` for a suppressed arrival) and ``_emit(item)``
+    (puts one crafted item on the wire).
     """
 
     _kind = "flood"
 
-    def __init__(
-        self,
-        host: Host,
-        rng: SeededRng,
-        config,
-        burst: bool = True,
-    ) -> None:
+    def __init__(self, host: Host, rng: SeededRng, config) -> None:
         if not config.victim_ip:
             raise ValueError("victim_ip is required")
         self.host = host
@@ -132,18 +122,15 @@ class _FloodAttacker:
         self.packets_sent = 0
         # Sends the host refused: link queue full, or no MAC for the victim.
         self.packets_rejected = 0
-        self._burst = burst
-        self._interval: Optional[Interval] = None
-        self._running = False
-        self._label = f"{self._kind}.{host.name}"
-        # Template creation is deferred to the first burst event: at
-        # start() time the static ARP tables are not yet finalized, so the
-        # victim's MAC (baked into the template) cannot be resolved.
+        self._arrivals = Interval(
+            host.sim, rng, config.rate_pps, self._emit,
+            f"{self._kind}.{host.name}", draw=self._craft,
+        )
+        # The template is built at the first draw: at start() time the
+        # static ARP tables are not yet final, so the victim's MAC (baked
+        # into the template) cannot be resolved.
         self._template = None
         self._template_ready = False
-        self._pending: deque = deque()
-        self._burst_events: list = []
-        self._t_next = 0.0
         self._spoof_pool: list[str] = []
         if config.spoof and config.spoof_pool_size > 0:
             self._spoof_pool = [
@@ -151,96 +138,25 @@ class _FloodAttacker:
             ]
 
     def start(self) -> None:
-        """Arm the generator; packets begin at ``schedule.start_s``."""
-        if self._interval is not None or self._running:
-            return
+        """Arm the generator; packets flow from ``schedule.start_s`` until
+        the schedule ends.  Armed after its end, it sends nothing."""
         sim = self.host.sim
         schedule = self.config.schedule
-        if self._burst:
-            self._running = True
-            # Matches Interval.start(initial_delay=start_s): the first gap
-            # is drawn now and the sum is rounded in the same order.
-            gap = self.rng.expovariate(self.config.rate_pps)
-            first = sim.now + (schedule.start_s + gap)
-            self._t_next = first
-            self._burst_events = [sim.schedule_at(first, self._burst_fire, self._label)]
-        else:
-            self._interval = Interval.poisson(
-                sim, self.rng, self.config.rate_pps, self._fire, self._label
-            )
-            self._interval.start(initial_delay=schedule.start_s)
         end = schedule.start_s + schedule.duration_s
+        if self._arrivals.running or end <= sim.now:
+            return
+        self._arrivals.start(schedule.start_s)
         if end != float("inf"):
-            sim.schedule(end, self.stop, f"{self._kind}.end")
+            sim.schedule_at(end, self.stop, f"{self._kind}.end")
 
     def stop(self) -> None:
         """Cease fire."""
-        if self._interval is not None:
-            self._interval.stop()
-            self._interval = None
-        if self._running:
-            self._running = False
-            sim = self.host.sim
-            now = sim.now
-            for event in self._burst_events:
-                # Executed events have time < now; only genuinely pending
-                # ones may be cancelled (cancel() adjusts live accounting).
-                if not event.cancelled and event.time >= now:
-                    sim.cancel(event)
-            self._burst_events = []
-            self._pending.clear()
+        self._arrivals.stop()
 
-    # ------------------------------------------------------------------
-    # Burst fast path
-    # ------------------------------------------------------------------
-
-    def _burst_fire(self) -> None:
-        """One burst event: emit the arrival due now, pre-generate a window.
-
-        Gap draws and craft draws interleave exactly like the legacy
-        ``Interval._arrive``/``_fire`` pair (next gap first, then the
-        packet's randomness), so the RNG stream — and therefore the packet
-        stream — is identical to the per-arrival path.
-        """
-        if not self._running:
-            return
-        if not self._template_ready:
-            self._template_ready = True
+    def _ready_template(self) -> None:
+        self._template_ready = True
+        if self._arrivals.coalesced:
             self._template = self._build_template()
-        sim = self.host.sim
-        t = self._t_next
-        horizon = t + _BURST_HORIZON_S
-        rate = self.config.rate_pps
-        expovariate = self.rng.expovariate
-        craft = self._craft
-        pending = self._pending
-        label = self._label
-        emit_next = self._emit_next
-        entries: list = []
-        append = entries.append
-        first_item = None
-        first = True
-        while True:
-            gap = expovariate(rate)
-            item = craft(t)
-            if first:
-                first_item = item
-                first = False
-            elif item is not None:
-                pending.append(item)
-                append((t, emit_next, label))
-            t += gap
-            if t > horizon:
-                break
-        self._t_next = t
-        append((t, self._burst_fire, label))
-        self._burst_events = sim.schedule_at_many(entries)
-        if first_item is not None:
-            self._emit(first_item)
-
-    def _emit_next(self) -> None:
-        if self._pending:
-            self._emit(self._pending.popleft())
 
     # Hooks ------------------------------------------------------------
 
@@ -253,13 +169,6 @@ class _FloodAttacker:
             return self.host.resolve_mac(self.config.victim_ip)
         except KeyError:
             return None
-
-    def _fire(self) -> None:
-        """One per-arrival send: ``_template`` is never built on this path,
-        so ``_craft`` hands back the ``(src_ip, header)`` send tuple."""
-        item = self._craft(self.host.sim.now)
-        if item is not None:
-            self._emit(item)
 
     def _craft(self, t: float):
         raise NotImplementedError
@@ -290,6 +199,8 @@ class SynFloodAttacker(_FloodAttacker):
         )
 
     def _craft(self, t: float):
+        if not self._template_ready:
+            self._ready_template()
         multiplier = self.config.schedule.rate_multiplier(t)
         if multiplier <= 0.0:
             return None
@@ -358,6 +269,8 @@ class UdpFloodAttacker(_FloodAttacker):
         )
 
     def _craft(self, t: float):
+        if not self._template_ready:
+            self._ready_template()
         # Deliberately no thinning draw — the UDP flood fires at full
         # rate whenever the schedule multiplier is positive.
         if self.config.schedule.rate_multiplier(t) <= 0.0:

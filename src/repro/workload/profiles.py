@@ -95,9 +95,6 @@ class StandardWorkload:
             pulse_on_s=cfg.attack_pulse_on_s,
             pulse_off_s=cfg.attack_pulse_off_s,
         )
-        # The Network owns the fast/reference switch: a reference network
-        # schedules every arrival as its own event.
-        burst = not self.net.reference
         servers = self.roles.servers
         for i, name in enumerate(self.roles.attackers):
             host = self.net.hosts[name]
@@ -115,7 +112,6 @@ class StandardWorkload:
                         spoof_pool_size=cfg.spoof_pool_size,
                         schedule=schedule,
                     ),
-                    burst=burst,
                 )
             else:
                 self.attackers[name] = SynFloodAttacker(
@@ -128,7 +124,6 @@ class StandardWorkload:
                         spoof_pool_size=cfg.spoof_pool_size,
                         schedule=schedule,
                     ),
-                    burst=burst,
                 )
 
     def start(self, with_attack: bool = True) -> None:

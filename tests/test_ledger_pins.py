@@ -114,3 +114,42 @@ def test_sharded_transport_stats_keys():
         "batch_bytes_to_workers", "batch_bytes_from_workers",
     ):
         assert stats[key] > 0, key
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_arrival_events_are_charged_to_the_workload(reference):
+    # trace.py::event_owner follows a ``repro.sim.process`` callback to the
+    # owner's ``_fn``; without that the ~100 k flood arrivals of
+    # ``synflood_edge`` would move from ``workload`` to ``sim``.
+    from benchmarks.ledger.trace import event_owner
+    from repro.topology import single_switch
+    from repro.workload import (
+        FlashCrowd, FlashCrowdSpec, SynFloodAttacker, SynFloodConfig,
+    )
+
+    net, roles = single_switch(n_clients=2, n_attackers=1, reference=reference)
+    victim_ip = net.hosts["srv1"].ip
+    attacker = SynFloodAttacker(
+        net.hosts["atk1"], net.rng.child("a"),
+        SynFloodConfig(victim_ip=victim_ip, rate_pps=400),
+    )
+    crowd = FlashCrowd(
+        [net.stack(name) for name in roles.clients], net.rng.child("crowd"),
+        FlashCrowdSpec(start_s=0.0, duration_s=1.0, connections_per_second=400),
+        victim_ip,
+    )
+    attacker.start()
+    net.run(until=0.2)
+    for generator, owner in (
+        (attacker, "SynFloodAttacker._emit"), (crowd, "FlashCrowd._spawn"),
+    ):
+        arrivals = generator._arrivals
+        expected = (
+            {arrivals._arrive} if reference else {arrivals._burst, arrivals._deliver}
+        )
+        assert {event.fn for event in arrivals._events} == expected
+        for fn in (
+            arrivals._burst, arrivals._deliver, arrivals._arrive,
+            arrivals.start, arrivals.stop,
+        ):
+            assert event_owner(fn) == ("workload", owner)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim.engine import Simulator
+from repro.sim.engine_reference import ReferenceSimulator
 from repro.sim.process import Interval, PeriodicTask, Timer
+from repro.sim.rng import SeededRng
 
 
 class TestTimer:
@@ -105,45 +108,105 @@ class TestPeriodicTask:
         assert not task.running
 
 
+def _twin(reference: bool):
+    return ReferenceSimulator() if reference else Simulator()
+
+
+def _suppressing_draw(rng: SeededRng, drawn: list):
+    """Pre-draws two values per arrival and suppresses about a third."""
+
+    def draw(t: float):
+        drawn.append(t)
+        if rng.random() < 0.3:
+            return None
+        return (t, rng.randint(0, 1000))
+
+    return draw
+
+
 class TestInterval:
-    def test_constant_rate_arrival_count(self, sim):
-        count = []
-        interval = Interval.constant(sim, 10.0, lambda: count.append(sim.now))
+    def test_twins_deliver_the_same_arrivals(self):
+        # The coalesced twin draws a window ahead, so both run to the last
+        # arrival it has drawn: by then both have drawn the same arrivals.
+        runs = []
+        until = 0.4  # eight burst horizons
+        for reference in (False, True):
+            sim = _twin(reference)
+            rng = SeededRng(7)
+            got, drawn = [], []
+            interval = Interval(
+                sim, rng, 200.0, lambda item: got.append((sim.now, item)),
+                draw=_suppressing_draw(rng, drawn),
+            )
+            assert interval.coalesced is not reference
+            interval.start()
+            sim.run(until=until)
+            until = drawn[-1]
+            sim.run(until=until)
+            assert got and all(now == item[0] for now, item in got)
+            runs.append((got, drawn, rng.random()))
+        fast, ref = runs
+        assert fast == ref  # deliveries, drawn arrivals, rng state
+        assert len(fast[0]) > 40 and len(fast[1]) > len(fast[0])
+
+    def test_without_draw_the_item_is_the_arrival_time(self, sim, rng):
+        got = []
+        interval = Interval(sim, rng, 100.0, lambda t: got.append((sim.now, t)))
         interval.start()
         sim.run(until=1.0)
-        assert len(count) == 10  # arrivals at 0.1, 0.2, ..., 1.0
+        assert got and all(now == t for now, t in got)
 
     def test_poisson_rate_is_approximately_right(self, sim, rng):
         count = []
-        interval = Interval.poisson(sim, rng, 100.0, lambda: count.append(1))
+        interval = Interval(sim, rng, 100.0, lambda _t: count.append(1))
         interval.start()
         sim.run(until=10.0)
         # 1000 expected; Poisson sd ~ 32, allow 5 sigma.
         assert 840 <= len(count) <= 1160
 
-    def test_stop_halts_arrivals(self, sim):
-        count = []
-        interval = Interval.constant(sim, 10.0, lambda: count.append(1))
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_stop_mid_burst_leaves_no_entry_live(self, reference):
+        sim = _twin(reference)
+        rng = SeededRng(3)
+        got = []
+        interval = Interval(
+            sim, rng, 400.0, got.append, draw=_suppressing_draw(rng, [])
+        )
+        interval.start()
+        sim.schedule_at(0.123, interval.stop)  # inside the third burst window
+        sim.run(until=0.123)
+        delivered = len(got)
+        assert delivered > 0 and not interval.running
+        assert len(sim._queue) == 0  # nothing of the process is live
+        sim.run(until=1.0)
+        assert len(got) == delivered
+
+    def test_stop_halts_arrivals(self, sim, rng):
+        times = []
+        interval = Interval(sim, rng, 100.0, times.append)
         interval.start()
         sim.schedule(0.55, interval.stop)
         sim.run(until=2.0)
-        assert len(count) == 5
+        assert times and max(times) <= 0.55
 
-    def test_initial_delay_defers_first_arrival(self, sim):
+    def test_initial_delay_defers_first_arrival(self, sim, rng):
         times = []
-        interval = Interval.constant(sim, 1.0, lambda: times.append(sim.now))
-        interval.start(initial_delay=5.0)
-        sim.run(until=7.5)
-        assert times == [6.0, 7.0]
+        interval = Interval(sim, rng, 100.0, times.append)
+        interval.start(5.0)
+        sim.run(until=5.5)
+        assert times and min(times) > 5.0
+
+    def test_start_time_is_absolute(self, sim, rng):
+        times = []
+        interval = Interval(sim, rng, 100.0, times.append)
+        sim.run(until=2.0)
+        interval.start(1.0)  # already past: arrivals begin now
+        interval.start(9.0)  # a running process ignores a second start
+        sim.run(until=2.5)
+        assert times and 2.0 < min(times) < 2.5
 
     def test_invalid_rate_rejected(self, sim, rng):
         with pytest.raises(ValueError):
-            Interval.constant(sim, 0.0, lambda: None)
+            Interval(sim, rng, 0.0, lambda _t: None)
         with pytest.raises(ValueError):
-            Interval.poisson(sim, rng, -1.0, lambda: None)
-
-    def test_arrivals_counter(self, sim):
-        interval = Interval.constant(sim, 10.0, lambda: None)
-        interval.start()
-        sim.run(until=1.0)
-        assert interval.arrivals == 10
+            Interval(sim, rng, -1.0, lambda _t: None)

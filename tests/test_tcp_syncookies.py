@@ -111,11 +111,11 @@ class TestSynCookies:
 
         server = WebServer(cookie_pair.stack_b, port=8080, backlog=8)
         # Sustained flood.
-        from repro.sim.process import Interval
+        from repro.sim.process import PeriodicTask
 
         rng = SeededRng(9)
-        flooder = Interval.constant(
-            sim, 200.0,
+        flooder = PeriodicTask(
+            sim, 1.0 / 200.0,
             lambda: cookie_pair.a.send_tcp(
                 "10.0.0.2",
                 TcpHeader(rng.randint(1024, 60000), 8080,

@@ -174,7 +174,7 @@ class TestUdpPipeline:
     def test_benign_udp_chatter_refuted(self):
         """Moderate legitimate UDP (e.g. DNS) alerts but is refuted."""
         from repro.core import SpiConfig, SpiSystem
-        from repro.sim.process import Interval
+        from repro.sim.process import PeriodicTask
         from repro.topology import single_switch
         from repro.net.headers import UdpHeader
 
@@ -186,8 +186,8 @@ class TestUdpPipeline:
         cli = net.hosts["cli1"]
         rng = net.rng.child("dns")
         # Legitimate chatter: one real source, scattered ports, ~60 pps.
-        chatter = Interval.constant(
-            net.sim, 60.0,
+        chatter = PeriodicTask(
+            net.sim, 1.0 / 60.0,
             lambda: cli.send_udp(
                 victim_ip, UdpHeader(rng.randint(1024, 60000), rng.randint(1024, 60000)),
                 b"q" * 32,

@@ -212,6 +212,106 @@ class TestAttackers:
         assert config(victim_ip="10.0.0.1", spoof_prefix=prefix).spoof_prefix == prefix
 
 
+def _live_in_heap(sim) -> int:
+    return sum(not entry[2].cancelled for entry in sim._queue._heap)
+
+
+class TestArrivalLifecycle:
+    """Generators stop by position and arm at absolute schedule times."""
+
+    @staticmethod
+    def _every_64th_second(rng):
+        rng.expovariate = lambda rate: 1 / 64
+        return rng
+
+    def test_attacker_stop_at_a_delivered_arrival_keeps_it(self, rig):
+        # Arrivals at 1/64, 2/64, 3/64 have all run when the clock stops at
+        # 3/64; stop() must cancel only what is still to come.
+        net, roles = rig
+        attacker = SynFloodAttacker(
+            net.hosts["atk1"], self._every_64th_second(net.rng.child("a")),
+            SynFloodConfig(victim_ip=net.hosts["srv1"].ip, rate_pps=64),
+        )
+        attacker.start()
+        net.run(until=3 / 64)
+        attacker.stop()
+        assert attacker.packets_sent == 3
+        assert net.sim.pending() == _live_in_heap(net.sim)
+        net.stop()
+        assert net.sim.pending() == _live_in_heap(net.sim)
+
+    def test_crowd_stop_at_a_delivered_arrival_keeps_it(self, rig):
+        net, roles = rig
+        WebServer(net.stack("srv1"))
+        crowd = FlashCrowd(
+            [net.stack(c) for c in roles.clients],
+            self._every_64th_second(net.rng.child("crowd")),
+            FlashCrowdSpec(start_s=0.0, duration_s=5.0, connections_per_second=64),
+            net.hosts["srv1"].ip,
+        )
+        net.run(until=3 / 64)
+        crowd._arrivals.stop()
+        assert crowd.connections_started == 3
+        assert net.sim.pending() == _live_in_heap(net.sim)
+        net.run(until=1.0)
+        assert crowd.connections_started == 3
+
+    def test_attacker_armed_late_keeps_absolute_times(self, rig):
+        net, roles = rig
+        attacker = SynFloodAttacker(
+            net.hosts["atk1"], net.rng.child("a"),
+            SynFloodConfig(victim_ip=net.hosts["srv1"].ip, rate_pps=200,
+                           schedule=AttackSchedule(start_s=2.0, duration_s=3.0)),
+        )
+        net.run(until=1.0)
+        attacker.start()
+        net.run(until=2.0)
+        assert attacker.packets_sent == 0
+        net.run(until=3.0)
+        assert 120 <= attacker.packets_sent <= 280  # ~200 in [2, 3)
+        net.run(until=5.0)
+        assert not attacker._arrivals.running  # stopped at t=5, not t=6
+        assert 480 <= attacker.packets_sent <= 720
+
+    def test_attacker_armed_after_its_window_sends_nothing(self, rig):
+        net, roles = rig
+        attacker = SynFloodAttacker(
+            net.hosts["atk1"], net.rng.child("a"),
+            SynFloodConfig(victim_ip=net.hosts["srv1"].ip, rate_pps=200,
+                           schedule=AttackSchedule(start_s=0.5, duration_s=1.0)),
+        )
+        net.run(until=2.0)
+        pending = net.sim.pending()
+        attacker.start()
+        assert not attacker._arrivals.running and net.sim.pending() == pending
+        net.run(until=3.0)
+        assert attacker.packets_sent == 0
+
+    def test_crowd_built_late_keeps_its_phase(self, rig):
+        net, roles = rig
+        WebServer(net.stack("srv1"), backlog=256)
+        stacks = [net.stack(c) for c in roles.clients]
+        net.run(until=1.0)
+        crowd = FlashCrowd(
+            stacks, net.rng.child("crowd"),
+            FlashCrowdSpec(start_s=2.0, duration_s=1.0, connections_per_second=80),
+            net.hosts["srv1"].ip,
+        )
+        late = FlashCrowd(
+            stacks, net.rng.child("late"),
+            FlashCrowdSpec(start_s=0.0, duration_s=0.5, connections_per_second=80),
+            net.hosts["srv1"].ip,
+        )
+        net.run(until=2.0)
+        assert crowd.connections_started == 0
+        net.run(until=3.0)
+        started = crowd.connections_started
+        assert started > 40
+        net.run(until=4.0)
+        assert crowd.connections_started == started
+        assert late.connections_started == 0
+
+
 class TestAttackSchedule:
     def test_ramp_longer_than_duration_never_reaches_full_rate(self):
         schedule = AttackSchedule(start_s=1.0, duration_s=2.0, ramp_s=10.0)
